@@ -6,8 +6,14 @@ column-wise; throughout the package columns index stabilizer generators.
 
 The commutation pairing of two even-weight mode sets is computed in closed
 form, ``weight(u)*weight(v) + u.v  (mod 2)``, so the dense pairing matrix
-(identity plus all-ones) is never materialized except for explicit
-symplectic-condition checks.
+(identity plus all-ones) is built only when ``fermionic_form`` asks for it.
+
+``_transpose_raw`` switches between the row-major layout (one int per
+vector, one bit per mode) and the mode-major layout (one int per mode, one
+bit per vector) in O(set bits).  ``tableau.apply_circuit`` uses it around
+the mode-major kernel in ``majorana``, and ``check_symplectic`` uses it to
+form ``C^T L C`` from the rows of C, at O(set bits of C) big-int XORs
+instead of N^2 pairings.
 """
 
 from __future__ import annotations
@@ -33,6 +39,21 @@ def _bit_positions(x: int) -> list[int]:
         low = x & -x
         out.append(low.bit_length() - 1)
         x ^= low
+    return out
+
+
+def _transpose_raw(vectors: Sequence[int], length: int) -> list[int]:
+    """Transpose packed bit vectors: bit i of out[k] is bit k of vectors[i].
+
+    Every vector must fit in length bits; the cost is one OR per set bit.
+    """
+    out = [0] * length
+    for i, v in enumerate(vectors):
+        bit = 1 << i
+        while v:
+            low = v & -v
+            out[low.bit_length() - 1] |= bit
+            v ^= low
     return out
 
 
@@ -149,13 +170,7 @@ class BitMatrix:
         return (self.columns[j] >> i) & 1
 
     def transpose(self) -> BitMatrix:
-        rows = []
-        for i in range(self.n_rows):
-            acc = 0
-            for j, c in enumerate(self.columns):
-                acc |= ((c >> i) & 1) << j
-            rows.append(acc)
-        return BitMatrix(self.n_cols, tuple(rows))
+        return BitMatrix(self.n_cols, tuple(_transpose_raw(self.columns, self.n_rows)))
 
     def mul_vec(self, v: BitVec) -> BitVec:
         if v.length != self.n_cols:
@@ -248,7 +263,10 @@ def check_symplectic(m: BitMatrix) -> bool:
     """Whether a square matrix preserves the fermionic pairing.
 
     Checks ``C^T L C = L`` with L the identity-plus-all-ones form.  Requires
-    an even number of rows so the form is invertible.
+    an even number of rows so the form is invertible.  Column j of
+    ``C^T L C`` is the XOR of the rows of C picked by the set bits of column
+    c_j, plus the XOR of all rows (bit i is the weight parity of c_i) when
+    c_j has odd weight; it must equal column j of L, all ones except bit j.
     """
     n = m.n_rows
     if m.n_cols != n:
@@ -256,12 +274,12 @@ def check_symplectic(m: BitMatrix) -> bool:
     if n % 2:
         raise ValueError("mode count must be even")
     ones = (1 << n) - 1
-    # L @ C, column by column: x -> x + parity(x) * all-ones.
-    lc = [c ^ (ones if c.bit_count() & 1 else 0) for c in m.columns]
-    for i in range(n):
-        ci = m.columns[i]
-        for j in range(n):
-            want = 0 if i == j else 1
-            if (ci & lc[j]).bit_count() & 1 != want:
-                return False
+    rows = _transpose_raw(m.columns, n)
+    parities = _mat_vec(rows, ones)
+    for j, c in enumerate(m.columns):
+        col = _mat_vec(rows, c)
+        if c.bit_count() & 1:
+            col ^= parities
+        if col != ones ^ (1 << j):
+            return False
     return True

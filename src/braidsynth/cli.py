@@ -4,7 +4,9 @@ Circuit documents are strict JSON in the same dialect as code documents:
 format_version, n_modes, ancilla_modes, a gates list, plus two optional
 fields -- role ("encoder" or "decoder", default decoder) so verify knows
 which way to run the circuit, and substitutions recording generating-set
-changes made during synthesis.  Unknown keys are rejected.
+changes made during synthesis.  Unknown keys are rejected.  A substitution
+[i, j] (generator i <- generator i * generator j) needs 0 <= i, j < r and
+i != j; verify checks the range against the code's r before replaying.
 
 Exit codes: 0 ok, 1 invalid input (code or circuit document), 2 synthesis
 obstruction, 3 I/O error, 4 verification failure, 64 usage error.
@@ -124,7 +126,12 @@ def parse_circuit(text: str) -> CircuitDocument:
     for entry in doc.get("substitutions", []):
         if not isinstance(entry, list) or len(entry) != 2:
             raise CircuitFormatError("substitutions entries must be [i, j] pairs")
-        subs.append((_int(entry[0], "substitution index"), _int(entry[1], "substitution index")))
+        i, j = (_int(k, "substitution index") for k in entry)
+        if i < 0 or j < 0:
+            raise CircuitFormatError(f"substitution {entry} has a negative index")
+        if i == j:
+            raise CircuitFormatError(f"substitution {entry} multiplies a generator by itself")
+        subs.append((i, j))
     if not isinstance(doc["gates"], list):
         raise CircuitFormatError("gates must be a list")
     gates = []
@@ -230,7 +237,10 @@ def _builtin_code(selector: str) -> StabilizerCode:
             n = int(selector.split(":", 1)[1])
         except ValueError as exc:
             raise CodeFormatError(f"bad builtin {selector!r}: kitaev:N needs an integer") from exc
-        return kitaev_chain(n)
+        try:
+            return kitaev_chain(n)
+        except ValueError as exc:
+            raise CodeFormatError(f"bad builtin {selector!r}: {exc}") from exc
     raise CodeFormatError(f"unknown builtin {selector!r} (available: shortest, kitaev:N)")
 
 
@@ -297,6 +307,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CircuitFormatError(
             f"circuit acts on {doc.circuit.n_modes} modes, expected {expected} for this code"
         )
+    for i, j in doc.substitutions:
+        if max(i, j) >= code.n_stabilizers:
+            raise CircuitFormatError(
+                f"substitution [{i}, {j}] is out of range for {code.n_stabilizers} generators"
+            )
     decoder = doc.circuit if doc.role == "decoder" else invert(doc.circuit)
     target = DecodedTarget(expected, pivot_base, code.n_stabilizers)
 

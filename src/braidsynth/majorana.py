@@ -12,6 +12,18 @@ fixes it (even pairing) or multiplies it by ``i`` times the gate generator
 (odd pairing); both branches reduce to one XOR and a phase update with a
 reorder parity.  The bit action of a gate is linear, so a circuit also has a
 GF(2) matrix, which is symplectic for the fermionic pairing.
+
+Many monomials go through a circuit at once in a mode-major tableau
+(``_conjugate_cols_raw``): one int per mode holds a bit for every row that
+contains the mode, and the Z4 phases are two bit planes over the rows.  A
+gate on support a1 < a2 (< a3 < a4) then costs O(|support| log N) big-int
+operations whatever the number of rows: the rows it changes are the XOR of
+the support columns, and the reorder parity of every row is the XOR of the
+columns over [a1, a2) and [a3, a4), read from a Fenwick tree of prefix
+XORs.  ``circuit_matrix`` runs the N unit rows through it without phases,
+at O(|support|) per gate; ``tableau.apply_circuit`` runs the code
+generators with theirs.  ``conjugate_circuit`` stays the plain
+one-monomial fold.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .bitlinalg import BitMatrix, BitVec, _pairing_raw, _reorder_raw
+from .bitlinalg import BitMatrix, BitVec, _reorder_raw
 
 __all__ = [
     "MajoranaString",
@@ -45,6 +57,62 @@ def _conjugate_raw(mask: int, gen_phase: int, bits: int, phase: int) -> tuple[in
         return bits, phase
     phase = (phase + 1 + gen_phase + 2 * _reorder_raw(mask, bits)) & 3
     return bits ^ mask, phase
+
+
+def _conjugate_cols_raw(
+    cols: list[int], gates: Iterable[BraidGate], phases: list[int] | None
+) -> list[int] | None:
+    """Conjugate every row of a mode-major tableau through the gates.
+
+    cols[m] has bit i set when row i contains mode m; it is updated in
+    place.  phases, when given, are the rows' phase exponents, and the
+    images' exponents are returned.  The result equals folding each row
+    through ``_conjugate_raw``.
+    """
+    n_modes = len(cols)
+    tree = None
+    if phases is not None:
+        # Fenwick tree: tree[k] is the XOR of cols[k - (k & -k) .. k-1].
+        tree = [0] + cols
+        for k in range(1, n_modes + 1):
+            up = k + (k & -k)
+            if up <= n_modes:
+                tree[up] ^= tree[k]
+        p0 = p1 = 0
+        for i, ph in enumerate(phases):
+            p0 |= (ph & 1) << i
+            p1 |= (ph >> 1 & 1) << i
+    for g in gates:
+        modes = g.modes
+        odd = 0
+        for a in modes:
+            odd ^= cols[a]
+        if not odd:
+            continue
+        if tree is not None:
+            # Reorder parity of every row: XOR of the prefixes below each a.
+            reorder = 0
+            for a in modes:
+                k = a
+                while k:
+                    reorder ^= tree[k]
+                    k &= k - 1
+            # 2-bit add of 1 + gen_phase + 2 * reorder on the rows in odd.
+            step = 1 + g.generator_phase
+            add0 = odd if step & 1 else 0
+            add1 = (odd if step & 2 else 0) ^ (reorder & odd)
+            p1 ^= add1 ^ (p0 & add0)
+            p0 ^= add0
+            for a in modes:
+                k = a + 1
+                while k <= n_modes:
+                    tree[k] ^= odd
+                    k += k & -k
+        for a in modes:
+            cols[a] ^= odd
+    if phases is None:
+        return None
+    return [(p0 >> i & 1) | (p1 >> i & 1) << 1 for i in range(len(phases))]
 
 
 def _multiply_raw(abits: int, aphase: int, bbits: int, bphase: int) -> tuple[int, int]:
@@ -211,14 +279,12 @@ def gate_matrix(gate: BraidGate, n_modes: int) -> BitMatrix:
 
 def circuit_matrix(circuit: Circuit) -> BitMatrix:
     """Composite GF(2) action of the circuit (later gates applied last)."""
-    n = circuit.n_modes
-    cols = [1 << j for j in range(n)]
-    for g in circuit.gates:
-        mask = g.support_mask
-        for j, x in enumerate(cols):
-            if (x & mask).bit_count() & 1:
-                cols[j] = x ^ mask
-    return BitMatrix(n, tuple(cols))
+    # Gate matrices are symmetric, so the reversed circuit has the transposed
+    # matrix; its mode-major tableau, started from the identity, therefore
+    # holds this circuit's columns.
+    cols = [1 << j for j in range(circuit.n_modes)]
+    _conjugate_cols_raw(cols, reversed(circuit.gates), None)
+    return BitMatrix(circuit.n_modes, tuple(cols))
 
 
 def gate_counts(circuit: Circuit) -> dict[str, int]:

@@ -8,14 +8,19 @@ offending generator indices so callers can surface precise diagnostics.
 
 The synthesis target is the decoded form in which generator j acts only on
 the mode pair (pivot_base + 2j, pivot_base + 2j + 1) with phase +i.
+
+``apply_circuit`` transposes the generators into a mode-major tableau and
+replays the circuit on all of them at once through the kernel in
+``majorana``: each gate costs O(|support| log N) big-int operations on
+r-bit ints, instead of one conjugation per generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitlinalg import BitVec, _pairing_raw
-from .majorana import Circuit, MajoranaString, conjugate_circuit
+from .bitlinalg import BitVec, _pairing_raw, _transpose_raw
+from .majorana import Circuit, MajoranaString, _conjugate_cols_raw
 
 __all__ = [
     "CodeValidationError",
@@ -135,8 +140,12 @@ def apply_circuit(circuit: Circuit, code: StabilizerCode) -> StabilizerCode:
     """Conjugate every generator through the circuit."""
     if circuit.n_modes != code.n_modes:
         raise ValueError("mode count mismatch")
-    gens = tuple(conjugate_circuit(circuit, g) for g in code.generators)
-    return StabilizerCode(code.n_modes, gens, code.name)
+    n, gens = code.n_modes, code.generators
+    cols = _transpose_raw([g.bits.value for g in gens], n)
+    phases = _conjugate_cols_raw(cols, circuit.gates, [g.phase_r for g in gens])
+    bits = _transpose_raw(cols, len(gens))
+    images = tuple(MajoranaString(BitVec(n, b), ph) for b, ph in zip(bits, phases))
+    return StabilizerCode(n, images, code.name)
 
 
 def contains_total_parity(code: StabilizerCode) -> bool:

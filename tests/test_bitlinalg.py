@@ -1,5 +1,7 @@
 """Packed GF(2) linear algebra against brute-force references."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -182,3 +184,45 @@ def test_check_symplectic_rejects():
         check_symplectic(BitMatrix.identity(5))
     with pytest.raises(ValueError):
         check_symplectic(BitMatrix(3, (1, 2)))
+
+
+def naive_is_symplectic(cols, n: int) -> bool:
+    """C^T L C == L, every entry as an explicit double sum."""
+    for i in range(n):
+        for j in range(n):
+            if naive_pairing(cols[i], cols[j], n) != (i != j):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_check_symplectic_matches_the_entrywise_product(n):
+    rng = random.Random(n)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        kind = rng.randrange(3)
+        if kind == 0:  # arbitrary square matrix
+            cols = [rng.getrandbits(n) for _ in range(n)]
+        else:  # a product of transvections, symplectic by construction
+            m = BitMatrix.identity(n)
+            for _ in range(rng.randint(0, 4)):
+                m = transvection(n, rng.getrandbits(n)) @ m
+            cols = list(m.columns)
+            if kind == 2:  # one flipped entry, usually not symplectic
+                cols[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        if rng.random() < 0.3:  # force an even-weight column
+            j = rng.randrange(n)
+            cols[j] ^= (1 << rng.randrange(n)) if cols[j].bit_count() & 1 else 0
+        want = naive_is_symplectic(cols, n)
+        assert check_symplectic(BitMatrix(n, tuple(cols))) == want
+        seen[want] += 1
+    assert seen[True] and seen[False]
+
+
+@given(st.lists(packed, min_size=0, max_size=8))
+def test_transpose_matches_entries(cols):
+    m = BitMatrix(N, tuple(cols))
+    t = m.transpose()
+    assert (t.n_rows, t.n_cols) == (len(cols), N)
+    assert all(t.entry(j, i) == m.entry(i, j) for i in range(N) for j in range(len(cols)))
+    assert t.transpose() == m

@@ -105,6 +105,8 @@ def test_invalid_inputs_exit_1(capsys, tmp_path):
     cases = [
         ("synth", "--builtin", "nope"),
         ("synth", "--builtin", "kitaev:x"),
+        ("synth", "--builtin", "kitaev:0"),
+        ("verify", "--builtin", "kitaev:1", str(tmp_path / "absent.circuit")),
         ("synth",),  # neither a file nor --builtin
         ("synth", str(SAMPLES / "parity4.code"), "--builtin", "shortest"),
     ]
@@ -159,6 +161,25 @@ def test_circuit_document_rejections(tmp_path):
     broken(substitutions=[[0]])
     parsed = parse_circuit(json.dumps(good))
     assert parse_circuit(serialize_circuit(parsed)) == parsed
+
+
+@pytest.mark.parametrize(
+    "subs, reason",
+    [
+        ([[99, 0]], "out of range for 5 generators"),
+        ([[-1, 0]], "negative index"),
+        ([[0, 0]], "multiplies a generator by itself"),
+    ],
+)
+def test_verify_rejects_bad_substitution_indices(capsys, tmp_path, subs, reason):
+    circ = tmp_path / "shortest.circuit"
+    run(capsys, "synth", "--builtin", "shortest", "--decoder", "-o", str(circ))
+    doc = json.loads(circ.read_text())
+    circ.write_text(json.dumps({**doc, "substitutions": subs}))
+    rc, _, err = run(capsys, "verify", "--builtin", "shortest", str(circ))
+    assert rc == 1
+    assert err.startswith("invalid input: ") and reason in err
+    assert err.count("\n") == 1
 
 
 def test_missing_file_exits_3(capsys, tmp_path):

@@ -195,6 +195,22 @@ def test_circuit_matrix_is_the_matrix_product(seed):
     assert circuit_matrix(Circuit(N, tuple(gates))) == acc
 
 
+@pytest.mark.parametrize("n", [2, 4, 70])
+def test_circuit_matrix_columns_are_the_mode_images(n):
+    """Wide registers and supports on the first and last mode included."""
+    rng = random.Random(n)
+    edges = [BraidGate("braid2", (0, n - 1))]
+    if n >= 4:
+        edges.append(BraidGate("braid4", (0, 1, n - 2, n - 1), -1))
+    gates = edges + random_gates(n, 30, n) + edges
+    c = Circuit(n, tuple(rng.sample(gates, len(gates))))
+    m = circuit_matrix(c)
+    assert m.n_rows == m.n_cols == n
+    for j in range(n):
+        assert m.columns[j] == conjugate_circuit(c, MajoranaString.single_mode(n, j)).bits.value
+    assert circuit_matrix(Circuit(n)) == BitMatrix.identity(n)
+
+
 @given(st.integers())
 def test_circuit_matrix_is_symplectic(seed):
     c = Circuit(N, tuple(random_gates(N, 10, seed)))

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from braidsynth.codes import kitaev_chain, random_circuit, random_code, shortest_code
-from braidsynth.majorana import MajoranaString
+from braidsynth.bitlinalg import BitVec
+from braidsynth.majorana import BraidGate, Circuit, MajoranaString, conjugate_circuit
 from braidsynth.tableau import (
     CodeValidationError,
     DecodedTarget,
@@ -148,3 +149,39 @@ def test_apply_circuit_mode_mismatch():
     code = StabilizerCode(4, (gen(4, (0, 1), 1),))
     with pytest.raises(ValueError):
         apply_circuit(random_circuit(6, 3, random.Random(0)), code)
+
+
+def edge_gates(n, rng):
+    """Gates whose supports touch mode 0 and mode n-1, in both directions."""
+    gates = [BraidGate("braid2", (0, n - 1), rng.choice((1, -1)))]
+    if n >= 4:
+        inner = tuple(sorted(rng.sample(range(1, n - 1), 2)))
+        gates.append(BraidGate("braid4", (0, *inner, n - 1), 1))
+        gates.append(BraidGate("braid4", (0, 1, n - 2, n - 1), -1))
+    return gates
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 10, 66, 130])
+def test_apply_circuit_equals_the_per_generator_fold(n):
+    """The mode-major replay gives exactly the bits and phases of folding
+    each generator through conjugate_circuit on its own."""
+    rng = random.Random(1000 + n)
+    for trial in range(12):
+        gates = random_circuit(n, rng.randint(0, 40), rng).gates
+        circuit = Circuit(n, tuple(edge_gates(n, rng)) + gates + tuple(edge_gates(n, rng)))
+        code = random_code(n, rng.randint(0, n // 2), seed=trial)
+        # rows need not form a code: arbitrary bits and all four phases
+        rows = tuple(
+            MajoranaString(BitVec(n, rng.getrandbits(n)), rng.randrange(4))
+            for _ in range(rng.randint(0, 2 * n))
+        )
+        for c in (code, StabilizerCode(n, rows)):
+            for circ in (circuit, Circuit(n)):
+                moved = apply_circuit(circ, c)
+                assert moved.generators == tuple(conjugate_circuit(circ, g) for g in c.generators)
+                assert moved.n_modes == n and moved.name == c.name
+
+
+def test_apply_circuit_without_generators():
+    empty = StabilizerCode(8, ())
+    assert apply_circuit(random_circuit(8, 20, random.Random(3)), empty) == empty
