@@ -40,6 +40,7 @@ from .majorana import (
 )
 from .synth import (
     PhaseCorrectionError,
+    SynthesisInvariantError,
     SynthesisResult,
     TotalParityObstruction,
     apply_substitutions,
@@ -96,6 +97,7 @@ __all__ = [
     "serialize_code",
     "TotalParityObstruction",
     "PhaseCorrectionError",
+    "SynthesisInvariantError",
     "SynthesisResult",
     "synthesize_with_ancilla",
     "synthesize_ancilla_free",

@@ -158,8 +158,20 @@ def parse_circuit(text: str) -> CircuitDocument:
     return CircuitDocument(Circuit(n_modes, tuple(gates)), tuple(ancilla), tuple(subs), role)
 
 
+# One gate object exactly as json.dumps(indent=2) lays it out in the gates list.
+_GATE_JSON = (
+    '    {\n      "kind": "%s",\n      "modes": [\n        %s\n      ],\n'
+    '      "direction": %d\n    }'
+)
+
+
 def serialize_circuit(doc: CircuitDocument) -> str:
-    """Render a circuit document as JSON (inverse of parse_circuit)."""
+    """Render a circuit document as JSON (inverse of parse_circuit).
+
+    The output is byte-identical to ``json.dumps(..., indent=2)`` of the
+    whole document; the header goes through json, and the gates, whose
+    fields are fixed, through one template, which is several times faster.
+    """
     out: dict[str, Any] = {
         "format_version": 1,
         "role": doc.role,
@@ -168,11 +180,15 @@ def serialize_circuit(doc: CircuitDocument) -> str:
     }
     if doc.substitutions:
         out["substitutions"] = [list(s) for s in doc.substitutions]
-    out["gates"] = [
-        {"kind": g.kind, "modes": list(g.modes), "direction": g.direction}
+    out["gates"] = []
+    text = json.dumps(out, indent=2)
+    if not doc.circuit.gates:
+        return text + "\n"
+    gates = ",\n".join(
+        _GATE_JSON % (g.kind, ",\n        ".join(map(str, g.modes)), g.direction)
         for g in doc.circuit.gates
-    ]
-    return json.dumps(out, indent=2) + "\n"
+    )
+    return text[: -len("[]\n}")] + "[\n" + gates + "\n  ]\n}\n"
 
 
 def _wire_labels(n_modes: int, ancilla_modes: tuple[int, ...]) -> list[str]:
@@ -244,15 +260,21 @@ def _builtin_code(selector: str) -> StabilizerCode:
     raise CodeFormatError(f"unknown builtin {selector!r} (available: shortest, kitaev:N)")
 
 
+def _read_text(path: str, error: type[ValueError]) -> str:
+    """A file's text, with undecodable bytes reported as invalid input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _load_code(args: argparse.Namespace) -> StabilizerCode:
+    """The code named on the command line, not yet validated."""
     if (args.code is None) == (args.builtin is None):
         raise CodeFormatError("provide exactly one of CODEFILE or --builtin")
     if args.builtin is not None:
-        code = _builtin_code(args.builtin)
-    else:
-        code = parse_code(Path(args.code).read_text())
-    code.validate()
-    return code
+        return _builtin_code(args.builtin)
+    return parse_code(_read_text(args.code, CodeFormatError))
 
 
 def _report_synth(code: StabilizerCode, result: SynthesisResult, role: str, dest: str) -> None:
@@ -272,7 +294,7 @@ def _report_synth(code: StabilizerCode, result: SynthesisResult, role: str, dest
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    code = _load_code(args)
+    code = _load_code(args)  # synthesis validates it
     if args.ancilla_free:
         result = synthesize_ancilla_free(code)
     else:
@@ -294,7 +316,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     code = _load_code(args)
-    doc = parse_circuit(Path(args.circuit).read_text())
+    code.validate()
+    doc = parse_circuit(_read_text(args.circuit, CircuitFormatError))
     if doc.ancilla_modes:
         expected = code.n_modes + 2
         working = prepend_ancilla_modes(code)
@@ -346,7 +369,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
-    doc = parse_circuit(Path(args.circuit).read_text())
+    doc = parse_circuit(_read_text(args.circuit, CircuitFormatError))
     render = render_latex if args.latex else render_ascii
     sys.stdout.write(render(doc.circuit, doc.ancilla_modes))
     return 0

@@ -14,16 +14,18 @@ reorder parity.  The bit action of a gate is linear, so a circuit also has a
 GF(2) matrix, which is symplectic for the fermionic pairing.
 
 Many monomials go through a circuit at once in a mode-major tableau
-(``_conjugate_cols_raw``): one int per mode holds a bit for every row that
+(``_ModeTableau``): one int per mode holds a bit for every row that
 contains the mode, and the Z4 phases are two bit planes over the rows.  A
 gate on support a1 < a2 (< a3 < a4) then costs O(|support| log N) big-int
 operations whatever the number of rows: the rows it changes are the XOR of
 the support columns, and the reorder parity of every row is the XOR of the
 columns over [a1, a2) and [a3, a4), read from a Fenwick tree of prefix
-XORs.  ``circuit_matrix`` runs the N unit rows through it without phases,
-at O(|support|) per gate; ``tableau.apply_circuit`` runs the code
-generators with theirs.  ``conjugate_circuit`` stays the plain
-one-monomial fold.
+XORs.  The tableau is the one gate update shared by every multi-row path:
+``circuit_matrix`` runs the N unit rows through it without phases, at
+O(|support|) per gate; ``tableau.apply_circuit`` runs the code generators
+with theirs; and the synthesis sweep keeps its working generators in one
+tableau for the whole run, reading and overwriting single rows at O(N).
+``conjugate_circuit`` stays the plain one-monomial fold.
 """
 
 from __future__ import annotations
@@ -59,36 +61,46 @@ def _conjugate_raw(mask: int, gen_phase: int, bits: int, phase: int) -> tuple[in
     return bits ^ mask, phase
 
 
-def _conjugate_cols_raw(
-    cols: list[int], gates: Iterable[BraidGate], phases: list[int] | None
-) -> list[int] | None:
-    """Conjugate every row of a mode-major tableau through the gates.
+class _ModeTableau:
+    """Rows of monomials stored mode-major, updated one gate at a time.
 
-    cols[m] has bit i set when row i contains mode m; it is updated in
-    place.  phases, when given, are the rows' phase exponents, and the
-    images' exponents are returned.  The result equals folding each row
-    through ``_conjugate_raw``.
+    cols[m] has bit i set when row i contains mode m; the list is updated in
+    place.  With phases, the rows' Z4 exponents are two bit planes (p0 the
+    low bit, p1 the high bit) and tree is a Fenwick tree of prefix XORs over
+    the columns: tree[k] is the XOR of cols[k - (k & -k) .. k-1].  A gate
+    then costs O(|support| log N) big-int operations; without phases there
+    is no tree and it costs O(|support|).  Applying a gate equals folding
+    every row through ``_conjugate_raw``.
     """
-    n_modes = len(cols)
-    tree = None
-    if phases is not None:
-        # Fenwick tree: tree[k] is the XOR of cols[k - (k & -k) .. k-1].
+
+    __slots__ = ("cols", "tree", "p0", "p1")
+
+    def __init__(self, cols: list[int], phases: list[int] | None) -> None:
+        self.cols = cols
+        self.tree: list[int] | None = None
+        self.p0 = self.p1 = 0
+        if phases is None:
+            return
+        n_modes = len(cols)
         tree = [0] + cols
         for k in range(1, n_modes + 1):
             up = k + (k & -k)
             if up <= n_modes:
                 tree[up] ^= tree[k]
-        p0 = p1 = 0
+        self.tree = tree
         for i, ph in enumerate(phases):
-            p0 |= (ph & 1) << i
-            p1 |= (ph >> 1 & 1) << i
-    for g in gates:
-        modes = g.modes
+            self.p0 |= (ph & 1) << i
+            self.p1 |= (ph >> 1 & 1) << i
+
+    def apply(self, gate: BraidGate) -> None:
+        """Conjugate every row by the gate."""
+        cols, modes = self.cols, gate.modes
         odd = 0
         for a in modes:
             odd ^= cols[a]
         if not odd:
-            continue
+            return
+        tree = self.tree
         if tree is not None:
             # Reorder parity of every row: XOR of the prefixes below each a.
             reorder = 0
@@ -98,11 +110,12 @@ def _conjugate_cols_raw(
                     reorder ^= tree[k]
                     k &= k - 1
             # 2-bit add of 1 + gen_phase + 2 * reorder on the rows in odd.
-            step = 1 + g.generator_phase
+            step = 1 + gate.generator_phase
             add0 = odd if step & 1 else 0
             add1 = (odd if step & 2 else 0) ^ (reorder & odd)
-            p1 ^= add1 ^ (p0 & add0)
-            p0 ^= add0
+            self.p1 ^= add1 ^ (self.p0 & add0)
+            self.p0 ^= add0
+            n_modes = len(cols)
             for a in modes:
                 k = a + 1
                 while k <= n_modes:
@@ -110,9 +123,55 @@ def _conjugate_cols_raw(
                     k += k & -k
         for a in modes:
             cols[a] ^= odd
-    if phases is None:
-        return None
-    return [(p0 >> i & 1) | (p1 >> i & 1) << 1 for i in range(len(phases))]
+
+    def run(self, gates: Iterable[BraidGate]) -> None:
+        """Conjugate every row through the gates, in order."""
+        apply = self.apply
+        for g in gates:
+            apply(g)
+
+    def phase(self, i: int) -> int:
+        return (self.p0 >> i & 1) | (self.p1 >> i & 1) << 1
+
+    def phases(self, n_rows: int) -> list[int]:
+        return [self.phase(i) for i in range(n_rows)]
+
+    def row(self, i: int) -> tuple[int, int]:
+        """Row i's packed bits and phase exponent, at O(N)."""
+        bit = 1 << i
+        bits = 0
+        for m, c in enumerate(self.cols):
+            if c & bit:
+                bits |= 1 << m
+        return bits, self.phase(i)
+
+    def set_row(self, i: int, bits: int, phase: int) -> None:
+        """Overwrite row i of a tableau that tracks phases.
+
+        Costs O(N) to read the old row plus O(log N) per changed mode.
+        """
+        cols, tree, n_modes, bit = self.cols, self.tree, len(self.cols), 1 << i
+        diff = self.row(i)[0] ^ bits
+        while diff:
+            low = diff & -diff
+            diff ^= low
+            m = low.bit_length() - 1
+            cols[m] ^= bit
+            k = m + 1
+            while k <= n_modes:
+                tree[k] ^= bit
+                k += k & -k
+        self.p0 = self.p0 & ~bit | (phase & 1) << i
+        self.p1 = self.p1 & ~bit | (phase >> 1 & 1) << i
+
+    def is_decoded(self, pivot_base: int, n_rows: int) -> bool:
+        """True iff row j is exactly i c_p c_(p+1), p = pivot_base + 2j, for
+        every j < n_rows and no other row holds a mode; O(N) comparisons."""
+        end = pivot_base + 2 * n_rows
+        for m, c in enumerate(self.cols):
+            if c != (1 << ((m - pivot_base) >> 1) if pivot_base <= m < end else 0):
+                return False
+        return self.p0 == (1 << n_rows) - 1 and self.p1 == 0
 
 
 def _multiply_raw(abits: int, aphase: int, bbits: int, bphase: int) -> tuple[int, int]:
@@ -283,7 +342,7 @@ def circuit_matrix(circuit: Circuit) -> BitMatrix:
     # matrix; its mode-major tableau, started from the identity, therefore
     # holds this circuit's columns.
     cols = [1 << j for j in range(circuit.n_modes)]
-    _conjugate_cols_raw(cols, reversed(circuit.gates), None)
+    _ModeTableau(cols, None).run(reversed(circuit.gates))
     return BitMatrix(circuit.n_modes, tuple(cols))
 
 

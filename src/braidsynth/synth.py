@@ -8,6 +8,17 @@ emitted gate has even overlap with every finished pair, so decoded
 generators are never disturbed -- the loop invariant that makes the sweep
 correct.
 
+The working generators live in one mode-major tableau (see ``majorana``)
+for the whole run, so each emitted gate costs O(|support| log N) big-int
+operations however many generators there are.  The active generator is
+also kept as one packed int, folded through each gate, because the pivot
+logic reads its low bits; it is read out of the tableau at the start of
+its column (O(N)) and written back only by a change of generating set.
+The phase correction reads phases from the tableau's bit planes, and the
+final check compares the tableau with the decoded form in O(N).  Internal
+invariants raise ``SynthesisInvariantError``, so they also hold under
+``python -O``.
+
 The ancilla variant adjoins a fresh mode pair at indices 0 and 1; mode 0
 serves as the always-available parking slot for quartic shrinking, and the
 pair is swept back to (0, 1) at the end when that is possible at all.  (It
@@ -32,12 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitlinalg import BitVec, _lowest_bit, _pairing_raw
+from .bitlinalg import BitVec, _lowest_bit, _pairing_raw, _transpose_raw
 from .majorana import (
     BraidGate,
     Circuit,
     MajoranaString,
     _conjugate_raw,
+    _ModeTableau,
     _multiply_raw,
     conjugate_circuit,
     gate_counts,
@@ -54,6 +66,7 @@ from .tableau import (
 __all__ = [
     "TotalParityObstruction",
     "PhaseCorrectionError",
+    "SynthesisInvariantError",
     "SynthesisResult",
     "synthesize_with_ancilla",
     "synthesize_ancilla_free",
@@ -67,6 +80,11 @@ __all__ = [
 class TotalParityObstruction(Exception):
     """No ancilla-free decoder exists: every braid gate fixes the all-modes
     monomial, but decoding would have to move it out of the stabilizer."""
+
+
+class SynthesisInvariantError(RuntimeError):
+    """An internal invariant of the synthesis algorithm failed: a bug, not
+    bad input.  Raised explicitly, so the checks also run under python -O."""
 
 
 class PhaseCorrectionError(Exception):
@@ -136,34 +154,42 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
     n_work = work.n_modes
     full = (1 << n_work) - 1
 
-    bits = [g.bits.value for g in work.generators]
-    phases = [g.phase_r for g in work.generators]
+    # Every generator lives in one mode-major tableau; the active sweep row
+    # is also kept row-major, because the pivot logic reads its low bits.
+    gens = work.generators
+    tab = _ModeTableau(
+        _transpose_raw([g.bits.value for g in gens], n_work), [g.phase_r for g in gens]
+    )
+    row, row_phase = 0, 0
     gates: list[BraidGate] = []
     substitutions: list[tuple[int, int]] = []
 
     def emit(kind: str, modes: tuple[int, ...]) -> None:
+        nonlocal row, row_phase
         gate = BraidGate(kind, tuple(sorted(modes)))
         gates.append(gate)
-        mask, gp = gate.support_mask, gate.generator_phase
-        for idx in range(r):
-            bits[idx], phases[idx] = _conjugate_raw(mask, gp, bits[idx], phases[idx])
+        tab.apply(gate)
+        row, row_phase = _conjugate_raw(gate.support_mask, gate.generator_phase, row, row_phase)
 
     def substitute(i: int, j: int) -> None:
-        bits[i], phases[i] = _multiply_raw(bits[i], phases[i], bits[j], phases[j])
+        nonlocal row, row_phase
+        row, row_phase = _multiply_raw(row, row_phase, *tab.row(j))
+        tab.set_row(i, row, row_phase)
         substitutions.append((i, j))
 
     for i in range(r):
         p = pivot_base + 2 * i
         tail = full ^ ((1 << p) - 1)
+        row, row_phase = tab.row(i)
 
-        if use_ancilla and bits[i] & 1:
+        if use_ancilla and row & 1:
             # the parking bit is set exactly when the tail weight is odd;
             # push it onto the lowest clear tail row before shrinking
-            z = _lowest_bit(~bits[i] & tail)
+            z = _lowest_bit(~row & tail)
             emit("braid2", (0, z))
 
-        while (bits[i] & tail).bit_count() > 2:
-            t = bits[i] & tail
+        while (row & tail).bit_count() > 2:
+            t = row & tail
             a1 = _lowest_bit(t)
             a2 = _lowest_bit(t ^ (1 << a1))
             a3 = _lowest_bit(t ^ (1 << a1) ^ (1 << a2))
@@ -171,16 +197,19 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
                 emit("braid4", (0, a1, a2, a3))
                 emit("braid2", (0, a1))
             else:
-                clear = ~bits[i] & tail
+                clear = ~row & tail
                 if clear == 0:
-                    # all-ones tail: borrow another generator's tail support
-                    # (guaranteed by independence; a recorded basis change)
-                    j = next(k for k in range(r) if k != i and bits[k] & tail)
-                    substitute(i, j)
+                    # all-ones tail: borrow the lowest other generator with
+                    # tail support (guaranteed by independence; a recorded
+                    # basis change)
+                    holders = 0
+                    for c in tab.cols[p:]:
+                        holders |= c
+                    substitute(i, _lowest_bit(holders & ~(1 << i)))
                     continue
                 emit("braid4", (_lowest_bit(clear), a1, a2, a3))
 
-        t = bits[i] & tail
+        t = row & tail
         b1 = _lowest_bit(t)
         b2 = _lowest_bit(t ^ (1 << b1))
         if b1 != p:
@@ -191,9 +220,12 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         # clear the column's leftover support on already-decoded pairs;
         # commutation forces it to occur in aligned complete pairs
         pair_region = ((1 << p) - 1) ^ ((1 << pivot_base) - 1)
-        while bits[i] & pair_region:
-            q = _lowest_bit(bits[i] & pair_region)
-            assert (bits[i] >> (q + 1)) & 1, "decoded-pair support must be aligned"
+        while row & pair_region:
+            q = _lowest_bit(row & pair_region)
+            if not (row >> (q + 1)) & 1:
+                raise SynthesisInvariantError(
+                    f"generator {i} meets decoded pair {q}, {q + 1} in one mode only"
+                )
             if use_ancilla:
                 emit("braid4", (0, q, q + 1, p))
                 emit("braid2", (0, p))
@@ -217,7 +249,7 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
                 mode_flips[m] = mode_flips.get(m, 0) + 1
 
     for j in range(r):
-        if phases[j] != 3:
+        if tab.phase(j) != 3:
             continue
         pj = pivot_base + 2 * j
         if len(free) >= 3:
@@ -228,14 +260,15 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         elif free:
             emit_double("braid2", (pj, free[0]))
         else:
-            partner = next((k for k in range(j + 1, r) if phases[k] == 3), None)
+            partner = next((k for k in range(j + 1, r) if tab.phase(k) == 3), None)
             if partner is None:
                 raise PhaseCorrectionError(
                     f"generator {j} is stuck at phase -i: no free modes remain "
                     "and no second flipped generator exists to pair with"
                 )
             emit_double("braid2", (pj, pivot_base + 2 * partner))
-        assert phases[j] == 1
+        if tab.phase(j) != 1:
+            raise SynthesisInvariantError(f"generator {j} is not at +i after its correction")
     correction_span = (correction_start, len(gates))
 
     logical_flips = tuple(
@@ -256,8 +289,8 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         if qb == 0b11:
             ancilla_phase = qp
 
-    for j in range(r):
-        assert bits[j] == 0b11 << (pivot_base + 2 * j) and phases[j] == 1
+    if not tab.is_decoded(pivot_base, r):
+        raise SynthesisInvariantError("the generators did not reach the decoded form")
 
     decoder = Circuit(n_work, tuple(gates))
     return SynthesisResult(
@@ -332,7 +365,8 @@ def reset_ancilla_pair(decoder: Circuit, target: DecodedTarget) -> list[BraidGat
             a = _lowest_bit(fs)
             removal = (a, _lowest_bit(fs ^ (1 << a)))
         z_pool = free_mask & ~qb & ~1
-        assert z_pool, "ancilla reset needs a free mode outside the image"
+        if not z_pool:
+            raise SynthesisInvariantError("ancilla reset needs a free mode outside the image")
         z = _lowest_bit(z_pool)
         step("braid4", (0, removal[0], removal[1], z))
         step("braid2", (0, z))
@@ -365,12 +399,14 @@ def _encoder_image(result: SynthesisResult, mode: int) -> MajoranaString:
     m = MajoranaString.single_mode(n, mode)
     if not result.ancilla_modes:
         return conjugate_circuit(result.encoder, m)
-    assert result.ancilla_image is not None
+    if result.ancilla_image is None:
+        raise SynthesisInvariantError("an ancilla result carries no ancilla image")
     if _pairing_raw(m.bits.value, result.ancilla_image.bits.value):
         m = MajoranaString.from_modes(n, (0, mode), 1)
     img = conjugate_circuit(result.encoder, m)
     if img.bits.value & 0b11:
-        assert img.bits.value & 0b11 == 0b11, "ancilla overlap must be the full pair"
+        if img.bits.value & 0b11 != 0b11:
+            raise SynthesisInvariantError("an encoder image meets the ancilla pair in one mode")
         img = multiply(img, MajoranaString.from_modes(n, (0, 1), 1))
     return MajoranaString(BitVec(n - 2, img.bits.value >> 2), img.phase_r)
 

@@ -9,10 +9,10 @@ offending generator indices so callers can surface precise diagnostics.
 The synthesis target is the decoded form in which generator j acts only on
 the mode pair (pivot_base + 2j, pivot_base + 2j + 1) with phase +i.
 
-``apply_circuit`` transposes the generators into a mode-major tableau and
-replays the circuit on all of them at once through the kernel in
-``majorana``: each gate costs O(|support| log N) big-int operations on
-r-bit ints, instead of one conjugation per generator.
+``apply_circuit`` transposes the generators into the mode-major tableau of
+``majorana`` and replays the circuit on all of them at once: each gate
+costs O(|support| log N) big-int operations on r-bit ints, instead of one
+conjugation per generator.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitlinalg import BitVec, _pairing_raw, _transpose_raw
-from .majorana import Circuit, MajoranaString, _conjugate_cols_raw
+from .majorana import Circuit, MajoranaString, _ModeTableau
 
 __all__ = [
     "CodeValidationError",
@@ -141,10 +141,12 @@ def apply_circuit(circuit: Circuit, code: StabilizerCode) -> StabilizerCode:
     if circuit.n_modes != code.n_modes:
         raise ValueError("mode count mismatch")
     n, gens = code.n_modes, code.generators
-    cols = _transpose_raw([g.bits.value for g in gens], n)
-    phases = _conjugate_cols_raw(cols, circuit.gates, [g.phase_r for g in gens])
-    bits = _transpose_raw(cols, len(gens))
-    images = tuple(MajoranaString(BitVec(n, b), ph) for b, ph in zip(bits, phases))
+    tab = _ModeTableau(_transpose_raw([g.bits.value for g in gens], n), [g.phase_r for g in gens])
+    tab.run(circuit.gates)
+    bits = _transpose_raw(tab.cols, len(gens))
+    images = tuple(
+        MajoranaString(BitVec(n, b), ph) for b, ph in zip(bits, tab.phases(len(gens)))
+    )
     return StabilizerCode(n, images, code.name)
 
 

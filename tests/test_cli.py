@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from braidsynth.cli import (
+    CircuitDocument,
     CircuitFormatError,
     main,
     parse_circuit,
@@ -13,6 +14,7 @@ from braidsynth.cli import (
     serialize_circuit,
 )
 from braidsynth.codes import random_code, serialize_code
+from braidsynth.majorana import BraidGate, Circuit
 
 SAMPLES = Path(__file__).resolve().parents[1] / "sample_codes"
 
@@ -127,6 +129,68 @@ def test_invalid_inputs_exit_1(capsys, tmp_path):
     rc, _, err = run(capsys, "synth", str(odd))
     assert rc == 1
     assert "odd weight" in err
+
+
+def test_invalid_code_is_rejected_before_the_obstruction_check(capsys, tmp_path):
+    # the total parity with a non-Hermitian phase: invalid (exit 1) wins over
+    # the ancilla-free obstruction (exit 2)
+    code_file = tmp_path / "bad_parity.code"
+    code_file.write_text(
+        '{"format_version": 1, "n_modes": 6, '
+        '"generators": [{"modes": [0, 1, 2, 3, 4, 5], "phase_r": 0}]}'
+    )
+    rc, _, err = run(capsys, "synth", str(code_file), "--ancilla-free")
+    assert rc == 1
+    assert err.startswith("invalid input: ") and "not Hermitian" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("synth", "{bad}"),
+        ("verify", "{bad}", "{circuit}"),
+        ("verify", "--builtin", "shortest", "{bad}"),
+        ("diagram", "{bad}"),
+    ],
+)
+def test_non_utf8_files_exit_1(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    circuit = tmp_path / "shortest.circuit"
+    run(capsys, "synth", "--builtin", "shortest", "-o", str(circuit))
+    rc, _, err = run(capsys, *(a.format(bad=bad, circuit=circuit) for a in argv))
+    assert rc == 1
+    assert err.startswith(f"invalid input: {bad} is not UTF-8 text")
+    assert err.count("\n") == 1
+
+
+def test_serialize_circuit_matches_json_dumps():
+    gates = (
+        BraidGate("braid2", (0, 1)),
+        BraidGate("braid4", (0, 2, 3, 5), -1),
+        BraidGate("braid2", (4, 5), -1),
+        BraidGate("braid4", (1, 2, 3, 4)),
+    )
+    docs = [
+        CircuitDocument(Circuit(4, ()), (), (), "decoder"),
+        CircuitDocument(Circuit(6, gates[:1]), (), (), "encoder"),
+        CircuitDocument(Circuit(6, gates), (0, 1), ((1, 0), (2, 1)), "decoder"),
+    ]
+    for doc in docs:
+        out = {
+            "format_version": 1,
+            "role": doc.role,
+            "n_modes": doc.circuit.n_modes,
+            "ancilla_modes": list(doc.ancilla_modes),
+        }
+        if doc.substitutions:
+            out["substitutions"] = [list(s) for s in doc.substitutions]
+        out["gates"] = [
+            {"kind": g.kind, "modes": list(g.modes), "direction": g.direction}
+            for g in doc.circuit.gates
+        ]
+        assert serialize_circuit(doc) == json.dumps(out, indent=2) + "\n"
+        assert parse_circuit(serialize_circuit(doc)) == doc
 
 
 def test_verify_rejects_mode_count_mismatch(capsys, tmp_path):

@@ -7,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidsynth.bitlinalg import symplectic_pairing
-from braidsynth.codes import kitaev_chain, random_code, shortest_code
+from braidsynth.cli import main
+from braidsynth.codes import kitaev_chain, random_code, serialize_code, shortest_code
 from braidsynth.majorana import (
     Circuit,
     MajoranaString,
+    _ModeTableau,
     conjugate,
     multiply,
 )
 from braidsynth.synth import (
     PhaseCorrectionError,
+    SynthesisInvariantError,
     SynthesisResult,
     TotalParityObstruction,
     apply_substitutions,
@@ -174,6 +177,40 @@ def test_last_column_falls_back_to_a_substitution():
     assert result.substitutions == ((1, 0),)
     assert len(result.decoder) == 0
     assert decoded_ok(code, result)
+
+
+def test_all_ones_tail_borrows_another_generator(tmp_path):
+    # r = N/2: generator 1's tail (modes 2..5) is all ones, so the sweep has
+    # no clear row to park on and multiplies in generator 2 instead
+    code = StabilizerCode(6, gens(6, ((0, 1), 1), ((2, 3, 4, 5), 2), ((2, 3), 1)))
+    result = synthesize_ancilla_free(code)
+    assert result.substitutions == ((1, 2),)
+    assert decoded_ok(code, result)
+    code_file, circ = tmp_path / "borrow.code", tmp_path / "borrow.circuit"
+    code_file.write_text(serialize_code(code))
+    argv = ["synth", str(code_file), "--ancilla-free", "--decoder", "-o", str(circ)]
+    assert main(argv) == 0
+    assert main(["verify", str(code_file), str(circ)]) == 0
+
+    unsigned = StabilizerCode(6, gens(6, ((0, 1), 1), ((2, 3, 4, 5), 0), ((2, 3), 1)))
+    with pytest.raises(PhaseCorrectionError):
+        synthesize_ancilla_free(unsigned)
+
+
+def test_broken_tableau_raises_invariant_error(monkeypatch):
+    # a tableau that drops its phase updates leaves -c0 c1 c2 c3 at phase -1;
+    # the explicit check catches that, also under python -O
+    apply = _ModeTableau.apply
+
+    def apply_without_phases(self, gate):
+        p0, p1 = self.p0, self.p1
+        apply(self, gate)
+        self.p0, self.p1 = p0, p1
+
+    monkeypatch.setattr(_ModeTableau, "apply", apply_without_phases)
+    code = StabilizerCode(4, gens(4, ((0, 1, 2, 3), 2)))
+    with pytest.raises(SynthesisInvariantError, match="decoded form"):
+        synthesize_with_ancilla(code)
 
 
 def test_apply_substitutions_multiplies_rows():

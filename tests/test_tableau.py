@@ -5,8 +5,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from braidsynth.codes import kitaev_chain, random_circuit, random_code, shortest_code
-from braidsynth.bitlinalg import BitVec
-from braidsynth.majorana import BraidGate, Circuit, MajoranaString, conjugate_circuit
+from braidsynth.bitlinalg import BitVec, _transpose_raw
+from braidsynth.majorana import (
+    BraidGate,
+    Circuit,
+    MajoranaString,
+    _conjugate_raw,
+    _ModeTableau,
+    _multiply_raw,
+    conjugate_circuit,
+)
 from braidsynth.tableau import (
     CodeValidationError,
     DecodedTarget,
@@ -185,3 +193,40 @@ def test_apply_circuit_equals_the_per_generator_fold(n):
 def test_apply_circuit_without_generators():
     empty = StabilizerCode(8, ())
     assert apply_circuit(random_circuit(8, 20, random.Random(3)), empty) == empty
+
+
+@pytest.mark.parametrize("n", [2, 6, 66])
+def test_mode_tableau_rows_follow_the_row_major_fold(n):
+    """Reading, overwriting and updating single rows of the mode-major
+    tableau agrees with a row-major list folded through _conjugate_raw."""
+    rng = random.Random(2000 + n)
+    bits = [rng.getrandbits(n) for _ in range(rng.randint(1, 2 * n))]
+    phases = [rng.randrange(4) for _ in bits]
+    tab = _ModeTableau(_transpose_raw(bits, n), list(phases))
+    for gate in edge_gates(n, rng) + list(random_circuit(n, 60, rng).gates):
+        tab.apply(gate)
+        for i, (b, ph) in enumerate(zip(bits, phases)):
+            bits[i], phases[i] = _conjugate_raw(gate.support_mask, gate.generator_phase, b, ph)
+        i, j = rng.randrange(len(bits)), rng.randrange(len(bits))
+        assert tab.row(i) == (bits[i], phases[i])
+        if i != j:
+            bits[i], phases[i] = _multiply_raw(bits[i], phases[i], bits[j], phases[j])
+            tab.set_row(i, bits[i], phases[i])
+    assert tab.cols == _transpose_raw(bits, n)
+    assert tab.phases(len(bits)) == phases
+
+
+def test_mode_tableau_decoded_form_check():
+    for pivot_base, n, r in ((0, 6, 3), (2, 8, 2), (0, 4, 0)):
+        target = DecodedTarget(n, pivot_base, r).generators()
+        rows = [g.bits.value for g in target]
+        assert _ModeTableau(_transpose_raw(rows, n), [1] * r).is_decoded(pivot_base, r)
+        if r:
+            assert not _ModeTableau(_transpose_raw(rows, n), [1] * (r - 1) + [3]).is_decoded(
+                pivot_base, r
+            )
+            for extra in (1, 1 << (n - 1)):
+                moved = rows[:-1] + [rows[-1] ^ extra]
+                assert not _ModeTableau(_transpose_raw(moved, n), [1] * r).is_decoded(
+                    pivot_base, r
+                )
