@@ -18,6 +18,7 @@ from .bitlinalg import (
     symplectic_pairing,
 )
 from .codes import (
+    MAX_REGISTER_MODES,
     CodeFormatError,
     kitaev_chain,
     parse_code,
@@ -88,6 +89,7 @@ __all__ = [
     "contains_total_parity",
     "in_normalizer",
     "prepend_ancilla_modes",
+    "MAX_REGISTER_MODES",
     "CodeFormatError",
     "kitaev_chain",
     "shortest_code",

@@ -13,7 +13,15 @@ vector, one bit per mode) and the mode-major layout (one int per mode, one
 bit per vector) in O(set bits).  ``tableau.apply_circuit`` uses it around
 the mode-major kernel in ``majorana``, and ``check_symplectic`` uses it to
 form ``C^T L C`` from the rows of C, at O(set bits of C) big-int XORs
-instead of N^2 pairings.
+instead of N^2 pairings.  ``_first_odd_overlap`` uses it the same way for
+the commutation check of ``StabilizerCode.validate``: it forms the Gram
+matrix of r generators with W set bits in W big-int XORs when that is
+cheaper than the r(r-1)/2 pairwise popcounts, and loops over pairs when
+it is not.
+
+``_eliminate`` and ``_residue`` are the one GF(2) elimination routine:
+rank, span membership, the dependency check of ``validate`` and
+``tableau.contains_total_parity`` all reduce against their pivots.
 """
 
 from __future__ import annotations
@@ -66,6 +74,34 @@ def _lowest_bit(x: int) -> int:
 def _pairing_raw(u: int, v: int) -> int:
     """Fermionic commutation pairing of two packed bit strings."""
     return (u.bit_count() * v.bit_count() + (u & v).bit_count()) & 1
+
+
+def _first_odd_overlap(vectors: Sequence[int], length: int) -> tuple[int, int] | None:
+    """The first pair (j, k), j < k in lexicographic order, with |v_j & v_k| odd.
+
+    For even-weight vectors this is the first anticommuting pair, because
+    the weight term of the pairing vanishes.  Two routes give the same
+    answer.  With W the total number of set bits and r the vector count,
+    the Gram route costs W big-int XORs on r-bit ints: row j of the Gram
+    matrix is the XOR of the mode-major columns over v_j's set bits, and
+    its bits above j name the odd partners k.  The pairwise route costs
+    r(r-1)/2 ANDs and popcounts on length-bit ints.  The Gram route is
+    taken when W < r(r-1)/2, which holds for sparse codes with many
+    generators; dense codes keep the pairwise loop.
+    """
+    r = len(vectors)
+    if sum(v.bit_count() for v in vectors) < r * (r - 1) // 2:
+        cols = _transpose_raw(vectors, length)
+        for j, v in enumerate(vectors):
+            above = _mat_vec(cols, v) >> (j + 1)
+            if above:
+                return j, j + 1 + _lowest_bit(above)
+        return None
+    for j, u in enumerate(vectors):
+        for k in range(j + 1, r):
+            if (u & vectors[k]).bit_count() & 1:
+                return j, k
+    return None
 
 
 def _reorder_raw(u: int, v: int) -> int:
@@ -216,10 +252,9 @@ def reorder_parity(u: BitVec, v: BitVec) -> int:
 def _eliminate(columns: Iterable[int]) -> dict[int, int]:
     """Column elimination; pivots are the lowest set row of each survivor."""
     pivots: dict[int, int] = {}
-    for c in columns:
-        cur = c
+    for cur in columns:
         while cur:
-            row = _lowest_bit(cur)
+            row = (cur & -cur).bit_length() - 1
             seen = pivots.get(row)
             if seen is None:
                 pivots[row] = cur
@@ -229,10 +264,10 @@ def _eliminate(columns: Iterable[int]) -> dict[int, int]:
 
 
 def _residue(pivots: dict[int, int], v: int) -> int:
+    """v reduced by the pivots until its lowest set row has no pivot, or 0."""
     cur = v
     while cur:
-        row = _lowest_bit(cur)
-        seen = pivots.get(row)
+        seen = pivots.get((cur & -cur).bit_length() - 1)
         if seen is None:
             break
         cur ^= seen

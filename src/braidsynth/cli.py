@@ -7,6 +7,8 @@ which way to run the circuit, and substitutions recording generating-set
 changes made during synthesis.  Unknown keys are rejected.  A substitution
 [i, j] (generator i <- generator i * generator j) needs 0 <= i, j < r and
 i != j; verify checks the range against the code's r before replaying.
+n_modes may exceed ``codes.MAX_REGISTER_MODES`` by at most the ancilla
+pair; larger documents are refused before any gate is read.
 
 Exit codes: 0 ok, 1 invalid input (code or circuit document), 2 synthesis
 obstruction, 3 I/O error, 4 verification failure, 64 usage error.
@@ -24,7 +26,13 @@ from typing import Any
 import numpy as np
 
 from .bitlinalg import check_symplectic
-from .codes import CodeFormatError, kitaev_chain, parse_code, shortest_code
+from .codes import (
+    MAX_REGISTER_MODES,
+    CodeFormatError,
+    kitaev_chain,
+    parse_code,
+    shortest_code,
+)
 from .majorana import (
     BraidGate,
     Circuit,
@@ -116,6 +124,11 @@ def parse_circuit(text: str) -> CircuitDocument:
     n_modes = _int(doc["n_modes"], "n_modes")
     if n_modes < 1:
         raise CircuitFormatError("n_modes must be positive")
+    if n_modes > MAX_REGISTER_MODES + 2:
+        raise CircuitFormatError(
+            f"n_modes {n_modes} exceeds the maximum {MAX_REGISTER_MODES + 2} "
+            "(a code register plus the ancilla pair)"
+        )
     ancilla = doc["ancilla_modes"]
     if ancilla not in ([], [0, 1]):
         raise CircuitFormatError("ancilla_modes must be [] or [0, 1]")

@@ -5,6 +5,12 @@ n_modes, a generators list of {"modes": [...], "phase_r": r} entries, and an
 optional name.  Unknown keys are rejected so typos fail loudly instead of
 silently synthesizing the wrong circuit.  Parsing checks only document
 structure; algebraic admissibility stays with StabilizerCode.validate().
+
+A code register holds at most MAX_REGISTER_MODES modes, and a circuit
+document at most two more (the ancilla pair).  kitaev_chain, parse_code
+and ``cli.parse_circuit`` check the cap before they build anything, so an
+oversized request fails at once with a one-line error instead of running
+out of memory.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from .majorana import BraidGate, Circuit, MajoranaString
 from .tableau import DecodedTarget, StabilizerCode, apply_circuit
 
 __all__ = [
+    "MAX_REGISTER_MODES",
     "CodeFormatError",
     "kitaev_chain",
     "shortest_code",
@@ -25,6 +32,9 @@ __all__ = [
     "parse_code",
     "serialize_code",
 ]
+
+
+MAX_REGISTER_MODES = 65_536
 
 
 class CodeFormatError(ValueError):
@@ -40,6 +50,8 @@ def kitaev_chain(n_sites: int) -> StabilizerCode:
     """
     if n_sites < 2:
         raise ValueError("chain needs at least 2 sites")
+    if 2 * n_sites > MAX_REGISTER_MODES:
+        raise ValueError(f"chain needs at most {MAX_REGISTER_MODES // 2} sites")
     n_modes = 2 * n_sites
     gens = tuple(
         MajoranaString.from_modes(n_modes, (2 * j - 1, 2 * j), 1) for j in range(1, n_sites)
@@ -121,6 +133,8 @@ def parse_code(text: str) -> StabilizerCode:
         raise CodeFormatError("n_modes must be an integer")
     if n_modes < 2 or n_modes % 2:
         raise CodeFormatError("n_modes must be even and at least 2")
+    if n_modes > MAX_REGISTER_MODES:
+        raise CodeFormatError(f"n_modes {n_modes} exceeds the maximum {MAX_REGISTER_MODES}")
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise CodeFormatError("name must be a string")

@@ -280,11 +280,13 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
     ancilla_phase: int | None = None
     ancilla_image: MajoranaString | None = None
     if use_ancilla:
-        for gate in reset_ancilla_pair(Circuit(n_work, tuple(gates)), target):
-            emit(gate.kind, gate.modes)
         qb, qp = 0b11, 1
         for gate in gates:
             qb, qp = _conjugate_raw(gate.support_mask, gate.generator_phase, qb, qp)
+        reset, qb, qp = _reset_ancilla_image(qb, qp, n_work, r)
+        for gate in reset:
+            tab.apply(gate)
+        gates.extend(reset)
         ancilla_image = MajoranaString(BitVec(n_work, qb), qp)
         if qb == 0b11:
             ancilla_phase = qp
@@ -325,15 +327,22 @@ def reset_ancilla_pair(decoder: Circuit, target: DecodedTarget) -> list[BraidGat
     """
     if target.pivot_base != 2:
         raise ValueError("ancilla reset applies to the ancilla variant only")
-    n = decoder.n_modes
-    r = target.r
-    log_start = 2 + 2 * r
-    free_mask = 0b11 | (((1 << n) - 1) ^ ((1 << log_start) - 1))
-
     qb, qp = 0b11, 1
     for gate in decoder.gates:
         qb, qp = _conjugate_raw(gate.support_mask, gate.generator_phase, qb, qp)
+    return _reset_ancilla_image(qb, qp, decoder.n_modes, target.r)[0]
 
+
+def _reset_ancilla_image(
+    qb: int, qp: int, n: int, r: int
+) -> tuple[list[BraidGate], int, int]:
+    """The reset gates for the ancilla image (qb, qp), and the image after them.
+
+    (qb, qp) is the packed image of i c_0 c_1 under the decoder so far, on n
+    modes with r decoded pairs from mode 2; see ``reset_ancilla_pair``.
+    """
+    log_start = 2 + 2 * r
+    free_mask = 0b11 | (((1 << n) - 1) ^ ((1 << log_start) - 1))
     out: list[BraidGate] = []
 
     def step(kind: str, modes: tuple[int, ...]) -> None:
@@ -370,7 +379,7 @@ def reset_ancilla_pair(decoder: Circuit, target: DecodedTarget) -> list[BraidGat
         z = _lowest_bit(z_pool)
         step("braid4", (0, removal[0], removal[1], z))
         step("braid2", (0, z))
-    return out
+    return out, qb, qp
 
 
 def apply_substitutions(

@@ -6,6 +6,14 @@ fermionic pairing then forces r <= N/2.  Validation checks exactly those
 properties, in a fixed order, and reports the first failure with the
 offending generator indices so callers can surface precise diagnostics.
 
+With W the total weight of the generators, validation costs r popcounts
+for the weight and phase checks, min(W, r(r-1)/2) big-int operations for
+the commutation check, and one GF(2) elimination for independence.  The
+commutation check (``bitlinalg._first_odd_overlap``) forms the Gram matrix
+from the mode-major columns when W < r(r-1)/2 and pairs generators one by
+one otherwise; both routes report the lexicographically first
+anticommuting pair.
+
 The synthesis target is the decoded form in which generator j acts only on
 the mode pair (pivot_base + 2j, pivot_base + 2j + 1) with phase +i.
 
@@ -19,7 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitlinalg import BitVec, _pairing_raw, _transpose_raw
+from .bitlinalg import (
+    BitVec,
+    _eliminate,
+    _first_odd_overlap,
+    _lowest_bit,
+    _pairing_raw,
+    _residue,
+    _transpose_raw,
+)
 from .majorana import Circuit, MajoranaString, _ModeTableau
 
 __all__ = [
@@ -86,26 +102,21 @@ class StabilizerCode:
                     f"generator {j} has phase i^{g.phase_r}, which is not Hermitian "
                     f"for weight {g.weight}",
                 )
-        for j in range(len(gens)):
-            for k in range(j + 1, len(gens)):
-                if _pairing_raw(gens[j].bits.value, gens[k].bits.value):
-                    raise CodeValidationError(
-                        "anticommuting", (j, k), f"generators {j} and {k} anticommute"
-                    )
+        # every weight is even from here on, so pairings are overlap parities
+        pair = _first_odd_overlap([g.bits.value for g in gens], self.n_modes)
+        if pair is not None:
+            j, k = pair
+            raise CodeValidationError(
+                "anticommuting", (j, k), f"generators {j} and {k} anticommute"
+            )
         pivots: dict[int, int] = {}
         for j, g in enumerate(gens):
-            v = g.bits.value
-            while v:
-                low = v & -v
-                row = low.bit_length() - 1
-                if row not in pivots:
-                    pivots[row] = v
-                    break
-                v ^= pivots[row]
+            v = _residue(pivots, g.bits.value)
             if not v:
                 raise CodeValidationError(
                     "dependent", (j,), f"generator {j} is a product of earlier generators"
                 )
+            pivots[_lowest_bit(v)] = v
         if len(gens) > self.n_modes // 2:
             raise CodeValidationError(
                 "too_many_generators",
@@ -152,24 +163,8 @@ def apply_circuit(circuit: Circuit, code: StabilizerCode) -> StabilizerCode:
 
 def contains_total_parity(code: StabilizerCode) -> bool:
     """True iff the all-modes product lies in the GF(2) span of the bits."""
-    pivots: dict[int, int] = {}
-    for g in code.generators:
-        v = g.bits.value
-        while v:
-            low = v & -v
-            row = low.bit_length() - 1
-            if row not in pivots:
-                pivots[row] = v
-                break
-            v ^= pivots[row]
-    v = (1 << code.n_modes) - 1
-    while v:
-        low = v & -v
-        row = low.bit_length() - 1
-        if row not in pivots:
-            return False
-        v ^= pivots[row]
-    return True
+    pivots = _eliminate(g.bits.value for g in code.generators)
+    return _residue(pivots, (1 << code.n_modes) - 1) == 0
 
 
 def in_normalizer(code: StabilizerCode, m: MajoranaString) -> bool:

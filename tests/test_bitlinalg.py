@@ -3,12 +3,14 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from braidsynth.bitlinalg import (
     BitMatrix,
     BitVec,
+    _first_odd_overlap,
+    _pairing_raw,
     check_symplectic,
     fermionic_form,
     in_span,
@@ -16,6 +18,7 @@ from braidsynth.bitlinalg import (
     reorder_parity,
     symplectic_pairing,
 )
+from braidsynth.codes import random_code
 
 N = 12
 packed = st.integers(min_value=0, max_value=(1 << N) - 1)
@@ -226,3 +229,80 @@ def test_transpose_matches_entries(cols):
     assert (t.n_rows, t.n_cols) == (len(cols), N)
     assert all(t.entry(j, i) == m.entry(i, j) for i in range(N) for j in range(len(cols)))
     assert t.transpose() == m
+
+
+def first_anticommuting_pair(rows):
+    """The lexicographically first pair with pairing 1, one pairing at a time."""
+    for j in range(len(rows)):
+        for k in range(j + 1, len(rows)):
+            if _pairing_raw(rows[j], rows[k]):
+                return j, k
+    return None
+
+
+def gram_route(rows):
+    r = len(rows)
+    return sum(v.bit_count() for v in rows) < r * (r - 1) // 2
+
+
+@st.composite
+def even_flips(draw, n, rows):
+    """rows with one row changed in an even number of distinct modes."""
+    if not rows:
+        return rows
+    j = draw(st.integers(0, len(rows) - 1))
+    k = draw(st.sampled_from((0, 2, 4)))
+    modes = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+    out = list(rows)
+    for m in modes:
+        out[j] ^= 1 << m
+    return out
+
+
+@st.composite
+def sparse_rows(draw):
+    """Many weight-2 and weight-4 commuting rows on permuted modes, perturbed."""
+    pairs = draw(st.integers(10, 40))
+    n = 2 * pairs
+    perm = draw(st.permutations(range(n)))
+
+    def pair(a):
+        return (1 << perm[2 * a]) | (1 << perm[2 * a + 1])
+
+    rows = []
+    for a in range(pairs):
+        if a and draw(st.booleans()):
+            rows.append(pair(a) | pair(draw(st.integers(0, a - 1))))
+        else:
+            rows.append(pair(a))
+    return n, draw(even_flips(n, rows))
+
+
+@st.composite
+def dense_rows(draw):
+    """A random_code's generator rows, one perturbed by an even flip."""
+    n = 2 * draw(st.integers(4, 20))
+    r = draw(st.integers(3, min(10, n // 2)))
+    code = random_code(n, r, draw(st.integers(0, 10_000)))
+    return n, draw(even_flips(n, [g.bits.value for g in code.generators]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_rows())
+def test_first_odd_overlap_gram_route_matches_pairwise(case):
+    n, rows = case
+    assert gram_route(rows)
+    assert _first_odd_overlap(rows, n) == first_anticommuting_pair(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_rows())
+def test_first_odd_overlap_pairwise_route_matches_pairwise(case):
+    n, rows = case
+    assume(not gram_route(rows))
+    assert _first_odd_overlap(rows, n) == first_anticommuting_pair(rows)
+
+
+@given(st.lists(packed.filter(lambda v: v.bit_count() % 2 == 0), max_size=2))
+def test_first_odd_overlap_few_rows(rows):
+    assert _first_odd_overlap(rows, N) == first_anticommuting_pair(rows)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, one exit code at a time."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from braidsynth.cli import (
     render_ascii,
     serialize_circuit,
 )
-from braidsynth.codes import random_code, serialize_code
+from braidsynth.codes import MAX_REGISTER_MODES, random_code, serialize_code
 from braidsynth.majorana import BraidGate, Circuit
 
 SAMPLES = Path(__file__).resolve().parents[1] / "sample_codes"
@@ -162,6 +163,46 @@ def test_non_utf8_files_exit_1(capsys, tmp_path, argv):
     assert rc == 1
     assert err.startswith(f"invalid input: {bad} is not UTF-8 text")
     assert err.count("\n") == 1
+
+
+def oversized_code(path):
+    n = MAX_REGISTER_MODES + 2
+    path.write_text(json.dumps(
+        {"format_version": 1, "n_modes": n, "generators": [{"modes": [0, n - 1], "phase_r": 1}]}
+    ))
+    return str(path)
+
+
+def oversized_circuit(path):
+    doc = {"format_version": 1, "n_modes": MAX_REGISTER_MODES + 3, "ancilla_modes": [], "gates": []}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("synth", "--builtin", f"kitaev:{MAX_REGISTER_MODES // 2 + 1}"),
+         f"at most {MAX_REGISTER_MODES // 2} sites"),
+        (("synth", "{code}"), f"exceeds the maximum {MAX_REGISTER_MODES}"),
+        (("diagram", "{circuit}"), f"exceeds the maximum {MAX_REGISTER_MODES + 2}"),
+    ],
+    ids=["builtin", "code-document", "circuit-document"],
+)
+def test_oversized_registers_exit_1_before_allocating(capsys, tmp_path, argv, reason):
+    # each input is just past the cap, so the check, not memory, must stop it
+    code = oversized_code(tmp_path / "big.code")
+    circuit = oversized_circuit(tmp_path / "big.circuit")
+    tracemalloc.start()
+    try:
+        rc, _, err = run(capsys, *(a.format(code=code, circuit=circuit) for a in argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert err.startswith("invalid input: ") and reason in err
+    assert err.count("\n") == 1
+    assert peak < 1 << 20
 
 
 def test_serialize_circuit_matches_json_dumps():

@@ -1,11 +1,11 @@
 """Code validation, the decoded target, and group-level predicates."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidsynth.codes import kitaev_chain, random_circuit, random_code, shortest_code
-from braidsynth.bitlinalg import BitVec, _transpose_raw
+from braidsynth.bitlinalg import BitMatrix, BitVec, _transpose_raw, rank, symplectic_pairing
 from braidsynth.majorana import (
     BraidGate,
     Circuit,
@@ -230,3 +230,101 @@ def test_mode_tableau_decoded_form_check():
                 assert not _ModeTableau(_transpose_raw(moved, n), [1] * r).is_decoded(
                     pivot_base, r
                 )
+
+
+@pytest.mark.parametrize(
+    "index, modes, pair",
+    [(700, (4, 1401), (1, 700)), (500, (1001, 1003), (500, 501)), (998, (1, 1998), (0, 998))],
+)
+def test_validate_finds_one_tampered_kitaev_1000_generator(index, modes, pair):
+    """kitaev:1000 takes the Gram route; the report names the first pair."""
+    code = kitaev_chain(1000)
+    gens = list(code.generators)
+    gens[index] = gen(code.n_modes, modes, 1)
+    with pytest.raises(CodeValidationError) as exc:
+        StabilizerCode(code.n_modes, tuple(gens)).validate()
+    assert exc.value.kind == "anticommuting"
+    assert exc.value.indices == pair
+    assert str(exc.value) == f"generators {pair[0]} and {pair[1]} anticommute"
+
+
+def reference_validate(code):
+    """validate's checks written out: one pairing per generator pair, and
+    dependence read off the rank of each prefix."""
+    n, gens = code.n_modes, code.generators
+    for j, g in enumerate(gens):
+        if g.weight % 2:
+            return "odd_weight", (j,), f"generator {j} has odd weight {g.weight}"
+    for j, g in enumerate(gens):
+        if not g.is_hermitian():
+            return (
+                "bad_phase",
+                (j,),
+                f"generator {j} has phase i^{g.phase_r}, which is not Hermitian "
+                f"for weight {g.weight}",
+            )
+    for j in range(len(gens)):
+        for k in range(j + 1, len(gens)):
+            if symplectic_pairing(gens[j].bits, gens[k].bits):
+                return "anticommuting", (j, k), f"generators {j} and {k} anticommute"
+    for j in range(len(gens)):
+        if rank(BitMatrix.from_columns(n, [g.bits for g in gens[: j + 1]])) <= j:
+            return "dependent", (j,), f"generator {j} is a product of earlier generators"
+    if len(gens) > n // 2:
+        return (
+            "too_many_generators",
+            tuple(range(len(gens))),
+            f"{len(gens)} generators exceed the maximum {n // 2}",
+        )
+    return None
+
+
+def hermitian(n, bits):
+    w = bits.bit_count()
+    return MajoranaString(BitVec(n, bits), (w * (w - 1) // 2) % 2)
+
+
+@st.composite
+def validate_inputs(draw):
+    """Sparse codes with many generators (the Gram route) and dense random
+    codes (the pairwise route), then at most one change that breaks them."""
+    if draw(st.booleans()):
+        pairs = draw(st.integers(2, 30))
+        n = 2 * pairs
+        perm = draw(st.permutations(range(n)))
+        rows = [(1 << perm[2 * a]) | (1 << perm[2 * a + 1]) for a in range(pairs)]
+        rows = [rows[a] | (rows[a - 1] if a and draw(st.booleans()) else 0) for a in range(pairs)]
+        rows = rows[: draw(st.integers(0, pairs))]
+        gens = [hermitian(n, v) for v in rows]
+    else:
+        n = 2 * draw(st.integers(1, 16))
+        gens = list(random_code(n, draw(st.integers(0, n // 2)), draw(st.integers(0, 9999))).generators)
+    change = draw(st.sampled_from(("none", "even_flip", "odd_flip", "phase", "copy", "product")))
+    if gens and change != "none":
+        j = draw(st.integers(0, len(gens) - 1))
+        i = draw(st.integers(0, len(gens) - 1))
+        if change in ("even_flip", "odd_flip"):
+            sizes = (2, 4) if change == "even_flip" else (1, 3)
+            k = draw(st.sampled_from([k for k in sizes if k <= n]))
+            bits = gens[j].bits.value
+            for m in draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)):
+                bits ^= 1 << m
+            gens[j] = hermitian(n, bits)
+        elif change == "phase":
+            gens[j] = MajoranaString(gens[j].bits, (gens[j].phase_r + 1) % 4)
+        elif change == "copy":
+            gens.insert(j + 1, gens[i])
+        else:
+            gens.append(hermitian(n, gens[i].bits.value ^ gens[j].bits.value))
+    return StabilizerCode(n, tuple(gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(validate_inputs())
+def test_validate_reports_what_the_reference_reports(code):
+    try:
+        code.validate()
+        got = None
+    except CodeValidationError as exc:
+        got = exc.kind, exc.indices, str(exc)
+    assert got == reference_validate(code)
