@@ -4,15 +4,20 @@
 Generates seeded random codes, synthesizes both variants, and checks the
 full contract on each: decoded form reached, gate count within the linear
 bound, reported operators pair correctly, ancilla reset as promised, and
-the ancilla-free obstruction raised exactly when it must be.  Prints one
-summary line; any violation trips an assert.
+the ancilla-free obstruction raised exactly when it must be.  Every other
+code contains the total parity (``random_code`` reaches it only at
+r = N/2), so the pinned-image and obstruction branches are exercised too.
+Prints one summary line; any violation trips an assert, and a run of at
+least 50 codes that sees no pinned image or no obstruction exits non-zero.
 """
 
 import argparse
 import random
+import sys
 
 from braidsynth.bitlinalg import symplectic_pairing
-from braidsynth.codes import random_code
+from braidsynth.codes import random_circuit, random_code
+from braidsynth.majorana import MajoranaString
 from braidsynth.synth import (
     PhaseCorrectionError,
     TotalParityObstruction,
@@ -22,7 +27,24 @@ from braidsynth.synth import (
     synthesize_ancilla_free,
     synthesize_with_ancilla,
 )
-from braidsynth.tableau import apply_circuit, contains_total_parity, prepend_ancilla_modes
+from braidsynth.tableau import (
+    DecodedTarget,
+    StabilizerCode,
+    apply_circuit,
+    contains_total_parity,
+    prepend_ancilla_modes,
+)
+
+
+def total_parity_code(n, r, seed):
+    """A scrambled code with r >= 1 generators whose group contains the
+    all-modes parity: r - 1 decoded pairs and the parity of the other modes."""
+    rows = list(DecodedTarget(n, 0, r - 1).generators())
+    tail = tuple(range(2 * (r - 1), n))
+    w = len(tail)
+    rows.append(MajoranaString.from_modes(n, tail, (w * (w - 1) // 2) % 2))
+    base = StabilizerCode(n, tuple(rows))
+    return apply_circuit(random_circuit(n, 3 * n, random.Random(seed)), base)
 
 
 def check(code, result):
@@ -56,9 +78,15 @@ def main() -> None:
     pinned = clean_full_rank = obstructed = 0
     for idx in range(args.codes):
         n = 2 * rng.randint(2, args.max_modes // 2)
-        r = rng.randint(0, n // 2)
-        code = random_code(n, r, seed=args.seed * 100_000 + idx)
+        seed = args.seed * 100_000 + idx
+        if idx % 2:
+            r = rng.randint(1, n // 2)
+            code = total_parity_code(n, r, seed)
+        else:
+            r = rng.randint(0, n // 2)
+            code = random_code(n, r, seed)
         ptot = contains_total_parity(code)
+        assert ptot or not idx % 2
 
         result = synthesize_with_ancilla(code)
         check(code, result)
@@ -79,10 +107,13 @@ def main() -> None:
         except PhaseCorrectionError:
             assert code.n_logical == 0
 
-    print(
-        f"stress ok: {args.codes} codes | pinned ancilla images: {pinned} | "
+    summary = (
+        f"{args.codes} codes | pinned ancilla images: {pinned} | "
         f"clean full-rank resets: {clean_full_rank} | obstructions: {obstructed}"
     )
+    if args.codes >= 50 and not (pinned and obstructed):
+        sys.exit(f"stress run missed the pinned-image or obstruction branch: {summary}")
+    print(f"stress ok: {summary}")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ does; the golden tests compare byte-for-byte against them.
 import argparse
 from pathlib import Path
 
-from braidsynth.cli import CircuitDocument, render_ascii, serialize_circuit
-from braidsynth.codes import kitaev_chain, shortest_code
+from braidsynth.cli import render_ascii
+from braidsynth.codes import CircuitDocument, kitaev_chain, serialize_circuit, shortest_code
 from braidsynth.synth import synthesize_ancilla_free, synthesize_with_ancilla
 
 

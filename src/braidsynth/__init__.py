@@ -11,19 +11,21 @@ from .bitlinalg import (
     BitMatrix,
     BitVec,
     check_symplectic,
-    fermionic_form,
-    in_span,
     rank,
     reorder_parity,
     symplectic_pairing,
 )
 from .codes import (
     MAX_REGISTER_MODES,
+    CircuitDocument,
+    CircuitFormatError,
     CodeFormatError,
     kitaev_chain,
+    parse_circuit,
     parse_code,
     random_circuit,
     random_code,
+    serialize_circuit,
     serialize_code,
     shortest_code,
 )
@@ -69,8 +71,6 @@ __all__ = [
     "symplectic_pairing",
     "reorder_parity",
     "rank",
-    "in_span",
-    "fermionic_form",
     "check_symplectic",
     "MajoranaString",
     "BraidGate",
@@ -97,6 +97,10 @@ __all__ = [
     "random_code",
     "parse_code",
     "serialize_code",
+    "CircuitFormatError",
+    "CircuitDocument",
+    "parse_circuit",
+    "serialize_circuit",
     "TotalParityObstruction",
     "PhaseCorrectionError",
     "SynthesisInvariantError",

@@ -6,7 +6,7 @@ column-wise; throughout the package columns index stabilizer generators.
 
 The commutation pairing of two even-weight mode sets is computed in closed
 form, ``weight(u)*weight(v) + u.v  (mod 2)``, so the dense pairing matrix
-(identity plus all-ones) is built only when ``fermionic_form`` asks for it.
+(identity plus all-ones) is never built.
 
 ``_transpose_raw`` switches between the row-major layout (one int per
 vector, one bit per mode) and the mode-major layout (one int per mode, one
@@ -20,7 +20,7 @@ cheaper than the r(r-1)/2 pairwise popcounts, and loops over pairs when
 it is not.
 
 ``_eliminate`` and ``_residue`` are the one GF(2) elimination routine:
-rank, span membership, the dependency check of ``validate`` and
+rank, the dependency check of ``validate`` and
 ``tableau.contains_total_parity`` all reduce against their pivots.
 """
 
@@ -35,8 +35,6 @@ __all__ = [
     "symplectic_pairing",
     "reorder_parity",
     "rank",
-    "in_span",
-    "fermionic_form",
     "check_symplectic",
 ]
 
@@ -208,11 +206,6 @@ class BitMatrix:
     def transpose(self) -> BitMatrix:
         return BitMatrix(self.n_cols, tuple(_transpose_raw(self.columns, self.n_rows)))
 
-    def mul_vec(self, v: BitVec) -> BitVec:
-        if v.length != self.n_cols:
-            raise ValueError("vector length must equal column count")
-        return BitVec(self.n_rows, _mat_vec(self.columns, v.value))
-
     def __matmul__(self, other: BitMatrix) -> BitMatrix:
         if self.n_cols != other.n_rows:
             raise ValueError("inner dimensions do not match")
@@ -277,21 +270,6 @@ def _residue(pivots: dict[int, int], v: int) -> int:
 def rank(m: BitMatrix) -> int:
     """Rank of the matrix over GF(2)."""
     return len(_eliminate(m.columns))
-
-
-def in_span(m: BitMatrix, v: BitVec) -> bool:
-    """Whether v lies in the GF(2) column span of m."""
-    if v.length != m.n_rows:
-        raise ValueError("length mismatch between matrix rows and vector")
-    return _residue(_eliminate(m.columns), v.value) == 0
-
-
-def fermionic_form(n: int) -> BitMatrix:
-    """The n-by-n pairing matrix: identity plus all-ones, entries mod 2."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    ones = (1 << n) - 1
-    return BitMatrix(n, tuple(ones ^ (1 << j) for j in range(n)))
 
 
 def check_symplectic(m: BitMatrix) -> bool:

@@ -1,15 +1,5 @@
 """Command-line front end: synthesize, verify, and draw braid circuits.
 
-Circuit documents are strict JSON in the same dialect as code documents:
-format_version, n_modes, ancilla_modes, a gates list, plus two optional
-fields -- role ("encoder" or "decoder", default decoder) so verify knows
-which way to run the circuit, and substitutions recording generating-set
-changes made during synthesis.  Unknown keys are rejected.  A substitution
-[i, j] (generator i <- generator i * generator j) needs 0 <= i, j < r and
-i != j; verify checks the range against the code's r before replaying.
-n_modes may exceed ``codes.MAX_REGISTER_MODES`` by at most the ancilla
-pair; larger documents are refused before any gate is read.
-
 Exit codes: 0 ok, 1 invalid input (code or circuit document), 2 synthesis
 obstruction, 3 I/O error, 4 verification failure, 64 usage error.
 """
@@ -17,28 +7,28 @@ obstruction, 3 I/O error, 4 verification failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
 from .bitlinalg import check_symplectic
 from .codes import (
-    MAX_REGISTER_MODES,
+    CircuitDocument,
+    CircuitFormatError,
     CodeFormatError,
     kitaev_chain,
+    parse_circuit,
     parse_code,
+    serialize_circuit,
     shortest_code,
 )
 from .majorana import (
-    BraidGate,
     Circuit,
     MajoranaString,
     circuit_matrix,
     conjugate_circuit,
+    gate_counts,
     invert,
 )
 from .oracle import MAX_MODES, circuit_unitary, dense_majorana, dense_monomial
@@ -59,19 +49,11 @@ from .tableau import (
 )
 
 __all__ = [
-    "CircuitFormatError",
     "VerificationFailure",
-    "CircuitDocument",
-    "parse_circuit",
-    "serialize_circuit",
     "render_ascii",
     "render_latex",
     "main",
 ]
-
-
-class CircuitFormatError(ValueError):
-    """A circuit document that does not follow the JSON schema."""
 
 
 class VerificationFailure(Exception):
@@ -80,128 +62,6 @@ class VerificationFailure(Exception):
     def __init__(self, check: str, detail: str) -> None:
         super().__init__(f"{check}: {detail}")
         self.check = check
-
-
-@dataclass(frozen=True, slots=True)
-class CircuitDocument:
-    circuit: Circuit
-    ancilla_modes: tuple[int, ...]
-    substitutions: tuple[tuple[int, int], ...]
-    role: str
-
-
-def _require_keys(obj: dict[str, Any], required: set[str], optional: set[str], where: str) -> None:
-    missing = required - obj.keys()
-    if missing:
-        raise CircuitFormatError(f"{where} is missing {sorted(missing)}")
-    unknown = obj.keys() - required - optional
-    if unknown:
-        raise CircuitFormatError(f"{where} has unknown keys {sorted(unknown)}")
-
-
-def _int(value: Any, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise CircuitFormatError(f"{where} must be an integer")
-    return value
-
-
-def parse_circuit(text: str) -> CircuitDocument:
-    """Parse a strict JSON circuit document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CircuitFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CircuitFormatError("top level must be an object")
-    _require_keys(
-        doc,
-        {"format_version", "n_modes", "ancilla_modes", "gates"},
-        {"role", "substitutions"},
-        "circuit document",
-    )
-    if doc["format_version"] != 1:
-        raise CircuitFormatError(f"unsupported format_version {doc['format_version']!r}")
-    n_modes = _int(doc["n_modes"], "n_modes")
-    if n_modes < 1:
-        raise CircuitFormatError("n_modes must be positive")
-    if n_modes > MAX_REGISTER_MODES + 2:
-        raise CircuitFormatError(
-            f"n_modes {n_modes} exceeds the maximum {MAX_REGISTER_MODES + 2} "
-            "(a code register plus the ancilla pair)"
-        )
-    ancilla = doc["ancilla_modes"]
-    if ancilla not in ([], [0, 1]):
-        raise CircuitFormatError("ancilla_modes must be [] or [0, 1]")
-    role = doc.get("role", "decoder")
-    if role not in ("encoder", "decoder"):
-        raise CircuitFormatError("role must be 'encoder' or 'decoder'")
-    subs = []
-    for entry in doc.get("substitutions", []):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise CircuitFormatError("substitutions entries must be [i, j] pairs")
-        i, j = (_int(k, "substitution index") for k in entry)
-        if i < 0 or j < 0:
-            raise CircuitFormatError(f"substitution {entry} has a negative index")
-        if i == j:
-            raise CircuitFormatError(f"substitution {entry} multiplies a generator by itself")
-        subs.append((i, j))
-    if not isinstance(doc["gates"], list):
-        raise CircuitFormatError("gates must be a list")
-    gates = []
-    for g, entry in enumerate(doc["gates"]):
-        where = f"gate {g}"
-        if not isinstance(entry, dict):
-            raise CircuitFormatError(f"{where} must be an object")
-        _require_keys(entry, {"kind", "modes", "direction"}, set(), where)
-        kind = entry["kind"]
-        if kind not in ("braid2", "braid4"):
-            raise CircuitFormatError(f"{where}: kind must be 'braid2' or 'braid4'")
-        modes = entry["modes"]
-        if not isinstance(modes, list):
-            raise CircuitFormatError(f"{where}: modes must be a list")
-        modes = tuple(_int(m, f"{where} mode") for m in modes)
-        direction = _int(entry["direction"], f"{where} direction")
-        try:
-            gate = BraidGate(kind, modes, direction)
-        except ValueError as exc:
-            raise CircuitFormatError(f"{where}: {exc}") from exc
-        if gate.modes[-1] >= n_modes:
-            raise CircuitFormatError(f"{where}: mode out of range 0..{n_modes - 1}")
-        gates.append(gate)
-    return CircuitDocument(Circuit(n_modes, tuple(gates)), tuple(ancilla), tuple(subs), role)
-
-
-# One gate object exactly as json.dumps(indent=2) lays it out in the gates list.
-_GATE_JSON = (
-    '    {\n      "kind": "%s",\n      "modes": [\n        %s\n      ],\n'
-    '      "direction": %d\n    }'
-)
-
-
-def serialize_circuit(doc: CircuitDocument) -> str:
-    """Render a circuit document as JSON (inverse of parse_circuit).
-
-    The output is byte-identical to ``json.dumps(..., indent=2)`` of the
-    whole document; the header goes through json, and the gates, whose
-    fields are fixed, through one template, which is several times faster.
-    """
-    out: dict[str, Any] = {
-        "format_version": 1,
-        "role": doc.role,
-        "n_modes": doc.circuit.n_modes,
-        "ancilla_modes": list(doc.ancilla_modes),
-    }
-    if doc.substitutions:
-        out["substitutions"] = [list(s) for s in doc.substitutions]
-    out["gates"] = []
-    text = json.dumps(out, indent=2)
-    if not doc.circuit.gates:
-        return text + "\n"
-    gates = ",\n".join(
-        _GATE_JSON % (g.kind, ",\n        ".join(map(str, g.modes)), g.direction)
-        for g in doc.circuit.gates
-    )
-    return text[: -len("[]\n}")] + "[\n" + gates + "\n  ]\n}\n"
 
 
 def _wire_labels(n_modes: int, ancilla_modes: tuple[int, ...]) -> list[str]:
@@ -291,7 +151,7 @@ def _load_code(args: argparse.Namespace) -> StabilizerCode:
 
 
 def _report_synth(code: StabilizerCode, result: SynthesisResult, role: str, dest: str) -> None:
-    counts = result.gate_counts
+    counts = gate_counts(result.decoder)
     print(f"code: {code.name or '(unnamed)'}  [n_modes={code.n_modes}, generators={code.n_stabilizers}]")
     print(f"variant: {'with-ancilla' if result.ancilla_modes else 'ancilla-free'}")
     print(f"total modes: {result.total_modes}")

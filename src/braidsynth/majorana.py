@@ -46,8 +46,6 @@ __all__ = [
     "gate_matrix",
     "circuit_matrix",
     "gate_counts",
-    "circuit_to_text",
-    "circuit_from_text",
 ]
 
 _PHASE_STR = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
@@ -352,28 +350,3 @@ def gate_counts(circuit: Circuit) -> dict[str, int]:
         counts[g.kind] += 1
     return counts
 
-
-def circuit_to_text(circuit: Circuit) -> str:
-    """Canonical text form, one gate per line, e.g. ``B4 +(0,2,3,4)``."""
-    return "".join(f"{g}\n" for g in circuit.gates)
-
-
-def circuit_from_text(text: str, n_modes: int) -> Circuit:
-    """Parse the canonical one-gate-per-line form back into a circuit."""
-    gates = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            tag, rest = line.split(None, 1)
-            kind = {"B2": "braid2", "B4": "braid4"}[tag]
-            sign, body = rest[0], rest[1:].strip()
-            direction = {"+": 1, "-": -1}[sign]
-            if not (body.startswith("(") and body.endswith(")")):
-                raise ValueError
-            modes = tuple(int(tok) for tok in body[1:-1].split(","))
-        except (ValueError, KeyError, IndexError) as exc:
-            raise ValueError(f"bad gate on line {lineno}: {raw!r}") from exc
-        gates.append(BraidGate(kind, modes, direction))
-    return Circuit(n_modes, tuple(gates))

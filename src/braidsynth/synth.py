@@ -52,7 +52,6 @@ from .majorana import (
     _ModeTableau,
     _multiply_raw,
     conjugate_circuit,
-    gate_counts,
     invert,
     multiply,
 )
@@ -118,7 +117,6 @@ class SynthesisResult:
     ancilla_modes: tuple[int, ...]
     target: DecodedTarget
     logical_sign_flips: tuple[int, ...]
-    gate_counts: dict[str, int]
     substitutions: tuple[tuple[int, int], ...]
     ancilla_phase_r: int | None
     ancilla_image: MajoranaString | None
@@ -302,7 +300,6 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         ancilla_modes=ancilla_modes,
         target=target,
         logical_sign_flips=logical_flips,
-        gate_counts=gate_counts(decoder),
         substitutions=tuple(substitutions),
         ancilla_phase_r=ancilla_phase,
         ancilla_image=ancilla_image,

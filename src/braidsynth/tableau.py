@@ -52,8 +52,8 @@ __all__ = [
 class CodeValidationError(ValueError):
     """A generator list that is not a valid stabilizer code.
 
-    kind is one of "odd_weight", "bad_phase", "anticommuting", "dependent",
-    "too_many_generators"; indices points at the generators involved.
+    kind is one of "odd_weight", "bad_phase", "anticommuting", "dependent";
+    indices points at the generators involved.
     """
 
     def __init__(self, kind: str, indices: tuple[int, ...], message: str) -> None:
@@ -117,12 +117,7 @@ class StabilizerCode:
                     "dependent", (j,), f"generator {j} is a product of earlier generators"
                 )
             pivots[_lowest_bit(v)] = v
-        if len(gens) > self.n_modes // 2:
-            raise CodeValidationError(
-                "too_many_generators",
-                tuple(range(len(gens))),
-                f"{len(gens)} generators exceed the maximum {self.n_modes // 2}",
-            )
+        # r > N/2 fails above: even overlaps span a self-orthogonal code, dim <= N/2.
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,8 +12,6 @@ from braidsynth.bitlinalg import (
     _first_odd_overlap,
     _pairing_raw,
     check_symplectic,
-    fermionic_form,
-    in_span,
     rank,
     reorder_parity,
     symplectic_pairing,
@@ -125,32 +123,10 @@ def test_rank_matches_naive(cols):
     assert rank(m) == naive_rank(cols, 8)
 
 
-@given(st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=8), packed)
-def test_in_span_iff_rank_unchanged(cols, vraw):
-    v = vraw & 255
-    m = BitMatrix.from_columns(8, cols)
-    grown = BitMatrix.from_columns(8, cols + [v])
-    assert in_span(m, BitVec(8, v)) == (rank(grown) == rank(m))
-
-
-def test_in_span_length_guard():
-    with pytest.raises(ValueError):
-        in_span(BitMatrix.identity(4), BitVec(6, 1))
-
-
-def test_fermionic_form_entries():
-    L = fermionic_form(4)
-    for i in range(4):
-        for j in range(4):
-            assert L.entry(i, j) == (0 if i == j else 1)
-
-
 def test_matrix_transpose_and_matmul():
     m = BitMatrix.from_columns(3, [0b011, 0b101, 0b110])
     assert m.transpose().transpose() == m
     assert (m @ BitMatrix.identity(3)) == m
-    v = BitVec(3, 0b101)
-    assert m.mul_vec(v).value == m.columns[0] ^ m.columns[2]
 
 
 def test_matrix_shape_guards():
@@ -158,8 +134,6 @@ def test_matrix_shape_guards():
         BitMatrix(2, (4,))
     with pytest.raises(ValueError):
         BitMatrix.identity(3) @ BitMatrix.identity(4)
-    with pytest.raises(ValueError):
-        BitMatrix.identity(3).mul_vec(BitVec(4, 0))
 
 
 def transvection(n: int, v: int) -> BitMatrix:

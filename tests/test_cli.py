@@ -6,15 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from braidsynth.cli import (
+from braidsynth.cli import main, render_ascii
+from braidsynth.codes import (
+    MAX_REGISTER_MODES,
     CircuitDocument,
     CircuitFormatError,
-    main,
     parse_circuit,
-    render_ascii,
+    random_code,
     serialize_circuit,
+    serialize_code,
 )
-from braidsynth.codes import MAX_REGISTER_MODES, random_code, serialize_code
 from braidsynth.majorana import BraidGate, Circuit
 
 SAMPLES = Path(__file__).resolve().parents[1] / "sample_codes"
@@ -165,6 +166,35 @@ def test_non_utf8_files_exit_1(capsys, tmp_path, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "value", ["[" * 100_000 + "]" * 100_000, "9" * 5000], ids=["deep-nesting", "5000-digits"]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("synth", "{code}"),
+        ("verify", "{code}", "{good}"),
+        ("verify", "--builtin", "shortest", "{circuit}"),
+        ("diagram", "{circuit}"),
+    ],
+)
+def test_json_the_parser_refuses_exits_1(capsys, tmp_path, argv, value):
+    # a RecursionError or an over-long integer literal inside json.loads
+    # is a format error of the document being read, not a traceback
+    code = tmp_path / "bad.code"
+    code.write_text('{"format_version": 1, "n_modes": %s, "generators": []}' % value)
+    circuit = tmp_path / "bad.circuit"
+    circuit.write_text(
+        '{"format_version": 1, "n_modes": %s, "ancilla_modes": [], "gates": []}' % value
+    )
+    good = tmp_path / "shortest.circuit"
+    run(capsys, "synth", "--builtin", "shortest", "-o", str(good))
+    rc, _, err = run(capsys, *(a.format(code=code, circuit=circuit, good=good) for a in argv))
+    assert rc == 1
+    assert err.startswith("invalid input: ")
+    assert err.count("\n") == 1
+
+
 def oversized_code(path):
     n = MAX_REGISTER_MODES + 2
     path.write_text(json.dumps(
@@ -264,6 +294,10 @@ def test_circuit_document_rejections(tmp_path):
     broken(gates=[{"kind": "braid2", "modes": [1, 0], "direction": 1}])
     broken(gates=[{"kind": "braid2", "modes": [0, 1], "direction": 2}])
     broken(substitutions=[[0]])
+    broken(substitutions=5)
+    broken(format_version=True)
+    broken(ancilla_modes=[False, True])
+    broken(ancilla_modes=[0.0, 1.0])
     parsed = parse_circuit(json.dumps(good))
     assert parse_circuit(serialize_circuit(parsed)) == parsed
 

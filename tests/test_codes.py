@@ -119,6 +119,7 @@ def test_parse_rejects_malformed_documents():
         "unknown keys",
     )
     reject('{"format_version": 2, "n_modes": 4, "generators": []}', "format_version")
+    reject('{"format_version": true, "n_modes": 4, "generators": []}', "format_version")
     reject('{"format_version": 1, "n_modes": "4", "generators": []}', "integer")
     reject('{"format_version": 1, "n_modes": true, "generators": []}', "integer")
     reject('{"format_version": 1, "n_modes": 5, "generators": []}', "even")

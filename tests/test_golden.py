@@ -4,8 +4,8 @@ intentional algorithm change)."""
 
 from pathlib import Path
 
-from braidsynth.cli import CircuitDocument, main, render_ascii, serialize_circuit
-from braidsynth.codes import kitaev_chain, shortest_code
+from braidsynth.cli import main, render_ascii
+from braidsynth.codes import CircuitDocument, kitaev_chain, serialize_circuit, shortest_code
 from braidsynth.synth import synthesize_ancilla_free, synthesize_with_ancilla
 
 GOLDEN = Path(__file__).parent / "golden"

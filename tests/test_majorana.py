@@ -16,9 +16,7 @@ from braidsynth.majorana import (
     BraidGate,
     Circuit,
     MajoranaString,
-    circuit_from_text,
     circuit_matrix,
-    circuit_to_text,
     conjugate,
     conjugate_circuit,
     gate_counts,
@@ -246,20 +244,3 @@ def test_gate_counts():
     counts = gate_counts(c)
     assert counts["braid2"] + counts["braid4"] == 9
 
-
-def test_text_round_trip():
-    c = Circuit(8, tuple(random_gates(8, 7, 123)))
-    text = circuit_to_text(c)
-    assert circuit_from_text(text, 8) == c
-
-
-def test_text_parser_allows_comments_and_blanks():
-    text = "# header\n\nB2 +(0,1)\n  # indented comment\nB4 -(0,2,3,5)\n"
-    c = circuit_from_text(text, 6)
-    assert len(c) == 2
-    assert c.gates[1].direction == -1
-
-
-def test_text_parser_reports_the_line():
-    with pytest.raises(ValueError, match="line 2"):
-        circuit_from_text("B2 +(0,1)\nB9 +(0,1)\n", 4)

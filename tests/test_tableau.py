@@ -270,12 +270,6 @@ def reference_validate(code):
     for j in range(len(gens)):
         if rank(BitMatrix.from_columns(n, [g.bits for g in gens[: j + 1]])) <= j:
             return "dependent", (j,), f"generator {j} is a product of earlier generators"
-    if len(gens) > n // 2:
-        return (
-            "too_many_generators",
-            tuple(range(len(gens))),
-            f"{len(gens)} generators exceed the maximum {n // 2}",
-        )
     return None
 
 
