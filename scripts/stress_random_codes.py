@@ -2,13 +2,15 @@
 """Randomized stress run for the synthesizer.
 
 Generates seeded random codes, synthesizes both variants, and checks the
-full contract on each: decoded form reached, gate count within the linear
-bound, reported operators pair correctly, ancilla reset as promised, and
-the ancilla-free obstruction raised exactly when it must be.  Every other
-code contains the total parity (``random_code`` reaches it only at
-r = N/2), so the pinned-image and obstruction branches are exercised too.
-Prints one summary line; any violation trips an assert, and a run of at
-least 50 codes that sees no pinned image or no obstruction exits non-zero.
+full contract on each: the decoder and the encoder document pass
+``verify_document`` (the verifier behind ``braidsynth verify``), gate count
+within the linear bound, reported operators pair correctly, ancilla reset
+as promised, and the ancilla-free obstruction raised exactly when it must
+be.  Every other code contains the total parity (``random_code`` reaches it
+only at r = N/2), so the pinned-image and obstruction branches are
+exercised too.  Prints one summary line; any violation trips an assert or
+raises ``VerificationFailure``, and a run of at least 50 codes that sees no
+pinned image or no obstruction exits non-zero.
 """
 
 import argparse
@@ -16,12 +18,12 @@ import random
 import sys
 
 from braidsynth.bitlinalg import symplectic_pairing
-from braidsynth.codes import random_circuit, random_code
+from braidsynth.cli import verify_document
+from braidsynth.codes import CircuitDocument, random_circuit, random_code
 from braidsynth.majorana import MajoranaString
 from braidsynth.synth import (
     PhaseCorrectionError,
     TotalParityObstruction,
-    apply_substitutions,
     destabilizers,
     logical_representatives,
     synthesize_ancilla_free,
@@ -32,7 +34,6 @@ from braidsynth.tableau import (
     StabilizerCode,
     apply_circuit,
     contains_total_parity,
-    prepend_ancilla_modes,
 )
 
 
@@ -48,10 +49,9 @@ def total_parity_code(n, r, seed):
 
 
 def check(code, result):
-    work = apply_substitutions(code, result.substitutions)
-    if result.ancilla_modes:
-        work = prepend_ancilla_modes(work)
-    assert result.target.matches(apply_circuit(result.decoder, work))
+    for role, circuit in (("decoder", result.decoder), ("encoder", result.encoder)):
+        doc = CircuitDocument(circuit, result.ancilla_modes, result.substitutions, role)
+        list(verify_document(code, doc))
     r = code.n_stabilizers
     assert len(result.decoder) <= 3 * r * result.total_modes
     for j, d in enumerate(destabilizers(result)):

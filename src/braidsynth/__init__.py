@@ -49,7 +49,6 @@ from .synth import (
     apply_substitutions,
     destabilizers,
     logical_representatives,
-    reset_ancilla_pair,
     synthesize_ancilla_free,
     synthesize_with_ancilla,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "SynthesisResult",
     "synthesize_with_ancilla",
     "synthesize_ancilla_free",
-    "reset_ancilla_pair",
     "apply_substitutions",
     "destabilizers",
     "logical_representatives",

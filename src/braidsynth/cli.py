@@ -1,5 +1,8 @@
 """Command-line front end: synthesize, verify, and draw braid circuits.
 
+``verify_document`` is the one circuit verifier: ``verify`` prints the lines
+it yields, and the tests and the stress script call it directly.
+
 Exit codes: 0 ok, 1 invalid input (code or circuit document), 2 synthesis
 obstruction, 3 I/O error, 4 verification failure, 64 usage error.
 """
@@ -9,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -50,6 +54,7 @@ from .tableau import (
 
 __all__ = [
     "VerificationFailure",
+    "verify_document",
     "render_ascii",
     "render_latex",
     "main",
@@ -62,6 +67,58 @@ class VerificationFailure(Exception):
     def __init__(self, check: str, detail: str) -> None:
         super().__init__(f"{check}: {detail}")
         self.check = check
+
+
+def verify_document(
+    code: StabilizerCode, doc: CircuitDocument, oracle: bool = False
+) -> Iterator[str]:
+    """Check a circuit document against a validated code, yielding each report
+    line as its check passes: the decoded form (an encoder document is
+    inverted first), the fermionic pairing, then the dense oracle if asked.
+    Raises CircuitFormatError when the document does not fit the code and
+    VerificationFailure at the first failed check.
+    """
+    working = prepend_ancilla_modes(code) if doc.ancilla_modes else code
+    expected = working.n_modes
+    if doc.circuit.n_modes != expected:
+        raise CircuitFormatError(
+            f"circuit acts on {doc.circuit.n_modes} modes, expected {expected} for this code"
+        )
+    for i, j in doc.substitutions:
+        if max(i, j) >= code.n_stabilizers:
+            raise CircuitFormatError(
+                f"substitution [{i}, {j}] is out of range for {code.n_stabilizers} generators"
+            )
+    decoder = doc.circuit if doc.role == "decoder" else invert(doc.circuit)
+    target = DecodedTarget(expected, 2 if doc.ancilla_modes else 0, code.n_stabilizers)
+
+    arrived = apply_circuit(decoder, apply_substitutions(working, doc.substitutions))
+    if not target.matches(arrived):
+        bad = next(
+            j for j, g in enumerate(arrived.generators) if g != target.generator(j)
+        )
+        raise VerificationFailure(
+            "decoded-form", f"generator {bad} arrives at {arrived.generators[bad]}"
+        )
+    yield "decoded-form check: ok"
+
+    if not check_symplectic(circuit_matrix(doc.circuit)):
+        raise VerificationFailure("symplectic", "circuit_matrix breaks the fermionic pairing")
+    yield "symplectic check: ok"
+
+    if not oracle:
+        yield "oracle check: skipped (pass --oracle to run)"
+        return
+    n = doc.circuit.n_modes
+    if n > MAX_MODES:
+        raise VerificationFailure("oracle", f"needs at most {MAX_MODES} total modes, got {n}")
+    unitary = circuit_unitary(doc.circuit)
+    for m in range(n):
+        lhs = unitary @ dense_majorana(n, m) @ unitary.conj().T
+        image = conjugate_circuit(doc.circuit, MajoranaString.single_mode(n, m))
+        if not np.allclose(lhs, dense_monomial(image), atol=1e-9):
+            raise VerificationFailure("oracle", f"dense conjugation of mode {m} disagrees")
+    yield f"oracle check: ok ({n} modes, dimension {2 ** (n // 2)})"
 
 
 def _wire_labels(n_modes: int, ancilla_modes: tuple[int, ...]) -> list[str]:
@@ -150,20 +207,22 @@ def _load_code(args: argparse.Namespace) -> StabilizerCode:
     return parse_code(_read_text(args.code, CodeFormatError))
 
 
-def _report_synth(code: StabilizerCode, result: SynthesisResult, role: str, dest: str) -> None:
+def _report_synth(
+    code: StabilizerCode, result: SynthesisResult, role: str, dest: str, out: TextIO
+) -> None:
     counts = gate_counts(result.decoder)
-    print(f"code: {code.name or '(unnamed)'}  [n_modes={code.n_modes}, generators={code.n_stabilizers}]")
-    print(f"variant: {'with-ancilla' if result.ancilla_modes else 'ancilla-free'}")
-    print(f"total modes: {result.total_modes}")
-    print(f"ancilla modes: {list(result.ancilla_modes)}")
+    print(f"code: {code.name or '(unnamed)'}  [n_modes={code.n_modes}, generators={code.n_stabilizers}]", file=out)
+    print(f"variant: {'with-ancilla' if result.ancilla_modes else 'ancilla-free'}", file=out)
+    print(f"total modes: {result.total_modes}", file=out)
+    print(f"ancilla modes: {list(result.ancilla_modes)}", file=out)
     total = counts["braid2"] + counts["braid4"]
-    print(f"gate counts: braid2={counts['braid2']} braid4={counts['braid4']} total={total}")
-    print(f"logical sign flips: {list(result.logical_sign_flips)}")
-    print(f"generating-set changes: {[list(s) for s in result.substitutions]}")
+    print(f"gate counts: braid2={counts['braid2']} braid4={counts['braid4']} total={total}", file=out)
+    print(f"logical sign flips: {list(result.logical_sign_flips)}", file=out)
+    print(f"generating-set changes: {[list(s) for s in result.substitutions]}", file=out)
     if result.ancilla_modes:
-        print(f"ancilla image after reset: {result.ancilla_image}")
-        print(f"ancilla residual phase_r: {result.ancilla_phase_r}")
-    print(f"document ({role}): {dest}")
+        print(f"ancilla image after reset: {result.ancilla_image}", file=out)
+        print(f"ancilla residual phase_r: {result.ancilla_phase_r}", file=out)
+    print(f"document ({role}): {dest}", file=out)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -175,15 +234,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
     role = "decoder" if args.decoder else "encoder"
     circuit = result.decoder if args.decoder else result.encoder
     doc = CircuitDocument(circuit, result.ancilla_modes, result.substitutions, role)
+    out = sys.stdout
     if args.output is None:
         dest = "not written (pass -o to write)"
     elif args.output == "-":
         sys.stdout.write(serialize_circuit(doc))
-        dest = "stdout"
+        dest, out = "stdout", sys.stderr  # keep stdout one JSON document
     else:
         Path(args.output).write_text(serialize_circuit(doc))
         dest = args.output
-    _report_synth(code, result, role, dest)
+    _report_synth(code, result, role, dest, out)
     return 0
 
 
@@ -191,53 +251,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     code = _load_code(args)
     code.validate()
     doc = parse_circuit(_read_text(args.circuit, CircuitFormatError))
-    if doc.ancilla_modes:
-        expected = code.n_modes + 2
-        working = prepend_ancilla_modes(code)
-        pivot_base = 2
-    else:
-        expected = code.n_modes
-        working = code
-        pivot_base = 0
-    if doc.circuit.n_modes != expected:
-        raise CircuitFormatError(
-            f"circuit acts on {doc.circuit.n_modes} modes, expected {expected} for this code"
-        )
-    for i, j in doc.substitutions:
-        if max(i, j) >= code.n_stabilizers:
-            raise CircuitFormatError(
-                f"substitution [{i}, {j}] is out of range for {code.n_stabilizers} generators"
-            )
-    decoder = doc.circuit if doc.role == "decoder" else invert(doc.circuit)
-    target = DecodedTarget(expected, pivot_base, code.n_stabilizers)
-
-    arrived = apply_circuit(decoder, apply_substitutions(working, doc.substitutions))
-    if not target.matches(arrived):
-        bad = next(
-            j for j, g in enumerate(arrived.generators) if g != target.generator(j)
-        )
-        raise VerificationFailure(
-            "decoded-form", f"generator {bad} arrives at {arrived.generators[bad]}"
-        )
-    print("decoded-form check: ok")
-
-    if not check_symplectic(circuit_matrix(doc.circuit)):
-        raise VerificationFailure("symplectic", "circuit_matrix breaks the fermionic pairing")
-    print("symplectic check: ok")
-
-    if not args.oracle:
-        print("oracle check: skipped (pass --oracle to run)")
-        return 0
-    n = doc.circuit.n_modes
-    if n > MAX_MODES:
-        raise VerificationFailure("oracle", f"needs at most {MAX_MODES} total modes, got {n}")
-    unitary = circuit_unitary(doc.circuit)
-    for m in range(n):
-        lhs = unitary @ dense_majorana(n, m) @ unitary.conj().T
-        image = conjugate_circuit(doc.circuit, MajoranaString.single_mode(n, m))
-        if not np.allclose(lhs, dense_monomial(image), atol=1e-9):
-            raise VerificationFailure("oracle", f"dense conjugation of mode {m} disagrees")
-    print(f"oracle check: ok ({n} modes, dimension {2 ** (n // 2)})")
+    for line in verify_document(code, doc, args.oracle):
+        print(line)
     return 0
 
 

@@ -69,7 +69,6 @@ __all__ = [
     "SynthesisResult",
     "synthesize_with_ancilla",
     "synthesize_ancilla_free",
-    "reset_ancilla_pair",
     "apply_substitutions",
     "destabilizers",
     "logical_representatives",
@@ -307,11 +306,14 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
     )
 
 
-def reset_ancilla_pair(decoder: Circuit, target: DecodedTarget) -> list[BraidGate]:
-    """Gates returning the ancilla pair's decoder image to modes (0, 1).
+def _reset_ancilla_image(
+    qb: int, qp: int, n: int, r: int
+) -> tuple[list[BraidGate], int, int]:
+    """The reset gates for the ancilla image (qb, qp), and the image after them.
 
-    Tracks q, the image of i c_0 c_1 under the decoder, and strips surplus
-    modes two at a time.  Every gate used has even overlap with every
+    (qb, qp) is the packed image of i c_0 c_1 under the decoder so far, on n
+    modes with r decoded pairs from mode 2.  The pass strips surplus modes
+    from it two at a time.  Every gate used has even overlap with every
     decoded generator pair, so the stabilizer table is untouched; only the
     Z4 phase riding on the ancilla pair can remain, and is left for the
     caller to report.
@@ -321,22 +323,6 @@ def reset_ancilla_pair(decoder: Circuit, target: DecodedTarget) -> list[BraidGat
     all-modes monomial), every pair-preserving gate has even overlap with q
     and the image is immovable; the pass then returns no gates and leaves q
     for the caller to report.
-    """
-    if target.pivot_base != 2:
-        raise ValueError("ancilla reset applies to the ancilla variant only")
-    qb, qp = 0b11, 1
-    for gate in decoder.gates:
-        qb, qp = _conjugate_raw(gate.support_mask, gate.generator_phase, qb, qp)
-    return _reset_ancilla_image(qb, qp, decoder.n_modes, target.r)[0]
-
-
-def _reset_ancilla_image(
-    qb: int, qp: int, n: int, r: int
-) -> tuple[list[BraidGate], int, int]:
-    """The reset gates for the ancilla image (qb, qp), and the image after them.
-
-    (qb, qp) is the packed image of i c_0 c_1 under the decoder so far, on n
-    modes with r decoded pairs from mode 2; see ``reset_ancilla_pair``.
     """
     log_start = 2 + 2 * r
     free_mask = 0b11 | (((1 << n) - 1) ^ ((1 << log_start) - 1))

@@ -20,7 +20,14 @@ from braidsynth.bitlinalg import (
     check_symplectic,
     symplectic_pairing,
 )
-from braidsynth.codes import kitaev_chain, random_circuit, random_code, shortest_code
+from braidsynth.cli import verify_document
+from braidsynth.codes import (
+    CircuitDocument,
+    kitaev_chain,
+    random_circuit,
+    random_code,
+    shortest_code,
+)
 from braidsynth.majorana import (
     BraidGate,
     Circuit,
@@ -28,13 +35,11 @@ from braidsynth.majorana import (
     _conjugate_raw,
     circuit_matrix,
     conjugate,
-    conjugate_circuit,
     gate_counts,
 )
-from braidsynth.oracle import circuit_unitary, conjugate_dense, dense_majorana, dense_monomial
+from braidsynth.oracle import circuit_unitary, conjugate_dense, dense_monomial
 from braidsynth.synth import (
     TotalParityObstruction,
-    apply_substitutions,
     destabilizers,
     synthesize_ancilla_free,
     synthesize_with_ancilla,
@@ -45,7 +50,6 @@ from braidsynth.tableau import (
     apply_circuit,
     contains_total_parity,
     in_normalizer,
-    prepend_ancilla_modes,
 )
 
 
@@ -56,11 +60,14 @@ def all_gates(n_modes):
                 yield BraidGate(kind, modes, direction)
 
 
+def decoder_document(result):
+    return CircuitDocument(result.decoder, result.ancilla_modes, result.substitutions, "decoder")
+
+
 def decoded_ok(code, result):
-    work = apply_substitutions(code, result.substitutions)
-    if result.ancilla_modes:
-        work = prepend_ancilla_modes(work)
-    return result.target.matches(apply_circuit(result.decoder, work))
+    """The decoder document passes `verify`; a failed check raises VerificationFailure."""
+    list(verify_document(code, decoder_document(result)))
+    return True
 
 
 @pytest.fixture(scope="module")
@@ -122,22 +129,17 @@ def test_shortest_code_end_to_end_with_ancilla():
     t0 = time.perf_counter()
     code = shortest_code()
     result = synthesize_with_ancilla(code)
-    n = result.total_modes
-    assert n == 14
+    assert result.total_modes == 14
 
-    work = prepend_ancilla_modes(apply_substitutions(code, result.substitutions))
-    arrived = apply_circuit(result.decoder, work)
-    assert result.target.matches(arrived)
-    assert all(g.phase_r == 1 for g in arrived.generators)
+    # decoded form (every generator at +i), pairing, and dense conjugation
+    # of every mode agreeing with the symbolic images
+    report = list(verify_document(code, decoder_document(result), oracle=True))
+    assert report[-1] == "oracle check: ok (14 modes, dimension 128)"
 
     unitary = circuit_unitary(result.decoder)
     assert unitary.shape == (128, 128)
     inverse = circuit_unitary(result.encoder)
     assert np.allclose(unitary @ inverse, np.eye(128), atol=1e-9)
-    for m in range(n):
-        lhs = unitary @ dense_majorana(n, m) @ unitary.conj().T
-        image = conjugate_circuit(result.decoder, MajoranaString.single_mode(n, m))
-        assert np.allclose(lhs, dense_monomial(image), atol=1e-9)
 
     assert result.ancilla_image.bits.indices() == (0, 1)
     assert result.ancilla_phase_r in (1, 3)

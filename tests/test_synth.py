@@ -1,5 +1,6 @@
 """Decoder synthesis: both variants, reporting fields, and failure modes."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,8 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidsynth.bitlinalg import symplectic_pairing
-from braidsynth.cli import main
-from braidsynth.codes import kitaev_chain, random_code, serialize_code, shortest_code
+from braidsynth.cli import VerificationFailure, main, verify_document
+from braidsynth.codes import (
+    CircuitDocument,
+    CircuitFormatError,
+    kitaev_chain,
+    random_code,
+    serialize_code,
+    shortest_code,
+)
 from braidsynth.majorana import (
     Circuit,
     MajoranaString,
@@ -25,17 +33,10 @@ from braidsynth.synth import (
     apply_substitutions,
     destabilizers,
     logical_representatives,
-    reset_ancilla_pair,
     synthesize_ancilla_free,
     synthesize_with_ancilla,
 )
-from braidsynth.tableau import (
-    DecodedTarget,
-    StabilizerCode,
-    apply_circuit,
-    contains_total_parity,
-    prepend_ancilla_modes,
-)
+from braidsynth.tableau import StabilizerCode, contains_total_parity
 
 
 def gens(n_modes, *rows):
@@ -45,12 +46,19 @@ def gens(n_modes, *rows):
 PARITY4 = StabilizerCode(4, gens(4, ((0, 1, 2, 3), 0)), name="parity4")
 
 
+def documents(result: SynthesisResult) -> list[CircuitDocument]:
+    """The decoder and the encoder document `braidsynth synth` would write."""
+    return [
+        CircuitDocument(circuit, result.ancilla_modes, result.substitutions, role)
+        for role, circuit in (("decoder", result.decoder), ("encoder", result.encoder))
+    ]
+
+
 def decoded_ok(code: StabilizerCode, result: SynthesisResult) -> bool:
-    """Replay the recorded basis changes and run the decoder on the code."""
-    work = apply_substitutions(code, result.substitutions)
-    if result.ancilla_modes:
-        work = prepend_ancilla_modes(work)
-    return result.target.matches(apply_circuit(result.decoder, work))
+    """Both documents pass `verify`; a failed check raises VerificationFailure."""
+    for doc in documents(result):
+        list(verify_document(code, doc))
+    return True
 
 
 def recomputed_sign_flips(result: SynthesisResult) -> tuple[int, ...]:
@@ -112,6 +120,27 @@ def test_shortest_code_with_ancilla():
     assert result.ancilla_phase_r == 3
     assert str(result.ancilla_image) == "-i c0 c1"
     check_reported_operators(code, result)
+
+
+def test_verify_document_is_the_cli_verifier():
+    code = shortest_code()
+    result = synthesize_with_ancilla(code)
+    for doc in documents(result):
+        assert list(verify_document(code, doc, oracle=True)) == [
+            "decoded-form check: ok",
+            "symplectic check: ok",
+            "oracle check: ok (14 modes, dimension 128)",
+        ]
+    decoder, encoder = documents(result)
+
+    short = Circuit(decoder.circuit.n_modes, decoder.circuit.gates[1:])
+    with pytest.raises(VerificationFailure) as failure:
+        list(verify_document(code, dataclasses.replace(decoder, circuit=short)))
+    assert failure.value.check == "decoded-form"
+
+    bad_sub = dataclasses.replace(encoder, substitutions=((0, code.n_stabilizers),))
+    with pytest.raises(CircuitFormatError, match="out of range"):
+        list(verify_document(code, bad_sub))
 
 
 def test_encoder_is_the_reversed_inverse():
@@ -234,11 +263,6 @@ def test_no_representatives_without_encoded_pairs():
     result = synthesize_with_ancilla(random_code(6, 3, seed=5))
     with pytest.raises(ValueError):
         logical_representatives(result)
-
-
-def test_reset_pass_requires_the_ancilla_layout():
-    with pytest.raises(ValueError):
-        reset_ancilla_pair(Circuit(4, ()), DecodedTarget(4, 0, 1))
 
 
 @settings(max_examples=40, deadline=None)
