@@ -6,10 +6,14 @@ full contract on each: the decoder and the encoder document pass
 ``verify_document`` (the verifier behind ``braidsynth verify``), gate count
 within the linear bound, reported operators pair correctly, ancilla reset
 as promised, and the ancilla-free obstruction raised exactly when it must
-be.  Every other code contains the total parity (``random_code`` reaches it
-only at r = N/2), so the pinned-image and obstruction branches are
-exercised too.  Prints one summary line; any violation trips an assert or
-raises ``VerificationFailure``, and a run of at least 50 codes that sees no
+be.  Every other code contains the total parity (scrambling decoded pairs
+reaches it only at r = N/2), so the pinned-image and obstruction branches
+are exercised too.  Half of the codes are scrambled by 4N random gates,
+so their rows look generic; the other half are sparse, the rows in
+shuffled order and scrambled by only N/2 gates, so many rows reach their
+sweep column untouched and the tableau reads them from its kept rows.
+Prints one summary line; any violation trips an assert or raises
+``VerificationFailure``, and a run of at least 50 codes that sees no
 pinned image or no obstruction exits non-zero.
 """
 
@@ -19,7 +23,7 @@ import sys
 
 from braidsynth.bitlinalg import symplectic_pairing
 from braidsynth.cli import verify_document
-from braidsynth.codes import CircuitDocument, random_circuit, random_code
+from braidsynth.codes import CircuitDocument, random_circuit
 from braidsynth.majorana import MajoranaString
 from braidsynth.synth import (
     PhaseCorrectionError,
@@ -37,15 +41,21 @@ from braidsynth.tableau import (
 )
 
 
-def total_parity_code(n, r, seed):
-    """A scrambled code with r >= 1 generators whose group contains the
-    all-modes parity: r - 1 decoded pairs and the parity of the other modes."""
+def total_parity_rows(n, r):
+    """r >= 1 rows whose group contains the all-modes parity: r - 1 decoded
+    pairs and the parity of the other modes."""
     rows = list(DecodedTarget(n, 0, r - 1).generators())
     tail = tuple(range(2 * (r - 1), n))
     w = len(tail)
     rows.append(MajoranaString.from_modes(n, tail, (w * (w - 1) // 2) % 2))
-    base = StabilizerCode(n, tuple(rows))
-    return apply_circuit(random_circuit(n, 3 * n, random.Random(seed)), base)
+    return rows
+
+
+def scrambled(n, rows, n_gates, rng):
+    """The rows in shuffled order, conjugated through n_gates random gates."""
+    rows = list(rows)
+    rng.shuffle(rows)
+    return apply_circuit(random_circuit(n, n_gates, rng), StabilizerCode(n, tuple(rows)))
 
 
 def check(code, result):
@@ -81,10 +91,12 @@ def main() -> None:
         seed = args.seed * 100_000 + idx
         if idx % 2:
             r = rng.randint(1, n // 2)
-            code = total_parity_code(n, r, seed)
+            rows = total_parity_rows(n, r)
         else:
             r = rng.randint(0, n // 2)
-            code = random_code(n, r, seed)
+            rows = rng.sample(DecodedTarget(n, 0, n // 2).generators(), r)
+        n_gates = n // 2 if idx % 4 >= 2 else 4 * n
+        code = scrambled(n, rows, n_gates, random.Random(seed))
         ptot = contains_total_parity(code)
         assert ptot or not idx % 2
 

@@ -134,17 +134,18 @@ def render_ascii(circuit: Circuit, ancilla_modes: tuple[int, ...] = ()) -> str:
     width = max(len(s) for s in labels)
     rows = [[f"{lab:<{width}} "] for lab in labels]
     footer = [" " * (width + 1)]
+    # cells are four shared string constants: a large diagram then holds one
+    # pointer per cell, not one new string
     for g in circuit.gates:
         lo, hi = g.modes[0], g.modes[-1]
-        sym = "O" if g.kind == "braid4" else "X"
+        mark = "-O-" if g.kind == "braid4" else "-X-"
         for m in range(circuit.n_modes):
             if m in g.modes:
-                c = sym
+                rows[m].append(mark)
             elif lo < m < hi:
-                c = "|"
+                rows[m].append("-|-")
             else:
-                c = "-"
-            rows[m].append(f"-{c}-")
+                rows[m].append("---")
         footer.append(" + " if g.direction == 1 else " - ")
     lines = ["".join(row) for row in rows]
     lines.append("".join(footer).rstrip())
@@ -179,8 +180,12 @@ def _builtin_code(selector: str) -> StabilizerCode:
     if selector == "shortest":
         return shortest_code()
     if selector.startswith("kitaev:"):
+        digits = selector.split(":", 1)[1]
         try:
-            n = int(selector.split(":", 1)[1])
+            # int() alone also takes a sign, spaces, underscores and non-ASCII digits
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(digits)
+            n = int(digits)  # ValueError past the interpreter's digit limit
         except ValueError as exc:
             raise CodeFormatError(f"bad builtin {selector!r}: kitaev:N needs an integer") from exc
         try:

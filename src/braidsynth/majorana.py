@@ -24,7 +24,10 @@ XORs.  The tableau is the one gate update shared by every multi-row path:
 ``circuit_matrix`` runs the N unit rows through it without phases, at
 O(|support|) per gate; ``tableau.apply_circuit`` runs the code generators
 with theirs; and the synthesis sweep keeps its working generators in one
-tableau for the whole run, reading and overwriting single rows at O(N).
+tableau for the whole run, reading and overwriting single rows.  The
+tableau keeps the rows it was built from and a mask of the rows gates
+have changed since, so a row no gate has touched reads back in O(1); a
+changed (dirty) row still costs an O(N) scan of the columns.
 ``conjugate_circuit`` stays the plain one-monomial fold.
 """
 
@@ -33,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .bitlinalg import BitMatrix, BitVec, _reorder_raw
+from .bitlinalg import BitMatrix, BitVec, _reorder_raw, _transpose_raw
 
 __all__ = [
     "MajoranaString",
@@ -69,17 +72,24 @@ class _ModeTableau:
     then costs O(|support| log N) big-int operations; without phases there
     is no tree and it costs O(|support|).  Applying a gate equals folding
     every row through ``_conjugate_raw``.
+
+    The tableau also keeps each row as the int it was built from or last
+    set to (rows), and dirty, an r-bit mask of the rows a gate has changed
+    since: each gate ORs in the rows it changes, one big-int OR.  A clean
+    row reads back from its kept int in O(1); only a dirty row is scanned
+    out of the columns.
     """
 
-    __slots__ = ("cols", "tree", "p0", "p1")
+    __slots__ = ("cols", "tree", "p0", "p1", "rows", "dirty")
 
-    def __init__(self, cols: list[int], phases: list[int] | None) -> None:
-        self.cols = cols
+    def __init__(self, rows: Iterable[int], n_modes: int, phases: list[int] | None) -> None:
+        self.rows = list(rows)
+        self.dirty = 0
+        self.cols = cols = _transpose_raw(self.rows, n_modes)
         self.tree: list[int] | None = None
         self.p0 = self.p1 = 0
         if phases is None:
             return
-        n_modes = len(cols)
         tree = [0] + cols
         for k in range(1, n_modes + 1):
             up = k + (k & -k)
@@ -98,6 +108,7 @@ class _ModeTableau:
             odd ^= cols[a]
         if not odd:
             return
+        self.dirty |= odd
         tree = self.tree
         if tree is not None:
             # Reorder parity of every row: XOR of the prefixes below each a.
@@ -135,18 +146,27 @@ class _ModeTableau:
         return [self.phase(i) for i in range(n_rows)]
 
     def row(self, i: int) -> tuple[int, int]:
-        """Row i's packed bits and phase exponent, at O(N)."""
+        """Row i's packed bits and phase exponent: O(1) while the row is
+        clean, an O(N) scan of the columns once a gate has changed it."""
+        if self.dirty >> i & 1:
+            return self._scan_row(i), self.phase(i)
+        return self.rows[i], self.phase(i)
+
+    def _scan_row(self, i: int) -> int:
+        """Row i's packed bits read out of the columns, one test per mode."""
         bit = 1 << i
         bits = 0
         for m, c in enumerate(self.cols):
             if c & bit:
                 bits |= 1 << m
-        return bits, self.phase(i)
+        return bits
 
     def set_row(self, i: int, bits: int, phase: int) -> None:
-        """Overwrite row i of a tableau that tracks phases.
+        """Overwrite row i of a tableau that tracks phases; the row is clean
+        afterwards.
 
-        Costs O(N) to read the old row plus O(log N) per changed mode.
+        Costs the read of the old row (O(1) clean, O(N) dirty) plus
+        O(log N) per changed mode.
         """
         cols, tree, n_modes, bit = self.cols, self.tree, len(self.cols), 1 << i
         diff = self.row(i)[0] ^ bits
@@ -159,6 +179,8 @@ class _ModeTableau:
             while k <= n_modes:
                 tree[k] ^= bit
                 k += k & -k
+        self.rows[i] = bits
+        self.dirty &= ~bit
         self.p0 = self.p0 & ~bit | (phase & 1) << i
         self.p1 = self.p1 & ~bit | (phase >> 1 & 1) << i
 
@@ -339,9 +361,10 @@ def circuit_matrix(circuit: Circuit) -> BitMatrix:
     # Gate matrices are symmetric, so the reversed circuit has the transposed
     # matrix; its mode-major tableau, started from the identity, therefore
     # holds this circuit's columns.
-    cols = [1 << j for j in range(circuit.n_modes)]
-    _ModeTableau(cols, None).run(reversed(circuit.gates))
-    return BitMatrix(circuit.n_modes, tuple(cols))
+    n = circuit.n_modes
+    tab = _ModeTableau([1 << j for j in range(n)], n, None)
+    tab.run(reversed(circuit.gates))
+    return BitMatrix(n, tuple(tab.cols))
 
 
 def gate_counts(circuit: Circuit) -> dict[str, int]:

@@ -13,7 +13,10 @@ for the whole run, so each emitted gate costs O(|support| log N) big-int
 operations however many generators there are.  The active generator is
 also kept as one packed int, folded through each gate, because the pivot
 logic reads its low bits; it is read out of the tableau at the start of
-its column (O(N)) and written back only by a change of generating set.
+its column and written back only by a change of generating set.  That read
+is O(1) when no earlier gate has touched the row (the tableau keeps its
+input rows and a mask of the rows gates have changed), and an O(N) scan
+of the columns when one has.
 The phase correction reads phases from the tableau's bit planes, and the
 final check compares the tableau with the decoded form in O(N).  Internal
 invariants raise ``SynthesisInvariantError``, so they also hold under
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitlinalg import BitVec, _lowest_bit, _pairing_raw, _transpose_raw
+from .bitlinalg import BitVec, _lowest_bit, _pairing_raw
 from .majorana import (
     BraidGate,
     Circuit,
@@ -154,9 +157,7 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
     # Every generator lives in one mode-major tableau; the active sweep row
     # is also kept row-major, because the pivot logic reads its low bits.
     gens = work.generators
-    tab = _ModeTableau(
-        _transpose_raw([g.bits.value for g in gens], n_work), [g.phase_r for g in gens]
-    )
+    tab = _ModeTableau([g.bits.value for g in gens], n_work, [g.phase_r for g in gens])
     row, row_phase = 0, 0
     gates: list[BraidGate] = []
     substitutions: list[tuple[int, int]] = []

@@ -147,7 +147,7 @@ def apply_circuit(circuit: Circuit, code: StabilizerCode) -> StabilizerCode:
     if circuit.n_modes != code.n_modes:
         raise ValueError("mode count mismatch")
     n, gens = code.n_modes, code.generators
-    tab = _ModeTableau(_transpose_raw([g.bits.value for g in gens], n), [g.phase_r for g in gens])
+    tab = _ModeTableau([g.bits.value for g in gens], n, [g.phase_r for g in gens])
     tab.run(circuit.gates)
     bits = _transpose_raw(tab.cols, len(gens))
     images = tuple(

@@ -1,17 +1,19 @@
 """End-to-end command-line behavior, one exit code at a time."""
 
 import json
+import random
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from braidsynth.cli import main, render_ascii
+from braidsynth.cli import _wire_labels, main, render_ascii
 from braidsynth.codes import (
     MAX_REGISTER_MODES,
     CircuitDocument,
     CircuitFormatError,
     parse_circuit,
+    random_circuit,
     random_code,
     serialize_circuit,
     serialize_code,
@@ -109,7 +111,6 @@ def test_obstructed_code_exits_2(capsys):
 def test_invalid_inputs_exit_1(capsys, tmp_path):
     cases = [
         ("synth", "--builtin", "nope"),
-        ("synth", "--builtin", "kitaev:x"),
         ("synth", "--builtin", "kitaev:0"),
         ("verify", "--builtin", "kitaev:1", str(tmp_path / "absent.circuit")),
         ("synth",),  # neither a file nor --builtin
@@ -119,6 +120,11 @@ def test_invalid_inputs_exit_1(capsys, tmp_path):
         rc, _, err = run(capsys, *argv)
         assert rc == 1, argv
         assert "invalid input" in err
+    # int() would read all but the first as a number
+    for selector in ("kitaev:x", "kitaev:+5", "kitaev: 5", "kitaev:1_0", "kitaev:\u0663"):
+        rc, _, err = run(capsys, "synth", "--builtin", selector)
+        assert rc == 1, selector
+        assert "kitaev:N needs an integer" in err
 
     bad = tmp_path / "bad.code"
     bad.write_text("{not json")
@@ -411,3 +417,30 @@ def test_diagram_matches_library_renderer(capsys, tmp_path):
     rc, out, _ = run(capsys, "diagram", str(circ))
     assert rc == 0
     assert out == render_ascii(doc.circuit, doc.ancilla_modes)
+
+
+def render_ascii_per_cell(circuit, ancilla_modes=()):
+    """The earlier renderer, which built a new 3-char string per wire per gate."""
+    labels = _wire_labels(circuit.n_modes, ancilla_modes)
+    if not circuit.gates:
+        return "\n".join(labels) + "\n"
+    width = max(len(s) for s in labels)
+    rows = [[f"{lab:<{width}} "] for lab in labels]
+    footer = [" " * (width + 1)]
+    for g in circuit.gates:
+        lo, hi = g.modes[0], g.modes[-1]
+        sym = "O" if g.kind == "braid4" else "X"
+        for m in range(circuit.n_modes):
+            c = sym if m in g.modes else "|" if lo < m < hi else "-"
+            rows[m].append(f"-{c}-")
+        footer.append(" + " if g.direction == 1 else " - ")
+    lines = ["".join(row) for row in rows]
+    lines.append("".join(footer).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def test_diagram_of_a_random_circuit_is_unchanged():
+    circuit = random_circuit(14, 80, random.Random(7))
+    assert {g.kind for g in circuit.gates} == {"braid2", "braid4"}
+    for ancilla in ((), (0, 1)):
+        assert render_ascii(circuit, ancilla) == render_ascii_per_cell(circuit, ancilla)

@@ -13,6 +13,7 @@ from braidsynth.codes import (
     CircuitDocument,
     CircuitFormatError,
     kitaev_chain,
+    random_circuit,
     random_code,
     serialize_code,
     shortest_code,
@@ -36,7 +37,7 @@ from braidsynth.synth import (
     synthesize_ancilla_free,
     synthesize_with_ancilla,
 )
-from braidsynth.tableau import StabilizerCode, contains_total_parity
+from braidsynth.tableau import DecodedTarget, StabilizerCode, apply_circuit, contains_total_parity
 
 
 def gens(n_modes, *rows):
@@ -241,6 +242,72 @@ def test_broken_tableau_raises_invariant_error(monkeypatch):
     code = StabilizerCode(4, gens(4, ((0, 1, 2, 3), 2)))
     with pytest.raises(SynthesisInvariantError, match="decoded form"):
         synthesize_with_ancilla(code)
+
+
+def synthesis_outcomes(code: StabilizerCode) -> list:
+    """Both variants' results, or the refusal each raised."""
+    out = []
+    for synth in (synthesize_with_ancilla, synthesize_ancilla_free):
+        try:
+            out.append(synth(code))
+        except (TotalParityObstruction, PhaseCorrectionError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def lightly_scrambled_code(n: int, r: int, seed: int) -> StabilizerCode:
+    """r decoded pairs in shuffled order, scrambled by only n/2 random gates,
+    so many rows reach their column before any gate has touched them."""
+    rng = random.Random(seed)
+    pairs = rng.sample(DecodedTarget(n, 0, n // 2).generators(), r)
+    return apply_circuit(random_circuit(n, n // 2, rng), StabilizerCode(n, tuple(pairs)))
+
+
+def counting_scans(monkeypatch) -> list[int]:
+    """Record the row index of every O(N) column scan of a tableau row."""
+    scans: list[int] = []
+    scan = _ModeTableau._scan_row
+
+    def counted(self, i):
+        scans.append(i)
+        return scan(self, i)
+
+    monkeypatch.setattr(_ModeTableau, "_scan_row", counted)
+    return scans
+
+
+def test_kept_rows_change_no_synthesis(monkeypatch):
+    """Synthesis with clean rows read from the tableau's kept ints equals
+    synthesis with every row scanned out of the columns."""
+    kitaev = kitaev_chain(40)
+    shuffled = random.Random(40).sample(kitaev.generators, kitaev.n_stabilizers)
+    light = [(12, 3), (16, 8), (20, 4), (30, 15), (40, 10)]
+    codes = [
+        shortest_code(),
+        StabilizerCode(kitaev.n_modes, tuple(shuffled)),
+        # the all-ones-tail borrow code: a substitution, so set_row runs
+        StabilizerCode(6, gens(6, ((0, 1), 1), ((2, 3, 4, 5), 2), ((2, 3), 1))),
+        *(lightly_scrambled_code(n, r, seed) for seed, (n, r) in enumerate(light)),
+    ]
+    scans = counting_scans(monkeypatch)
+    kept = [synthesis_outcomes(code) for code in codes]
+    kept_scans = len(scans)
+
+    monkeypatch.setattr(_ModeTableau, "row", lambda self, i: (self._scan_row(i), self.phase(i)))
+    scans.clear()
+    assert [synthesis_outcomes(code) for code in codes] == kept
+    assert kept_scans < len(scans)  # the kept rows served some reads
+    assert any(r.substitutions for out in kept for r in out if isinstance(r, SynthesisResult))
+
+
+def test_kitaev_1000_sweep_scans_no_row(monkeypatch):
+    """Every kitaev-chain gate changes only the active row, so each row the
+    sweep reads is still clean: no O(N) scan in either variant."""
+    scans = counting_scans(monkeypatch)
+    code = kitaev_chain(1000)
+    synthesize_with_ancilla(code)
+    synthesize_ancilla_free(code)
+    assert scans == []
 
 
 def test_apply_substitutions_multiplies_rows():

@@ -195,41 +195,89 @@ def test_apply_circuit_without_generators():
     assert apply_circuit(random_circuit(8, 20, random.Random(3)), empty) == empty
 
 
+def check_every_row(tab, bits, phases, seen):
+    """Every row reads back as the fold, through row() and through the
+    column scan, and every row outside dirty still equals its kept int."""
+    for i, (b, ph) in enumerate(zip(bits, phases)):
+        assert tab.row(i) == (b, ph)
+        assert tab._scan_row(i) == b
+        dirty = tab.dirty >> i & 1
+        seen.add(dirty)
+        if not dirty:
+            assert tab.rows[i] == b
+
+
+def sparse_rows_and_gates(n, rng):
+    """A few weight-2 rows on shuffled disjoint pairs, and gates that mostly
+    miss them, so some rows stay clean while others go dirty."""
+    modes = rng.sample(range(n), n)
+    bits = [(1 << modes[2 * i]) | (1 << modes[2 * i + 1]) for i in range(5)]
+    used, free = modes[:10], modes[10:]
+    gates = edge_gates(n, rng)
+    for _ in range(40):
+        if rng.random() < 0.15:
+            support = (rng.choice(used), rng.choice(free))
+        else:
+            support = tuple(rng.sample(free, 2 if rng.random() < 0.5 else 4))
+        kind = "braid2" if len(support) == 2 else "braid4"
+        gates.append(BraidGate(kind, tuple(sorted(support)), rng.choice((1, -1))))
+    return bits, gates
+
+
+def run_rows_against_the_fold(n, bits, gates, rng):
+    """Apply the gates, and a random set_row after each, to a tableau and
+    to a row-major list folded through _conjugate_raw; every row must agree
+    after every step.  Returns the dirty states the reads saw."""
+    phases = [rng.randrange(4) for _ in bits]
+    tab = _ModeTableau(bits, n, list(phases))
+    seen: set[int] = set()
+    check_every_row(tab, bits, phases, seen)
+    for gate in gates:
+        tab.apply(gate)
+        for i, (b, ph) in enumerate(zip(bits, phases)):
+            bits[i], phases[i] = _conjugate_raw(gate.support_mask, gate.generator_phase, b, ph)
+        check_every_row(tab, bits, phases, seen)
+        i, j = rng.randrange(len(bits)), rng.randrange(len(bits))
+        if i != j:
+            bits[i], phases[i] = _multiply_raw(bits[i], phases[i], bits[j], phases[j])
+            tab.set_row(i, bits[i], phases[i])
+            assert not tab.dirty >> i & 1
+            check_every_row(tab, bits, phases, seen)
+    assert tab.cols == _transpose_raw(bits, n)
+    assert tab.phases(len(bits)) == phases
+    return seen
+
+
 @pytest.mark.parametrize("n", [2, 6, 66])
 def test_mode_tableau_rows_follow_the_row_major_fold(n):
     """Reading, overwriting and updating single rows of the mode-major
     tableau agrees with a row-major list folded through _conjugate_raw."""
     rng = random.Random(2000 + n)
     bits = [rng.getrandbits(n) for _ in range(rng.randint(1, 2 * n))]
-    phases = [rng.randrange(4) for _ in bits]
-    tab = _ModeTableau(_transpose_raw(bits, n), list(phases))
-    for gate in edge_gates(n, rng) + list(random_circuit(n, 60, rng).gates):
-        tab.apply(gate)
-        for i, (b, ph) in enumerate(zip(bits, phases)):
-            bits[i], phases[i] = _conjugate_raw(gate.support_mask, gate.generator_phase, b, ph)
-        i, j = rng.randrange(len(bits)), rng.randrange(len(bits))
-        assert tab.row(i) == (bits[i], phases[i])
-        if i != j:
-            bits[i], phases[i] = _multiply_raw(bits[i], phases[i], bits[j], phases[j])
-            tab.set_row(i, bits[i], phases[i])
-    assert tab.cols == _transpose_raw(bits, n)
-    assert tab.phases(len(bits)) == phases
+    gates = edge_gates(n, rng) + list(random_circuit(n, 60, rng).gates)
+    run_rows_against_the_fold(n, bits, gates, rng)
+
+
+@pytest.mark.parametrize("n", [64, 90])
+def test_mode_tableau_sparse_rows_read_clean_and_dirty(n):
+    """Sparse rows under gates that mostly miss them: reads take both the
+    kept-int path (clean rows) and the column scan (dirty rows), and agree
+    with the fold either way."""
+    rng = random.Random(3000 + n)
+    bits, gates = sparse_rows_and_gates(n, rng)
+    assert run_rows_against_the_fold(n, bits, gates, rng) == {0, 1}
 
 
 def test_mode_tableau_decoded_form_check():
     for pivot_base, n, r in ((0, 6, 3), (2, 8, 2), (0, 4, 0)):
         target = DecodedTarget(n, pivot_base, r).generators()
         rows = [g.bits.value for g in target]
-        assert _ModeTableau(_transpose_raw(rows, n), [1] * r).is_decoded(pivot_base, r)
+        assert _ModeTableau(rows, n, [1] * r).is_decoded(pivot_base, r)
         if r:
-            assert not _ModeTableau(_transpose_raw(rows, n), [1] * (r - 1) + [3]).is_decoded(
-                pivot_base, r
-            )
+            assert not _ModeTableau(rows, n, [1] * (r - 1) + [3]).is_decoded(pivot_base, r)
             for extra in (1, 1 << (n - 1)):
                 moved = rows[:-1] + [rows[-1] ^ extra]
-                assert not _ModeTableau(_transpose_raw(moved, n), [1] * r).is_decoded(
-                    pivot_base, r
-                )
+                assert not _ModeTableau(moved, n, [1] * r).is_decoded(pivot_base, r)
 
 
 @pytest.mark.parametrize(
