@@ -227,6 +227,12 @@ def serialize_code(code: StabilizerCode) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+_GATE_KEYS = frozenset(("kind", "modes", "direction"))
+# Mode lists of plain ints with a gate's length; any other passes _int one
+# mode at a time, which raises on the first that is not an integer.
+_INT_MODES = frozenset(((int, int), (int, int, int, int)))
+
+
 def parse_circuit(text: str) -> CircuitDocument:
     """Parse a strict JSON circuit document."""
     err = CircuitFormatError
@@ -262,26 +268,35 @@ def parse_circuit(text: str) -> CircuitDocument:
         subs.append((i, j))
     if not isinstance(doc["gates"], list):
         raise err("gates must be a list")
+    # The gate loop builds a message only when a check fails: the checks
+    # are the same for every gate, and a document may hold tens of
+    # thousands of them.
     gates = []
     for g, entry in enumerate(doc["gates"]):
-        where = f"gate {g}"
         if not isinstance(entry, dict):
-            raise err(f"{where} must be an object")
-        _require_keys(entry, {"kind", "modes", "direction"}, set(), where, err)
+            raise err(f"gate {g} must be an object")
+        if entry.keys() != _GATE_KEYS:
+            _require_keys(entry, _GATE_KEYS, set(), f"gate {g}", err)
         kind = entry["kind"]
         if kind not in ("braid2", "braid4"):
-            raise err(f"{where}: kind must be 'braid2' or 'braid4'")
+            raise err(f"gate {g}: kind must be 'braid2' or 'braid4'")
         modes = entry["modes"]
         if not isinstance(modes, list):
-            raise err(f"{where}: modes must be a list")
-        modes = tuple(_int(m, f"{where} mode must be an integer", err) for m in modes)
-        direction = _int(entry["direction"], f"{where} direction must be an integer", err)
+            raise err(f"gate {g}: modes must be a list")
+        modes = tuple(modes)
+        if tuple(map(type, modes)) not in _INT_MODES:
+            for m in modes:
+                _int(m, f"gate {g} mode must be an integer", err)
+        direction = entry["direction"]
+        if type(direction) is not int:
+            _int(direction, f"gate {g} direction must be an integer", err)
         try:
             gate = BraidGate(kind, modes, direction)
         except ValueError as exc:
-            raise err(f"{where}: {exc}") from exc
-        if gate.modes[-1] >= n_modes:
-            raise err(f"{where}: mode out of range 0..{n_modes - 1}")
+            raise err(f"gate {g}: {exc}") from exc
+        # Only after this check is anything sized by the modes built.
+        if modes[-1] >= n_modes:
+            raise err(f"gate {g}: mode out of range 0..{n_modes - 1}")
         gates.append(gate)
     return CircuitDocument(Circuit(n_modes, tuple(gates)), ancilla, tuple(subs), role)
 

@@ -29,11 +29,16 @@ tableau keeps the rows it was built from and a mask of the rows gates
 have changed since, so a row no gate has touched reads back in O(1); a
 changed (dirty) row still costs an O(N) scan of the columns.
 ``conjugate_circuit`` stays the plain one-monomial fold.
+
+A gate is validated once, by the ``BraidGate`` constructor, where its data
+is new: a parsed document or a synthesis step.  ``BraidGate.inverse`` (and
+so ``invert``) builds its gate without a second check, since flipping the
+direction of a valid gate cannot make it invalid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
 from .bitlinalg import BitMatrix, BitVec, _reorder_raw, _transpose_raw
@@ -99,6 +104,17 @@ class _ModeTableau:
         for i, ph in enumerate(phases):
             self.p0 |= (ph & 1) << i
             self.p1 |= (ph >> 1 & 1) << i
+
+    @classmethod
+    def identity(cls, n_modes: int) -> _ModeTableau:
+        """The N unit rows without phases.  The identity is its own
+        transpose, so its columns are built directly, not transposed."""
+        tab = cls.__new__(cls)
+        tab.rows = [1 << j for j in range(n_modes)]
+        tab.cols = tab.rows.copy()
+        tab.dirty = tab.p0 = tab.p1 = 0
+        tab.tree = None
+        return tab
 
     def apply(self, gate: BraidGate) -> None:
         """Conjugate every row by the gate."""
@@ -249,13 +265,46 @@ _SUPPORT_SIZE = {"braid2": 2, "braid4": 4}
 
 @dataclass(frozen=True, slots=True)
 class BraidGate:
-    """A quadratic or quartic braid on a sorted tuple of distinct modes."""
+    """A quadratic or quartic braid on a sorted tuple of distinct modes.
+
+    The constructor validates every gate, with one chained comparison when
+    the gate is valid; ``inverse()`` is not validated again, because
+    negating the direction of a valid gate gives a valid gate.
+    generator_phase is computed with the check, and support_mask, whose
+    size grows with the highest mode, on first use and then kept: a gate
+    may name a mode far outside any register until a range check rejects
+    it.  Neither takes part in equality, hashing or repr.
+    """
 
     kind: GateKind
     modes: tuple[int, ...]
     direction: int = 1
+    # phase exponent r' of the gate generator ``i^{r'} [support]``
+    generator_phase: int = field(init=False, repr=False, compare=False)
+    _mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        """One chained comparison passes a valid gate; anything else goes
+        through _check, which raises the message of the first failed check."""
+        kind, modes, direction = self.kind, self.modes, self.direction
+        try:
+            if kind == "braid2":
+                valid = len(modes) == 2 and 0 <= modes[0] < modes[1]
+            else:
+                valid = (
+                    kind == "braid4"
+                    and len(modes) == 4
+                    and 0 <= modes[0] < modes[1] < modes[2] < modes[3]
+                )
+        except (TypeError, ValueError):  # unorderable modes: _check decides
+            valid = False
+        if not (valid and (direction == 1 or direction == -1)):
+            self._check()
+        _set_phase(self, (kind == "braid2") + (0 if direction == 1 else 2))
+        _set_mask(self, 0)
+
+    def _check(self) -> None:
+        """The checks one by one, raising the first that fails."""
         if self.kind not in _SUPPORT_SIZE:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if len(self.modes) != _SUPPORT_SIZE[self.kind]:
@@ -269,24 +318,37 @@ class BraidGate:
 
     @property
     def support_mask(self) -> int:
-        mask = 0
-        for m in self.modes:
-            mask |= 1 << m
+        mask = self._mask
+        if not mask:
+            for m in self.modes:
+                mask |= 1 << m
+            _set_mask(self, mask)
         return mask
 
-    @property
-    def generator_phase(self) -> int:
-        """Phase exponent r' of the gate generator ``i^{r'} [support]``."""
-        base = 1 if self.kind == "braid2" else 0
-        return base if self.direction == 1 else base + 2
-
     def inverse(self) -> BraidGate:
-        return BraidGate(self.kind, self.modes, -self.direction)
+        """The same support, the other direction; built without a check."""
+        inv = _new_gate(BraidGate)
+        _set_kind(inv, self.kind)
+        _set_modes(inv, self.modes)
+        _set_direction(inv, -self.direction)
+        _set_phase(inv, self.generator_phase ^ 2)
+        _set_mask(inv, self._mask)
+        return inv
 
     def __str__(self) -> str:
         tag = "B2" if self.kind == "braid2" else "B4"
         sign = "+" if self.direction == 1 else "-"
         return f"{tag} {sign}({','.join(map(str, self.modes))})"
+
+
+# The frozen gate's slots, written directly: __post_init__ and support_mask
+# set the cached fields, and inverse() builds a gate from one already checked.
+_new_gate = object.__new__
+_set_kind = BraidGate.kind.__set__  # type: ignore[attr-defined]
+_set_modes = BraidGate.modes.__set__  # type: ignore[attr-defined]
+_set_direction = BraidGate.direction.__set__  # type: ignore[attr-defined]
+_set_phase = BraidGate.generator_phase.__set__  # type: ignore[attr-defined]
+_set_mask = BraidGate._mask.__set__  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True, slots=True)
@@ -362,7 +424,7 @@ def circuit_matrix(circuit: Circuit) -> BitMatrix:
     # matrix; its mode-major tableau, started from the identity, therefore
     # holds this circuit's columns.
     n = circuit.n_modes
-    tab = _ModeTableau([1 << j for j in range(n)], n, None)
+    tab = _ModeTableau.identity(n)
     tab.run(reversed(circuit.gates))
     return BitMatrix(n, tuple(tab.cols))
 

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from braidsynth.cli import main
 from braidsynth.codes import (
+    CircuitFormatError,
     CodeFormatError,
     kitaev_chain,
+    parse_circuit,
     parse_code,
     random_circuit,
     random_code,
@@ -156,3 +159,65 @@ def test_parse_accepts_a_plain_document():
     )
     assert code.name == "pair"
     assert code.generators == (MajoranaString.from_modes(4, (0, 1), 1),)
+
+
+def circuit_text(*gates, n_modes=4):
+    return json.dumps(
+        {"format_version": 1, "n_modes": n_modes, "ancilla_modes": [], "gates": list(gates)}
+    )
+
+
+def gate(kind="braid2", modes=(0, 1), direction=1):
+    return {"kind": kind, "modes": list(modes), "direction": direction}
+
+
+def test_parse_circuit_gate_messages():
+    """Every per-gate message, word for word, and which check reports when
+    a gate breaks several."""
+    cases = [
+        ([gate(), [0, 1]], "gate 1 must be an object"),
+        ([{"kind": "braid2", "modes": [0, 1]}], "gate 0 is missing ['direction']"),
+        ([{**gate(), "x": 0}], "gate 0 has unknown keys ['x']"),
+        ([gate(kind="braid3")], "gate 0: kind must be 'braid2' or 'braid4'"),
+        ([gate(kind=["braid2"])], "gate 0: kind must be 'braid2' or 'braid4'"),
+        ([{**gate(), "modes": "01"}], "gate 0: modes must be a list"),
+        ([gate(modes=(0, True))], "gate 0 mode must be an integer"),
+        ([gate(modes=(0, 1.0))], "gate 0 mode must be an integer"),
+        ([gate(direction=True)], "gate 0 direction must be an integer"),
+        ([gate(direction="1")], "gate 0 direction must be an integer"),
+        ([gate(modes=(0, 1, 2))], "gate 0: braid2 needs 2 modes"),
+        ([gate(kind="braid4")], "gate 0: braid4 needs 4 modes"),
+        ([gate(modes=(-1, 0))], "gate 0: modes must be nonnegative"),
+        ([gate(modes=(1, 1))], "gate 0: modes must be strictly ascending"),
+        ([gate(direction=0)], "gate 0: direction must be +1 or -1"),
+        ([gate(modes=(0, 4))], "gate 0: mode out of range 0..3"),
+        # several failures in one gate: the earlier check reports
+        ([{"kind": "braid3", "modes": 5}], "gate 0 is missing ['direction']"),
+        ([{**gate(kind="braid3"), "modes": 5}], "gate 0: kind must be 'braid2' or 'braid4'"),
+        ([gate(modes=(0, "1"), direction="x")], "gate 0 mode must be an integer"),
+        ([gate(modes=(1, 0), direction=2)], "gate 0: modes must be strictly ascending"),
+        ([gate(modes=(0, 9), direction=2)], "gate 0: direction must be +1 or -1"),
+        ([gate(modes=(1, -1))], "gate 0: modes must be nonnegative"),
+        ([gate(modes=(0, 9)), gate(kind="braid3")], "gate 0: mode out of range 0..3"),
+    ]
+    for gates, message in cases:
+        with pytest.raises(CircuitFormatError) as exc:
+            parse_circuit(circuit_text(*gates))
+        assert str(exc.value) == message, gates
+
+
+@pytest.mark.parametrize("mode", [10**12, 172_685_231_650])
+def test_far_out_of_range_mode_is_rejected_by_range(mode, tmp_path, capsys):
+    """A mode far outside the register is a range error, reported before
+    anything sized by the mode (such as its support mask) is built."""
+    text = circuit_text(gate(modes=(0, mode)), gate(kind="braid4", modes=(1, 2, 3, mode)))
+    with pytest.raises(CircuitFormatError) as exc:
+        parse_circuit(text)
+    assert str(exc.value) == "gate 0: mode out of range 0..3"
+    circuit = tmp_path / "far.circuit"
+    circuit.write_text(text)
+    assert main(["verify", "--builtin", "kitaev:2", str(circuit)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ") and "mode out of range" in captured.err
+    assert captured.err.count("\n") == 1

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from braidsynth.bitlinalg import BitMatrix, BitVec, check_symplectic
+from braidsynth.codes import random_circuit
 from braidsynth.majorana import (
     BraidGate,
     Circuit,
@@ -219,18 +220,47 @@ def test_circuit_matrix_is_symplectic(seed):
 
 
 def test_braid_gate_validation():
-    with pytest.raises(ValueError):
-        BraidGate("braid3", (0, 1))
-    with pytest.raises(ValueError):
-        BraidGate("braid2", (0, 1, 2))
-    with pytest.raises(ValueError):
-        BraidGate("braid2", (1, 0))
-    with pytest.raises(ValueError):
-        BraidGate("braid2", (0, 0))
-    with pytest.raises(ValueError):
-        BraidGate("braid2", (-1, 0))
-    with pytest.raises(ValueError):
-        BraidGate("braid2", (0, 1), 2)
+    """Each failure has one exact message; when several apply, the first
+    check in the order kind, length, sign, ascent, direction wins."""
+    cases = [
+        (("braid3", (0, 1)), "unknown gate kind 'braid3'"),
+        (("braid2", (0, 1, 2)), "braid2 needs 2 modes"),
+        (("braid4", (0, 1)), "braid4 needs 4 modes"),
+        (("braid2", (-1, 0)), "modes must be nonnegative"),
+        (("braid4", (0, 1, 2, -3)), "modes must be nonnegative"),
+        (("braid2", (1, 0)), "modes must be strictly ascending"),
+        (("braid2", (0, 0)), "modes must be strictly ascending"),
+        (("braid4", (0, 2, 1, 3)), "modes must be strictly ascending"),
+        (("braid2", (0, 1), 2), "direction must be +1 or -1"),
+        (("braid4", (0, 1, 2, 3), 0), "direction must be +1 or -1"),
+        # two failures at once: the earlier check reports
+        (("braid2", (1, -1)), "modes must be nonnegative"),
+        (("braid3", (0, 1, 2)), "unknown gate kind 'braid3'"),
+        (("braid4", (-1, 0)), "braid4 needs 4 modes"),
+        (("braid2", (1, 0), 2), "modes must be strictly ascending"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as exc:
+            BraidGate(*args)
+        assert str(exc.value) == message, args
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inverse_equals_the_validated_negated_gate(seed):
+    """inverse() skips the constructor's check; it must build exactly the
+    gate the constructor would, cached values included."""
+    c = random_circuit(40, 200, random.Random(seed))
+    for k, g in enumerate(c.gates):
+        if k % 2:
+            g.support_mask  # half the gates carry a computed mask into inverse()
+        inv = g.inverse()
+        fresh = BraidGate(g.kind, g.modes, -g.direction)
+        assert inv == fresh and hash(inv) == hash(fresh)
+        assert str(inv) == str(fresh) and repr(inv) == repr(fresh)
+        assert inv.support_mask == fresh.support_mask
+        assert inv.generator_phase == fresh.generator_phase
+        assert inv.inverse() == g and inv.inverse().generator_phase == g.generator_phase
+    assert invert(invert(c)) == c
 
 
 def test_circuit_checks_gate_range():
