@@ -251,6 +251,8 @@ def parse_circuit(text: str) -> CircuitDocument:
     if doc["ancilla_modes"] not in ([], [0, 1]):
         raise err(bad_ancilla)
     ancilla = tuple(_int(m, bad_ancilla, err) for m in doc["ancilla_modes"])
+    if ancilla and n_modes < 2:
+        raise err(f"ancilla_modes [0, 1] need at least 2 modes, got n_modes {n_modes}")
     role = doc.get("role", "decoder")
     if role not in ("encoder", "decoder"):
         raise err("role must be 'encoder' or 'decoder'")

@@ -202,12 +202,14 @@ class _ModeTableau:
 
     def is_decoded(self, pivot_base: int, n_rows: int) -> bool:
         """True iff row j is exactly i c_p c_(p+1), p = pivot_base + 2j, for
-        every j < n_rows and no other row holds a mode; O(N) comparisons."""
+        every j < n_rows; rows from n_rows on are not read.  O(N)
+        comparisons."""
         end = pivot_base + 2 * n_rows
+        mask = (1 << n_rows) - 1
         for m, c in enumerate(self.cols):
-            if c != (1 << ((m - pivot_base) >> 1) if pivot_base <= m < end else 0):
+            if c & mask != (1 << ((m - pivot_base) >> 1) if pivot_base <= m < end else 0):
                 return False
-        return self.p0 == (1 << n_rows) - 1 and self.p1 == 0
+        return self.p0 & mask == mask and not self.p1 & mask
 
 
 def _multiply_raw(abits: int, aphase: int, bbits: int, bphase: int) -> tuple[int, int]:

@@ -23,12 +23,15 @@ invariants raise ``SynthesisInvariantError``, so they also hold under
 ``python -O``.
 
 The ancilla variant adjoins a fresh mode pair at indices 0 and 1; mode 0
-serves as the always-available parking slot for quartic shrinking, and the
-pair is swept back to (0, 1) at the end when that is possible at all.  (It
-is not when the stabilizer group contains the total parity: every braid
-fixes the all-modes monomial, which pins the ancilla pair's image to the
-global parity times decoded generators, an operator no pair-preserving
-gate can move.  The residual image is reported instead of hidden.)  The
+serves as the always-available parking slot for quartic shrinking.  The
+image of i c_0 c_1 is one more row of the tableau, row r, so every gate
+folds it along with the generators.  At the end a reset pass reads that
+row and sweeps it back to (0, 1), emitting its gates through the same
+``emit`` as the sweep, when that is possible at all.  (It is not when the
+stabilizer group contains the total parity: every braid fixes the
+all-modes monomial, which pins the ancilla pair's image to the global
+parity times decoded generators, an operator no pair-preserving gate can
+move.  The residual image is reported instead of hidden.)  The
 ancilla-free variant parks on a zero row below the pivot, falling back to
 a recorded change of generating set (a pre-multiplication, not a gate)
 when no zero row exists; it must reject codes whose stabilizer group
@@ -99,7 +102,8 @@ class SynthesisResult:
     """A synthesized decoder plus the bookkeeping needed to interpret it.
 
     decoder conjugates the (ancilla-extended, substitution-adjusted) code to
-    the decoded target; encoder is its exact gate-for-gate inverse.
+    the decoded target; encoder is its exact gate-for-gate inverse, built
+    on each access and not stored.
     substitutions lists generating-set changes (i, j) meaning generator i
     was pre-multiplied by generator j.  correction_span is the decoder gate
     index range holding the doubled phase-correction braids.  For the
@@ -114,7 +118,6 @@ class SynthesisResult:
     """
 
     decoder: Circuit
-    encoder: Circuit
     total_modes: int
     ancilla_modes: tuple[int, ...]
     target: DecodedTarget
@@ -123,6 +126,10 @@ class SynthesisResult:
     ancilla_phase_r: int | None
     ancilla_image: MajoranaString | None
     correction_span: tuple[int, int]
+
+    @property
+    def encoder(self) -> Circuit:
+        return invert(self.decoder)
 
 
 def synthesize_with_ancilla(code: StabilizerCode) -> SynthesisResult:
@@ -142,6 +149,8 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         work = prepend_ancilla_modes(code)
         pivot_base = 2
         ancilla_modes: tuple[int, ...] = (0, 1)
+        # row r of the tableau: the image of i c_0 c_1, which every gate folds
+        seed: tuple[MajoranaString, ...] = (MajoranaString.from_modes(work.n_modes, (0, 1), 1),)
     else:
         if contains_total_parity(code) and r < code.n_modes // 2:
             raise TotalParityObstruction(
@@ -151,12 +160,13 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         work = code
         pivot_base = 0
         ancilla_modes = ()
+        seed = ()
     n_work = work.n_modes
     full = (1 << n_work) - 1
 
     # Every generator lives in one mode-major tableau; the active sweep row
     # is also kept row-major, because the pivot logic reads its low bits.
-    gens = work.generators
+    gens = work.generators + seed
     tab = _ModeTableau([g.bits.value for g in gens], n_work, [g.phase_r for g in gens])
     row, row_phase = 0, 0
     gates: list[BraidGate] = []
@@ -278,24 +288,52 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
     ancilla_phase: int | None = None
     ancilla_image: MajoranaString | None = None
     if use_ancilla:
-        qb, qp = 0b11, 1
-        for gate in gates:
-            qb, qp = _conjugate_raw(gate.support_mask, gate.generator_phase, qb, qp)
-        reset, qb, qp = _reset_ancilla_image(qb, qp, n_work, r)
-        for gate in reset:
-            tab.apply(gate)
-        gates.extend(reset)
-        ancilla_image = MajoranaString(BitVec(n_work, qb), qp)
-        if qb == 0b11:
-            ancilla_phase = qp
+        # ---- reset: strip surplus modes from the ancilla image, row r ----
+        # Every gate has even overlap with every decoded pair, so the rows
+        # below r stay decoded; only the Z4 phase riding on the ancilla pair
+        # can remain, and it is reported, not corrected.  When the image
+        # covers every free mode (exactly when the stabilizer group contains
+        # the total parity, since braids fix the all-modes monomial), every
+        # pair-preserving gate has even overlap with it: the image is rigid
+        # and is reported as it stands.
+        row, row_phase = tab.row(r)
+        free_mask = 0b11 | (full ^ ((1 << log_start) - 1))
+        while row != 0b11 and free_mask & ~row:
+            if not row & 1:
+                # bring mode 0 into the image first (it meets the ancilla and
+                # logical region in a nonzero even set, by independence from
+                # the pairs)
+                emit("braid2", (0, _lowest_bit(row & free_mask)))
+                continue
+            surplus = row ^ 1
+            if surplus.bit_count() == 1:
+                emit("braid2", (1, _lowest_bit(surplus)))
+                continue
+            removal: tuple[int, int] | None = None
+            for j in range(r):
+                pair_mask = 0b11 << (2 + 2 * j)
+                if row & pair_mask == pair_mask:
+                    removal = (2 + 2 * j, 3 + 2 * j)
+                    break
+            if removal is None:
+                fs = row & free_mask & ~1
+                a = _lowest_bit(fs)
+                removal = (a, _lowest_bit(fs ^ (1 << a)))
+            z_pool = free_mask & ~row & ~1
+            if not z_pool:
+                raise SynthesisInvariantError("ancilla reset needs a free mode outside the image")
+            z = _lowest_bit(z_pool)
+            emit("braid4", (0, removal[0], removal[1], z))
+            emit("braid2", (0, z))
+        ancilla_image = MajoranaString(BitVec(n_work, row), row_phase)
+        if row == 0b11:
+            ancilla_phase = row_phase
 
     if not tab.is_decoded(pivot_base, r):
         raise SynthesisInvariantError("the generators did not reach the decoded form")
 
-    decoder = Circuit(n_work, tuple(gates))
     return SynthesisResult(
-        decoder=decoder,
-        encoder=invert(decoder),
+        decoder=Circuit(n_work, tuple(gates)),
         total_modes=n_work,
         ancilla_modes=ancilla_modes,
         target=target,
@@ -305,65 +343,6 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         ancilla_image=ancilla_image,
         correction_span=correction_span,
     )
-
-
-def _reset_ancilla_image(
-    qb: int, qp: int, n: int, r: int
-) -> tuple[list[BraidGate], int, int]:
-    """The reset gates for the ancilla image (qb, qp), and the image after them.
-
-    (qb, qp) is the packed image of i c_0 c_1 under the decoder so far, on n
-    modes with r decoded pairs from mode 2.  The pass strips surplus modes
-    from it two at a time.  Every gate used has even overlap with every
-    decoded generator pair, so the stabilizer table is untouched; only the
-    Z4 phase riding on the ancilla pair can remain, and is left for the
-    caller to report.
-
-    When q covers the whole non-pair region (which happens exactly when the
-    stabilizer group contains the total parity, since braids fix the
-    all-modes monomial), every pair-preserving gate has even overlap with q
-    and the image is immovable; the pass then returns no gates and leaves q
-    for the caller to report.
-    """
-    log_start = 2 + 2 * r
-    free_mask = 0b11 | (((1 << n) - 1) ^ ((1 << log_start) - 1))
-    out: list[BraidGate] = []
-
-    def step(kind: str, modes: tuple[int, ...]) -> None:
-        nonlocal qb, qp
-        gate = BraidGate(kind, tuple(sorted(modes)))
-        out.append(gate)
-        qb, qp = _conjugate_raw(gate.support_mask, gate.generator_phase, qb, qp)
-
-    while qb != 0b11:
-        if free_mask & ~qb == 0:
-            break  # image covers every free mode: rigid, see docstring
-        if not qb & 1:
-            # bring mode 0 into the image first (q meets the ancilla/logical
-            # region in a nonzero even set, by independence from the pairs)
-            step("braid2", (0, _lowest_bit(qb & free_mask)))
-            continue
-        surplus = qb ^ 1
-        if surplus.bit_count() == 1:
-            step("braid2", (1, _lowest_bit(surplus)))
-            continue
-        removal: tuple[int, int] | None = None
-        for j in range(r):
-            pair_mask = 0b11 << (2 + 2 * j)
-            if qb & pair_mask == pair_mask:
-                removal = (2 + 2 * j, 3 + 2 * j)
-                break
-        if removal is None:
-            fs = qb & free_mask & ~1
-            a = _lowest_bit(fs)
-            removal = (a, _lowest_bit(fs ^ (1 << a)))
-        z_pool = free_mask & ~qb & ~1
-        if not z_pool:
-            raise SynthesisInvariantError("ancilla reset needs a free mode outside the image")
-        z = _lowest_bit(z_pool)
-        step("braid4", (0, removal[0], removal[1], z))
-        step("braid2", (0, z))
-    return out, qb, qp
 
 
 def apply_substitutions(
@@ -376,8 +355,9 @@ def apply_substitutions(
     return StabilizerCode(code.n_modes, tuple(gens), code.name)
 
 
-def _encoder_image(result: SynthesisResult, mode: int) -> MajoranaString:
-    """Encoder image of a decoded-frame mode, reduced to the user register.
+def _encoder_image(result: SynthesisResult, encoder: Circuit, mode: int) -> MajoranaString:
+    """Encoder image of a decoded-frame mode, reduced to the user register;
+    encoder is result.encoder, built once by the caller.
 
     If the mode pairs oddly with the ancilla pair's decoder image (possible
     only for total-parity codes, where data-local operators of the needed
@@ -391,12 +371,12 @@ def _encoder_image(result: SynthesisResult, mode: int) -> MajoranaString:
     n = result.total_modes
     m = MajoranaString.single_mode(n, mode)
     if not result.ancilla_modes:
-        return conjugate_circuit(result.encoder, m)
+        return conjugate_circuit(encoder, m)
     if result.ancilla_image is None:
         raise SynthesisInvariantError("an ancilla result carries no ancilla image")
     if _pairing_raw(m.bits.value, result.ancilla_image.bits.value):
         m = MajoranaString.from_modes(n, (0, mode), 1)
-    img = conjugate_circuit(result.encoder, m)
+    img = conjugate_circuit(encoder, m)
     if img.bits.value & 0b11:
         if img.bits.value & 0b11 != 0b11:
             raise SynthesisInvariantError("an encoder image meets the ancilla pair in one mode")
@@ -411,8 +391,8 @@ def destabilizers(result: SynthesisResult) -> list[MajoranaString]:
     others, because single pivot modes do exactly that against the decoded
     pairs and conjugation preserves pairings.
     """
-    pb = result.target.pivot_base
-    return [_encoder_image(result, pb + 2 * j) for j in range(result.target.r)]
+    pb, encoder = result.target.pivot_base, result.encoder
+    return [_encoder_image(result, encoder, pb + 2 * j) for j in range(result.target.r)]
 
 
 def logical_representatives(
@@ -428,10 +408,11 @@ def logical_representatives(
     k = (n - log_start) // 2
     if k == 0:
         raise ValueError("code has no encoded pairs")
+    encoder = result.encoder
     return [
         (
-            _encoder_image(result, log_start + 2 * ell),
-            _encoder_image(result, log_start + 2 * ell + 1),
+            _encoder_image(result, encoder, log_start + 2 * ell),
+            _encoder_image(result, encoder, log_start + 2 * ell + 1),
         )
         for ell in range(k)
     ]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from braidsynth import synth
 from braidsynth.cli import _wire_labels, main, render_ascii
 from braidsynth.codes import (
     MAX_REGISTER_MODES,
@@ -305,8 +306,26 @@ def test_circuit_document_rejections(tmp_path):
     broken(format_version=True)
     broken(ancilla_modes=[False, True])
     broken(ancilla_modes=[0.0, 1.0])
+    broken(n_modes=1, ancilla_modes=[0, 1], gates=[])
     parsed = parse_circuit(json.dumps(good))
     assert parse_circuit(serialize_circuit(parsed)) == parsed
+
+
+def test_synth_decoder_only_builds_no_encoder(monkeypatch, tmp_path):
+    calls = []
+    invert = synth.invert
+
+    def counted(circuit):
+        calls.append(circuit)
+        return invert(circuit)
+
+    monkeypatch.setattr(synth, "invert", counted)
+    out = tmp_path / "kitaev.decoder.circuit"
+    argv = ["synth", "--builtin", "kitaev:4", "--ancilla-free", "--decoder", "-o", str(out)]
+    assert main(argv) == 0
+    assert calls == []
+    assert main(["synth", "--builtin", "kitaev:4", "--ancilla-free", "-o", str(out)]) == 0
+    assert len(calls) == 1  # the encoder document does build it, once
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from braidsynth.majorana import (
     MajoranaString,
     _ModeTableau,
     conjugate,
+    conjugate_circuit,
     gate_counts,
     multiply,
 )
@@ -53,6 +54,14 @@ def documents(result: SynthesisResult) -> list[CircuitDocument]:
         CircuitDocument(circuit, result.ancilla_modes, result.substitutions, role)
         for role, circuit in (("decoder", result.decoder), ("encoder", result.encoder))
     ]
+
+
+def folded_ancilla_image(result: SynthesisResult) -> MajoranaString:
+    """i c_0 c_1 conjugated through the whole decoder, independently of the
+    tableau row that the synthesis folds it in."""
+    return conjugate_circuit(
+        result.decoder, MajoranaString.from_modes(result.total_modes, (0, 1), 1)
+    )
 
 
 def decoded_ok(code: StabilizerCode, result: SynthesisResult) -> bool:
@@ -120,6 +129,7 @@ def test_shortest_code_with_ancilla():
     assert result.ancilla_image.bits.indices() == (0, 1)
     assert result.ancilla_phase_r == 3
     assert str(result.ancilla_image) == "-i c0 c1"
+    assert result.ancilla_image == folded_ancilla_image(result)
     check_reported_operators(code, result)
 
 
@@ -165,6 +175,7 @@ def test_total_parity_pins_the_ancilla_image():
     assert result.ancilla_phase_r is None
     assert result.ancilla_image.bits.indices() == (0, 1, 4, 5)
     assert result.ancilla_image.phase_r == 0
+    assert result.ancilla_image == folded_ancilla_image(result)
     [d] = destabilizers(result)
     assert str(d) == "+i c0 c1 c2"
     [(x, z)] = logical_representatives(result)
@@ -349,6 +360,7 @@ def test_random_codes_decode_in_both_variants(seed):
     assert decoded_ok(code, result)
     assert len(result.decoder) <= 3 * r * result.total_modes
     assert result.ancilla_image.bits.value & 0b11 == 0b11
+    assert result.ancilla_image == folded_ancilla_image(result)
     clean = result.ancilla_image.bits.value == 0b11
     assert (result.ancilla_phase_r is not None) == clean
     if not ptot:

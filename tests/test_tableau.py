@@ -269,15 +269,20 @@ def test_mode_tableau_sparse_rows_read_clean_and_dirty(n):
 
 
 def test_mode_tableau_decoded_form_check():
+    # the check reads only the first r rows: one extra arbitrary row (the
+    # ancilla image during synthesis) changes no verdict
     for pivot_base, n, r in ((0, 6, 3), (2, 8, 2), (0, 4, 0)):
         target = DecodedTarget(n, pivot_base, r).generators()
         rows = [g.bits.value for g in target]
-        assert _ModeTableau(rows, n, [1] * r).is_decoded(pivot_base, r)
-        if r:
-            assert not _ModeTableau(rows, n, [1] * (r - 1) + [3]).is_decoded(pivot_base, r)
-            for extra in (1, 1 << (n - 1)):
-                moved = rows[:-1] + [rows[-1] ^ extra]
-                assert not _ModeTableau(moved, n, [1] * r).is_decoded(pivot_base, r)
+        for tail, tail_phases in (([], []), ([(1 << n) - 1], [2]), ([0b11], [3])):
+            phases = [1] * r + tail_phases
+            assert _ModeTableau(rows + tail, n, phases).is_decoded(pivot_base, r)
+            if r:
+                flipped = [1] * (r - 1) + [3] + tail_phases
+                assert not _ModeTableau(rows + tail, n, flipped).is_decoded(pivot_base, r)
+                for extra in (1, 1 << (n - 1)):
+                    moved = rows[:-1] + [rows[-1] ^ extra] + tail
+                    assert not _ModeTableau(moved, n, phases).is_decoded(pivot_base, r)
 
 
 @pytest.mark.parametrize(
