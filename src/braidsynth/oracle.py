@@ -1,17 +1,30 @@
-"""Dense-matrix oracle for small registers.
+"""Operator oracle for small registers: modes as explicit matrices.
 
-Builds explicit matrices for modes, monomials, gates and circuits on the
-standard qubit chain (mode ``2j`` -> Z..Z X I..I, mode ``2j+1`` -> Z..Z Y
-I..I with j leading Z factors), so every algebraic identity the packed
-representation claims can be checked against literal matrix arithmetic.
+On the standard qubit chain (mode ``2j`` -> Z..Z X I..I, mode ``2j+1`` ->
+Z..Z Y I..I with j leading Z factors) every Majorana monomial is a phased
+permutation matrix: each row has exactly one nonzero entry, taken from
+{1, i, -1, -i}.  Such a matrix is stored as two arrays of length
+``d = 2^(N/2)``: the column of each row's nonzero entry and its Z4 phase
+exponent.  The single-mode arrays are built from the Kronecker definition
+(``mode_arrays``), and a product of monomials is an index gather.
 
-Braid unitaries are ``(I + i V)/sqrt(2)`` with V the gate generator, so a
-conjugation ``U M U^dagger`` expands to ``(I + iV) M (I - iV)/2``.  All of
-its entries are Gaussian integers divided by two, which complex128 holds
-exactly; tests compare such matrices with ``==`` rather than a tolerance.
+A braid unitary is ``(I + i V)/sqrt(2)`` with V the gate generator, so a
+conjugation ``U M U^dagger`` expands to ``(M + i V M - i M V + V M V)/2``.
+``conjugate_modes`` folds all N modes through a circuit together, expanding
+each gate literally into those four phased permutations: it sums the
+coefficients that fall on one column and checks that every row is left with
+exactly one nonzero entry equal to twice a unit, raising NonMonomialError
+otherwise.  Everything is integer arithmetic and every comparison is ``==``;
+the bit-pairing rule of ``majorana`` is never used, so the oracle checks it
+independently.  The cost per gate is O(N d).
 
-Everything here is deliberately naive and O(4^n): it exists to be obviously
-correct, not fast, and refuses registers beyond MAX_MODES.
+``dense_majorana`` and ``dense_monomial`` build the same matrices densely
+with ``np.kron``; they are the reference the arrays are tested against.
+``dense_gate`` and ``conjugate_dense`` are the dense unitary and its
+conjugation, kept as the reference the four-term expansion is tested
+against.  The dense functions cost O(4^n) and only tests call them.
+
+Registers beyond MAX_MODES are refused.
 """
 
 from __future__ import annotations
@@ -24,12 +37,15 @@ from .majorana import BraidGate, Circuit, MajoranaString
 
 __all__ = [
     "MAX_MODES",
+    "NonMonomialError",
+    "mode_arrays",
+    "monomial_arrays",
+    "conjugate_arrays",
+    "conjugate_modes",
     "dense_majorana",
     "dense_monomial",
     "dense_gate",
     "conjugate_dense",
-    "circuit_unitary",
-    "stabilizer_projector",
 ]
 
 MAX_MODES = 16
@@ -39,30 +55,84 @@ _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
+# The same one-qubit factors as (column, phase exponent) per row.  Columns
+# are int16 (enough for d up to 2^15) and phases int8: small dtypes keep the
+# stacked arrays of a gate's four terms small.
+_COL = np.int16
+_PHASE = np.int8
+_PI = (np.array([0, 1], _COL), np.array([0, 0], _PHASE))
+_PX = (np.array([1, 0], _COL), np.array([0, 0], _PHASE))
+_PY = (np.array([1, 0], _COL), np.array([3, 1], _PHASE))
+_PZ = (np.array([0, 1], _COL), np.array([0, 2], _PHASE))
+
+# A Gaussian integer a + bi is coded as a + _K b.  Four units sum to at most
+# 4 in each part, so with _K = 16 the code is unique, fits int8, and a table
+# decodes it; a negative code reads the table from its end.
+_K = 16
+_UNIT = np.tile(np.array([1, _K, -1, -_K], _PHASE), 4)  # i^e for e in 0..15
+_SHIFT = np.array([0, 1, 3, 0], _PHASE)[:, None, None]
+# Phase exponent e of a coded total 2 i^e; -1 for any other total.
+_HALVED = np.full(2 * (4 + 4 * _K) + 1, -1, _PHASE)
+_HALVED[2 * _UNIT[:4]] = np.arange(4)
+
+
+class NonMonomialError(ValueError):
+    """A conjugated matrix is not a phased permutation with unit entries."""
+
 
 def _check_register(n_modes: int) -> None:
     if n_modes % 2:
-        raise ValueError("dense oracle needs an even number of modes")
+        raise ValueError("the oracle needs an even number of modes")
     if not 0 < n_modes <= MAX_MODES:
         raise ValueError(f"n_modes must lie in 2..{MAX_MODES}")
+
+
+def _mode_factors(n_modes: int, k: int) -> list:
+    """The Kronecker factors of mode k, one per qubit, as (dense, arrays)."""
+    if not 0 <= k < n_modes:
+        raise ValueError("mode out of range")
+    out = []
+    for q in range(n_modes // 2):
+        if q < k // 2:
+            out.append((_Z, _PZ))
+        elif q == k // 2:
+            out.append((_X, _PX) if k % 2 == 0 else (_Y, _PY))
+        else:
+            out.append((_I2, _PI))
+    return out
 
 
 @lru_cache(maxsize=None)
 def dense_majorana(n_modes: int, k: int) -> np.ndarray:
     """Matrix of mode k on n_modes/2 qubits."""
     _check_register(n_modes)
-    if not 0 <= k < n_modes:
-        raise ValueError("mode out of range")
     out = np.ones((1, 1), dtype=np.complex128)
-    for q in range(n_modes // 2):
-        if q < k // 2:
-            factor = _Z
-        elif q == k // 2:
-            factor = _X if k % 2 == 0 else _Y
-        else:
-            factor = _I2
+    for factor, _ in _mode_factors(n_modes, k):
         out = np.kron(out, factor)
     out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def mode_arrays(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column and phase arrays, shape (N, d), of every mode's matrix.
+
+    Row k is the Kronecker product of mode k's factors: the product of
+    phased permutations A (x) B has column ``a_col * d_B + b_col`` and phase
+    ``a_phase + b_phase``.
+    """
+    _check_register(n_modes)
+    cols, phases = [], []
+    for k in range(n_modes):
+        col, phase = np.zeros(1, _COL), np.zeros(1, _PHASE)
+        for _, (fcol, fphase) in _mode_factors(n_modes, k):
+            col = (col[:, None] * 2 + fcol).ravel()
+            phase = (phase[:, None] + fphase).ravel()
+        cols.append(col)
+        phases.append(phase & 3)
+    out = np.stack(cols), np.stack(phases)
+    for a in out:
+        a.setflags(write=False)
     return out
 
 
@@ -76,39 +146,85 @@ def dense_monomial(m: MajoranaString) -> np.ndarray:
     return out
 
 
-def _dense_generator(gate: BraidGate, n_modes: int) -> np.ndarray:
-    v = MajoranaString.from_modes(n_modes, gate.modes, gate.generator_phase)
-    return dense_monomial(v)
+def monomial_arrays(m: MajoranaString) -> tuple[np.ndarray, np.ndarray]:
+    """Column and phase arrays of ``i^r c_{a1}...c_{ak}``, ascending order.
+
+    A product A B of phased permutations has column ``b_col[a_col]`` and
+    phase ``a_phase + b_phase[a_col]``.
+    """
+    _check_register(m.n_modes)
+    cols, phases = mode_arrays(m.n_modes)
+    col = np.arange(cols.shape[1], dtype=_COL)
+    phase = np.full(cols.shape[1], m.phase_r, _PHASE)
+    for k in m.bits.indices():
+        phase = phase + phases[k][col]
+        col = cols[k][col]
+    return col, phase & 3
+
+
+def _generator(gate: BraidGate, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    return monomial_arrays(MajoranaString.from_modes(n_modes, gate.modes, gate.generator_phase))
+
+
+def conjugate_arrays(
+    cols: np.ndarray, phases: np.ndarray, generator: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(M + i V M - i M V + V M V)/2`` for every matrix M in the stack.
+
+    cols and phases have shape (R, d), one phased permutation per row;
+    generator is V's column and phase arrays.  The four terms are phased
+    permutations; the coefficients that land on one column are summed, and
+    each row must be left with one nonzero entry, equal to 2 i^e.  Raises
+    NonMonomialError naming the first row where that fails.
+    """
+    vcol, vphase = generator
+    c01 = np.stack((cols, cols[:, vcol]))  # M, V M
+    p01 = np.stack((phases, phases[:, vcol] + vphase))
+    terms = np.concatenate((c01, vcol[c01]))  # and M V, V M V
+    # the factors i and -i of the middle terms enter as _SHIFT
+    units = _UNIT[np.concatenate((p01, p01 + vphase[c01])) + _SHIFT]
+    # totals[t]: the sum of the terms that share term t's column
+    totals = ((terms[:, None] == terms[None]) * units).sum(axis=1, dtype=_PHASE)
+    nonzero = totals != 0
+    # a valid row has its nonzero terms on one column, where they sum to
+    # 2 i^e, so that entry is also the sum of all four terms
+    col = (terms * nonzero).max(axis=0)
+    phase = _HALVED[units.sum(axis=0, dtype=_PHASE)]
+    bad = (phase < 0) | (nonzero & (terms != col)).any(axis=0)
+    if bad.any():
+        m, row = (int(i[0]) for i in np.nonzero(bad))
+        entries = {int(terms[t, m, row]): int(totals[t, m, row]) for t in range(4)}
+        found = [v for v in entries.values() if v]
+        if len(found) == 1:
+            re = (found[0] + _K // 2) % _K - _K // 2
+            what = f"has the entry ({re}{(found[0] - re) // _K:+d}i)/2, not a unit"
+        else:
+            what = f"has {len(found)} nonzero entries"
+        raise NonMonomialError(f"image {m} is not a monomial: row {row} {what}")
+    return col, phase
+
+
+def conjugate_modes(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """Column and phase arrays, shape (N, d), of ``U c_m U^dagger`` for every
+    mode m, with U the circuit's unitary (later gates applied last)."""
+    n = circuit.n_modes
+    cols, phases = mode_arrays(n)
+    for j, g in enumerate(circuit.gates):
+        try:
+            cols, phases = conjugate_arrays(cols, phases, _generator(g, n))
+        except NonMonomialError as exc:
+            raise NonMonomialError(f"gate {j} ({g}): {exc}") from None
+    return cols, phases
 
 
 def dense_gate(gate: BraidGate, n_modes: int) -> np.ndarray:
     """Unitary ``(I + i V)/sqrt(2)`` of one braid gate."""
-    v = _dense_generator(gate, n_modes)
+    v = dense_monomial(MajoranaString.from_modes(n_modes, gate.modes, gate.generator_phase))
     return (np.eye(v.shape[0], dtype=np.complex128) + 1j * v) / np.sqrt(2.0)
 
 
 def conjugate_dense(gate: BraidGate, mat: np.ndarray, n_modes: int) -> np.ndarray:
     """Exact ``U mat U^dagger`` via ``(I + iV) mat (I - iV) / 2``."""
-    v = _dense_generator(gate, n_modes)
+    v = dense_monomial(MajoranaString.from_modes(n_modes, gate.modes, gate.generator_phase))
     eye = np.eye(v.shape[0], dtype=np.complex128)
     return (eye + 1j * v) @ mat @ (eye - 1j * v) / 2
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Product of the gate unitaries, later gates applied last."""
-    _check_register(circuit.n_modes)
-    out = np.eye(2 ** (circuit.n_modes // 2), dtype=np.complex128)
-    for g in circuit.gates:
-        out = dense_gate(g, circuit.n_modes) @ out
-    return out
-
-
-def stabilizer_projector(mats: list[np.ndarray]) -> np.ndarray:
-    """Projector ``prod (I + S)/2`` onto the joint +1 eigenspace."""
-    if not mats:
-        raise ValueError("need at least one stabilizer matrix")
-    dim = mats[0].shape[0]
-    out = np.eye(dim, dtype=np.complex128)
-    for s in mats:
-        out = out @ (np.eye(dim, dtype=np.complex128) + s) / 2
-    return out

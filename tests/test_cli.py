@@ -1,14 +1,18 @@
 """End-to-end command-line behavior, one exit code at a time."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import braidsynth
 from braidsynth import synth
-from braidsynth.cli import _wire_labels, main, render_ascii
+from braidsynth.cli import _wire_labels, build_parser, main, render_ascii
 from braidsynth.codes import (
     MAX_REGISTER_MODES,
     CircuitDocument,
@@ -382,6 +386,65 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "synth", "--builtin", "shortest", "--frobnicate")[0] == 64
     assert run(capsys, "verify", "--builtin", "shortest")[0] == 64  # circuit missing
     assert run(capsys, "--help")[0] == 0
+
+
+def test_numpy_loads_only_for_the_oracle(tmp_path):
+    """A fresh interpreter imports the CLI, synthesizes and verifies without
+    --oracle, and has not imported numpy; --oracle then imports it."""
+    doc = tmp_path / "kitaev.circuit"
+    script = (
+        "import sys\n"
+        "import braidsynth.cli as cli\n"
+        "seen = ['numpy' in sys.modules]\n"
+        f"rcs = [cli.main(['synth', '--builtin', 'kitaev:4', '-o', {str(doc)!r}])]\n"
+        f"rcs.append(cli.main(['verify', '--builtin', 'kitaev:4', {str(doc)!r}]))\n"
+        "seen.append('numpy' in sys.modules)\n"
+        f"rcs.append(cli.main(['verify', '--builtin', 'kitaev:4', {str(doc)!r}, '--oracle']))\n"
+        "seen.append('numpy' in sys.modules)\n"
+        "print(rcs, seen, file=sys.stderr)\n"
+    )
+    src = str(Path(braidsynth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[0, 0, 0] [False, False, True]"
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    """main builds its parser once; no option of one call leaks into the next."""
+    assert build_parser() is build_parser()
+    enc, dec = tmp_path / "k.enc.circuit", tmp_path / "k.dec.circuit"
+    assert run(capsys, "synth", "--builtin", "kitaev:4", "-o", str(enc))[0] == 0
+
+    rc, out, err = run(capsys, "verify", "--builtin", "kitaev:4", str(enc), "--oracle")
+    assert (rc, err) == (0, "")
+    assert out.endswith("oracle check: ok (10 modes, dimension 32)\n")
+
+    rc, out, err = run(capsys, "verify", "--builtin", "kitaev:4", str(enc))
+    assert (rc, err) == (0, "")
+    assert out.endswith("oracle check: skipped (pass --oracle to run)\n")
+
+    rc, out, _ = run(capsys, "synth", "--builtin", "kitaev:4", "--ancilla-free", "--decoder", "-o", str(dec))
+    assert rc == 0
+    assert "variant: ancilla-free" in out
+    assert f"document (decoder): {dec}" in out
+    assert parse_circuit(dec.read_text()).role == "decoder"
+
+    rc, out, _ = run(capsys, "synth", "--builtin", "shortest")
+    assert rc == 0
+    assert "code: shortest" in out
+    assert "variant: with-ancilla" in out
+    assert "document (encoder): not written (pass -o to write)" in out
+
+    rc, out, err = run(capsys, "verify", "--builtin", "kitaev:4")
+    assert (rc, out) == (64, "")
+    assert "the following arguments are required: circuit" in err
+
+    rc, out, err = run(capsys, "diagram", str(dec))
+    assert (rc, err) == (0, "")
+    assert out.startswith("c0 ")
 
 
 def test_diagram_ascii_golden(capsys, tmp_path):

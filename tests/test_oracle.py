@@ -1,5 +1,11 @@
-"""The dense oracle itself: algebraic identities literal matrices must obey."""
+"""The operator oracle: literal matrices, their phased-permutation arrays,
+and the four-term conjugation fold that `verify --oracle` runs.
 
+The fold's checks raise without assert, so these tests also run under
+python -O, where the pytest.raises cases still show them firing.
+"""
+
+import itertools
 import random
 
 import numpy as np
@@ -7,17 +13,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidsynth import cli, oracle
 from braidsynth.bitlinalg import BitVec
-from braidsynth.majorana import BraidGate, Circuit, MajoranaString, multiply
+from braidsynth.codes import CircuitDocument, random_circuit, serialize_circuit, shortest_code
+from braidsynth.majorana import BraidGate, Circuit, MajoranaString, conjugate_circuit, multiply
 from braidsynth.oracle import (
     MAX_MODES,
-    circuit_unitary,
+    NonMonomialError,
+    _generator,
+    conjugate_arrays,
     conjugate_dense,
+    conjugate_modes,
     dense_gate,
     dense_majorana,
     dense_monomial,
-    stabilizer_projector,
+    mode_arrays,
+    monomial_arrays,
 )
+from braidsynth.synth import synthesize_with_ancilla
 
 N = 6
 DIM = 2 ** (N // 2)
@@ -100,33 +113,160 @@ def test_gate_and_inverse_cancel():
     assert np.array_equal(conjugate_dense(g.inverse(), conjugate_dense(g, m, N), N), m)
 
 
-def test_circuit_unitary_composes_in_order():
-    rng = random.Random(9)
-    gates = []
-    for _ in range(5):
-        arity = rng.choice((2, 4))
-        modes = tuple(sorted(rng.sample(range(N), arity)))
-        gates.append(BraidGate("braid2" if arity == 2 else "braid4", modes))
-    c = Circuit(N, tuple(gates))
-    u = np.eye(DIM, dtype=np.complex128)
-    for g in gates:
-        u = dense_gate(g, N) @ u
-    assert np.array_equal(circuit_unitary(c), u)
-    assert np.array_equal(circuit_unitary(Circuit(N)), np.eye(DIM))
+def as_dense(col, phase):
+    """The matrix whose row i holds i^phase[i] in column col[i]."""
+    out = np.zeros((len(col), len(col)), dtype=np.complex128)
+    out[np.arange(len(col)), col] = 1j ** phase.astype(int)
+    return out
 
 
-def test_projector_has_the_right_rank():
-    # two decoded pairs on six modes leave one encoded pair: trace 2^(3-2)
-    gens = [
-        MajoranaString.from_modes(N, (0, 1), 1),
-        MajoranaString.from_modes(N, (2, 3), 1),
-    ]
-    p = stabilizer_projector([dense_monomial(g) for g in gens])
-    assert np.allclose(p, p @ p, atol=1e-12)
-    assert np.allclose(p, p.conj().T, atol=1e-12)
-    assert np.isclose(np.trace(p).real, 2.0, atol=1e-9)
+def random_monomial(n, rng):
+    return MajoranaString(BitVec(n, rng.randrange(1 << n)), rng.randrange(4))
 
 
-def test_projector_needs_input():
+def test_mode_arrays_match_dense_matrices():
+    for n in range(2, MAX_MODES + 1, 2):
+        cols, phases = mode_arrays(n)
+        assert cols.shape == phases.shape == (n, 2 ** (n // 2))
+        for k in range(n):
+            assert np.array_equal(as_dense(cols[k], phases[k]), dense_majorana(n, k))
     with pytest.raises(ValueError):
-        stabilizer_projector([])
+        mode_arrays(MAX_MODES + 2)
+    with pytest.raises(ValueError):
+        mode_arrays(MAX_MODES)[0][0, 0] = 1
+
+
+def test_monomial_arrays_match_dense_products():
+    rng = random.Random(5)
+    for n in range(2, MAX_MODES + 1, 2):
+        monomials = [MajoranaString(BitVec(n), r) for r in range(4)]
+        monomials += [random_monomial(n, rng) for _ in range(6 if n < 14 else 2)]
+        for m in monomials:
+            assert np.array_equal(as_dense(*monomial_arrays(m)), dense_monomial(m))
+
+
+def test_conjugate_arrays_matches_conjugate_dense():
+    """The four-term expansion agrees entry by entry with the dense product,
+    for every gate of a six-mode register and a stack of monomials."""
+    rng = random.Random(8)
+    stack = [MajoranaString.single_mode(N, k) for k in range(N)]
+    stack += [random_monomial(N, rng) for _ in range(10)]
+    arrays = [monomial_arrays(m) for m in stack]
+    cols, phases = np.stack([c for c, _ in arrays]), np.stack([p for _, p in arrays])
+    for arity, kind in ((2, "braid2"), (4, "braid4")):
+        for modes in itertools.combinations(range(N), arity):
+            for direction in (1, -1):
+                g = BraidGate(kind, modes, direction)
+                out_cols, out_phases = conjugate_arrays(cols, phases, _generator(g, N))
+                for m, c, p in zip(stack, out_cols, out_phases):
+                    assert np.array_equal(as_dense(c, p), conjugate_dense(g, dense_monomial(m), N))
+
+
+def test_conjugate_modes_matches_the_symbolic_images():
+    rng = random.Random(3)
+    for n in (2, 8, MAX_MODES):
+        circuit = random_circuit(n, 3 * n, rng)
+        cols, phases = conjugate_modes(circuit)
+        for k in range(n):
+            image = conjugate_circuit(circuit, MajoranaString.single_mode(n, k))
+            col, phase = monomial_arrays(image)
+            assert np.array_equal(cols[k], col) and np.array_equal(phases[k], phase)
+    identity = conjugate_modes(Circuit(N))
+    assert all(np.array_equal(a, b) for a, b in zip(identity, mode_arrays(N)))
+
+
+@pytest.mark.parametrize("flip", [1, 3])
+def test_wrong_generator_phase_is_not_a_monomial(flip):
+    """A generator with the wrong phase makes (I + iV)/sqrt(2) non-unitary:
+    a commuting mode's image vanishes and an anticommuting one gets two
+    entries.  The fold raises either way."""
+    cols, phases = mode_arrays(N)
+    vcol, vphase = _generator(BraidGate("braid4", (0, 1, 2, 4)), N)
+    wrong = (vcol, (vphase + flip) & 3)
+    with pytest.raises(NonMonomialError, match=r"^image 0 is not a monomial: row 0 has 2 nonzero"):
+        conjugate_arrays(cols, phases, wrong)
+    # mode 3 is outside the support and commutes with the generator
+    with pytest.raises(NonMonomialError, match=r"^image 0 is not a monomial: row 0 has 0 nonzero"):
+        conjugate_arrays(cols[3:], phases[3:], wrong)
+
+
+def test_non_unit_entry_is_reported():
+    """A diagonal generator lands all four terms on one column; with the
+    wrong phase their sum is not twice a unit."""
+    cols, phases = mode_arrays(N)
+    vcol, vphase = _generator(BraidGate("braid2", (0, 1)), N)
+    assert np.array_equal(vcol, np.arange(len(vcol)))
+    with pytest.raises(NonMonomialError, match=r"row 0 has the entry \(4\+0i\)/2, not a unit$"):
+        conjugate_arrays(cols[:1], phases[:1], (vcol, (vphase + 1) & 3))
+
+
+def test_two_entries_are_rejected_even_when_they_sum_to_twice_a_unit():
+    """With a V that is not an involution (a cyclic shift), i V M and -i M V
+    cancel and M + V M V leaves two entries of 1 in every row: the row sum is
+    2, a valid total, so only the column check rejects it."""
+    d = 8
+    identity = np.arange(d, dtype=np.int16)[None], np.zeros((1, d), np.int8)
+    shift = (np.roll(np.arange(d, dtype=np.int16), -1), np.zeros(d, np.int8))
+    with pytest.raises(NonMonomialError, match=r"^image 0 is not a monomial: row 0 has 2 nonzero"):
+        conjugate_arrays(*identity, shift)
+
+
+def shortest_decoder_document():
+    code = shortest_code()
+    result = synthesize_with_ancilla(code)
+    doc = CircuitDocument(result.decoder, result.ancilla_modes, result.substitutions, "decoder")
+    return code, doc
+
+
+def test_oracle_rejects_a_phase_flipped_image_of_every_mode(monkeypatch):
+    code, doc = shortest_decoder_document()
+    n = doc.circuit.n_modes
+    for flipped in range(n):
+
+        def flip_one(circuit, m, flipped=flipped):
+            image = conjugate_circuit(circuit, m)
+            if m == MajoranaString.single_mode(n, flipped):
+                return MajoranaString(image.bits, image.phase_r ^ 2)
+            return image
+
+        monkeypatch.setattr(cli, "conjugate_circuit", flip_one)
+        with pytest.raises(cli.VerificationFailure) as failure:
+            list(cli.verify_document(code, doc, oracle=True))
+        assert failure.value.check == "oracle"
+        assert str(failure.value) == f"oracle: operator conjugation of mode {flipped} disagrees"
+
+
+def test_verify_oracle_exits_4_on_a_flipped_image(monkeypatch, capsys, tmp_path):
+    _, doc = shortest_decoder_document()
+    path = tmp_path / "shortest.dec.circuit"
+    path.write_text(serialize_circuit(doc))
+
+    def flip_mode_5(circuit, m):
+        image = conjugate_circuit(circuit, m)
+        if m.bits.indices() == (5,):
+            return MajoranaString(image.bits, image.phase_r ^ 2)
+        return image
+
+    monkeypatch.setattr(cli, "conjugate_circuit", flip_mode_5)
+    assert cli.main(["verify", "--builtin", "shortest", str(path), "--oracle"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "decoded-form check: ok\nsymplectic check: ok\n"
+    assert captured.err == (
+        "verification failed (oracle): oracle: operator conjugation of mode 5 disagrees\n"
+    )
+
+
+def test_verify_reports_a_non_monomial_fold(monkeypatch):
+    """A wrong generator inside verify_document is an oracle failure, not a pass."""
+    code, doc = shortest_decoder_document()
+
+    def wrong_generator(gate, n_modes):
+        col, phase = _generator(gate, n_modes)
+        return col, (phase + 1) & 3
+
+    monkeypatch.setattr(oracle, "_generator", wrong_generator)
+    with pytest.raises(cli.VerificationFailure) as failure:
+        list(cli.verify_document(code, doc, oracle=True))
+    assert failure.value.check == "oracle"
+    assert f"gate 0 ({doc.circuit.gates[0]}): image " in str(failure.value)
+    assert "is not a monomial" in str(failure.value)
