@@ -3,7 +3,9 @@
 
 Generates seeded random codes, synthesizes both variants, and checks the
 full contract on each: the decoder and the encoder document pass
-``verify_document`` (the verifier behind ``braidsynth verify``), gate count
+``verify_document`` (the verifier behind ``braidsynth verify``), which folds
+the ancilla pair's image from the document itself, and that image and its
+residual phase are the ones the synthesizer reports; gate count
 within the linear bound, reported operators pair correctly, ancilla reset
 as promised, and the ancilla-free obstruction raised exactly when it must
 be.  Every other code contains the total parity (scrambling decoded pairs
@@ -61,7 +63,14 @@ def scrambled(n, rows, n_gates, rng):
 def check(code, result):
     for role, circuit in (("decoder", result.decoder), ("encoder", result.encoder)):
         doc = CircuitDocument(circuit, result.ancilla_modes, result.substitutions, role)
-        list(verify_document(code, doc))
+        lines = list(verify_document(code, doc))
+        if result.ancilla_modes:
+            folded = lines[1]
+            claimed = (
+                f"ancilla check: ok (i c0 c1 -> {result.ancilla_image}, "
+                f"residual phase_r {result.ancilla_phase_r}"
+            )
+            assert folded.startswith(claimed), (folded, claimed)
     r = code.n_stabilizers
     assert len(result.decoder) <= 3 * r * result.total_modes
     for j, d in enumerate(destabilizers(result)):

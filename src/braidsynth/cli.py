@@ -15,7 +15,7 @@ from functools import cache
 from pathlib import Path
 from typing import Iterator, TextIO
 
-from .bitlinalg import check_symplectic
+from .bitlinalg import BitVec, check_symplectic
 from .codes import (
     CircuitDocument,
     CircuitFormatError,
@@ -29,6 +29,7 @@ from .codes import (
 from .majorana import (
     Circuit,
     MajoranaString,
+    _ModeTableau,
     circuit_matrix,
     conjugate_circuit,
     gate_counts,
@@ -46,7 +47,7 @@ from .tableau import (
     CodeValidationError,
     DecodedTarget,
     StabilizerCode,
-    apply_circuit,
+    contains_total_parity,
     prepend_ancilla_modes,
 )
 
@@ -72,15 +73,24 @@ def verify_document(
 ) -> Iterator[str]:
     """Check a circuit document against a validated code, yielding each report
     line as its check passes: the decoded form (an encoder document is
-    inverted first), the fermionic pairing, then the operator oracle if asked.
+    inverted first), the image of the ancilla pair when the document has
+    one, the fermionic pairing, then the operator oracle if asked.
     Raises CircuitFormatError when the document does not fit the code and
     VerificationFailure at the first failed check.
+
+    One replay serves the first two checks: the substitution-adjusted
+    generators, and with ancilla modes the row i c_0 c_1 after them, go
+    through the decoder in one mode-major tableau.  That row must come back
+    as +-i c_0 c_1, or the ancilla pair would keep logical information,
+    unless the code contains the total parity: braids fix the all-modes
+    monomial, so the decoded generators already pin the row's image, and
+    it is reported as it stands.
     """
     working = prepend_ancilla_modes(code) if doc.ancilla_modes else code
-    expected = working.n_modes
-    if doc.circuit.n_modes != expected:
+    n = working.n_modes
+    if doc.circuit.n_modes != n:
         raise CircuitFormatError(
-            f"circuit acts on {doc.circuit.n_modes} modes, expected {expected} for this code"
+            f"circuit acts on {doc.circuit.n_modes} modes, expected {n} for this code"
         )
     for i, j in doc.substitutions:
         if max(i, j) >= code.n_stabilizers:
@@ -88,17 +98,38 @@ def verify_document(
                 f"substitution [{i}, {j}] is out of range for {code.n_stabilizers} generators"
             )
     decoder = doc.circuit if doc.role == "decoder" else invert(doc.circuit)
-    target = DecodedTarget(expected, 2 if doc.ancilla_modes else 0, code.n_stabilizers)
+    target = DecodedTarget(n, 2 if doc.ancilla_modes else 0, code.n_stabilizers)
 
-    arrived = apply_circuit(decoder, apply_substitutions(working, doc.substitutions))
-    if not target.matches(arrived):
-        bad = next(
-            j for j, g in enumerate(arrived.generators) if g != target.generator(j)
-        )
-        raise VerificationFailure(
-            "decoded-form", f"generator {bad} arrives at {arrived.generators[bad]}"
-        )
+    gens = apply_substitutions(working, doc.substitutions).generators
+    rows = [g.bits.value for g in gens]
+    row_phases = [g.phase_r for g in gens]
+    if doc.ancilla_modes:
+        rows.append(0b11)  # i c_0 c_1, row r
+        row_phases.append(1)
+    tab = _ModeTableau(rows, n, row_phases)
+    tab.run(decoder.gates)
+    if not tab.is_decoded(target.pivot_base, target.r):
+        for j in range(target.r):
+            bits, phase = tab.row(j)
+            arrived = MajoranaString(BitVec(n, bits), phase)
+            if arrived != target.generator(j):
+                raise VerificationFailure("decoded-form", f"generator {j} arrives at {arrived}")
     yield "decoded-form check: ok"
+
+    if doc.ancilla_modes:
+        bits, phase = tab.row(target.r)
+        image = MajoranaString(BitVec(n, bits), phase)
+        if bits == 0b11:
+            yield f"ancilla check: ok (i c0 c1 -> {image}, residual phase_r {phase})"
+        elif contains_total_parity(code):
+            yield (
+                f"ancilla check: ok (i c0 c1 -> {image}, residual phase_r None: "
+                "pinned by the total parity)"
+            )
+        else:
+            raise VerificationFailure(
+                "ancilla", f"the decoder leaves i c0 c1 at {image}, off the ancilla pair"
+            )
 
     if not check_symplectic(circuit_matrix(doc.circuit)):
         raise VerificationFailure("symplectic", "circuit_matrix breaks the fermionic pairing")
@@ -110,7 +141,6 @@ def verify_document(
     # numpy loads with the oracle, so only on this branch
     from .oracle import MAX_MODES, NonMonomialError, conjugate_modes, monomial_arrays
 
-    n = doc.circuit.n_modes
     if n > MAX_MODES:
         raise VerificationFailure("oracle", f"needs at most {MAX_MODES} total modes, got {n}")
     try:

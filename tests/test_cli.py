@@ -22,8 +22,9 @@ from braidsynth.codes import (
     random_code,
     serialize_circuit,
     serialize_code,
+    shortest_code,
 )
-from braidsynth.majorana import BraidGate, Circuit
+from braidsynth.majorana import BraidGate, Circuit, invert
 
 SAMPLES = Path(__file__).resolve().parents[1] / "sample_codes"
 
@@ -366,6 +367,62 @@ def test_corrupted_circuit_fails_verification(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", "--builtin", "shortest", str(circ))
     assert rc == 4
     assert "verification failed (decoded-form)" in err
+
+
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)])
+@pytest.mark.parametrize("role", ["decoder", "encoder"])
+@pytest.mark.parametrize(
+    "code, mode",
+    [(shortest_code(), 12), (random_code(10, 2, seed=3), 6)],
+    ids=["shortest", "random-10-2-3"],
+)
+def test_ancilla_pair_that_keeps_logical_information_exits_4(
+    capsys, tmp_path, code, mode, role, oracle
+):
+    """braid2(0, mode) after the decoder moves i c0 c1 onto the first logical
+    mode; every generator still arrives, so only the ancilla check can see it."""
+    code_file = tmp_path / "tampered.code"
+    code_file.write_text(serialize_code(code))
+    decoder = synth.synthesize_with_ancilla(code).decoder
+    tampered = Circuit(decoder.n_modes, decoder.gates + (BraidGate("braid2", (0, mode)),))
+    circuit = tampered if role == "decoder" else invert(tampered)
+    path = tmp_path / f"tampered.{role}.circuit"
+    path.write_text(serialize_circuit(CircuitDocument(circuit, (0, 1), (), role)))
+    rc, out, err = run(capsys, "verify", str(code_file), str(path), *oracle)
+    assert rc == 4
+    assert out == "decoded-form check: ok\n"
+    assert err == (
+        f"verification failed (ancilla): ancilla: the decoder leaves i c0 c1 at "
+        f"+i c1 c{mode}, off the ancilla pair\n"
+    )
+
+
+def test_total_parity_code_reports_its_pinned_ancilla_image(capsys, tmp_path):
+    code = str(SAMPLES / "parity4.code")
+    enc = tmp_path / "parity4.circuit"
+    rc, out, _ = run(capsys, "synth", code, "-o", str(enc))
+    assert rc == 0
+    assert "ancilla image after reset: +1 c0 c1 c4 c5" in out
+    rc, out, _ = run(capsys, "verify", code, str(enc), "--oracle")
+    assert rc == 0
+    assert out.splitlines()[:2] == [
+        "decoded-form check: ok",
+        "ancilla check: ok (i c0 c1 -> +1 c0 c1 c4 c5, residual phase_r None: "
+        "pinned by the total parity)",
+    ]
+
+
+def test_a_returned_ancilla_pair_skips_the_total_parity_test(monkeypatch, capsys, tmp_path):
+    enc = tmp_path / "shortest.circuit"
+    run(capsys, "synth", "--builtin", "shortest", "-o", str(enc))
+
+    def refuse(code):
+        raise AssertionError("contains_total_parity ran")
+
+    monkeypatch.setattr(braidsynth.cli, "contains_total_parity", refuse)
+    rc, out, _ = run(capsys, "verify", "--builtin", "shortest", str(enc))
+    assert rc == 0
+    assert "ancilla check: ok (i c0 c1 -> -i c0 c1, residual phase_r 3)" in out
 
 
 def test_oracle_refuses_large_registers(capsys, tmp_path):

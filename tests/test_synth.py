@@ -139,6 +139,7 @@ def test_verify_document_is_the_cli_verifier():
     for doc in documents(result):
         assert list(verify_document(code, doc, oracle=True)) == [
             "decoded-form check: ok",
+            "ancilla check: ok (i c0 c1 -> -i c0 c1, residual phase_r 3)",
             "symplectic check: ok",
             "oracle check: ok (14 modes, dimension 128)",
         ]
