@@ -7,14 +7,7 @@ either on two extra ancilla modes or ancilla-free where possible, and every
 step can be cross-checked against an exact operator oracle for small registers.
 """
 
-from .bitlinalg import (
-    BitMatrix,
-    BitVec,
-    check_symplectic,
-    rank,
-    reorder_parity,
-    symplectic_pairing,
-)
+from .bitlinalg import BitVec, symplectic_pairing
 from .codes import (
     MAX_REGISTER_MODES,
     CircuitDocument,
@@ -33,11 +26,8 @@ from .majorana import (
     BraidGate,
     Circuit,
     MajoranaString,
-    circuit_matrix,
-    conjugate,
     conjugate_circuit,
     gate_counts,
-    gate_matrix,
     invert,
     multiply,
 )
@@ -58,7 +48,6 @@ from .tableau import (
     StabilizerCode,
     apply_circuit,
     contains_total_parity,
-    in_normalizer,
     prepend_ancilla_modes,
 )
 
@@ -66,27 +55,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitVec",
-    "BitMatrix",
     "symplectic_pairing",
-    "reorder_parity",
-    "rank",
-    "check_symplectic",
     "MajoranaString",
     "BraidGate",
     "Circuit",
     "multiply",
-    "conjugate",
     "conjugate_circuit",
     "invert",
-    "gate_matrix",
-    "circuit_matrix",
     "gate_counts",
     "CodeValidationError",
     "StabilizerCode",
     "DecodedTarget",
     "apply_circuit",
     "contains_total_parity",
-    "in_normalizer",
     "prepend_ancilla_modes",
     "MAX_REGISTER_MODES",
     "CodeFormatError",

@@ -1,27 +1,23 @@
 """Bit-packed linear algebra over GF(2) with the fermionic pairing.
 
 Vectors are fixed-length bit strings packed into Python ints, so XOR, AND
-and popcount run word-parallel inside the interpreter.  Matrices are stored
-column-wise; throughout the package columns index stabilizer generators.
+and popcount run word-parallel inside the interpreter.
 
-The commutation pairing of two even-weight mode sets is computed in closed
-form, ``weight(u)*weight(v) + u.v  (mod 2)``, so the dense pairing matrix
+The commutation pairing of two mode sets is computed in closed form,
+``weight(u)*weight(v) + u.v  (mod 2)``, so the dense pairing matrix
 (identity plus all-ones) is never built.
 
 ``_transpose_raw`` switches between the row-major layout (one int per
 vector, one bit per mode) and the mode-major layout (one int per mode, one
-bit per vector) in O(set bits).  ``tableau.apply_circuit`` uses it around
-the mode-major kernel in ``majorana``, and ``check_symplectic`` uses it to
-form ``C^T L C`` from the rows of C, at O(set bits of C) big-int XORs
-instead of N^2 pairings.  ``_first_odd_overlap`` uses it the same way for
-the commutation check of ``StabilizerCode.validate``: it forms the Gram
-matrix of r generators with W set bits in W big-int XORs when that is
-cheaper than the r(r-1)/2 pairwise popcounts, and loops over pairs when
-it is not.
+bit per vector) in O(set bits); the mode-major tableau in ``majorana`` is
+built with it.  ``_first_odd_overlap`` uses it for the commutation check
+of ``StabilizerCode.validate``: with ``_mat_vec`` it forms the Gram matrix
+of r generators with W set bits in W big-int XORs when that is cheaper
+than the r(r-1)/2 pairwise popcounts, and loops over pairs when it is not.
 
 ``_eliminate`` and ``_residue`` are the one GF(2) elimination routine:
-rank, the dependency check of ``validate`` and
-``tableau.contains_total_parity`` all reduce against their pivots.
+the dependency check of ``validate`` and ``tableau.contains_total_parity``
+both reduce against their pivots.
 """
 
 from __future__ import annotations
@@ -29,14 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-__all__ = [
-    "BitVec",
-    "BitMatrix",
-    "symplectic_pairing",
-    "reorder_parity",
-    "rank",
-    "check_symplectic",
-]
+__all__ = ["BitVec", "symplectic_pairing"]
 
 
 def _bit_positions(x: int) -> list[int]:
@@ -163,57 +152,8 @@ def _same_length(u: BitVec, v: BitVec) -> None:
         raise ValueError(f"length mismatch: {u.length} != {v.length}")
 
 
-@dataclass(frozen=True, slots=True)
-class BitMatrix:
-    """GF(2) matrix stored as a tuple of packed column ints."""
-
-    n_rows: int
-    columns: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n_rows < 0:
-            raise ValueError("n_rows must be nonnegative")
-        for c in self.columns:
-            if c < 0 or c >> self.n_rows:
-                raise ValueError(f"column does not fit in {self.n_rows} rows")
-
-    @classmethod
-    def from_columns(cls, n_rows: int, cols: Iterable[BitVec | int]) -> BitMatrix:
-        packed = []
-        for c in cols:
-            if isinstance(c, BitVec):
-                if c.length != n_rows:
-                    raise ValueError("column length mismatch")
-                packed.append(c.value)
-            else:
-                packed.append(c)
-        return cls(n_rows, tuple(packed))
-
-    @classmethod
-    def identity(cls, n: int) -> BitMatrix:
-        return cls(n, tuple(1 << i for i in range(n)))
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.columns)
-
-    def col(self, j: int) -> BitVec:
-        return BitVec(self.n_rows, self.columns[j])
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.columns[j] >> i) & 1
-
-    def transpose(self) -> BitMatrix:
-        return BitMatrix(self.n_cols, tuple(_transpose_raw(self.columns, self.n_rows)))
-
-    def __matmul__(self, other: BitMatrix) -> BitMatrix:
-        if self.n_cols != other.n_rows:
-            raise ValueError("inner dimensions do not match")
-        cols = tuple(_mat_vec(self.columns, c) for c in other.columns)
-        return BitMatrix(self.n_rows, cols)
-
-
 def _mat_vec(columns: Sequence[int], x: int) -> int:
+    """The XOR of the columns picked by the set bits of x."""
     acc = 0
     while x:
         low = x & -x
@@ -230,16 +170,6 @@ def symplectic_pairing(u: BitVec, v: BitVec) -> int:
     """
     _same_length(u, v)
     return _pairing_raw(u.value, v.value)
-
-
-def reorder_parity(u: BitVec, v: BitVec) -> int:
-    """Sign exponent picked up when sorting the concatenation of u after v.
-
-    Counts index pairs (a, b) with a > b, bit a set in u and bit b set in v,
-    modulo 2 -- the strictly-lower-triangular all-ones quadratic form.
-    """
-    _same_length(u, v)
-    return _reorder_raw(u.value, v.value)
 
 
 def _eliminate(columns: Iterable[int]) -> dict[int, int]:
@@ -265,34 +195,3 @@ def _residue(pivots: dict[int, int], v: int) -> int:
             break
         cur ^= seen
     return cur
-
-
-def rank(m: BitMatrix) -> int:
-    """Rank of the matrix over GF(2)."""
-    return len(_eliminate(m.columns))
-
-
-def check_symplectic(m: BitMatrix) -> bool:
-    """Whether a square matrix preserves the fermionic pairing.
-
-    Checks ``C^T L C = L`` with L the identity-plus-all-ones form.  Requires
-    an even number of rows so the form is invertible.  Column j of
-    ``C^T L C`` is the XOR of the rows of C picked by the set bits of column
-    c_j, plus the XOR of all rows (bit i is the weight parity of c_i) when
-    c_j has odd weight; it must equal column j of L, all ones except bit j.
-    """
-    n = m.n_rows
-    if m.n_cols != n:
-        raise ValueError("matrix must be square")
-    if n % 2:
-        raise ValueError("mode count must be even")
-    ones = (1 << n) - 1
-    rows = _transpose_raw(m.columns, n)
-    parities = _mat_vec(rows, ones)
-    for j, c in enumerate(m.columns):
-        col = _mat_vec(rows, c)
-        if c.bit_count() & 1:
-            col ^= parities
-        if col != ones ^ (1 << j):
-            return False
-    return True

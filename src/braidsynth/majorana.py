@@ -10,8 +10,10 @@ increasing; it is stored as a packed bit string plus the phase exponent
 each with an inverse direction.  Conjugating a monomial by a braid either
 fixes it (even pairing) or multiplies it by ``i`` times the gate generator
 (odd pairing); both branches reduce to one XOR and a phase update with a
-reorder parity.  The bit action of a gate is linear, so a circuit also has a
-GF(2) matrix, which is symplectic for the fermionic pairing.
+reorder parity.  On the bits, a braid on support m is the transvection
+``v -> v + (v.m) m``; m has even weight, so it preserves both ``u.v`` and
+weight parity, hence the fermionic pairing of every two monomials.  No
+braid circuit can break the pairing, so ``verify`` does not check it.
 
 Many monomials go through a circuit at once in a mode-major tableau
 (``_ModeTableau``): one int per mode holds a bit for every row that
@@ -21,10 +23,10 @@ operations whatever the number of rows: the rows it changes are the XOR of
 the support columns, and the reorder parity of every row is the XOR of the
 columns over [a1, a2) and [a3, a4), read from a Fenwick tree of prefix
 XORs.  The tableau is the one gate update shared by every multi-row path:
-``circuit_matrix`` runs the N unit rows through it without phases, at
-O(|support|) per gate; ``tableau.apply_circuit`` runs the code generators
-with theirs; and the synthesis sweep keeps its working generators in one
-tableau for the whole run, reading and overwriting single rows.  The
+``tableau.apply_circuit`` runs code generators through it, ``verify``
+runs a document's generators and the ancilla row, and the synthesis
+sweep keeps its working generators in one tableau for the whole run,
+reading and overwriting single rows.  The
 tableau keeps the rows it was built from and a mask of the rows gates
 have changed since, so a row no gate has touched reads back in O(1); a
 changed (dirty) row still costs an O(N) scan of the columns.
@@ -41,18 +43,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
-from .bitlinalg import BitMatrix, BitVec, _reorder_raw, _transpose_raw
+from .bitlinalg import BitVec, _reorder_raw, _transpose_raw
 
 __all__ = [
     "MajoranaString",
     "BraidGate",
     "Circuit",
     "multiply",
-    "conjugate",
     "conjugate_circuit",
     "invert",
-    "gate_matrix",
-    "circuit_matrix",
     "gate_counts",
 ]
 
@@ -71,12 +70,11 @@ class _ModeTableau:
     """Rows of monomials stored mode-major, updated one gate at a time.
 
     cols[m] has bit i set when row i contains mode m; the list is updated in
-    place.  With phases, the rows' Z4 exponents are two bit planes (p0 the
-    low bit, p1 the high bit) and tree is a Fenwick tree of prefix XORs over
-    the columns: tree[k] is the XOR of cols[k - (k & -k) .. k-1].  A gate
-    then costs O(|support| log N) big-int operations; without phases there
-    is no tree and it costs O(|support|).  Applying a gate equals folding
-    every row through ``_conjugate_raw``.
+    place.  The rows' Z4 exponents are two bit planes (p0 the low bit, p1
+    the high bit) and tree is a Fenwick tree of prefix XORs over the
+    columns: tree[k] is the XOR of cols[k - (k & -k) .. k-1].  A gate then
+    costs O(|support| log N) big-int operations.  Applying a gate equals
+    folding every row through ``_conjugate_raw``.
 
     The tableau also keeps each row as the int it was built from or last
     set to (rows), and dirty, an r-bit mask of the rows a gate has changed
@@ -87,34 +85,18 @@ class _ModeTableau:
 
     __slots__ = ("cols", "tree", "p0", "p1", "rows", "dirty")
 
-    def __init__(self, rows: Iterable[int], n_modes: int, phases: list[int] | None) -> None:
+    def __init__(self, rows: Iterable[int], n_modes: int, phases: list[int]) -> None:
         self.rows = list(rows)
-        self.dirty = 0
+        self.dirty = self.p0 = self.p1 = 0
         self.cols = cols = _transpose_raw(self.rows, n_modes)
-        self.tree: list[int] | None = None
-        self.p0 = self.p1 = 0
-        if phases is None:
-            return
-        tree = [0] + cols
+        self.tree = tree = [0] + cols
         for k in range(1, n_modes + 1):
             up = k + (k & -k)
             if up <= n_modes:
                 tree[up] ^= tree[k]
-        self.tree = tree
         for i, ph in enumerate(phases):
             self.p0 |= (ph & 1) << i
             self.p1 |= (ph >> 1 & 1) << i
-
-    @classmethod
-    def identity(cls, n_modes: int) -> _ModeTableau:
-        """The N unit rows without phases.  The identity is its own
-        transpose, so its columns are built directly, not transposed."""
-        tab = cls.__new__(cls)
-        tab.rows = [1 << j for j in range(n_modes)]
-        tab.cols = tab.rows.copy()
-        tab.dirty = tab.p0 = tab.p1 = 0
-        tab.tree = None
-        return tab
 
     def apply(self, gate: BraidGate) -> None:
         """Conjugate every row by the gate."""
@@ -126,28 +108,26 @@ class _ModeTableau:
             return
         self.dirty |= odd
         tree = self.tree
-        if tree is not None:
-            # Reorder parity of every row: XOR of the prefixes below each a.
-            reorder = 0
-            for a in modes:
-                k = a
-                while k:
-                    reorder ^= tree[k]
-                    k &= k - 1
-            # 2-bit add of 1 + gen_phase + 2 * reorder on the rows in odd.
-            step = 1 + gate.generator_phase
-            add0 = odd if step & 1 else 0
-            add1 = (odd if step & 2 else 0) ^ (reorder & odd)
-            self.p1 ^= add1 ^ (self.p0 & add0)
-            self.p0 ^= add0
-            n_modes = len(cols)
-            for a in modes:
-                k = a + 1
-                while k <= n_modes:
-                    tree[k] ^= odd
-                    k += k & -k
+        # Reorder parity of every row: XOR of the prefixes below each a.
+        reorder = 0
+        for a in modes:
+            k = a
+            while k:
+                reorder ^= tree[k]
+                k &= k - 1
+        # 2-bit add of 1 + gen_phase + 2 * reorder on the rows in odd.
+        step = 1 + gate.generator_phase
+        add0 = odd if step & 1 else 0
+        add1 = (odd if step & 2 else 0) ^ (reorder & odd)
+        self.p1 ^= add1 ^ (self.p0 & add0)
+        self.p0 ^= add0
+        n_modes = len(cols)
         for a in modes:
             cols[a] ^= odd
+            k = a + 1
+            while k <= n_modes:
+                tree[k] ^= odd
+                k += k & -k
 
     def run(self, gates: Iterable[BraidGate]) -> None:
         """Conjugate every row through the gates, in order."""
@@ -178,8 +158,7 @@ class _ModeTableau:
         return bits
 
     def set_row(self, i: int, bits: int, phase: int) -> None:
-        """Overwrite row i of a tableau that tracks phases; the row is clean
-        afterwards.
+        """Overwrite row i; the row is clean afterwards.
 
         Costs the read of the old row (O(1) clean, O(N) dirty) plus
         O(log N) per changed mode.
@@ -379,18 +358,6 @@ def multiply(a: MajoranaString, b: MajoranaString) -> MajoranaString:
     return MajoranaString(BitVec(a.n_modes, bits), phase)
 
 
-def conjugate(gate: BraidGate, m: MajoranaString) -> MajoranaString:
-    """Image of m under conjugation by the gate, tracked exactly.
-
-    Even pairing against the gate support leaves m untouched; odd pairing
-    maps m to ``i * V * m`` with V the gate generator.
-    """
-    if gate.modes[-1] >= m.n_modes:
-        raise ValueError("gate mode out of range")
-    bits, phase = _conjugate_raw(gate.support_mask, gate.generator_phase, m.bits.value, m.phase_r)
-    return MajoranaString(BitVec(m.n_modes, bits), phase)
-
-
 def conjugate_circuit(circuit: Circuit, m: MajoranaString) -> MajoranaString:
     """Conjugate m through every gate of the circuit, in order."""
     if circuit.n_modes != m.n_modes:
@@ -404,31 +371,6 @@ def conjugate_circuit(circuit: Circuit, m: MajoranaString) -> MajoranaString:
 def invert(circuit: Circuit) -> Circuit:
     """Exact inverse: reversed gate order with each direction negated."""
     return Circuit(circuit.n_modes, tuple(g.inverse() for g in reversed(circuit.gates)))
-
-
-def gate_matrix(gate: BraidGate, n_modes: int) -> BitMatrix:
-    """GF(2) bit action of one gate: complement block on the support.
-
-    The matrix is the identity outside the support and all-ones-minus-identity
-    on it; it is involutive, symmetric and symplectic, and independent of the
-    gate direction.
-    """
-    if gate.modes[-1] >= n_modes:
-        raise ValueError("gate mode out of range")
-    mask = gate.support_mask
-    cols = tuple((mask ^ (1 << j)) if (mask >> j) & 1 else (1 << j) for j in range(n_modes))
-    return BitMatrix(n_modes, cols)
-
-
-def circuit_matrix(circuit: Circuit) -> BitMatrix:
-    """Composite GF(2) action of the circuit (later gates applied last)."""
-    # Gate matrices are symmetric, so the reversed circuit has the transposed
-    # matrix; its mode-major tableau, started from the identity, therefore
-    # holds this circuit's columns.
-    n = circuit.n_modes
-    tab = _ModeTableau.identity(n)
-    tab.run(reversed(circuit.gates))
-    return BitMatrix(n, tuple(tab.cols))
 
 
 def gate_counts(circuit: Circuit) -> dict[str, int]:

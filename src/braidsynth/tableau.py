@@ -32,7 +32,6 @@ from .bitlinalg import (
     _eliminate,
     _first_odd_overlap,
     _lowest_bit,
-    _pairing_raw,
     _residue,
     _transpose_raw,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "DecodedTarget",
     "apply_circuit",
     "contains_total_parity",
-    "in_normalizer",
     "prepend_ancilla_modes",
 ]
 
@@ -160,13 +158,6 @@ def contains_total_parity(code: StabilizerCode) -> bool:
     """True iff the all-modes product lies in the GF(2) span of the bits."""
     pivots = _eliminate(g.bits.value for g in code.generators)
     return _residue(pivots, (1 << code.n_modes) - 1) == 0
-
-
-def in_normalizer(code: StabilizerCode, m: MajoranaString) -> bool:
-    """True iff m commutes with every stabilizer generator."""
-    if m.n_modes != code.n_modes:
-        raise ValueError("mode count mismatch")
-    return all(_pairing_raw(m.bits.value, g.bits.value) == 0 for g in code.generators)
 
 
 def prepend_ancilla_modes(code: StabilizerCode) -> StabilizerCode:

@@ -14,12 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from braidsynth.bitlinalg import (
-    BitMatrix,
-    BitVec,
-    check_symplectic,
-    symplectic_pairing,
-)
+from braidsynth.bitlinalg import BitVec, _pairing_raw, symplectic_pairing
 from braidsynth.cli import verify_document
 from braidsynth.codes import (
     CircuitDocument,
@@ -33,8 +28,8 @@ from braidsynth.majorana import (
     Circuit,
     MajoranaString,
     _conjugate_raw,
-    circuit_matrix,
-    conjugate,
+    _ModeTableau,
+    conjugate_circuit,
     gate_counts,
 )
 from braidsynth.oracle import conjugate_dense, conjugate_modes, dense_monomial, mode_arrays
@@ -49,7 +44,6 @@ from braidsynth.tableau import (
     StabilizerCode,
     apply_circuit,
     contains_total_parity,
-    in_normalizer,
 )
 
 
@@ -90,7 +84,7 @@ def test_gate_algebra_matches_dense_oracle_exactly():
 
     def agree(gate, m, n):
         nonlocal checks
-        image = conjugate(gate, m)
+        image = conjugate_circuit(Circuit(n, (gate,)), m)
         assert np.array_equal(
             conjugate_dense(gate, dense_monomial(m), n), dense_monomial(image)
         )
@@ -149,14 +143,20 @@ def test_shortest_code_end_to_end_with_ancilla():
 
 
 def test_circuit_matrices_preserve_the_pairing_form(corpus):
+    """The encoder's mode images (the columns of its GF(2) matrix) pair with
+    each other as the modes do, and replaying the unit rows through the
+    encoder and then the decoder gives them back, phases included."""
     codes, build_seconds = corpus
     t0 = time.perf_counter()
     for _, result in codes:
-        dec = circuit_matrix(result.decoder)
-        enc = circuit_matrix(result.encoder)
-        assert check_symplectic(dec)
-        assert check_symplectic(enc)
-        assert dec @ enc == BitMatrix.identity(result.total_modes)
+        n = result.total_modes
+        tab = _ModeTableau([1 << m for m in range(n)], n, [0] * n)
+        tab.run(result.encoder.gates)
+        images = [tab.row(m)[0] for m in range(n)]
+        for m, k in itertools.combinations(range(n), 2):
+            assert _pairing_raw(images[m], images[k]) == 1
+        tab.run(result.decoder.gates)
+        assert [tab.row(m) for m in range(n)] == [(1 << m, 0) for m in range(n)]
     assert build_seconds + time.perf_counter() - t0 < 60
 
 
@@ -235,8 +235,7 @@ def test_injected_sign_flips_are_corrected_and_reported():
         flips = []
         for m in range(log_start, result.total_modes):
             img = MajoranaString.single_mode(result.total_modes, m)
-            for gate in result.decoder.gates[lo:hi]:
-                img = conjugate(gate, img)
+            img = conjugate_circuit(Circuit(result.total_modes, result.decoder.gates[lo:hi]), img)
             assert img.bits.value == 1 << m
             if img.phase_r == 2:
                 flips.append((m - log_start) // 2)
@@ -277,6 +276,9 @@ def test_destabilizer_and_normalizer_contracts():
                 for i, g in enumerate(code.generators):
                     assert symplectic_pairing(d.bits, g.bits) == (1 if i == j else 0)
 
-    assert in_normalizer(shortest_code(), MajoranaString.from_modes(12, (0, 2, 4), 1))
-    assert not in_normalizer(shortest_code(), MajoranaString.from_modes(12, (0, 1), 1))
+    def in_normalizer(m):
+        return not any(symplectic_pairing(m.bits, g.bits) for g in shortest_code().generators)
+
+    assert in_normalizer(MajoranaString.from_modes(12, (0, 2, 4), 1))
+    assert not in_normalizer(MajoranaString.from_modes(12, (0, 1), 1))
     assert time.perf_counter() - t0 < 5

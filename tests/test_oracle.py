@@ -253,7 +253,6 @@ def test_verify_oracle_exits_4_on_a_flipped_image(monkeypatch, capsys, tmp_path)
     assert captured.out == (
         "decoded-form check: ok\n"
         "ancilla check: ok (i c0 c1 -> -i c0 c1, residual phase_r 3)\n"
-        "symplectic check: ok\n"
     )
     assert captured.err == (
         "verification failed (oracle): oracle: operator conjugation of mode 5 disagrees\n"

@@ -22,7 +22,6 @@ from braidsynth.majorana import (
     Circuit,
     MajoranaString,
     _ModeTableau,
-    conjugate,
     conjugate_circuit,
     gate_counts,
     multiply,
@@ -78,8 +77,7 @@ def recomputed_sign_flips(result: SynthesisResult) -> tuple[int, ...]:
     flips = []
     for m in range(log_start, result.total_modes):
         img = MajoranaString.single_mode(result.total_modes, m)
-        for gate in result.decoder.gates[lo:hi]:
-            img = conjugate(gate, img)
+        img = conjugate_circuit(Circuit(result.total_modes, result.decoder.gates[lo:hi]), img)
         assert img.bits.value == 1 << m  # doubled braids never move bits
         if img.phase_r == 2:
             flips.append((m - log_start) // 2)
@@ -140,7 +138,6 @@ def test_verify_document_is_the_cli_verifier():
         assert list(verify_document(code, doc, oracle=True)) == [
             "decoded-form check: ok",
             "ancilla check: ok (i c0 c1 -> -i c0 c1, residual phase_r 3)",
-            "symplectic check: ok",
             "oracle check: ok (14 modes, dimension 128)",
         ]
     decoder, encoder = documents(result)
