@@ -3,8 +3,8 @@
 Vectors are fixed-length bit strings packed into Python ints, so XOR, AND
 and popcount run word-parallel inside the interpreter.
 
-The commutation pairing of two mode sets is computed in closed form,
-``weight(u)*weight(v) + u.v  (mod 2)``, so the dense pairing matrix
+The commutation pairing of two even-weight mode sets is computed in closed
+form, ``weight(u)*weight(v) + u.v  (mod 2)``, so the dense pairing matrix
 (identity plus all-ones) is never built.
 
 ``_transpose_raw`` switches between the row-major layout (one int per

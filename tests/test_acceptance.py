@@ -125,7 +125,7 @@ def test_shortest_code_end_to_end_with_ancilla():
     result = synthesize_with_ancilla(code)
     assert result.total_modes == 14
 
-    # decoded form (every generator at +i), pairing, and dense conjugation
+    # decoded form (every generator at +i), ancilla pair, and dense conjugation
     # of every mode agreeing with the symbolic images
     report = list(verify_document(code, decoder_document(result), oracle=True))
     assert report[-1] == "oracle check: ok (14 modes, dimension 128)"
