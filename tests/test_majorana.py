@@ -183,6 +183,63 @@ def test_invert_undoes_the_circuit(bits, r, seed):
     assert conjugate_circuit(invert(c), conjugate_circuit(c, m)) == m
 
 
+def circuit_columns(c: Circuit) -> list[int]:
+    """The columns of a circuit's GF(2) matrix: the bits of the unit rows
+    replayed through one tableau."""
+    tab = _ModeTableau([1 << j for j in range(c.n_modes)], c.n_modes, [0] * c.n_modes)
+    tab.run(c.gates)
+    return [tab.row(j)[0] for j in range(c.n_modes)]
+
+
+def gate_columns(gate: BraidGate, n: int) -> list[int]:
+    """One gate's matrix, column j the kernel's image of mode j."""
+    return [_conjugate_raw(gate.support_mask, gate.generator_phase, 1 << j, 0)[0] for j in range(n)]
+
+
+def naive_matmul(a: list[int], b: list[int]) -> list[int]:
+    """A @ B on column-packed matrices: column j of the product is the XOR
+    of the columns of A picked by column j of B."""
+    out = []
+    for col in b:
+        acc = 0
+        for i, a_col in enumerate(a):
+            if col >> i & 1:
+                acc ^= a_col
+        out.append(acc)
+    return out
+
+
+@given(st.integers())
+def test_gate_matrix_columns_are_single_mode_images(seed):
+    gate = random_gates(N, 1, seed)[0]
+    cols = circuit_columns(Circuit(N, (gate,)))
+    for j in range(N):
+        img = conjugate(gate, MajoranaString.single_mode(N, j))
+        assert cols[j] == img.bits.value
+    assert cols == gate_columns(gate, N)
+
+
+@given(st.integers())
+def test_circuit_matrix_is_the_matrix_product(seed):
+    gates = random_gates(N, 8, seed)
+    acc = [1 << j for j in range(N)]
+    for g in gates:
+        acc = naive_matmul(gate_columns(g, N), acc)
+    assert circuit_columns(Circuit(N, tuple(gates))) == acc
+
+
+@given(st.integers())
+def test_circuit_matrix_is_symplectic(seed):
+    """C^T L C == L entry by entry, L the fermionic form: distinct mode
+    images anticommute and each image commutes with itself."""
+    cols = circuit_columns(Circuit(N, tuple(random_gates(N, 10, seed))))
+    for i in range(N):
+        for j in range(N):
+            u, v = cols[i], cols[j]
+            pairing = (u.bit_count() * v.bit_count() + (u & v).bit_count()) & 1
+            assert pairing == (i != j)
+
+
 @pytest.mark.parametrize("n", [2, 4, 70])
 def test_circuit_matrix_columns_are_the_mode_images(n):
     """Column j of a circuit's GF(2) matrix is the image of mode j: the unit
