@@ -1,12 +1,12 @@
 """Decoder synthesis: reduce a stabilizer code to aligned mode pairs.
 
 Both variants sweep the generators column by column.  Quartic braids shrink
-the working column's weight below the pivot by two per step, quadratic
-braids swap the surviving two bits onto the pivot pair, and a second quartic
-pass clears bits the column still holds on already-decoded pairs.  Every
-emitted gate has even overlap with every finished pair, so decoded
-generators are never disturbed -- the loop invariant that makes the sweep
-correct.
+the working column's weight below the pivot by two per step, parking on its
+lowest clear mode there; quadratic braids swap the surviving two bits onto
+the pivot pair, and a second quartic pass clears bits the column still holds
+on already-decoded pairs.  Every emitted gate has even overlap with every
+finished pair, so decoded generators are never disturbed -- the loop
+invariant that makes the sweep correct.
 
 The working generators live in one mode-major tableau (see ``majorana``)
 for the whole run, so each emitted gate costs O(|support| log N) big-int
@@ -22,21 +22,21 @@ final check compares the tableau with the decoded form in O(N).  Internal
 invariants raise ``SynthesisInvariantError``, so they also hold under
 ``python -O``.
 
-The ancilla variant adjoins a fresh mode pair at indices 0 and 1; mode 0
-serves as the always-available parking slot for quartic shrinking.  The
-image of i c_0 c_1 is one more row of the tableau, row r, so every gate
-folds it along with the generators.  At the end a reset pass reads that
-row and sweeps it back to (0, 1), emitting its gates through the same
-``emit`` as the sweep, when that is possible at all.  (It is not when the
-stabilizer group contains the total parity: every braid fixes the
-all-modes monomial, which pins the ancilla pair's image to the global
-parity times decoded generators, an operator no pair-preserving gate can
-move.  The residual image is reported instead of hidden.)  The
-ancilla-free variant parks on a zero row below the pivot, falling back to
-a recorded change of generating set (a pre-multiplication, not a gate)
-when no zero row exists; it must reject codes whose stabilizer group
-contains the total parity with r < N/2, for which no ancilla-free decoder
-exists at all.
+The ancilla variant adjoins a fresh mode pair at indices 0 and 1.  When a
+tail is all ones it shrinks by parking on mode 0 (a quartic braid through
+mode 0, then a quadratic one back), so it never fails.  The image of
+i c_0 c_1 is one more row of the tableau, row r, so every gate folds it
+along with the generators.  At the end a reset pass reads that row and
+sweeps it back to (0, 1), emitting its gates through the same ``emit`` as
+the sweep, when that is possible at all.  (It is not when the stabilizer
+group contains the total parity: every braid fixes the all-modes
+monomial, which pins the ancilla pair's image to the global parity times
+decoded generators, an operator no pair-preserving gate can move.  The
+residual image is reported instead of hidden.)  The ancilla-free variant
+meets an all-ones tail with a recorded change of generating set (a
+pre-multiplication, not a gate) instead; it must reject codes whose
+stabilizer group contains the total parity with r < N/2, for which no
+ancilla-free decoder exists at all.
 
 After the sweep all generator phases are +-i.  A doubled braid commutes
 with every monomial's bits and flips the sign of those it pairs oddly with,
@@ -201,21 +201,21 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
             a1 = _lowest_bit(t)
             a2 = _lowest_bit(t ^ (1 << a1))
             a3 = _lowest_bit(t ^ (1 << a1) ^ (1 << a2))
-            if use_ancilla:
+            clear = ~row & tail
+            if clear:
+                emit("braid4", (_lowest_bit(clear), a1, a2, a3))
+            elif use_ancilla:
+                # all-ones tail: park on mode 0, clear since the parity step
                 emit("braid4", (0, a1, a2, a3))
                 emit("braid2", (0, a1))
             else:
-                clear = ~row & tail
-                if clear == 0:
-                    # all-ones tail: borrow the lowest other generator with
-                    # tail support (guaranteed by independence; a recorded
-                    # basis change)
-                    holders = 0
-                    for c in tab.cols[p:]:
-                        holders |= c
-                    substitute(i, _lowest_bit(holders & ~(1 << i)))
-                    continue
-                emit("braid4", (_lowest_bit(clear), a1, a2, a3))
+                # all-ones tail: borrow the lowest other generator with
+                # tail support (guaranteed by independence; a recorded
+                # basis change)
+                holders = 0
+                for c in tab.cols[p:]:
+                    holders |= c
+                substitute(i, _lowest_bit(holders & ~(1 << i)))
 
         t = row & tail
         b1 = _lowest_bit(t)

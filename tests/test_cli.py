@@ -24,7 +24,7 @@ from braidsynth.codes import (
     serialize_code,
     shortest_code,
 )
-from braidsynth.majorana import BraidGate, Circuit, invert
+from braidsynth.majorana import BraidGate, Circuit, MajoranaString, conjugate_circuit, invert
 
 SAMPLES = Path(__file__).resolve().parents[1] / "sample_codes"
 
@@ -380,11 +380,18 @@ def test_ancilla_pair_that_keeps_logical_information_exits_4(
     capsys, tmp_path, code, mode, role, oracle
 ):
     """braid2(0, mode) after the decoder moves i c0 c1 onto the first logical
-    mode; every generator still arrives, so only the ancilla check can see it."""
+    mode; every generator still arrives, so only the ancilla check can see it.
+    The expected image is the synthesizer's reset image folded through the
+    extra gate, so the test pins the verifier, not the residual phase."""
     code_file = tmp_path / "tampered.code"
     code_file.write_text(serialize_code(code))
-    decoder = synth.synthesize_with_ancilla(code).decoder
-    tampered = Circuit(decoder.n_modes, decoder.gates + (BraidGate("braid2", (0, mode)),))
+    result = synth.synthesize_with_ancilla(code)
+    n = result.total_modes
+    extra = BraidGate("braid2", (0, mode))
+    image = conjugate_circuit(
+        Circuit(n, (extra,)), MajoranaString.from_modes(n, (0, 1), result.ancilla_phase_r)
+    )
+    tampered = Circuit(n, result.decoder.gates + (extra,))
     circuit = tampered if role == "decoder" else invert(tampered)
     path = tmp_path / f"tampered.{role}.circuit"
     path.write_text(serialize_circuit(CircuitDocument(circuit, (0, 1), (), role)))
@@ -393,7 +400,7 @@ def test_ancilla_pair_that_keeps_logical_information_exits_4(
     assert out == "decoded-form check: ok\n"
     assert err == (
         f"verification failed (ancilla): ancilla: the decoder leaves i c0 c1 at "
-        f"+i c1 c{mode}, off the ancilla pair\n"
+        f"{image}, off the ancilla pair\n"
     )
 
 

@@ -19,6 +19,7 @@ from braidsynth.codes import (
     shortest_code,
 )
 from braidsynth.majorana import (
+    BraidGate,
     Circuit,
     MajoranaString,
     _ModeTableau,
@@ -120,7 +121,7 @@ def test_shortest_code_with_ancilla():
     result = synthesize_with_ancilla(code)
     assert result.total_modes == 14
     assert result.ancilla_modes == (0, 1)
-    assert gate_counts(result.decoder) == {"braid2": 25, "braid4": 18}
+    assert gate_counts(result.decoder) == {"braid2": 14, "braid4": 13}
     assert decoded_ok(code, result)
     # the ancilla pair comes back to (0, 1), up to a reported sign
     assert result.ancilla_image is not None
@@ -129,6 +130,30 @@ def test_shortest_code_with_ancilla():
     assert str(result.ancilla_image) == "-i c0 c1"
     assert result.ancilla_image == folded_ancilla_image(result)
     check_reported_operators(code, result)
+
+
+def test_ancilla_shrink_takes_one_gate_on_a_clear_tail_mode():
+    """Each shrink step is one braid4 on the lowest clear tail mode; parking
+    on mode 0 (braid4 + braid2) took 1,296 decoder and 51 reset gates here."""
+    code = random_code(100, 25, seed=1)
+    result = synthesize_with_ancilla(code)
+    assert gate_counts(result.decoder) == {"braid2": 192, "braid4": 622}
+    assert len(result.decoder) - result.correction_span[1] == 14
+    assert decoded_ok(code, result)
+    assert result.ancilla_image == folded_ancilla_image(result)
+
+
+def test_all_ones_tail_with_ancilla_parks_on_mode_0():
+    """parity4's generator covers its whole tail (modes 2..5), so no clear
+    tail mode exists and the shrink step parks on the ancilla's mode 0."""
+    result = synthesize_with_ancilla(PARITY4)
+    assert result.decoder.gates[:2] == (
+        BraidGate("braid4", (0, 2, 3, 4)),
+        BraidGate("braid2", (0, 2)),
+    )
+    assert result.substitutions == ()
+    assert str(result.ancilla_image) == "+1 c0 c1 c4 c5"
+    assert decoded_ok(PARITY4, result)
 
 
 def test_verify_document_is_the_cli_verifier():
