@@ -133,8 +133,8 @@ def test_shortest_code_with_ancilla():
 
 
 def test_ancilla_shrink_takes_one_gate_on_a_clear_tail_mode():
-    """Each shrink step is one braid4 on the lowest clear tail mode; parking
-    on mode 0 (braid4 + braid2) took 1,296 decoder and 51 reset gates here."""
+    """Each shrink step is one braid4 on the lowest clear tail mode, which
+    these counts pin; the reset pass then has little left to undo."""
     code = random_code(100, 25, seed=1)
     result = synthesize_with_ancilla(code)
     assert gate_counts(result.decoder) == {"braid2": 192, "braid4": 622}
@@ -145,15 +145,14 @@ def test_ancilla_shrink_takes_one_gate_on_a_clear_tail_mode():
 
 def test_all_ones_tail_with_ancilla_parks_on_mode_0():
     """parity4's generator covers its whole tail (modes 2..5), so no clear
-    tail mode exists and the shrink step parks on the ancilla's mode 0."""
+    tail mode exists and the shrink step parks on the ancilla's mode 0; its
+    pinned image is checked by test_total_parity_pins_the_ancilla_image."""
     result = synthesize_with_ancilla(PARITY4)
     assert result.decoder.gates[:2] == (
         BraidGate("braid4", (0, 2, 3, 4)),
         BraidGate("braid2", (0, 2)),
     )
     assert result.substitutions == ()
-    assert str(result.ancilla_image) == "+1 c0 c1 c4 c5"
-    assert decoded_ok(PARITY4, result)
 
 
 def test_verify_document_is_the_cli_verifier():
