@@ -5,9 +5,11 @@ Generates seeded random codes, synthesizes both variants, and checks the
 full contract on each: the decoder and the encoder document pass
 ``verify_document`` (the verifier behind ``braidsynth verify``), which folds
 the ancilla pair's image from the document itself, and that image and its
-residual phase are the ones the synthesizer reports; gate count
-within the linear bound, reported operators pair correctly, ancilla reset
-as promised, and the ancilla-free obstruction raised exactly when it must
+residual phase are the ones the synthesizer reports, and the operator
+oracle re-derives both checks (it takes up to 26 modes, ancilla pair
+included, so --max-modes must stay at most 24); gate count within the
+linear bound, reported operators pair correctly, ancilla reset as
+promised, and the ancilla-free obstruction raised exactly when it must
 be.  Every other code contains the total parity (scrambling decoded pairs
 reaches it only at r = N/2), so the pinned-image and obstruction branches
 are exercised too.  Half of the codes are scrambled by 4N random gates,
@@ -63,7 +65,7 @@ def scrambled(n, rows, n_gates, rng):
 def check(code, result):
     for role, circuit in (("decoder", result.decoder), ("encoder", result.encoder)):
         doc = CircuitDocument(circuit, result.ancilla_modes, result.substitutions, role)
-        lines = list(verify_document(code, doc))
+        lines = list(verify_document(code, doc, oracle=True))
         if result.ancilla_modes:
             folded = lines[1]
             claimed = (

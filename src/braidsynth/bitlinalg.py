@@ -127,21 +127,8 @@ class BitVec:
     def weight(self) -> int:
         return self.value.bit_count()
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(f"bit index {i} out of range")
-        return (self.value >> i) & 1
-
     def indices(self) -> tuple[int, ...]:
         return tuple(_bit_positions(self.value))
-
-    def __xor__(self, other: BitVec) -> BitVec:
-        _same_length(self, other)
-        return BitVec(self.length, self.value ^ other.value)
-
-    def __and__(self, other: BitVec) -> BitVec:
-        _same_length(self, other)
-        return BitVec(self.length, self.value & other.value)
 
     def __str__(self) -> str:
         return "".join(str((self.value >> i) & 1) for i in range(self.length))

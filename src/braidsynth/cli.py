@@ -30,7 +30,6 @@ from .majorana import (
     Circuit,
     MajoranaString,
     _ModeTableau,
-    conjugate_circuit,
     gate_counts,
     invert,
 )
@@ -85,6 +84,12 @@ def verify_document(
     monomial, so the decoded generators already pin the row's image, and
     it is reported as it stands.  No check of the fermionic pairing runs:
     every braid's bit action preserves it (see ``majorana``).
+
+    The oracle folds the same rows through the decoder as Jordan-Wigner
+    matrices (``oracle.conjugate_rows``) and compares each with what the
+    checks above accepted: generator j with its decoded pair, i c_0 c_1
+    with the reported image.  It uses neither the tableau nor the bit
+    rule of ``majorana``, so it re-derives both checks.
     """
     working = prepend_ancilla_modes(code) if doc.ancilla_modes else code
     n = working.n_modes
@@ -100,13 +105,10 @@ def verify_document(
     decoder = doc.circuit if doc.role == "decoder" else invert(doc.circuit)
     target = DecodedTarget(n, 2 if doc.ancilla_modes else 0, code.n_stabilizers)
 
-    gens = apply_substitutions(working, doc.substitutions).generators
-    rows = [g.bits.value for g in gens]
-    row_phases = [g.phase_r for g in gens]
+    rows = list(apply_substitutions(working, doc.substitutions).generators)
     if doc.ancilla_modes:
-        rows.append(0b11)  # i c_0 c_1, row r
-        row_phases.append(1)
-    tab = _ModeTableau(rows, n, row_phases)
+        rows.append(MajoranaString(BitVec(n, 0b11), 1))  # i c_0 c_1, row r
+    tab = _ModeTableau([m.bits.value for m in rows], n, [m.phase_r for m in rows])
     tab.run(decoder.gates)
     if not tab.is_decoded(target.pivot_base, target.r):
         for j in range(target.r):
@@ -135,19 +137,20 @@ def verify_document(
         yield "oracle check: skipped (pass --oracle to run)"
         return
     # numpy loads with the oracle, so only on this branch
-    from .oracle import MAX_MODES, NonMonomialError, conjugate_modes, monomial_arrays
+    from .oracle import MAX_MODES, NonMonomialError, conjugate_rows, monomial_arrays
 
     if n > MAX_MODES:
         raise VerificationFailure("oracle", f"needs at most {MAX_MODES} total modes, got {n}")
     try:
-        cols, phases = conjugate_modes(doc.circuit)
+        cols, phases = conjugate_rows(decoder, rows)
     except NonMonomialError as exc:
         raise VerificationFailure("oracle", str(exc)) from None
-    for m in range(n):
-        image = conjugate_circuit(doc.circuit, MajoranaString.single_mode(n, m))
-        col, phase = monomial_arrays(image)
-        if not ((cols[m] == col).all() and (phases[m] == phase).all()):
-            raise VerificationFailure("oracle", f"operator conjugation of mode {m} disagrees")
+    wanted = [*target.generators(), image] if doc.ancilla_modes else target.generators()
+    for j, want in enumerate(wanted):
+        col, phase = monomial_arrays(want)
+        if not ((cols[j] == col).all() and (phases[j] == phase).all()):
+            row = f"generator {j}" if j < target.r else "i c0 c1"
+            raise VerificationFailure("oracle", f"operator conjugation of {row} disagrees")
     yield f"oracle check: ok ({n} modes, dimension {2 ** (n // 2)})"
 
 

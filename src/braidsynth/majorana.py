@@ -209,10 +209,6 @@ class MajoranaString:
             raise ValueError("phase_r must lie in 0..3")
 
     @classmethod
-    def identity(cls, n_modes: int) -> MajoranaString:
-        return cls(BitVec(n_modes), 0)
-
-    @classmethod
     def single_mode(cls, n_modes: int, k: int) -> MajoranaString:
         return cls(BitVec.from_indices(n_modes, (k,)), 0)
 

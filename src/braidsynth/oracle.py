@@ -10,13 +10,16 @@ exponent.  The single-mode arrays are built from the Kronecker definition
 
 A braid unitary is ``(I + i V)/sqrt(2)`` with V the gate generator, so a
 conjugation ``U M U^dagger`` expands to ``(M + i V M - i M V + V M V)/2``.
-``conjugate_modes`` folds all N modes through a circuit together, expanding
-each gate literally into those four phased permutations: it sums the
-coefficients that fall on one column and checks that every row is left with
-exactly one nonzero entry equal to twice a unit, raising NonMonomialError
-otherwise.  Everything is integer arithmetic and every comparison is ``==``;
-the bit-pairing rule of ``majorana`` is never used, so the oracle checks it
-independently.  The cost per gate is O(N d).
+``conjugate_rows`` folds a list of monomials through a circuit together,
+expanding each gate literally into those four phased permutations: it sums
+the coefficients that fall on one column and checks that every row is left
+with exactly one nonzero entry equal to twice a unit, raising
+NonMonomialError otherwise.  ``verify --oracle`` folds the document's own
+rows, the code's generators and i c_0 c_1, and compares them with their
+targets.  Everything is integer arithmetic and every comparison is ``==``;
+neither the bit-pairing rule of ``majorana`` nor its tableau is used, so the
+oracle re-derives the symbolic checks independently.  The cost per gate is
+O(R d) for R rows.
 
 ``dense_majorana`` and ``dense_monomial`` build the same matrices densely
 with ``np.kron``; they are the reference the arrays are tested against.
@@ -30,6 +33,7 @@ Registers beyond MAX_MODES are refused.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -41,14 +45,14 @@ __all__ = [
     "mode_arrays",
     "monomial_arrays",
     "conjugate_arrays",
-    "conjugate_modes",
+    "conjugate_rows",
     "dense_majorana",
     "dense_monomial",
     "dense_gate",
     "conjugate_dense",
 ]
 
-MAX_MODES = 16
+MAX_MODES = 26
 
 _I2 = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -204,11 +208,18 @@ def conjugate_arrays(
     return col, phase
 
 
-def conjugate_modes(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
-    """Column and phase arrays, shape (N, d), of ``U c_m U^dagger`` for every
-    mode m, with U the circuit's unitary (later gates applied last)."""
+def conjugate_rows(
+    circuit: Circuit, rows: Sequence[MajoranaString]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Column and phase arrays, shape (R, d), of ``U m U^dagger`` for every
+    monomial m in rows, with U the circuit's unitary (later gates applied
+    last).  No rows give arrays of shape (0, d)."""
     n = circuit.n_modes
-    cols, phases = mode_arrays(n)
+    _check_register(n)
+    cols = np.empty((len(rows), 2 ** (n // 2)), _COL)
+    phases = np.empty_like(cols, _PHASE)
+    for i, m in enumerate(rows):
+        cols[i], phases[i] = monomial_arrays(m)
     for j, g in enumerate(circuit.gates):
         try:
             cols, phases = conjugate_arrays(cols, phases, _generator(g, n))

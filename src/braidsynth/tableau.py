@@ -135,10 +135,6 @@ class DecodedTarget:
     def generators(self) -> tuple[MajoranaString, ...]:
         return tuple(self.generator(j) for j in range(self.r))
 
-    def matches(self, code: StabilizerCode) -> bool:
-        """True iff the code is exactly in this decoded form."""
-        return code.n_modes == self.n_modes and code.generators == self.generators()
-
 
 def apply_circuit(circuit: Circuit, code: StabilizerCode) -> StabilizerCode:
     """Conjugate every generator through the circuit."""

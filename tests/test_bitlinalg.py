@@ -56,7 +56,6 @@ def test_bitvec_construction():
     assert v.value == 0b101001
     assert v.weight() == 3
     assert v.indices() == (0, 3, 5)
-    assert v.bit(3) == 1 and v.bit(1) == 0
     assert str(v) == "100101"
 
 
@@ -67,15 +66,6 @@ def test_bitvec_rejects_bad_values():
         BitVec(4, -1)
     with pytest.raises(ValueError):
         BitVec.from_indices(4, (4,))
-    with pytest.raises(IndexError):
-        BitVec(4, 0).bit(4)
-
-
-def test_bitvec_ops_check_length():
-    with pytest.raises(ValueError):
-        BitVec(4, 1) ^ BitVec(6, 1)
-    assert (BitVec(4, 0b1010) ^ BitVec(4, 0b0110)).value == 0b1100
-    assert (BitVec(4, 0b1010) & BitVec(4, 0b0110)).value == 0b0010
 
 
 @given(packed, packed)

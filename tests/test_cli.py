@@ -434,7 +434,7 @@ def test_a_returned_ancilla_pair_skips_the_total_parity_test(monkeypatch, capsys
 
 def test_oracle_refuses_large_registers(capsys, tmp_path):
     code_file = tmp_path / "wide.code"
-    code_file.write_text(serialize_code(random_code(18, 2, seed=1)))
+    code_file.write_text(serialize_code(random_code(28, 2, seed=1)))
     circ = tmp_path / "wide.circuit"
     rc, _, _ = run(capsys, "synth", str(code_file), "--ancilla-free", "-o", str(circ))
     assert rc == 0
@@ -442,7 +442,31 @@ def test_oracle_refuses_large_registers(capsys, tmp_path):
     assert rc == 4
     assert out == "decoded-form check: ok\n"
     assert "verification failed (oracle)" in err
-    assert "at most 16" in err
+    assert "at most 26 total modes, got 28" in err
+
+
+def test_oracle_verifies_a_26_mode_register(capsys, tmp_path):
+    """The largest register the oracle takes: 24 code modes and the ancilla
+    pair, folded as 7 rows of 8192-entry arrays."""
+    code_file = tmp_path / "wide.code"
+    code_file.write_text(serialize_code(random_code(24, 6, seed=1)))
+    circ = tmp_path / "wide.circuit"
+    assert run(capsys, "synth", str(code_file), "-o", str(circ))[0] == 0
+    rc, out, err = run(capsys, "verify", str(code_file), str(circ), "--oracle")
+    assert (rc, err) == (0, "")
+    assert out.endswith("oracle check: ok (26 modes, dimension 8192)\n")
+
+
+def test_oracle_takes_a_code_with_no_rows(capsys, tmp_path):
+    """An ancilla-free document of an r = 0 code gives the oracle no row to fold."""
+    code_file = tmp_path / "empty.code"
+    code_file.write_text(serialize_code(random_code(6, 0, seed=1)))
+    circ = tmp_path / "empty.circuit"
+    rc, _, _ = run(capsys, "synth", str(code_file), "--ancilla-free", "--decoder", "-o", str(circ))
+    assert rc == 0
+    rc, out, err = run(capsys, "verify", str(code_file), str(circ), "--oracle")
+    assert (rc, err) == (0, "")
+    assert out == "decoded-form check: ok\noracle check: ok (6 modes, dimension 8)\n"
 
 
 def test_usage_errors_exit_64(capsys):

@@ -15,15 +15,29 @@ from hypothesis import strategies as st
 
 from braidsynth import cli, oracle
 from braidsynth.bitlinalg import BitVec
-from braidsynth.codes import CircuitDocument, random_circuit, serialize_circuit, shortest_code
-from braidsynth.majorana import BraidGate, Circuit, MajoranaString, conjugate_circuit, multiply
+from braidsynth.codes import (
+    CircuitDocument,
+    random_circuit,
+    random_code,
+    serialize_circuit,
+    shortest_code,
+)
+from braidsynth.majorana import (
+    BraidGate,
+    Circuit,
+    MajoranaString,
+    _ModeTableau,
+    conjugate_circuit,
+    invert,
+    multiply,
+)
 from braidsynth.oracle import (
     MAX_MODES,
     NonMonomialError,
     _generator,
     conjugate_arrays,
     conjugate_dense,
-    conjugate_modes,
+    conjugate_rows,
     dense_gate,
     dense_majorana,
     dense_monomial,
@@ -34,6 +48,9 @@ from braidsynth.synth import synthesize_with_ancilla
 
 N = 6
 DIM = 2 ** (N // 2)
+# The dense references are checked up to 16 modes: at MAX_MODES = 26 one
+# cached dense mode matrix alone takes 1 GiB.
+DENSE_MAX_MODES = 16
 
 
 def test_mode_matrices_anticommute():
@@ -125,7 +142,7 @@ def random_monomial(n, rng):
 
 
 def test_mode_arrays_match_dense_matrices():
-    for n in range(2, MAX_MODES + 1, 2):
+    for n in range(2, DENSE_MAX_MODES + 1, 2):
         cols, phases = mode_arrays(n)
         assert cols.shape == phases.shape == (n, 2 ** (n // 2))
         for k in range(n):
@@ -138,7 +155,7 @@ def test_mode_arrays_match_dense_matrices():
 
 def test_monomial_arrays_match_dense_products():
     rng = random.Random(5)
-    for n in range(2, MAX_MODES + 1, 2):
+    for n in range(2, DENSE_MAX_MODES + 1, 2):
         monomials = [MajoranaString(BitVec(n), r) for r in range(4)]
         monomials += [random_monomial(n, rng) for _ in range(6 if n < 14 else 2)]
         for m in monomials:
@@ -164,15 +181,18 @@ def test_conjugate_arrays_matches_conjugate_dense():
 
 def test_conjugate_modes_matches_the_symbolic_images():
     rng = random.Random(3)
-    for n in (2, 8, MAX_MODES):
+    for n in (2, 8, DENSE_MAX_MODES):
         circuit = random_circuit(n, 3 * n, rng)
-        cols, phases = conjugate_modes(circuit)
+        cols, phases = conjugate_rows(circuit, [MajoranaString.single_mode(n, k) for k in range(n)])
         for k in range(n):
             image = conjugate_circuit(circuit, MajoranaString.single_mode(n, k))
             col, phase = monomial_arrays(image)
             assert np.array_equal(cols[k], col) and np.array_equal(phases[k], phase)
-    identity = conjugate_modes(Circuit(N))
+    modes = [MajoranaString.single_mode(N, k) for k in range(N)]
+    identity = conjugate_rows(Circuit(N), modes)
     assert all(np.array_equal(a, b) for a, b in zip(identity, mode_arrays(N)))
+    cols, phases = conjugate_rows(random_circuit(N, 5, rng), [])
+    assert cols.shape == phases.shape == (0, DIM)
 
 
 @pytest.mark.parametrize("flip", [1, 3])
@@ -218,36 +238,68 @@ def shortest_decoder_document():
     return code, doc
 
 
-def test_oracle_rejects_a_phase_flipped_image_of_every_mode(monkeypatch):
-    code, doc = shortest_decoder_document()
-    n = doc.circuit.n_modes
-    for flipped in range(n):
+def blinded_to(tamper):
+    """A tableau class whose replay skips the tamper gate at the decoder's
+    end: the symbolic checks then pass a tampered document, and only the
+    oracle's own fold of the document's rows can see the gate."""
 
-        def flip_one(circuit, m, flipped=flipped):
-            image = conjugate_circuit(circuit, m)
-            if m == MajoranaString.single_mode(n, flipped):
-                return MajoranaString(image.bits, image.phase_r ^ 2)
-            return image
+    class Blinded(_ModeTableau):
+        def run(self, gates):
+            *kept, last = gates
+            assert last == tamper
+            super().run(kept)
 
-        monkeypatch.setattr(cli, "conjugate_circuit", flip_one)
-        with pytest.raises(cli.VerificationFailure) as failure:
-            list(cli.verify_document(code, doc, oracle=True))
-        assert failure.value.check == "oracle"
-        assert str(failure.value) == f"oracle: operator conjugation of mode {flipped} disagrees"
+    return Blinded
 
 
-def test_verify_oracle_exits_4_on_a_flipped_image(monkeypatch, capsys, tmp_path):
-    _, doc = shortest_decoder_document()
-    path = tmp_path / "shortest.dec.circuit"
-    path.write_text(serialize_circuit(doc))
+def tampered_document(code, extra, role):
+    """The code's ancilla decoder with one extra gate at its end (the decoder
+    may hold the same gate earlier), written as the given role."""
+    result = synthesize_with_ancilla(code)
+    tampered = Circuit(result.total_modes, result.decoder.gates + (extra,))
+    circuit = tampered if role == "decoder" else invert(tampered)
+    return CircuitDocument(circuit, result.ancilla_modes, result.substitutions, role)
 
-    def flip_mode_5(circuit, m):
-        image = conjugate_circuit(circuit, m)
-        if m.bits.indices() == (5,):
-            return MajoranaString(image.bits, image.phase_r ^ 2)
-        return image
 
-    monkeypatch.setattr(cli, "conjugate_circuit", flip_mode_5)
+@pytest.mark.parametrize("role", ["decoder", "encoder"])
+@pytest.mark.parametrize(
+    "code, mode",
+    [(shortest_code(), 12), (random_code(10, 2, seed=3), 6)],
+    ids=["shortest", "random-10-2-3"],
+)
+def test_oracle_rejects_an_ancilla_row_the_tableau_misses(monkeypatch, code, mode, role):
+    """braid2(0, mode) moves i c0 c1 onto the first logical mode.  With the
+    tableau blind to it, the ancilla check accepts -i c0 c1 or the like; the
+    oracle folds the row through the real decoder and disagrees."""
+    extra = BraidGate("braid2", (0, mode))
+    doc = tampered_document(code, extra, role)
+    monkeypatch.setattr(cli, "_ModeTableau", blinded_to(extra))
+    with pytest.raises(cli.VerificationFailure) as failure:
+        list(cli.verify_document(code, doc, oracle=True))
+    assert failure.value.check == "oracle"
+    assert str(failure.value) == "oracle: operator conjugation of i c0 c1 disagrees"
+
+
+def test_oracle_rejects_a_generator_row_the_tableau_misses(monkeypatch):
+    """braid2(2, 4) moves generator 0 off its decoded pair (2, 3)."""
+    code, extra = shortest_code(), BraidGate("braid2", (2, 4))
+    doc = tampered_document(code, extra, "decoder")
+    with pytest.raises(cli.VerificationFailure) as failure:
+        list(cli.verify_document(code, doc))
+    assert failure.value.check == "decoded-form"
+    monkeypatch.setattr(cli, "_ModeTableau", blinded_to(extra))
+    assert list(cli.verify_document(code, doc))[0] == "decoded-form check: ok"
+    with pytest.raises(cli.VerificationFailure) as failure:
+        list(cli.verify_document(code, doc, oracle=True))
+    assert failure.value.check == "oracle"
+    assert str(failure.value) == "oracle: operator conjugation of generator 0 disagrees"
+
+
+def test_verify_oracle_exits_4_on_a_row_the_tableau_misses(monkeypatch, capsys, tmp_path):
+    extra = BraidGate("braid2", (0, 12))
+    path = tmp_path / "tampered.encoder.circuit"
+    path.write_text(serialize_circuit(tampered_document(shortest_code(), extra, "encoder")))
+    monkeypatch.setattr(cli, "_ModeTableau", blinded_to(extra))
     assert cli.main(["verify", "--builtin", "shortest", str(path), "--oracle"]) == 4
     captured = capsys.readouterr()
     assert captured.out == (
@@ -255,7 +307,7 @@ def test_verify_oracle_exits_4_on_a_flipped_image(monkeypatch, capsys, tmp_path)
         "ancilla check: ok (i c0 c1 -> -i c0 c1, residual phase_r 3)\n"
     )
     assert captured.err == (
-        "verification failed (oracle): oracle: operator conjugation of mode 5 disagrees\n"
+        "verification failed (oracle): oracle: operator conjugation of i c0 c1 disagrees\n"
     )
 
 

@@ -99,16 +99,6 @@ def test_decoded_target_generators():
         t.generator(2)
 
 
-def test_decoded_target_matches():
-    t = DecodedTarget(6, 0, 2)
-    good = StabilizerCode(6, t.generators())
-    assert t.matches(good)
-    bad = StabilizerCode(6, (gen(6, (0, 1), 1), gen(6, (4, 5), 1)))
-    assert not t.matches(bad)
-    flipped = StabilizerCode(6, (gen(6, (0, 1), 1), gen(6, (2, 3), 3)))
-    assert not t.matches(flipped)
-
-
 def test_contains_total_parity_known_cases():
     par = StabilizerCode(4, (gen(4, (0, 1, 2, 3), 0),))
     assert contains_total_parity(par)
