@@ -22,7 +22,12 @@ gate on support a1 < a2 (< a3 < a4) then costs O(|support| log N) big-int
 operations whatever the number of rows: the rows it changes are the XOR of
 the support columns, and the reorder parity of every row is the XOR of the
 columns over [a1, a2) and [a3, a4), read from a Fenwick tree of prefix
-XORs.  The tableau is the one gate update shared by every multi-row path:
+XORs.  The support is taken pair by pair: a pair's two walks down the tree
+(the range query) and its two walks up (the update) each stop where the
+two paths meet, because the shared nodes cancel under XOR, so a pair of
+nearby modes touches only a few nodes.  ``_ModeTableau.run`` is the one
+gate loop and ``apply`` is a one-gate ``run``.  The tableau is the one
+gate update shared by every multi-row path:
 ``tableau.apply_circuit`` runs code generators through it, ``verify``
 runs a document's generators and the ancilla row, and the synthesis
 sweep keeps its working generators in one tableau for the whole run,
@@ -73,8 +78,12 @@ class _ModeTableau:
     place.  The rows' Z4 exponents are two bit planes (p0 the low bit, p1
     the high bit) and tree is a Fenwick tree of prefix XORs over the
     columns: tree[k] is the XOR of cols[k - (k & -k) .. k-1].  A gate then
-    costs O(|support| log N) big-int operations.  Applying a gate equals
-    folding every row through ``_conjugate_raw``.
+    costs O(|support| log N) big-int operations, and fewer when its pairs
+    are close: per pair (a1, a2) and (a3, a4), the walks stop where the
+    pair's two Fenwick paths meet.  ``run`` is the one gate loop and keeps
+    the state in locals for the whole sequence; ``apply`` is a one-gate
+    ``run``.  Applying a gate equals folding every row through
+    ``_conjugate_raw``.
 
     The tableau also keeps each row as the int it was built from or last
     set to (rows), and dirty, an r-bit mask of the rows a gate has changed
@@ -99,41 +108,62 @@ class _ModeTableau:
             self.p1 |= (ph >> 1 & 1) << i
 
     def apply(self, gate: BraidGate) -> None:
-        """Conjugate every row by the gate."""
-        cols, modes = self.cols, gate.modes
-        odd = 0
-        for a in modes:
-            odd ^= cols[a]
-        if not odd:
-            return
-        self.dirty |= odd
-        tree = self.tree
-        # Reorder parity of every row: XOR of the prefixes below each a.
-        reorder = 0
-        for a in modes:
-            k = a
-            while k:
-                reorder ^= tree[k]
-                k &= k - 1
-        # 2-bit add of 1 + gen_phase + 2 * reorder on the rows in odd.
-        step = 1 + gate.generator_phase
-        add0 = odd if step & 1 else 0
-        add1 = (odd if step & 2 else 0) ^ (reorder & odd)
-        self.p1 ^= add1 ^ (self.p0 & add0)
-        self.p0 ^= add0
-        n_modes = len(cols)
-        for a in modes:
-            cols[a] ^= odd
-            k = a + 1
-            while k <= n_modes:
-                tree[k] ^= odd
-                k += k & -k
+        """Conjugate every row by the gate: a one-gate ``run``."""
+        self.run((gate,))
 
     def run(self, gates: Iterable[BraidGate]) -> None:
-        """Conjugate every row through the gates, in order."""
-        apply = self.apply
-        for g in gates:
-            apply(g)
+        """Conjugate every row through the gates, in order.
+
+        A support splits into pairs lo < hi, one for braid2 and two for
+        braid4.  A pair's reorder parity is the XOR of the columns over
+        [lo, hi); its two prefix walks down the tree stop where they meet,
+        since the nodes below cancel.  Its update XORs odd into cols[lo],
+        cols[hi] and the nodes on the upward paths from lo + 1 and hi + 1
+        below the node where the two meet, since every node from there on
+        would be XORed twice; hi's path also stops past n_modes.  Every
+        query of a gate runs before its updates.
+        """
+        cols, tree = self.cols, self.tree
+        end = len(cols) + 1
+        p0, p1, dirty = self.p0, self.p1, self.dirty
+        for gate in gates:
+            modes = gate.modes
+            odd = 0
+            for a in modes:
+                odd ^= cols[a]
+            if not odd:
+                continue
+            dirty |= odd
+            pairs = (modes,) if len(modes) == 2 else (modes[:2], modes[2:])
+            reorder = 0
+            for b, a in pairs:  # a walks down from hi, b from lo
+                while a > b:
+                    reorder ^= tree[a]
+                    a &= a - 1
+                while b > a:
+                    reorder ^= tree[b]
+                    b &= b - 1
+            # 2-bit add of 1 + gen_phase + 2 * reorder on the rows in odd.
+            step = 1 + gate.generator_phase
+            add0 = odd if step & 1 else 0
+            add1 = (odd if step & 2 else 0) ^ (reorder & odd)
+            p1 ^= add1 ^ (p0 & add0)
+            p0 ^= add0
+            for lo, hi in pairs:
+                cols[lo] ^= odd
+                cols[hi] ^= odd
+                # lo's path stays below hi + 1 until it lands on the first
+                # node that covers both; hi's path stops there or at the end.
+                a, b = lo + 1, hi + 1
+                while a < b:
+                    tree[a] ^= odd
+                    a += a & -a
+                if a > end:
+                    a = end
+                while b < a:
+                    tree[b] ^= odd
+                    b += b & -b
+        self.p0, self.p1, self.dirty = p0, p1, dirty
 
     def phase(self, i: int) -> int:
         return (self.p0 >> i & 1) | (self.p1 >> i & 1) << 1

@@ -18,8 +18,10 @@ The synthesis target is the decoded form in which generator j acts only on
 the mode pair (pivot_base + 2j, pivot_base + 2j + 1) with phase +i.
 
 ``apply_circuit`` transposes the generators into the mode-major tableau of
-``majorana`` and replays the circuit on all of them at once: each gate
-costs O(|support| log N) big-int operations on r-bit ints, instead of one
+``majorana`` and replays the circuit on all of them at once, in one
+``_ModeTableau.run``: each gate costs at most O(|support| log N) big-int
+operations on r-bit ints, since each pair of its support walks the
+Fenwick tree only until the pair's two paths meet, instead of one
 conjugation per generator.
 """
 
