@@ -19,10 +19,10 @@ the mode pair (pivot_base + 2j, pivot_base + 2j + 1) with phase +i.
 
 ``apply_circuit`` transposes the generators into the mode-major tableau of
 ``majorana`` and replays the circuit on all of them at once, in one
-``_ModeTableau.run``: each gate costs at most O(|support| log N) big-int
-operations on r-bit ints, since each pair of its support walks the
-Fenwick tree only until the pair's two paths meet, instead of one
-conjugation per generator.
+``_ModeTableau.run``, instead of one conjugation per generator: each gate
+costs at most O(|support| log N) big-int operations on r-bit ints, since
+each pair of its support walks the Fenwick tree only until the pair's two
+paths meet.
 """
 
 from __future__ import annotations

@@ -258,6 +258,35 @@ def test_circuit_matrix_columns_are_the_mode_images(n):
         assert tab.row(j) == (image.bits.value, image.phase_r)
 
 
+def test_every_support_shape_on_nine_modes():
+    """Every braid2 and braid4 support on 9 modes, in both directions, so
+    every way a pair's two Fenwick paths can meet in a 9-node tree is
+    taken: each gate through apply equals the row-major fold, and one run
+    over the whole sequence leaves the same tableau as the applies."""
+    n = 9
+    rng = random.Random(9)
+    gates = [
+        BraidGate(kind, support, direction)
+        for kind, size in (("braid2", 2), ("braid4", 4))
+        for support in itertools.combinations(range(n), size)
+        for direction in (1, -1)
+    ]
+    rng.shuffle(gates)
+    start = [rng.getrandbits(n) for _ in range(12)]
+    start_phases = [rng.randrange(4) for _ in start]
+    bits, phases = list(start), list(start_phases)
+    applied = _ModeTableau(start, n, start_phases)
+    for gate in gates:
+        applied.apply(gate)
+        for i, (b, ph) in enumerate(zip(bits, phases)):
+            bits[i], phases[i] = _conjugate_raw(gate.support_mask, gate.generator_phase, b, ph)
+            assert applied.row(i) == (bits[i], phases[i])
+    ran = _ModeTableau(start, n, start_phases)
+    ran.run(gates)
+    for name in ("cols", "tree", "p0", "p1", "dirty"):
+        assert getattr(ran, name) == getattr(applied, name), name
+
+
 @pytest.mark.parametrize("n", [6, 8])
 def test_braid_bit_action_preserves_the_pairing(n):
     """Every braid2 and braid4 gate on n modes maps the bits of every pair of

@@ -204,16 +204,30 @@ def sparse_rows_and_gates(n, rng):
     return bits, gates
 
 
+def fenwick(cols):
+    """The Fenwick tree of cols by its definition: node k is the XOR of
+    cols[k - (k & -k) .. k-1], node 0 is 0."""
+    tree = [0]
+    for k in range(1, len(cols) + 1):
+        node = 0
+        for c in cols[k - (k & -k) : k]:
+            node ^= c
+        tree.append(node)
+    return tree
+
+
 def run_rows_against_the_fold(n, bits, gates, rng):
     """Apply the gates, and a random set_row after each, to a tableau and
     to a row-major list folded through _conjugate_raw; every row must agree
-    after every step.  Returns the dirty states the reads saw."""
+    after every step, and the tree must be the Fenwick tree of the columns.
+    Returns the dirty states the reads saw."""
     phases = [rng.randrange(4) for _ in bits]
     tab = _ModeTableau(bits, n, list(phases))
     seen: set[int] = set()
     check_every_row(tab, bits, phases, seen)
     for gate in gates:
         tab.apply(gate)
+        assert tab.tree == fenwick(tab.cols)
         for i, (b, ph) in enumerate(zip(bits, phases)):
             bits[i], phases[i] = _conjugate_raw(gate.support_mask, gate.generator_phase, b, ph)
         check_every_row(tab, bits, phases, seen)
@@ -221,6 +235,7 @@ def run_rows_against_the_fold(n, bits, gates, rng):
         if i != j:
             bits[i], phases[i] = _multiply_raw(bits[i], phases[i], bits[j], phases[j])
             tab.set_row(i, bits[i], phases[i])
+            assert tab.tree == fenwick(tab.cols)
             assert not tab.dirty >> i & 1
             check_every_row(tab, bits, phases, seen)
     assert tab.cols == _transpose_raw(bits, n)
@@ -228,7 +243,7 @@ def run_rows_against_the_fold(n, bits, gates, rng):
     return seen
 
 
-@pytest.mark.parametrize("n", [2, 6, 66])
+@pytest.mark.parametrize("n", [2, 6, 64, 65, 66])
 def test_mode_tableau_rows_follow_the_row_major_fold(n):
     """Reading, overwriting and updating single rows of the mode-major
     tableau agrees with a row-major list folded through _conjugate_raw."""
