@@ -2,7 +2,8 @@
 """Randomized stress run for the synthesizer.
 
 Generates seeded random codes, synthesizes both variants, and checks the
-full contract on each: the decoder and the encoder document pass
+full contract on each: the decoder and the encoder document come back
+equal from ``serialize_circuit`` and ``parse_circuit``, and pass
 ``verify_document`` (the verifier behind ``braidsynth verify``), which folds
 the ancilla pair's image from the document itself, and that image and its
 residual phase are the ones the synthesizer reports, and the operator
@@ -27,7 +28,12 @@ import sys
 
 from braidsynth.bitlinalg import symplectic_pairing
 from braidsynth.cli import verify_document
-from braidsynth.codes import CircuitDocument, random_circuit
+from braidsynth.codes import (
+    CircuitDocument,
+    parse_circuit,
+    random_circuit,
+    serialize_circuit,
+)
 from braidsynth.majorana import MajoranaString
 from braidsynth.synth import (
     PhaseCorrectionError,
@@ -65,6 +71,7 @@ def scrambled(n, rows, n_gates, rng):
 def check(code, result):
     for role, circuit in (("decoder", result.decoder), ("encoder", result.encoder)):
         doc = CircuitDocument(circuit, result.ancilla_modes, result.substitutions, role)
+        assert parse_circuit(serialize_circuit(doc)) == doc
         lines = list(verify_document(code, doc, oracle=True))
         if result.ancilla_modes:
             folded = lines[1]

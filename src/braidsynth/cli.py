@@ -71,14 +71,16 @@ def verify_document(
 ) -> Iterator[str]:
     """Check a circuit document against a validated code, yielding each report
     line as its check passes: the decoded form (an encoder document is
-    inverted first), where the decoder leaves i c_0 c_1 when the document
-    has an ancilla pair, then the operator oracle if asked.  Raises
-    CircuitFormatError when the document does not fit the code and
-    VerificationFailure at the first failed check.
+    replayed backwards with every gate inverted), where the decoder leaves
+    i c_0 c_1 when the document has an ancilla pair, then the operator
+    oracle if asked.  Raises CircuitFormatError when the document does not
+    fit the code and VerificationFailure at the first failed check.
 
     One replay serves the first two checks: the substitution-adjusted
     generators, and with an ancilla pair the row i c_0 c_1 after them, go
-    through the decoder in one mode-major tableau.  That row must come back
+    through the decoder in one mode-major tableau.  An encoder's gates run
+    there in reverse order as their inverses, so no decoder ``Circuit`` is
+    built.  The row i c_0 c_1 must come back
     as +-i c_0 c_1, or the ancilla pair would keep logical information,
     unless the code contains the total parity: braids fix the all-modes
     monomial, so the decoded generators already pin the row's image, and
@@ -86,7 +88,8 @@ def verify_document(
     every braid's bit action preserves it (see ``majorana``).
 
     The oracle folds the same rows through the decoder as Jordan-Wigner
-    matrices (``oracle.conjugate_rows``) and compares each with what the
+    matrices (``oracle.conjugate_rows``, which takes a decoder, so only
+    this branch inverts an encoder) and compares each with what the
     checks above accepted: generator j with its decoded pair, i c_0 c_1
     with the reported image.  It uses neither the tableau nor the bit
     rule of ``majorana``, so it re-derives both checks.
@@ -102,14 +105,14 @@ def verify_document(
             raise CircuitFormatError(
                 f"substitution [{i}, {j}] is out of range for {code.n_stabilizers} generators"
             )
-    decoder = doc.circuit if doc.role == "decoder" else invert(doc.circuit)
+    encoder = doc.role == "encoder"
     target = DecodedTarget(n, 2 if doc.ancilla_modes else 0, code.n_stabilizers)
 
     rows = list(apply_substitutions(working, doc.substitutions).generators)
     if doc.ancilla_modes:
         rows.append(MajoranaString(BitVec(n, 0b11), 1))  # i c_0 c_1, row r
     tab = _ModeTableau([m.bits.value for m in rows], n, [m.phase_r for m in rows])
-    tab.run(decoder.gates)
+    tab.run(doc.circuit.gates, inverse=encoder)
     if not tab.is_decoded(target.pivot_base, target.r):
         for j in range(target.r):
             bits, phase = tab.row(j)
@@ -141,6 +144,7 @@ def verify_document(
 
     if n > MAX_MODES:
         raise VerificationFailure("oracle", f"needs at most {MAX_MODES} total modes, got {n}")
+    decoder = invert(doc.circuit) if encoder else doc.circuit
     try:
         cols, phases = conjugate_rows(decoder, rows)
     except NonMonomialError as exc:

@@ -23,6 +23,13 @@ document at most two more (the ancilla pair).  kitaev_chain, parse_code
 and parse_circuit check the cap before they build anything, so an
 oversized request fails at once with a one-line error instead of running
 out of memory.
+
+A valid list (a gates list, or a generator's modes) is accepted by a few
+whole-list passes of built-ins (itemgetter, type, min, max) with no
+Python code per item; only a list that fails them goes through the checks
+one item at a time, which are the only code that builds a message.  So
+every message, and which check reports when several fail, is the same
+whichever path a document takes.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import itemgetter, lt
 from typing import Any
 
 from .majorana import BraidGate, Circuit, MajoranaString
@@ -200,13 +209,21 @@ def parse_code(text: str) -> StabilizerCode:
             raise err(f"{where} must be an object")
         _require_keys(entry, {"modes", "phase_r"}, set(), where, err)
         not_ints = f"{where}: modes must be a list of integers"
-        if not isinstance(entry["modes"], list):
+        modes = entry["modes"]
+        if not isinstance(modes, list):
             raise err(not_ints)
-        modes = [_int(m, not_ints, err) for m in entry["modes"]]
-        if any(m < 0 or m >= n_modes for m in modes):
-            raise err(f"{where}: mode out of range 0..{n_modes - 1}")
-        if any(a >= b for a, b in zip(modes, modes[1:])):
-            raise err(f"{where}: modes must be strictly ascending")
+        # Whole-list passes accept valid modes; only a list that fails them
+        # goes through the checks one by one, which raise the message.
+        if not (
+            set(map(type, modes)) <= {int}
+            and (not modes or 0 <= min(modes) and max(modes) < n_modes)
+            and all(map(lt, modes, islice(modes, 1, None)))
+        ):
+            modes = [_int(m, not_ints, err) for m in modes]
+            if any(m < 0 or m >= n_modes for m in modes):
+                raise err(f"{where}: mode out of range 0..{n_modes - 1}")
+            if any(a >= b for a, b in zip(modes, modes[1:])):
+                raise err(f"{where}: modes must be strictly ascending")
         bad_phase = f"{where}: phase_r must be an integer in 0..3"
         phase_r = _int(entry["phase_r"], bad_phase, err)
         if not 0 <= phase_r <= 3:
@@ -228,9 +245,43 @@ def serialize_code(code: StabilizerCode) -> str:
 
 
 _GATE_KEYS = frozenset(("kind", "modes", "direction"))
+_GATE_FIELDS = itemgetter("kind", "modes", "direction")
 # Mode lists of plain ints with a gate's length; any other passes _int one
 # mode at a time, which raises on the first that is not an integer.
 _INT_MODES = frozenset(((int, int), (int, int, int, int)))
+
+
+def _gates_at_once(entries: list[Any], n_modes: int) -> tuple[BraidGate, ...] | None:
+    """The gates of a valid gates list, checked in whole-list passes with no
+    Python code per gate; None if any check fails, and then the per-gate
+    loop of parse_circuit finds the first fault and its message.
+
+    itemgetter fails (TypeError, KeyError) on an entry that is not an
+    object or lacks a key, and a length of 3 leaves no other key.  type()
+    is exact, so a bool is not an int here either.  The range check runs
+    last, on the highest mode of each valid gate, and no gate has built
+    anything sized by its modes before it.
+    """
+    try:
+        kinds, mode_lists, directions = zip(*map(_GATE_FIELDS, entries))
+    except (TypeError, KeyError, ValueError):  # ValueError: an empty list
+        return None
+    if (
+        set(map(len, entries)) != {3}
+        or set(map(type, kinds)) != {str}
+        or set(map(type, mode_lists)) != {list}
+        or set(map(type, chain.from_iterable(mode_lists))) != {int}
+        or set(map(type, directions)) != {int}
+    ):
+        return None
+    supports = tuple(map(tuple, mode_lists))
+    try:
+        gates = tuple(map(BraidGate, kinds, supports, directions))
+    except ValueError:
+        return None
+    if max(map(itemgetter(-1), supports)) >= n_modes:
+        return None
+    return gates
 
 
 def parse_circuit(text: str) -> CircuitDocument:
@@ -270,6 +321,9 @@ def parse_circuit(text: str) -> CircuitDocument:
         subs.append((i, j))
     if not isinstance(doc["gates"], list):
         raise err("gates must be a list")
+    valid = _gates_at_once(doc["gates"], n_modes)
+    if valid is not None:
+        return CircuitDocument(Circuit(n_modes, valid), ancilla, tuple(subs), role)
     # The gate loop builds a message only when a check fails: the checks
     # are the same for every gate, and a document may hold tens of
     # thousands of them.

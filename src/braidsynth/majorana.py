@@ -26,10 +26,13 @@ XORs.  The support is taken pair by pair: a pair's two walks down the tree
 (the range query) and its two walks up (the update) each stop where the
 two paths meet, because the shared nodes cancel under XOR, so a pair of
 nearby modes touches only a few nodes.  ``_ModeTableau.run`` is the one
-gate loop and ``apply`` is a one-gate ``run``.  The tableau is the one
+gate loop and ``apply`` is a one-gate ``run``; ``run(gates, inverse=True)``
+walks the gates backwards with each generator phase flipped, which replays
+the inverse circuit without building it.  The tableau is the one
 gate update shared by every multi-row path:
 ``tableau.apply_circuit`` runs code generators through it, ``verify``
-runs a document's generators and the ancilla row, and the synthesis
+runs a document's generators and the ancilla row (an encoder document
+backwards), and the synthesis
 sweep keeps its working generators in one tableau for the whole run,
 reading and overwriting single rows.  The
 tableau keeps the rows it was built from and a mask of the rows gates
@@ -38,15 +41,17 @@ changed (dirty) row still costs an O(N) scan of the columns.
 ``conjugate_circuit`` stays the plain one-monomial fold.
 
 A gate is validated once, by the ``BraidGate`` constructor, where its data
-is new: a parsed document or a synthesis step.  ``BraidGate.inverse`` (and
-so ``invert``) builds its gate without a second check, since flipping the
-direction of a valid gate cannot make it invalid.
+is new: a parsed document or a synthesis step.  The constructor is written
+by hand, so a valid gate costs one chained comparison and five slot
+writes.  ``BraidGate.inverse`` (and so ``invert``) builds its gate without
+a second check, since flipping the direction of a valid gate cannot make
+it invalid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 from .bitlinalg import BitVec, _reorder_raw, _transpose_raw
 
@@ -111,8 +116,11 @@ class _ModeTableau:
         """Conjugate every row by the gate: a one-gate ``run``."""
         self.run((gate,))
 
-    def run(self, gates: Iterable[BraidGate]) -> None:
-        """Conjugate every row through the gates, in order.
+    def run(self, gates: Sequence[BraidGate], inverse: bool = False) -> None:
+        """Conjugate every row through the gates, in order; with inverse,
+        through their inverses in reverse order, which is ``run`` of
+        ``invert(circuit).gates`` without building a gate: an inverse gate
+        has the same modes and generator phase ``generator_phase ^ 2``.
 
         A support splits into pairs lo < hi, one for braid2 and two for
         braid4.  A pair's reorder parity is the XOR of the columns over
@@ -126,7 +134,8 @@ class _ModeTableau:
         cols, tree = self.cols, self.tree
         end = len(cols) + 1
         p0, p1, dirty = self.p0, self.p1, self.dirty
-        for gate in gates:
+        flip = 2 if inverse else 0
+        for gate in reversed(gates) if inverse else gates:
             modes = gate.modes
             odd = 0
             for a in modes:
@@ -144,7 +153,7 @@ class _ModeTableau:
                     reorder ^= tree[b]
                     b &= b - 1
             # 2-bit add of 1 + gen_phase + 2 * reorder on the rows in odd.
-            step = 1 + gate.generator_phase
+            step = 1 + (gate.generator_phase ^ flip)
             add0 = odd if step & 1 else 0
             add1 = (odd if step & 2 else 0) ^ (reorder & odd)
             p1 ^= add1 ^ (p0 & add0)
@@ -270,7 +279,7 @@ GateKind = Literal["braid2", "braid4"]
 _SUPPORT_SIZE = {"braid2": 2, "braid4": 4}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BraidGate:
     """A quadratic or quartic braid on a sorted tuple of distinct modes.
 
@@ -280,7 +289,9 @@ class BraidGate:
     generator_phase is computed with the check, and support_mask, whose
     size grows with the highest mode, on first use and then kept: a gate
     may name a mode far outside any register until a range check rejects
-    it.  Neither takes part in equality, hashing or repr.
+    it.  Neither takes part in equality, hashing or repr.  The constructor
+    is written by hand and sets the slots directly, so a gate costs no
+    frozen-dataclass ``__setattr__`` calls and no ``__post_init__``.
     """
 
     kind: GateKind
@@ -290,10 +301,12 @@ class BraidGate:
     generator_phase: int = field(init=False, repr=False, compare=False)
     _mask: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: GateKind, modes: tuple[int, ...], direction: int = 1) -> None:
         """One chained comparison passes a valid gate; anything else goes
         through _check, which raises the message of the first failed check."""
-        kind, modes, direction = self.kind, self.modes, self.direction
+        _set_kind(self, kind)
+        _set_modes(self, modes)
+        _set_direction(self, direction)
         try:
             if kind == "braid2":
                 valid = len(modes) == 2 and 0 <= modes[0] < modes[1]
@@ -348,8 +361,9 @@ class BraidGate:
         return f"{tag} {sign}({','.join(map(str, self.modes))})"
 
 
-# The frozen gate's slots, written directly: __post_init__ and support_mask
-# set the cached fields, and inverse() builds a gate from one already checked.
+# The frozen gate's slots, written directly: __init__ sets every field,
+# support_mask the cached mask, and inverse() builds a gate from one
+# already checked.
 _new_gate = object.__new__
 _set_kind = BraidGate.kind.__set__  # type: ignore[attr-defined]
 _set_modes = BraidGate.modes.__set__  # type: ignore[attr-defined]

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from braidsynth.cli import main
 from braidsynth.codes import (
+    CircuitDocument,
     CircuitFormatError,
     CodeFormatError,
     kitaev_chain,
@@ -16,6 +18,7 @@ from braidsynth.codes import (
     parse_code,
     random_circuit,
     random_code,
+    serialize_circuit,
     serialize_code,
     shortest_code,
 )
@@ -204,6 +207,46 @@ def test_parse_circuit_gate_messages():
         with pytest.raises(CircuitFormatError) as exc:
             parse_circuit(circuit_text(*gates))
         assert str(exc.value) == message, gates
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_parse_circuit_gate_messages_after_valid_gates(monkeypatch, k):
+    """Every case of test_parse_circuit_gate_messages behind k valid gates.
+    The whole-list pass fails on each such list, so the per-gate loop must
+    find the fault and name gate index + k in the same message; the index
+    is shifted back here so that the case's own assert compares the rest."""
+    valid = [gate(modes=(1, 3)), gate(kind="braid4", modes=(0, 1, 2, 3), direction=-1)]
+    parse = parse_circuit
+
+    def parse_behind_valid_gates(text):
+        doc = json.loads(text)
+        doc["gates"][:0] = (valid * k)[:k]
+        try:
+            return parse(json.dumps(doc))
+        except CircuitFormatError as exc:
+            index, rest = re.fullmatch(r"gate (\d+)(.*)", str(exc)).groups()
+            assert int(index) >= k, str(exc)
+            raise CircuitFormatError(f"gate {int(index) - k}{rest}") from None
+
+    monkeypatch.setitem(globals(), "parse_circuit", parse_behind_valid_gates)
+    test_parse_circuit_gate_messages()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_circuit_document_round_trip(seed):
+    """Seeded random documents, the empty gate list included, come back from
+    serialize_circuit and parse_circuit equal, gate by gate."""
+    rng = random.Random(seed)
+    n = rng.choice([2, 3, 4, 9, 40])
+    circuit = random_circuit(n, rng.choice([0, 1, 5, 300]), rng)
+    ancilla = (0, 1) if rng.random() < 0.5 else ()
+    subs = tuple((i, i + 1) for i in range(rng.randrange(3)))
+    doc = CircuitDocument(circuit, ancilla, subs, rng.choice(["encoder", "decoder"]))
+    parsed = parse_circuit(serialize_circuit(doc))
+    assert parsed == doc
+    assert [g.generator_phase for g in parsed.circuit.gates] == [
+        g.generator_phase for g in circuit.gates
+    ]
 
 
 @pytest.mark.parametrize("mode", [10**12, 172_685_231_650])

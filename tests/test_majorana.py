@@ -5,6 +5,7 @@ generator sequences (anticommute on swap, square to one), so the packed
 kernel is checked against an implementation that shares none of its code.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -261,8 +262,9 @@ def test_circuit_matrix_columns_are_the_mode_images(n):
 def test_every_support_shape_on_nine_modes():
     """Every braid2 and braid4 support on 9 modes, in both directions, so
     every way a pair's two Fenwick paths can meet in a 9-node tree is
-    taken: each gate through apply equals the row-major fold, and one run
-    over the whole sequence leaves the same tableau as the applies."""
+    taken: each gate through apply equals the row-major fold, one run
+    over the whole sequence leaves the same tableau as the applies, and a
+    backwards run leaves the same tableau as a run of the inverted circuit."""
     n = 9
     rng = random.Random(9)
     gates = [
@@ -285,6 +287,12 @@ def test_every_support_shape_on_nine_modes():
     ran.run(gates)
     for name in ("cols", "tree", "p0", "p1", "dirty"):
         assert getattr(ran, name) == getattr(applied, name), name
+    backwards = _ModeTableau(start, n, start_phases)
+    backwards.run(gates, inverse=True)
+    inverted = _ModeTableau(start, n, start_phases)
+    inverted.run(invert(Circuit(n, tuple(gates))).gates)
+    for name in ("cols", "tree", "p0", "p1", "dirty"):
+        assert getattr(backwards, name) == getattr(inverted, name), name
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -332,6 +340,26 @@ def test_braid_gate_validation():
         with pytest.raises(ValueError) as exc:
             BraidGate(*args)
         assert str(exc.value) == message, args
+        with pytest.raises(ValueError) as exc:
+            BraidGate(**dict(zip(("kind", "modes", "direction"), args)))
+        assert str(exc.value) == message, args
+
+
+def test_keyword_construction_and_replace():
+    """The hand-written constructor takes the field names as keywords, and
+    dataclasses.replace goes through it, so a replaced gate is checked and
+    carries the generator phase of its own direction."""
+    gate = BraidGate(kind="braid4", modes=(0, 2, 5, 7), direction=1)
+    assert gate == BraidGate("braid4", (0, 2, 5, 7))
+    assert BraidGate(modes=(1, 3), kind="braid2") == BraidGate("braid2", (1, 3), 1)
+    flipped = dataclasses.replace(gate, direction=-1)
+    assert flipped == gate.inverse() and hash(flipped) == hash(gate.inverse())
+    assert flipped.generator_phase == gate.generator_phase ^ 2 == 2
+    assert repr(flipped) == "BraidGate(kind='braid4', modes=(0, 2, 5, 7), direction=-1)"
+    with pytest.raises(ValueError, match="direction must be"):
+        dataclasses.replace(gate, direction=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gate.direction = -1
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -241,13 +241,18 @@ def shortest_decoder_document():
 def blinded_to(tamper):
     """A tableau class whose replay skips the tamper gate at the decoder's
     end: the symbolic checks then pass a tampered document, and only the
-    oracle's own fold of the document's rows can see the gate."""
+    oracle's own fold of the document's rows can see the gate.  An encoder
+    is replayed backwards, so there the gate is the first, as its inverse."""
 
     class Blinded(_ModeTableau):
-        def run(self, gates):
-            *kept, last = gates
-            assert last == tamper
-            super().run(kept)
+        def run(self, gates, inverse=False):
+            if inverse:
+                first, *kept = gates
+                assert first == tamper.inverse()
+            else:
+                *kept, last = gates
+                assert last == tamper
+            super().run(kept, inverse)
 
     return Blinded
 
