@@ -245,7 +245,6 @@ def serialize_code(code: StabilizerCode) -> str:
 
 
 _GATE_KEYS = frozenset(("kind", "modes", "direction"))
-_GATE_FIELDS = itemgetter("kind", "modes", "direction")
 # Mode lists of plain ints with a gate's length; any other passes _int one
 # mode at a time, which raises on the first that is not an integer.
 _INT_MODES = frozenset(((int, int), (int, int, int, int)))
@@ -257,14 +256,19 @@ def _gates_at_once(entries: list[Any], n_modes: int) -> tuple[BraidGate, ...] | 
     loop of parse_circuit finds the first fault and its message.
 
     itemgetter fails (TypeError, KeyError) on an entry that is not an
-    object or lacks a key, and a length of 3 leaves no other key.  type()
-    is exact, so a bool is not an int here either.  The range check runs
-    last, on the highest mode of each valid gate, and no gate has built
-    anything sized by its modes before it.
+    object or lacks a key, and a length of 3 leaves no other key.  Each
+    field gets its own pass: one itemgetter of all three would keep a
+    3-tuple per gate alive, and those extra container objects set off
+    enough garbage-collector passes to cost more than the gates' own
+    checks.  type() is exact, so a bool is not an int here either.  The
+    range check runs last, on the highest mode of each valid gate, and no
+    gate has built anything sized by its modes before it.
     """
     try:
-        kinds, mode_lists, directions = zip(*map(_GATE_FIELDS, entries))
-    except (TypeError, KeyError, ValueError):  # ValueError: an empty list
+        kinds = list(map(itemgetter("kind"), entries))
+        mode_lists = list(map(itemgetter("modes"), entries))
+        directions = list(map(itemgetter("direction"), entries))
+    except (TypeError, KeyError):
         return None
     if (
         set(map(len, entries)) != {3}

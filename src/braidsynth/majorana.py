@@ -28,11 +28,10 @@ two paths meet, because the shared nodes cancel under XOR, so a pair of
 nearby modes touches only a few nodes.  ``_ModeTableau.run`` is the one
 gate loop and ``apply`` is a one-gate ``run``; ``run(gates, inverse=True)``
 walks the gates backwards with each generator phase flipped, which replays
-the inverse circuit without building it.  The tableau is the one
-gate update shared by every multi-row path:
-``tableau.apply_circuit`` runs code generators through it, ``verify``
-runs a document's generators and the ancilla row (an encoder document
-backwards), and the synthesis
+the inverse circuit without building it.  The tableau is the one gate
+update shared by every multi-row path: ``tableau.apply_circuit`` runs code
+generators through it, ``verify`` runs a document's generators and the
+ancilla row (through an encoder document backwards), and the synthesis
 sweep keeps its working generators in one tableau for the whole run,
 reading and overwriting single rows.  The
 tableau keeps the rows it was built from and a mask of the rows gates
@@ -290,8 +289,9 @@ class BraidGate:
     size grows with the highest mode, on first use and then kept: a gate
     may name a mode far outside any register until a range check rejects
     it.  Neither takes part in equality, hashing or repr.  The constructor
-    is written by hand and sets the slots directly, so a gate costs no
-    frozen-dataclass ``__setattr__`` calls and no ``__post_init__``.
+    is written by hand and writes the slots directly, which costs less than
+    the generated frozen-dataclass one; keyword construction and
+    ``dataclasses.replace`` go through it as well.
     """
 
     kind: GateKind
