@@ -9,17 +9,20 @@ the ancilla pair's image from the document itself, and that image and its
 residual phase are the ones the synthesizer reports, and the operator
 oracle re-derives both checks (it takes up to 26 modes, ancilla pair
 included, so --max-modes must stay at most 24); gate count within the
-linear bound, reported operators pair correctly, ancilla reset as
-promised, and the ancilla-free obstruction raised exactly when it must
-be.  Every other code contains the total parity (scrambling decoded pairs
-reaches it only at r = N/2), so the pinned-image and obstruction branches
-are exercised too.  Half of the codes are scrambled by 4N random gates,
+linear bound, reported operators pair correctly, and the ancilla-free
+obstruction raised exactly when it must be.  For a code without the total
+parity the ancilla image must be i c0 c1 itself (residual phase_r 1) and
+the ancilla sweep the ancilla-free one shifted by two modes.  Every other
+code contains the total parity (scrambling decoded pairs reaches it only
+at r = N/2), so the pinned-image and obstruction branches are exercised
+too.  Half of the codes are scrambled by 4N random gates,
 so their rows look generic; the other half are sparse, the rows in
 shuffled order and scrambled by only N/2 gates, so many rows reach their
 sweep column untouched and the tableau reads them from its kept rows.
-Prints one summary line; any violation trips an assert or raises
-``VerificationFailure``, and a run of at least 50 codes that sees no
-pinned image or no obstruction exits non-zero.
+Prints one summary line, with the number of ancilla sweep gates that
+touch mode 0 (only codes with the total parity reach one); any violation
+trips an assert or raises ``VerificationFailure``, and a run of at least
+50 codes that sees no pinned image or no obstruction exits non-zero.
 """
 
 import argparse
@@ -68,6 +71,14 @@ def scrambled(n, rows, n_gates, rng):
     return apply_circuit(random_circuit(n, n_gates, rng), StabilizerCode(n, tuple(rows)))
 
 
+def sweep(result, shift=0):
+    """The sweep's gates, before the phase correction, modes shifted up."""
+    return [
+        (g.kind, tuple(m + shift for m in g.modes), g.direction)
+        for g in result.decoder.gates[: result.correction_span[0]]
+    ]
+
+
 def check(code, result):
     for role, circuit in (("decoder", result.decoder), ("encoder", result.encoder)):
         doc = CircuitDocument(circuit, result.ancilla_modes, result.substitutions, role)
@@ -103,7 +114,7 @@ def main() -> None:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
-    pinned = clean_full_rank = obstructed = 0
+    pinned = clean_full_rank = obstructed = mode0_gates = 0
     for idx in range(args.codes):
         n = 2 * rng.randint(2, args.max_modes // 2)
         seed = args.seed * 100_000 + idx
@@ -120,26 +131,31 @@ def main() -> None:
 
         result = synthesize_with_ancilla(code)
         check(code, result)
+        mode0_gates += sum(g[1][0] == 0 for g in sweep(result))
         clean = result.ancilla_image.bits.value == 0b11
         assert (result.ancilla_phase_r is not None) == clean
         if not ptot:
-            assert clean
+            assert clean and result.ancilla_phase_r == 1
         elif clean:
             clean_full_rank += 1
         else:
             pinned += 1
 
         try:
-            check(code, synthesize_ancilla_free(code))
+            free = synthesize_ancilla_free(code)
         except TotalParityObstruction:
             assert ptot and r < n // 2
             obstructed += 1
         except PhaseCorrectionError:
             assert code.n_logical == 0
+        else:
+            check(code, free)
+            assert ptot or sweep(result) == sweep(free, 2)
 
     summary = (
         f"{args.codes} codes | pinned ancilla images: {pinned} | "
-        f"clean full-rank resets: {clean_full_rank} | obstructions: {obstructed}"
+        f"clean full-rank resets: {clean_full_rank} | obstructions: {obstructed} | "
+        f"sweep gates on mode 0: {mode0_gates}"
     )
     if args.codes >= 50 and not (pinned and obstructed):
         sys.exit(f"stress run missed the pinned-image or obstruction branch: {summary}")

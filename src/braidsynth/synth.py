@@ -2,11 +2,12 @@
 
 Both variants sweep the generators column by column.  Quartic braids shrink
 the working column's weight below the pivot by two per step, parking on its
-lowest clear mode there; quadratic braids swap the surviving two bits onto
-the pivot pair, and a second quartic pass clears bits the column still holds
-on already-decoded pairs.  Every emitted gate has even overlap with every
-finished pair, so decoded generators are never disturbed -- the loop
-invariant that makes the sweep correct.
+lowest clear mode there.  Then one quartic braid per already-decoded pair
+the column still holds clears that pair and moves a surviving bit onto a
+clear pivot slot, and one quadratic braid per bit still off the pivot pair
+puts it there.  Every emitted gate has even overlap with every finished
+pair, so decoded generators are never disturbed -- the loop invariant that
+makes the sweep correct.
 
 The working generators live in one mode-major tableau (see ``majorana``)
 for the whole run, so each emitted gate costs O(|support| log N) big-int
@@ -23,17 +24,18 @@ invariants raise ``SynthesisInvariantError``, so they also hold under
 ``python -O``.
 
 The ancilla variant adjoins a fresh mode pair at indices 0 and 1.  When a
-tail is all ones it shrinks by parking on mode 0 (a quartic braid through
-mode 0, then a quadratic one back), so it never fails.  The image of
-i c_0 c_1 is one more row of the tableau, row r, so every gate folds it
-along with the generators.  At the end a reset pass reads that row and
-sweeps it back to (0, 1), emitting its gates through the same ``emit`` as
-the sweep, when that is possible at all.  (It is not when the stabilizer
-group contains the total parity: every braid fixes the all-modes
-monomial, which pins the ancilla pair's image to the global parity times
-decoded generators, an operator no pair-preserving gate can move.  The
-residual image is reported instead of hidden.)  The ancilla-free variant
-meets an all-ones tail with a recorded change of generating set (a
+tail is all ones it parks on mode 0 (a quartic braid through mode 0, then
+a quadratic one back), so it never fails.  An all-ones tail needs the total
+parity in the stabilizer group, so for every other code the ancilla sweep
+is the ancilla-free one shifted by two modes.  The image of i c_0 c_1 is
+one more row of the tableau, row r, so every gate folds it along with the
+generators.  Without the total parity it ends as i c_0 c_1: the sweep
+never touches mode 0 or 1, and the doubled correction braids meet the
+image in 0 or 2 modes.  With it, every braid fixes the all-modes monomial,
+which pins the image to the global parity times decoded generators, an
+operator no pair-preserving gate can move; that image is reported instead
+of hidden, and any other raises SynthesisInvariantError.  The ancilla-free
+variant meets an all-ones tail with a recorded change of generating set (a
 pre-multiplication, not a gate) instead; it must reject codes whose
 stabilizer group contains the total parity with r < N/2, for which no
 ancilla-free decoder exists at all.
@@ -106,13 +108,14 @@ class SynthesisResult:
     on each access and not stored.
     substitutions lists generating-set changes (i, j) meaning generator i
     was pre-multiplied by generator j.  correction_span is the decoder gate
-    index range holding the doubled phase-correction braids.  For the
-    ancilla variant, ancilla_image is the decoder image of i c_0 c_1 after
-    the reset pass: normally i^s c_0 c_1 with the residual sign s recorded
-    in ancilla_phase_r (reported, not corrected).  For a code whose
-    stabilizer group contains the total parity the image is pinned to the
-    all-modes monomial times decoded pairs; unless that product already is
-    the ancilla pair (possible only with no encoded pairs left over), it
+    index range holding the doubled phase-correction braids; it runs to the
+    end of the decoder.  For the ancilla variant, ancilla_image is the
+    decoder image of i c_0 c_1, and for a code whose stabilizer group does
+    not contain the total parity it is i c_0 c_1 itself, ancilla_phase_r 1.
+    Otherwise the image is pinned to the all-modes monomial times decoded
+    pairs.  When that product is the ancilla pair (possible only with no
+    encoded pairs left over), the image is i^s c_0 c_1 with the residual
+    sign s recorded in ancilla_phase_r (reported, not corrected); else it
     cannot be reduced, ancilla_phase_r is None, and the full monomial is
     reported.
     """
@@ -133,7 +136,7 @@ class SynthesisResult:
 
 
 def synthesize_with_ancilla(code: StabilizerCode) -> SynthesisResult:
-    """Decode on N+2 modes, never failing, ancilla pair swept back to (0,1)."""
+    """Decode on N+2 modes, never failing, ancilla pair left on (0,1)."""
     return _run(code, use_ancilla=True)
 
 
@@ -217,16 +220,11 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
                     holders |= c
                 substitute(i, _lowest_bit(holders & ~(1 << i)))
 
-        t = row & tail
-        b1 = _lowest_bit(t)
-        b2 = _lowest_bit(t ^ (1 << b1))
-        if b1 != p:
-            emit("braid2", (p, b1))
-        if b2 != p + 1:
-            emit("braid2", (p + 1, b2))
-
-        # clear the column's leftover support on already-decoded pairs;
-        # commutation forces it to occur in aligned complete pairs
+        # clear the column's leftover support on already-decoded pairs
+        # (commutation forces it to occur in aligned complete pairs), one
+        # gate per pair that meets the row in three modes: the pair and a
+        # set bit off the pivot slots p, p+1, which lands on a clear slot
+        slots = 0b11 << p
         pair_region = ((1 << p) - 1) ^ ((1 << pivot_base) - 1)
         while row & pair_region:
             q = _lowest_bit(row & pair_region)
@@ -234,14 +232,23 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
                 raise SynthesisInvariantError(
                     f"generator {i} meets decoded pair {q}, {q + 1} in one mode only"
                 )
-            if use_ancilla:
-                emit("braid4", (0, q, q + 1, p))
-                emit("braid2", (0, p))
-            elif p + 2 < n_work:
-                emit("braid4", (q, q + 1, p, p + 2))
-                emit("braid2", (p, p + 2))
+            off = row & ~(slots | pair_region)
+            if off:
+                emit("braid4", (q, q + 1, _lowest_bit(off), _lowest_bit(~row & slots)))
+            elif ~row & tail:
+                # both slots set: park p+1 on the lowest clear tail mode;
+                # the next pair, or the finish below, brings it back
+                emit("braid4", (q, q + 1, p + 1, _lowest_bit(~row & tail)))
+            elif use_ancilla:
+                # all-ones tail: park p+1 on mode 0, clear since off is 0
+                emit("braid4", (0, q, q + 1, p + 1))
             else:
                 substitute(i, (q - pivot_base) // 2)
+
+        # one quadratic braid per bit still off the slots (mode 0 included)
+        # puts it on a clear slot; a bit already on either slot stays put
+        while row & ~slots:
+            emit("braid2", (_lowest_bit(~row & slots), _lowest_bit(row & ~slots)))
 
     # ---- phase correction: doubled braids flip -i generators to +i ----
     correction_start = len(gates)
@@ -288,43 +295,19 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
     ancilla_phase: int | None = None
     ancilla_image: MajoranaString | None = None
     if use_ancilla:
-        # ---- reset: strip surplus modes from the ancilla image, row r ----
-        # Every gate has even overlap with every decoded pair, so the rows
-        # below r stay decoded; only the Z4 phase riding on the ancilla pair
-        # can remain, and it is reported, not corrected.  When the image
-        # covers every free mode (exactly when the stabilizer group contains
-        # the total parity, since braids fix the all-modes monomial), every
-        # pair-preserving gate has even overlap with it: the image is rigid
-        # and is reported as it stands.
+        # ---- the ancilla image, row r: i c_0 c_1 or pinned ----
+        # The sweep touches mode 0 only on an all-ones tail, which needs the
+        # total parity in the stabilizer group; otherwise the image keeps
+        # its bits, and the doubled correction braids meet it in 0 or 2
+        # modes.  With the total parity in the group, braids fix the
+        # all-modes monomial, so the image covers every free mode and no
+        # pair-preserving gate can move it: it is reported as it stands.
         row, row_phase = tab.row(r)
         free_mask = 0b11 | (full ^ ((1 << log_start) - 1))
-        while row != 0b11 and free_mask & ~row:
-            if not row & 1:
-                # bring mode 0 into the image first (it meets the ancilla and
-                # logical region in a nonzero even set, by independence from
-                # the pairs)
-                emit("braid2", (0, _lowest_bit(row & free_mask)))
-                continue
-            surplus = row ^ 1
-            if surplus.bit_count() == 1:
-                emit("braid2", (1, _lowest_bit(surplus)))
-                continue
-            removal: tuple[int, int] | None = None
-            for j in range(r):
-                pair_mask = 0b11 << (2 + 2 * j)
-                if row & pair_mask == pair_mask:
-                    removal = (2 + 2 * j, 3 + 2 * j)
-                    break
-            if removal is None:
-                fs = row & free_mask & ~1
-                a = _lowest_bit(fs)
-                removal = (a, _lowest_bit(fs ^ (1 << a)))
-            z_pool = free_mask & ~row & ~1
-            if not z_pool:
-                raise SynthesisInvariantError("ancilla reset needs a free mode outside the image")
-            z = _lowest_bit(z_pool)
-            emit("braid4", (0, removal[0], removal[1], z))
-            emit("braid2", (0, z))
+        if row != 0b11 and free_mask & ~row:
+            raise SynthesisInvariantError(
+                "the ancilla image is neither i c0 c1 nor pinned by the total parity"
+            )
         ancilla_image = MajoranaString(BitVec(n_work, row), row_phase)
         if row == 0b11:
             ancilla_phase = row_phase

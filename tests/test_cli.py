@@ -40,7 +40,7 @@ def test_synth_kitaev_free_run_report(capsys):
     assert rc == 0
     assert "code: kitaev-chain-4  [n_modes=8, generators=3]" in out
     assert "variant: ancilla-free" in out
-    assert "gate counts: braid2=6 braid4=0 total=6" in out
+    assert "gate counts: braid2=3 braid4=0 total=3" in out
     assert "document (encoder): not written (pass -o to write)" in out
 
 
@@ -51,8 +51,8 @@ def test_synth_report_is_deterministic(capsys):
     assert out1 == out2
     assert "total modes: 14" in out1
     assert "ancilla modes: [0, 1]" in out1
-    assert "ancilla image after reset: -i c0 c1" in out1
-    assert "ancilla residual phase_r: 3" in out1
+    assert "ancilla image after reset: +i c0 c1" in out1
+    assert "ancilla residual phase_r: 1" in out1
 
 
 def test_synth_verify_round_trip(capsys, tmp_path):
@@ -67,7 +67,7 @@ def test_synth_verify_round_trip(capsys, tmp_path):
     rc, out, _ = run(capsys, "verify", "--builtin", "shortest", str(enc))
     assert rc == 0
     assert "decoded-form check: ok" in out
-    assert "ancilla check: ok (i c0 c1 -> -i c0 c1, residual phase_r 3)" in out
+    assert "ancilla check: ok (i c0 c1 -> +i c0 c1, residual phase_r 1)" in out
     assert "oracle check: skipped (pass --oracle to run)" in out
 
 
@@ -429,7 +429,7 @@ def test_a_returned_ancilla_pair_skips_the_total_parity_test(monkeypatch, capsys
     monkeypatch.setattr(braidsynth.cli, "contains_total_parity", refuse)
     rc, out, _ = run(capsys, "verify", "--builtin", "shortest", str(enc))
     assert rc == 0
-    assert "ancilla check: ok (i c0 c1 -> -i c0 c1, residual phase_r 3)" in out
+    assert "ancilla check: ok (i c0 c1 -> +i c0 c1, residual phase_r 1)" in out
 
 
 def test_oracle_refuses_large_registers(capsys, tmp_path):

@@ -309,7 +309,7 @@ def test_verify_oracle_exits_4_on_a_row_the_tableau_misses(monkeypatch, capsys, 
     captured = capsys.readouterr()
     assert captured.out == (
         "decoded-form check: ok\n"
-        "ancilla check: ok (i c0 c1 -> -i c0 c1, residual phase_r 3)\n"
+        "ancilla check: ok (i c0 c1 -> +i c0 c1, residual phase_r 1)\n"
     )
     assert captured.err == (
         "verification failed (oracle): oracle: operator conjugation of i c0 c1 disagrees\n"

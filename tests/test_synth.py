@@ -108,7 +108,7 @@ def check_reported_operators(code: StabilizerCode, result: SynthesisResult):
 def test_kitaev_chain_free_run_needs_no_quartic_gates():
     code = kitaev_chain(4)
     result = synthesize_ancilla_free(code)
-    assert gate_counts(result.decoder) == {"braid2": 6, "braid4": 0}
+    assert gate_counts(result.decoder) == {"braid2": 3, "braid4": 0}
     assert result.total_modes == 8
     assert result.ancilla_modes == ()
     assert result.ancilla_image is None and result.ancilla_phase_r is None
@@ -121,24 +121,26 @@ def test_shortest_code_with_ancilla():
     result = synthesize_with_ancilla(code)
     assert result.total_modes == 14
     assert result.ancilla_modes == (0, 1)
-    assert gate_counts(result.decoder) == {"braid2": 14, "braid4": 13}
+    assert gate_counts(result.decoder) == {"braid2": 4, "braid4": 15}
     assert decoded_ok(code, result)
     # the ancilla pair comes back to (0, 1), up to a reported sign
     assert result.ancilla_image is not None
     assert result.ancilla_image.bits.indices() == (0, 1)
-    assert result.ancilla_phase_r == 3
-    assert str(result.ancilla_image) == "-i c0 c1"
+    assert result.ancilla_phase_r == 1
+    assert str(result.ancilla_image) == "+i c0 c1"
     assert result.ancilla_image == folded_ancilla_image(result)
     check_reported_operators(code, result)
 
 
 def test_ancilla_shrink_takes_one_gate_on_a_clear_tail_mode():
-    """Each shrink step is one braid4 on the lowest clear tail mode, which
-    these counts pin; the reset pass then has little left to undo."""
+    """Each shrink step is one braid4 on the lowest clear tail mode, and each
+    decoded pair one braid4 that also lands a tail bit on a pivot slot, which
+    these counts pin; the ancilla pair is never touched, so no gate follows
+    the phase correction."""
     code = random_code(100, 25, seed=1)
     result = synthesize_with_ancilla(code)
-    assert gate_counts(result.decoder) == {"braid2": 192, "braid4": 622}
-    assert len(result.decoder) - result.correction_span[1] == 14
+    assert gate_counts(result.decoder) == {"braid2": 12, "braid4": 613}
+    assert len(result.decoder) - result.correction_span[1] == 0
     assert decoded_ok(code, result)
     assert result.ancilla_image == folded_ancilla_image(result)
 
@@ -161,7 +163,7 @@ def test_verify_document_is_the_cli_verifier():
     for doc in documents(result):
         assert list(verify_document(code, doc, oracle=True)) == [
             "decoded-form check: ok",
-            "ancilla check: ok (i c0 c1 -> -i c0 c1, residual phase_r 3)",
+            "ancilla check: ok (i c0 c1 -> +i c0 c1, residual phase_r 1)",
             "oracle check: ok (14 modes, dimension 128)",
         ]
     decoder, encoder = documents(result)
@@ -243,6 +245,21 @@ def test_last_column_falls_back_to_a_substitution():
     assert decoded_ok(code, result)
 
 
+def test_last_column_parks_on_mode_0_with_an_ancilla():
+    """The ancilla twin of the substitution above: generator 1's tail is
+    all ones and its pivot slots are both set, so the pair step parks p+1
+    on mode 0 and one quadratic braid brings it back."""
+    code = StabilizerCode(4, gens(4, ((0, 1), 1), ((0, 1, 2, 3), 2)))
+    result = synthesize_with_ancilla(code)
+    assert result.decoder.gates[: result.correction_span[0]] == (
+        BraidGate("braid4", (0, 2, 3, 5)),
+        BraidGate("braid2", (0, 5)),
+    )
+    assert result.substitutions == ()
+    for doc in documents(result):
+        list(verify_document(code, doc, oracle=True))
+
+
 def test_all_ones_tail_borrows_another_generator(tmp_path):
     # r = N/2: generator 1's tail (modes 2..5) is all ones, so the sweep has
     # no clear row to park on and multiplies in generator 2 instead
@@ -275,6 +292,20 @@ def test_broken_tableau_raises_invariant_error(monkeypatch):
     code = StabilizerCode(4, gens(4, ((0, 1, 2, 3), 2)))
     with pytest.raises(SynthesisInvariantError, match="decoded form"):
         synthesize_with_ancilla(code)
+
+
+def test_a_stray_ancilla_image_raises_invariant_error(monkeypatch):
+    """A tableau that loses mode 1 of the i c0 c1 row leaves an image that
+    is neither the bare pair nor pinned by the total parity."""
+    row = _ModeTableau.row
+
+    def without_mode_1(self, i):
+        bits, phase = row(self, i)
+        return bits & ~0b10, phase
+
+    monkeypatch.setattr(_ModeTableau, "row", without_mode_1)
+    with pytest.raises(SynthesisInvariantError, match="ancilla image"):
+        synthesize_with_ancilla(shortest_code())
 
 
 def synthesis_outcomes(code: StabilizerCode) -> list:
@@ -404,3 +435,37 @@ def test_random_codes_decode_in_both_variants(seed):
     assert len(free.decoder) <= 3 * r * n
     assert recomputed_sign_flips(free) == free.logical_sign_flips
     check_reported_operators(code, free)
+
+
+def shifted(gates, by: int) -> tuple[BraidGate, ...]:
+    """The gates with every mode moved up by `by`."""
+    return tuple(BraidGate(g.kind, tuple(m + by for m in g.modes), g.direction) for g in gates)
+
+
+def test_without_the_total_parity_the_ancilla_sweep_is_the_free_one_shifted():
+    """Only an all-ones tail sends the sweep to mode 0, and that needs the
+    total parity in the group; so for every other code the ancilla sweep is
+    the ancilla-free one two modes up, nothing is substituted, no gate
+    follows the phase correction and i c0 c1 comes back untouched."""
+    rng = random.Random(16)
+    codes = []
+    for seed in range(1000):
+        n = 2 * rng.randint(2, 12)
+        r = rng.randint(0, n // 2 - 1)
+        make = random_code if seed % 2 else lightly_scrambled_code
+        codes.append(make(n, r, seed))
+    for code in codes:
+        assert not contains_total_parity(code)
+        anc, free = synthesize_with_ancilla(code), synthesize_ancilla_free(code)
+        sweep = anc.decoder.gates[: anc.correction_span[0]]
+        assert sweep == shifted(free.decoder.gates[: free.correction_span[0]], 2)
+        assert anc.substitutions == free.substitutions == ()
+        assert anc.correction_span[1] == len(anc.decoder)
+        assert str(anc.ancilla_image) == "+i c0 c1" and anc.ancilla_phase_r == 1
+
+
+@pytest.mark.parametrize("n", [4, 30])
+def test_kitaev_chain_takes_one_quadratic_braid_per_generator(n):
+    code = kitaev_chain(n)
+    for result in (synthesize_with_ancilla(code), synthesize_ancilla_free(code)):
+        assert gate_counts(result.decoder) == {"braid2": n - 1, "braid4": 0}
