@@ -154,7 +154,7 @@ def main() -> None:
 
     summary = (
         f"{args.codes} codes | pinned ancilla images: {pinned} | "
-        f"clean full-rank resets: {clean_full_rank} | obstructions: {obstructed} | "
+        f"clean full-rank images: {clean_full_rank} | obstructions: {obstructed} | "
         f"sweep gates on mode 0: {mode0_gates}"
     )
     if args.codes >= 50 and not (pinned and obstructed):

@@ -262,7 +262,7 @@ def _report_synth(
     print(f"logical sign flips: {list(result.logical_sign_flips)}", file=out)
     print(f"generating-set changes: {[list(s) for s in result.substitutions]}", file=out)
     if result.ancilla_modes:
-        print(f"ancilla image after reset: {result.ancilla_image}", file=out)
+        print(f"ancilla image: {result.ancilla_image}", file=out)
         print(f"ancilla residual phase_r: {result.ancilla_phase_r}", file=out)
     print(f"document ({role}): {dest}", file=out)
 

@@ -41,6 +41,7 @@ from itertools import chain, islice
 from operator import itemgetter, lt
 from typing import Any
 
+from .bitlinalg import BitVec
 from .majorana import BraidGate, Circuit, MajoranaString
 from .tableau import DecodedTarget, StabilizerCode, apply_circuit
 
@@ -228,7 +229,10 @@ def parse_code(text: str) -> StabilizerCode:
         phase_r = _int(entry["phase_r"], bad_phase, err)
         if not 0 <= phase_r <= 3:
             raise err(bad_phase)
-        gens.append(MajoranaString.from_modes(n_modes, modes, phase_r))
+        # the modes are checked and distinct, so one built-in pass sums
+        # their bits; BitVec still checks that the row fits
+        bits = sum(map((1).__lshift__, modes))
+        gens.append(MajoranaString(BitVec(n_modes, bits), phase_r))
     return StabilizerCode(n_modes, tuple(gens), name=name)
 
 

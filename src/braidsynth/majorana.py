@@ -26,18 +26,17 @@ XORs.  The support is taken pair by pair: a pair's two walks down the tree
 (the range query) and its two walks up (the update) each stop where the
 two paths meet, because the shared nodes cancel under XOR, so a pair of
 nearby modes touches only a few nodes.  ``_ModeTableau.run`` is the one
-gate loop and ``apply`` is a one-gate ``run``; ``run(gates, inverse=True)``
-walks the gates backwards with each generator phase flipped, which replays
-the inverse circuit without building it.  The tableau is the one gate
-update shared by every multi-row path: ``tableau.apply_circuit`` runs code
-generators through it, ``verify`` runs a document's generators and the
-ancilla row (through an encoder document backwards), and the synthesis
-sweep keeps its working generators in one tableau for the whole run,
-reading and overwriting single rows.  The
-tableau keeps the rows it was built from and a mask of the rows gates
-have changed since, so a row no gate has touched reads back in O(1); a
-changed (dirty) row still costs an O(N) scan of the columns.
-``conjugate_circuit`` stays the plain one-monomial fold.
+gate loop; ``run(gates, inverse=True)`` walks the gates backwards with
+each generator phase flipped, which replays the inverse circuit without
+building it.  The tableau is the one gate update shared by every multi-row
+path: ``tableau.apply_circuit`` runs code generators through it,
+``verify`` runs a document's generators and the ancilla row (through an
+encoder document backwards), and the synthesis sweep keeps its working
+generators in one tableau for the whole run and passes it each column's
+gates in one ``run``.  The tableau keeps the rows it was built from and a
+mask of the rows gates have changed since, so a row no gate has touched
+reads back in O(1); a changed (dirty) row still costs an O(N) scan of the
+columns.  ``conjugate_circuit`` stays the plain one-monomial fold.
 
 A gate is validated once, by the ``BraidGate`` constructor, where its data
 is new: a parsed document or a synthesis step.  The constructor is written
@@ -85,9 +84,8 @@ class _ModeTableau:
     costs O(|support| log N) big-int operations, and fewer when its pairs
     are close: per pair (a1, a2) and (a3, a4), the walks stop where the
     pair's two Fenwick paths meet.  ``run`` is the one gate loop and keeps
-    the state in locals for the whole sequence; ``apply`` is a one-gate
-    ``run``.  Applying a gate equals folding every row through
-    ``_conjugate_raw``.
+    the state in locals for the whole sequence.  Applying a gate equals
+    folding every row through ``_conjugate_raw``.
 
     The tableau also keeps each row as the int it was built from or last
     set to (rows), and dirty, an r-bit mask of the rows a gate has changed
@@ -110,10 +108,6 @@ class _ModeTableau:
         for i, ph in enumerate(phases):
             self.p0 |= (ph & 1) << i
             self.p1 |= (ph >> 1 & 1) << i
-
-    def apply(self, gate: BraidGate) -> None:
-        """Conjugate every row by the gate: a one-gate ``run``."""
-        self.run((gate,))
 
     def run(self, gates: Sequence[BraidGate], inverse: bool = False) -> None:
         """Conjugate every row through the gates, in order; with inverse,

@@ -11,17 +11,21 @@ makes the sweep correct.
 
 The working generators live in one mode-major tableau (see ``majorana``)
 for the whole run, so each emitted gate costs O(|support| log N) big-int
-operations however many generators there are.  The active generator is
-also kept as one packed int, folded through each gate, because the pivot
-logic reads its low bits; it is read out of the tableau at the start of
-its column and written back only by a change of generating set.  That read
-is O(1) when no earlier gate has touched the row (the tableau keeps its
-input rows and a mask of the rows gates have changed), and an O(N) scan
-of the columns when one has.
-The phase correction reads phases from the tableau's bit planes, and the
-final check compares the tableau with the decoded form in O(N).  Internal
-invariants raise ``SynthesisInvariantError``, so they also hold under
-``python -O``.
+operations however many generators there are.  Emitting a gate only
+queues it; the tableau catches up on the queued gates, in one ``run``,
+just before it is next read: at the start of each column, before a change
+of generating set, and before each phase read.  So a column costs one
+``run`` call, not one per gate.  The active generator is also kept as one
+packed int, its bits alone folded through each gate, because the pivot
+logic reads its low bits; its phase is read from the tableau when needed.
+It is read out of the tableau at the start of its column and written back
+only by a change of generating set.  That read is O(1) when no earlier
+gate has touched the row (the tableau keeps its input rows and a mask of
+the rows gates have changed), and an O(N) scan of the columns when one
+has.  The phase correction reads phases from the tableau's bit planes,
+and the final check compares the tableau with the decoded form in O(N).
+Internal invariants raise ``SynthesisInvariantError``, so they also hold
+under ``python -O``.
 
 The ancilla variant adjoins a fresh mode pair at indices 0 and 1.  When a
 tail is all ones it parks on mode 0 (a quartic braid through mode 0, then
@@ -56,7 +60,6 @@ from .majorana import (
     BraidGate,
     Circuit,
     MajoranaString,
-    _conjugate_raw,
     _ModeTableau,
     _multiply_raw,
     conjugate_circuit,
@@ -168,30 +171,41 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
     full = (1 << n_work) - 1
 
     # Every generator lives in one mode-major tableau; the active sweep row
-    # is also kept row-major, because the pivot logic reads its low bits.
+    # is also kept row-major, bits only, because the pivot logic reads its
+    # low bits.  Emitted gates queue in gates[done:] until the tableau is
+    # next read; catch_up runs them in one pass.
     gens = work.generators + seed
     tab = _ModeTableau([g.bits.value for g in gens], n_work, [g.phase_r for g in gens])
-    row, row_phase = 0, 0
+    row = done = 0
     gates: list[BraidGate] = []
     substitutions: list[tuple[int, int]] = []
 
     def emit(kind: str, modes: tuple[int, ...]) -> None:
-        nonlocal row, row_phase
+        nonlocal row
         gate = BraidGate(kind, tuple(sorted(modes)))
         gates.append(gate)
-        tab.apply(gate)
-        row, row_phase = _conjugate_raw(gate.support_mask, gate.generator_phase, row, row_phase)
+        mask = gate.support_mask
+        if (mask & row).bit_count() & 1:
+            row ^= mask
+
+    def catch_up() -> None:
+        nonlocal done
+        if done < len(gates):
+            tab.run(gates[done:])
+            done = len(gates)
 
     def substitute(i: int, j: int) -> None:
-        nonlocal row, row_phase
-        row, row_phase = _multiply_raw(row, row_phase, *tab.row(j))
-        tab.set_row(i, row, row_phase)
+        nonlocal row
+        catch_up()
+        row, phase = _multiply_raw(row, tab.phase(i), *tab.row(j))
+        tab.set_row(i, row, phase)
         substitutions.append((i, j))
 
     for i in range(r):
         p = pivot_base + 2 * i
         tail = full ^ ((1 << p) - 1)
-        row, row_phase = tab.row(i)
+        catch_up()
+        row = tab.row(i)[0]
 
         if use_ancilla and row & 1:
             # the parking bit is set exactly when the tail weight is odd;
@@ -215,6 +229,7 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
                 # all-ones tail: borrow the lowest other generator with
                 # tail support (guaranteed by independence; a recorded
                 # basis change)
+                catch_up()
                 holders = 0
                 for c in tab.cols[p:]:
                     holders |= c
@@ -263,6 +278,7 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
             if m >= log_start:
                 mode_flips[m] = mode_flips.get(m, 0) + 1
 
+    catch_up()
     for j in range(r):
         if tab.phase(j) != 3:
             continue
@@ -282,6 +298,7 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
                     "and no second flipped generator exists to pair with"
                 )
             emit_double("braid2", (pj, pivot_base + 2 * partner))
+        catch_up()
         if tab.phase(j) != 1:
             raise SynthesisInvariantError(f"generator {j} is not at +i after its correction")
     correction_span = (correction_start, len(gates))
@@ -302,16 +319,18 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         # modes.  With the total parity in the group, braids fix the
         # all-modes monomial, so the image covers every free mode and no
         # pair-preserving gate can move it: it is reported as it stands.
-        row, row_phase = tab.row(r)
+        catch_up()
+        row, phase = tab.row(r)
         free_mask = 0b11 | (full ^ ((1 << log_start) - 1))
         if row != 0b11 and free_mask & ~row:
             raise SynthesisInvariantError(
                 "the ancilla image is neither i c0 c1 nor pinned by the total parity"
             )
-        ancilla_image = MajoranaString(BitVec(n_work, row), row_phase)
+        ancilla_image = MajoranaString(BitVec(n_work, row), phase)
         if row == 0b11:
-            ancilla_phase = row_phase
+            ancilla_phase = phase
 
+    catch_up()
     if not tab.is_decoded(pivot_base, r):
         raise SynthesisInvariantError("the generators did not reach the decoded form")
 

@@ -51,7 +51,7 @@ def test_synth_report_is_deterministic(capsys):
     assert out1 == out2
     assert "total modes: 14" in out1
     assert "ancilla modes: [0, 1]" in out1
-    assert "ancilla image after reset: +i c0 c1" in out1
+    assert "ancilla image: +i c0 c1" in out1
     assert "ancilla residual phase_r: 1" in out1
 
 
@@ -110,7 +110,7 @@ def test_obstructed_code_exits_2(capsys):
     # the same code goes through once an ancilla pair is allowed
     rc, out, _ = run(capsys, "synth", str(SAMPLES / "parity4.code"))
     assert rc == 0
-    assert "ancilla image after reset: +1 c0 c1 c4 c5" in out
+    assert "ancilla image: +1 c0 c1 c4 c5" in out
     assert "ancilla residual phase_r: None" in out
 
 
@@ -381,7 +381,7 @@ def test_ancilla_pair_that_keeps_logical_information_exits_4(
 ):
     """braid2(0, mode) after the decoder moves i c0 c1 onto the first logical
     mode; every generator still arrives, so only the ancilla check can see it.
-    The expected image is the synthesizer's reset image folded through the
+    The expected image is the synthesizer's ancilla image folded through the
     extra gate, so the test pins the verifier, not the residual phase."""
     code_file = tmp_path / "tampered.code"
     code_file.write_text(serialize_code(code))
@@ -409,7 +409,7 @@ def test_total_parity_code_reports_its_pinned_ancilla_image(capsys, tmp_path):
     enc = tmp_path / "parity4.circuit"
     rc, out, _ = run(capsys, "synth", code, "-o", str(enc))
     assert rc == 0
-    assert "ancilla image after reset: +1 c0 c1 c4 c5" in out
+    assert "ancilla image: +1 c0 c1 c4 c5" in out
     rc, out, _ = run(capsys, "verify", code, str(enc), "--oracle")
     assert rc == 0
     assert out.splitlines()[:2] == [

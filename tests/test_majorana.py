@@ -279,7 +279,7 @@ def test_every_support_shape_on_nine_modes():
     bits, phases = list(start), list(start_phases)
     applied = _ModeTableau(start, n, start_phases)
     for gate in gates:
-        applied.apply(gate)
+        applied.run((gate,))
         for i, (b, ph) in enumerate(zip(bits, phases)):
             bits[i], phases[i] = _conjugate_raw(gate.support_mask, gate.generator_phase, b, ph)
             assert applied.row(i) == (bits[i], phases[i])

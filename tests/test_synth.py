@@ -281,14 +281,14 @@ def test_all_ones_tail_borrows_another_generator(tmp_path):
 def test_broken_tableau_raises_invariant_error(monkeypatch):
     # a tableau that drops its phase updates leaves -c0 c1 c2 c3 at phase -1;
     # the explicit check catches that, also under python -O
-    apply = _ModeTableau.apply
+    run = _ModeTableau.run
 
-    def apply_without_phases(self, gate):
+    def run_without_phases(self, gates, inverse=False):
         p0, p1 = self.p0, self.p1
-        apply(self, gate)
+        run(self, gates, inverse)
         self.p0, self.p1 = p0, p1
 
-    monkeypatch.setattr(_ModeTableau, "apply", apply_without_phases)
+    monkeypatch.setattr(_ModeTableau, "run", run_without_phases)
     code = StabilizerCode(4, gens(4, ((0, 1, 2, 3), 2)))
     with pytest.raises(SynthesisInvariantError, match="decoded form"):
         synthesize_with_ancilla(code)
@@ -372,6 +372,28 @@ def test_kitaev_1000_sweep_scans_no_row(monkeypatch):
     synthesize_with_ancilla(code)
     synthesize_ancilla_free(code)
     assert scans == []
+
+
+def test_the_sweep_runs_its_tableau_once_per_column(monkeypatch):
+    """Emitted gates queue until the tableau is next read, so a synthesis
+    calls run O(r) times, not once per gate: once per column, corrected
+    generator and substitution, plus two; every gate runs exactly once."""
+    batches: list[int] = []
+    run = _ModeTableau.run
+
+    def counted(self, gates, inverse=False):
+        batches.append(len(gates))
+        run(self, gates, inverse)
+
+    monkeypatch.setattr(_ModeTableau, "run", counted)
+    code = random_code(400, 100, 1)
+    for synth in (synthesize_with_ancilla, synthesize_ancilla_free):
+        batches.clear()
+        result = synth(code)
+        lo, hi = result.correction_span
+        bound = code.n_stabilizers + (hi - lo) // 2 + len(result.substitutions) + 2
+        assert len(batches) <= bound < len(result.decoder) // 50
+        assert sum(batches) == len(result.decoder)
 
 
 def test_apply_substitutions_multiplies_rows():

@@ -226,7 +226,7 @@ def run_rows_against_the_fold(n, bits, gates, rng):
     seen: set[int] = set()
     check_every_row(tab, bits, phases, seen)
     for gate in gates:
-        tab.apply(gate)
+        tab.run((gate,))
         assert tab.tree == fenwick(tab.cols)
         for i, (b, ph) in enumerate(zip(bits, phases)):
             bits[i], phases[i] = _conjugate_raw(gate.support_mask, gate.generator_phase, b, ph)
