@@ -31,12 +31,16 @@ each generator phase flipped, which replays the inverse circuit without
 building it.  The tableau is the one gate update shared by every multi-row
 path: ``tableau.apply_circuit`` runs code generators through it,
 ``verify`` runs a document's generators and the ancilla row (through an
-encoder document backwards), and the synthesis sweep keeps its working
+encoder document backwards), the synthesis sweep keeps its working
 generators in one tableau for the whole run and passes it each column's
-gates in one ``run``.  The tableau keeps the rows it was built from and a
-mask of the rows gates have changed since, so a row no gate has touched
-reads back in O(1); a changed (dirty) row still costs an O(N) scan of the
-columns.  ``conjugate_circuit`` stays the plain one-monomial fold.
+gates in one ``run``, and ``synth.destabilizers`` and
+``logical_representatives`` run the modes they report through the decoder
+backwards.  The tableau keeps the rows it was built from and a mask of the
+rows gates have changed since, so a row no gate has touched reads back in
+O(1); a changed (dirty) row still costs an O(N) scan of the columns.
+``conjugate_circuit``, the plain one-monomial fold, has no caller in the
+package; it stays public as the documented fold of a single monomial and
+as the independent reference the tableau is tested against.
 
 A gate is validated once, by the ``BraidGate`` constructor, where its data
 is new: a parsed document or a synthesis step.  The constructor is written

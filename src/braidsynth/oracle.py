@@ -21,12 +21,6 @@ neither the bit-pairing rule of ``majorana`` nor its tableau is used, so the
 oracle re-derives the symbolic checks independently.  The cost per gate is
 O(R d) for R rows.
 
-``dense_majorana`` and ``dense_monomial`` build the same matrices densely
-with ``np.kron``; they are the reference the arrays are tested against.
-``dense_gate`` and ``conjugate_dense`` are the dense unitary and its
-conjugation, kept as the reference the four-term expansion is tested
-against.  The dense functions cost O(4^n) and only tests call them.
-
 Registers beyond MAX_MODES are refused.
 """
 
@@ -46,20 +40,11 @@ __all__ = [
     "monomial_arrays",
     "conjugate_arrays",
     "conjugate_rows",
-    "dense_majorana",
-    "dense_monomial",
-    "dense_gate",
-    "conjugate_dense",
 ]
 
 MAX_MODES = 26
 
-_I2 = np.eye(2, dtype=np.complex128)
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
-# The same one-qubit factors as (column, phase exponent) per row.  Columns
+# The one-qubit factors I, X, Y, Z as (column, phase exponent) per row.  Columns
 # are int16 (enough for d up to 2^15) and phases int8: small dtypes keep the
 # stacked arrays of a gate's four terms small.
 _COL = np.int16
@@ -92,28 +77,15 @@ def _check_register(n_modes: int) -> None:
 
 
 def _mode_factors(n_modes: int, k: int) -> list:
-    """The Kronecker factors of mode k, one per qubit, as (dense, arrays)."""
-    if not 0 <= k < n_modes:
-        raise ValueError("mode out of range")
+    """The Kronecker factors of mode k, one per qubit, as (column, phase)."""
     out = []
     for q in range(n_modes // 2):
         if q < k // 2:
-            out.append((_Z, _PZ))
+            out.append(_PZ)
         elif q == k // 2:
-            out.append((_X, _PX) if k % 2 == 0 else (_Y, _PY))
+            out.append(_PX if k % 2 == 0 else _PY)
         else:
-            out.append((_I2, _PI))
-    return out
-
-
-@lru_cache(maxsize=None)
-def dense_majorana(n_modes: int, k: int) -> np.ndarray:
-    """Matrix of mode k on n_modes/2 qubits."""
-    _check_register(n_modes)
-    out = np.ones((1, 1), dtype=np.complex128)
-    for factor, _ in _mode_factors(n_modes, k):
-        out = np.kron(out, factor)
-    out.setflags(write=False)
+            out.append(_PI)
     return out
 
 
@@ -129,7 +101,7 @@ def mode_arrays(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     cols, phases = [], []
     for k in range(n_modes):
         col, phase = np.zeros(1, _COL), np.zeros(1, _PHASE)
-        for _, (fcol, fphase) in _mode_factors(n_modes, k):
+        for fcol, fphase in _mode_factors(n_modes, k):
             col = (col[:, None] * 2 + fcol).ravel()
             phase = (phase[:, None] + fphase).ravel()
         cols.append(col)
@@ -137,16 +109,6 @@ def mode_arrays(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     out = np.stack(cols), np.stack(phases)
     for a in out:
         a.setflags(write=False)
-    return out
-
-
-def dense_monomial(m: MajoranaString) -> np.ndarray:
-    """Matrix of ``i^r c_{a1}...c_{ak}``, factors in ascending mode order."""
-    _check_register(m.n_modes)
-    dim = 2 ** (m.n_modes // 2)
-    out = (1j**m.phase_r) * np.eye(dim, dtype=np.complex128)
-    for k in m.bits.indices():
-        out = out @ dense_majorana(m.n_modes, k)
     return out
 
 
@@ -226,16 +188,3 @@ def conjugate_rows(
         except NonMonomialError as exc:
             raise NonMonomialError(f"gate {j} ({g}): {exc}") from None
     return cols, phases
-
-
-def dense_gate(gate: BraidGate, n_modes: int) -> np.ndarray:
-    """Unitary ``(I + i V)/sqrt(2)`` of one braid gate."""
-    v = dense_monomial(MajoranaString.from_modes(n_modes, gate.modes, gate.generator_phase))
-    return (np.eye(v.shape[0], dtype=np.complex128) + 1j * v) / np.sqrt(2.0)
-
-
-def conjugate_dense(gate: BraidGate, mat: np.ndarray, n_modes: int) -> np.ndarray:
-    """Exact ``U mat U^dagger`` via ``(I + iV) mat (I - iV) / 2``."""
-    v = dense_monomial(MajoranaString.from_modes(n_modes, gate.modes, gate.generator_phase))
-    eye = np.eye(v.shape[0], dtype=np.complex128)
-    return (eye + 1j * v) @ mat @ (eye - 1j * v) / 2

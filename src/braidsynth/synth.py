@@ -54,15 +54,15 @@ flips on some logical-pair representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .bitlinalg import BitVec, _lowest_bit, _pairing_raw
+from .bitlinalg import BitVec, _lowest_bit, _pairing_raw, _transpose_raw
 from .majorana import (
     BraidGate,
     Circuit,
     MajoranaString,
     _ModeTableau,
     _multiply_raw,
-    conjugate_circuit,
     invert,
     multiply,
 )
@@ -357,11 +357,15 @@ def apply_substitutions(
     return StabilizerCode(code.n_modes, tuple(gens), code.name)
 
 
-def _encoder_image(result: SynthesisResult, encoder: Circuit, mode: int) -> MajoranaString:
-    """Encoder image of a decoded-frame mode, reduced to the user register;
-    encoder is result.encoder, built once by the caller.
+def _encoder_images(result: SynthesisResult, modes: Sequence[int]) -> list[MajoranaString]:
+    """Encoder images of decoded-frame modes, reduced to the user register.
 
-    If the mode pairs oddly with the ancilla pair's decoder image (possible
+    Every mode is one row of a ``_ModeTableau``, and the decoder runs
+    through it backwards once: one replay for all the modes, O(gates x
+    |support| log N) big-int operations on len(modes)-bit ints, and no
+    encoder circuit is built.
+
+    If a mode pairs oddly with the ancilla pair's decoder image (possible
     only for total-parity codes, where data-local operators of the needed
     kind must have the opposite weight parity), the Hermitian pair
     i c_0 c_mode is taken instead; that flips nothing against the decoded
@@ -370,51 +374,53 @@ def _encoder_image(result: SynthesisResult, encoder: Circuit, mode: int) -> Majo
     input, where the ancilla pair is freshly prepared -- to clear them
     before dropping the two slots.
     """
-    n = result.total_modes
-    m = MajoranaString.single_mode(n, mode)
+    n, n_rows = result.total_modes, len(modes)
+    rows, phases = [1 << m for m in modes], [0] * n_rows
+    if result.ancilla_modes:
+        if result.ancilla_image is None:
+            raise SynthesisInvariantError("an ancilla result carries no ancilla image")
+        image = result.ancilla_image.bits.value
+        for i, bits in enumerate(rows):
+            if _pairing_raw(bits, image):
+                rows[i], phases[i] = bits | 1, 1  # i c_0 c_mode
+    tab = _ModeTableau(rows, n, phases)
+    tab.run(result.decoder.gates, inverse=True)
+    images = zip(_transpose_raw(tab.cols, n_rows), tab.phases(n_rows))
     if not result.ancilla_modes:
-        return conjugate_circuit(encoder, m)
-    if result.ancilla_image is None:
-        raise SynthesisInvariantError("an ancilla result carries no ancilla image")
-    if _pairing_raw(m.bits.value, result.ancilla_image.bits.value):
-        m = MajoranaString.from_modes(n, (0, mode), 1)
-    img = conjugate_circuit(encoder, m)
-    if img.bits.value & 0b11:
-        if img.bits.value & 0b11 != 0b11:
-            raise SynthesisInvariantError("an encoder image meets the ancilla pair in one mode")
-        img = multiply(img, MajoranaString.from_modes(n, (0, 1), 1))
-    return MajoranaString(BitVec(n - 2, img.bits.value >> 2), img.phase_r)
+        return [MajoranaString(BitVec(n, bits), phase) for bits, phase in images]
+    out = []
+    for bits, phase in images:
+        if bits & 0b11:
+            if bits & 0b11 != 0b11:
+                raise SynthesisInvariantError("an encoder image meets the ancilla pair in one mode")
+            bits, phase = _multiply_raw(bits, phase, 0b11, 1)
+        out.append(MajoranaString(BitVec(n - 2, bits >> 2), phase))
+    return out
 
 
 def destabilizers(result: SynthesisResult) -> list[MajoranaString]:
-    """Encoder images of the pivot modes, one per generator, on user modes.
+    """Encoder images of the pivot modes, one per generator, on user modes,
+    from one replay of the decoder.
 
     Destabilizer j anticommutes with generator j and commutes with all the
     others, because single pivot modes do exactly that against the decoded
     pairs and conjugation preserves pairings.
     """
-    pb, encoder = result.target.pivot_base, result.encoder
-    return [_encoder_image(result, encoder, pb + 2 * j) for j in range(result.target.r)]
+    pb = result.target.pivot_base
+    return _encoder_images(result, [pb + 2 * j for j in range(result.target.r)])
 
 
 def logical_representatives(
     result: SynthesisResult,
 ) -> list[tuple[MajoranaString, MajoranaString]]:
-    """Encoder images of the logical-region modes, paired, on user modes.
+    """Encoder images of the logical-region modes, paired, on user modes,
+    from one replay of the decoder.
 
     Each string commutes with every stabilizer generator; the two members
     of a pair anticommute with each other.
     """
-    pb, r, n = result.target.pivot_base, result.target.r, result.total_modes
-    log_start = pb + 2 * r
-    k = (n - log_start) // 2
-    if k == 0:
+    log_start = result.target.pivot_base + 2 * result.target.r
+    if log_start == result.total_modes:
         raise ValueError("code has no encoded pairs")
-    encoder = result.encoder
-    return [
-        (
-            _encoder_image(result, encoder, log_start + 2 * ell),
-            _encoder_image(result, encoder, log_start + 2 * ell + 1),
-        )
-        for ell in range(k)
-    ]
+    images = _encoder_images(result, range(log_start, result.total_modes))
+    return list(zip(images[::2], images[1::2]))

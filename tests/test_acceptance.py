@@ -32,7 +32,7 @@ from braidsynth.majorana import (
     conjugate_circuit,
     gate_counts,
 )
-from braidsynth.oracle import conjugate_dense, conjugate_rows, dense_monomial, mode_arrays
+from braidsynth.oracle import conjugate_rows, mode_arrays
 from braidsynth.synth import (
     TotalParityObstruction,
     destabilizers,
@@ -45,6 +45,7 @@ from braidsynth.tableau import (
     apply_circuit,
     contains_total_parity,
 )
+from dense_reference import conjugate_dense, dense_monomial
 
 
 def all_gates(n_modes):

@@ -1,5 +1,6 @@
-"""The operator oracle: literal matrices, their phased-permutation arrays,
-and the four-term conjugation fold that `verify --oracle` runs.
+"""The operator oracle: its phased-permutation arrays and the four-term
+conjugation fold that `verify --oracle` runs, checked against the literal
+dense matrices of tests/dense_reference.py.
 
 The fold's checks raise without assert, so these tests also run under
 python -O, where the pytest.raises cases still show them firing.
@@ -36,15 +37,12 @@ from braidsynth.oracle import (
     NonMonomialError,
     _generator,
     conjugate_arrays,
-    conjugate_dense,
     conjugate_rows,
-    dense_gate,
-    dense_majorana,
-    dense_monomial,
     mode_arrays,
     monomial_arrays,
 )
 from braidsynth.synth import synthesize_with_ancilla
+from dense_reference import conjugate_dense, dense_gate, dense_majorana, dense_monomial
 
 N = 6
 DIM = 2 ** (N // 2)
@@ -76,12 +74,22 @@ def test_mode_matrix_cache_is_write_protected():
 
 
 def test_register_guards():
-    with pytest.raises(ValueError):
-        dense_majorana(5, 0)
-    with pytest.raises(ValueError):
-        dense_majorana(MAX_MODES + 2, 0)
-    with pytest.raises(ValueError):
-        dense_majorana(N, N)
+    for n, message in ((5, "even number of modes"), (MAX_MODES + 2, "must lie in 2..")):
+        with pytest.raises(ValueError, match=message):
+            mode_arrays(n)
+        with pytest.raises(ValueError, match=message):
+            conjugate_rows(Circuit(n), [])
+
+
+def test_the_oracle_module_holds_no_complex_matrix():
+    """The oracle is integer arithmetic throughout; the dense complex
+    references it is tested against live in tests/dense_reference.py."""
+    complex_arrays = [
+        name
+        for name, value in vars(oracle).items()
+        if isinstance(value, np.ndarray) and np.iscomplexobj(value)
+    ]
+    assert complex_arrays == []
 
 
 @given(

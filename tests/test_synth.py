@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidsynth.bitlinalg import symplectic_pairing
+from braidsynth.bitlinalg import BitVec, symplectic_pairing
 from braidsynth.cli import VerificationFailure, main, verify_document
 from braidsynth.codes import (
     CircuitDocument,
@@ -25,6 +25,7 @@ from braidsynth.majorana import (
     _ModeTableau,
     conjugate_circuit,
     gate_counts,
+    invert,
     multiply,
 )
 from braidsynth.synth import (
@@ -416,6 +417,132 @@ def test_no_representatives_without_encoded_pairs():
     result = synthesize_with_ancilla(random_code(6, 3, seed=5))
     with pytest.raises(ValueError):
         logical_representatives(result)
+
+
+def per_mode_encoder_image(result: SynthesisResult, encoder: Circuit, mode: int):
+    """One mode folded alone through the encoder with conjugate_circuit and
+    reduced to the user register: the reference the one-replay images are
+    compared with.  A mode pairing oddly with the ancilla image is taken as
+    i c0 c_mode, and an image on both ancilla modes is multiplied by i c0 c1."""
+    n = result.total_modes
+    m = MajoranaString.single_mode(n, mode)
+    if not result.ancilla_modes:
+        return conjugate_circuit(encoder, m)
+    if symplectic_pairing(m.bits, result.ancilla_image.bits):
+        m = MajoranaString.from_modes(n, (0, mode), 1)
+    img = conjugate_circuit(encoder, m)
+    if img.bits.value & 0b11:
+        assert img.bits.value & 0b11 == 0b11
+        img = multiply(img, MajoranaString.from_modes(n, (0, 1), 1))
+    return MajoranaString(BitVec(n - 2, img.bits.value >> 2), img.phase_r)
+
+
+def scrambled_total_parity_code(n: int, r: int, seed: int) -> StabilizerCode:
+    """r - 1 decoded pairs and the parity of the other modes, so the group
+    contains the total parity, in shuffled order and scrambled by 4n gates."""
+    rng = random.Random(seed)
+    rows = list(DecodedTarget(n, 0, r - 1).generators())
+    tail = tuple(range(2 * (r - 1), n))
+    rows.append(MajoranaString.from_modes(n, tail, (len(tail) * (len(tail) - 1) // 2) % 2))
+    rng.shuffle(rows)
+    return apply_circuit(random_circuit(n, 4 * n, rng), StabilizerCode(n, tuple(rows)))
+
+
+def test_reported_operators_equal_the_per_mode_fold():
+    """destabilizers and logical_representatives, from one replay, equal the
+    images of each mode folded alone through invert(decoder), refusals
+    included, for both variants."""
+    codes = [shortest_code(), kitaev_chain(4), kitaev_chain(30), PARITY4]
+    codes += [  # substitutions, a parked pair step and a clean full-rank reset
+        StabilizerCode(4, gens(4, ((0, 1), 1), ((0, 1, 2, 3), 2))),
+        StabilizerCode(6, gens(6, ((0, 1), 1), ((2, 3, 4, 5), 2), ((2, 3), 1))),
+        StabilizerCode(4, gens(4, ((0, 1), 1), ((2, 3), 1))),
+    ]
+    rng = random.Random(18)
+    for seed in range(120):
+        n = 2 * rng.randint(2, 12)
+        if seed % 2:
+            codes.append(random_code(n, rng.randint(0, n // 2), seed))
+        else:
+            codes.append(scrambled_total_parity_code(n, rng.randint(1, n // 2), seed))
+    swapped = substituted = 0
+    for code in codes:
+        for result in synthesis_outcomes(code):
+            if not isinstance(result, SynthesisResult):
+                continue
+            encoder = invert(result.decoder)
+            pb, r, n = result.target.pivot_base, result.target.r, result.total_modes
+            want = [per_mode_encoder_image(result, encoder, pb + 2 * j) for j in range(r)]
+            assert destabilizers(result) == want
+            logical = [per_mode_encoder_image(result, encoder, m) for m in range(pb + 2 * r, n)]
+            if logical:
+                assert logical_representatives(result) == list(zip(logical[::2], logical[1::2]))
+            else:
+                with pytest.raises(ValueError, match="^code has no encoded pairs$"):
+                    logical_representatives(result)
+            if result.ancilla_image is not None:
+                image = result.ancilla_image.bits
+                swapped += any(
+                    symplectic_pairing(BitVec(n, 1 << m), image) for m in range(pb, n)
+                )
+            substituted += bool(result.substitutions)
+    # both reductions of the ancilla variant, and substitutions, were reached
+    assert swapped and substituted
+
+
+def test_reported_operators_take_one_replay(monkeypatch):
+    """Each call runs the decoder backwards through one tableau, once, and
+    neither builds the encoder nor folds a mode on its own."""
+    result = synthesize_with_ancilla(random_code(400, 100, 1))
+    runs = []
+    run = _ModeTableau.run
+
+    def counting_run(self, gates, inverse=False):
+        runs.append((len(gates), inverse))
+        run(self, gates, inverse)
+
+    def per_mode_path(*args):
+        raise AssertionError("the encoder images took a per-mode path")
+
+    monkeypatch.setattr(_ModeTableau, "run", counting_run)
+    monkeypatch.setattr("braidsynth.synth.invert", per_mode_path)
+    monkeypatch.setattr("braidsynth.synth.conjugate_circuit", per_mode_path, raising=False)
+    monkeypatch.setattr("braidsynth.majorana.conjugate_circuit", per_mode_path)
+    for report in (destabilizers, logical_representatives):
+        runs.clear()
+        report(result)
+        assert runs == [(len(result.decoder), True)]
+
+
+def test_an_image_on_both_ancilla_modes_is_cleared_by_i_c0_c1():
+    """No synthesized decoder moves mode 1 (only doubled braids touch it),
+    so no real image meets the ancilla pair.  A decoder of one
+    braid4(0, 1, 2, 3) fixes i c0 c1 and sends pivot mode 2 back to
+    i c0 c1 c3; times i c0 c1, a +1 operator on the fresh pair, that is c3,
+    user mode 1."""
+    result = synthesize_with_ancilla(shortest_code())
+    result = dataclasses.replace(
+        result, decoder=Circuit(result.total_modes, (BraidGate("braid4", (0, 1, 2, 3)),))
+    )
+    encoder = invert(result.decoder)
+    assert str(conjugate_circuit(encoder, MajoranaString.single_mode(14, 2))) == "+i c0 c1 c3"
+    d = destabilizers(result)[0]
+    assert str(d) == "+1 c1"
+    assert d == per_mode_encoder_image(result, encoder, 2)
+
+
+@pytest.mark.parametrize("report, mode", [(destabilizers, 2), (logical_representatives, 12)])
+def test_encoder_image_invariants_raise(report, mode):
+    """Both checks of the encoder images raise SynthesisInvariantError, not
+    assert, so they also fire under python -O."""
+    result = synthesize_with_ancilla(shortest_code())
+    assert result.target.pivot_base + 2 * result.target.r == 12
+    with pytest.raises(SynthesisInvariantError, match="carries no ancilla image"):
+        report(dataclasses.replace(result, ancilla_image=None))
+    # with a decoder of one braid2(1, mode), the mode's encoder image is c1
+    stray = Circuit(result.total_modes, (BraidGate("braid2", (1, mode)),))
+    with pytest.raises(SynthesisInvariantError, match="meets the ancilla pair in one mode"):
+        report(dataclasses.replace(result, decoder=stray))
 
 
 @settings(max_examples=40, deadline=None)
