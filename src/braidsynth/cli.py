@@ -268,22 +268,28 @@ def _report_synth(
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    """Synthesize a decoder, write the requested document and report.
+
+    Both roles are written from ``result.decoder``: the encoder document
+    through ``serialize_circuit(doc, inverse=True)``, which writes the
+    decoder's gates in reverse order with each direction negated, so no
+    encoder circuit is built.
+    """
     code = _load_code(args)  # synthesis validates it
     if args.ancilla_free:
         result = synthesize_ancilla_free(code)
     else:
         result = synthesize_with_ancilla(code)
     role = "decoder" if args.decoder else "encoder"
-    circuit = result.decoder if args.decoder else result.encoder
-    doc = CircuitDocument(circuit, result.ancilla_modes, result.substitutions, role)
+    doc = CircuitDocument(result.decoder, result.ancilla_modes, result.substitutions, role)
     out = sys.stdout
     if args.output is None:
         dest = "not written (pass -o to write)"
     elif args.output == "-":
-        sys.stdout.write(serialize_circuit(doc))
+        sys.stdout.write(serialize_circuit(doc, inverse=not args.decoder))
         dest, out = "stdout", sys.stderr  # keep stdout one JSON document
     else:
-        Path(args.output).write_text(serialize_circuit(doc))
+        Path(args.output).write_text(serialize_circuit(doc, inverse=not args.decoder))
         dest = args.output
     _report_synth(code, result, role, dest, out)
     return 0

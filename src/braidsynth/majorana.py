@@ -45,9 +45,15 @@ as the independent reference the tableau is tested against.
 A gate is validated once, by the ``BraidGate`` constructor, where its data
 is new: a parsed document or a synthesis step.  The constructor is written
 by hand, so a valid gate costs one chained comparison and five slot
-writes.  ``BraidGate.inverse`` (and so ``invert``) builds its gate without
-a second check, since flipping the direction of a valid gate cannot make
-it invalid.
+writes.  The synthesis sweep hands it modes peeled off a support mask, so
+a gate it emits is checked there too.  ``BraidGate.inverse`` (and so
+``invert``) builds its gate without a second check, since flipping the
+direction of a valid gate cannot make it invalid.  The common paths build
+no inverse gate at all: ``_ModeTableau.run(gates, inverse=True)`` replays
+an encoder backwards, and ``codes.serialize_circuit(doc, inverse=True)``
+writes an encoder document from the decoder's gates, each direction
+negated as it goes out.  ``invert`` serves ``SynthesisResult.encoder``
+and the oracle branch of ``verify``.
 """
 
 from __future__ import annotations

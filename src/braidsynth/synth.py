@@ -15,7 +15,12 @@ operations however many generators there are.  Emitting a gate only
 queues it; the tableau catches up on the queued gates, in one ``run``,
 just before it is next read: at the start of each column, before a change
 of generating set, and before each phase read.  So a column costs one
-``run`` call, not one per gate.  The active generator is also kept as one
+``run`` call, not one per gate.  The sweep names each gate by its support
+mask, built from the one-bit ints (``x & -x``) its pivot logic already
+computes; ``emit`` takes the kind from the mask's weight (2 modes make a
+``braid2``, 4 a ``braid4``, any other weight is an invariant failure) and
+peels the modes off in ascending order for the ``BraidGate`` constructor,
+which still validates every gate.  The active generator is also kept as one
 packed int, its bits alone folded through each gate, because the pivot
 logic reads its low bits; its phase is read from the tableau when needed.
 It is read out of the tableau at the start of its column and written back
@@ -108,7 +113,9 @@ class SynthesisResult:
 
     decoder conjugates the (ancilla-extended, substitution-adjusted) code to
     the decoded target; encoder is its exact gate-for-gate inverse, built
-    on each access and not stored.
+    on each access and not stored.  ``braidsynth synth`` does not build it:
+    it writes the encoder document from the decoder with
+    ``serialize_circuit(doc, inverse=True)``.
     substitutions lists generating-set changes (i, j) meaning generator i
     was pre-multiplied by generator j.  correction_span is the decoder gate
     index range holding the doubled phase-correction braids; it runs to the
@@ -180,11 +187,28 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
     gates: list[BraidGate] = []
     substitutions: list[tuple[int, int]] = []
 
-    def emit(kind: str, modes: tuple[int, ...]) -> None:
+    def emit(mask: int) -> None:
         nonlocal row
-        gate = BraidGate(kind, tuple(sorted(modes)))
-        gates.append(gate)
-        mask = gate.support_mask
+        # peel the modes off the support mask in ascending order
+        weight = mask.bit_count()
+        first = mask & -mask
+        rest = mask ^ first
+        second = rest & -rest
+        if weight == 2:
+            modes = (first.bit_length() - 1, second.bit_length() - 1)
+            gates.append(BraidGate("braid2", modes))
+        elif weight == 4:
+            rest ^= second
+            third = rest & -rest
+            modes = (
+                first.bit_length() - 1,
+                second.bit_length() - 1,
+                third.bit_length() - 1,
+                (rest ^ third).bit_length() - 1,
+            )
+            gates.append(BraidGate("braid4", modes))
+        else:
+            raise SynthesisInvariantError(f"a gate support of {weight} modes")
         if (mask & row).bit_count() & 1:
             row ^= mask
 
@@ -210,21 +234,24 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         if use_ancilla and row & 1:
             # the parking bit is set exactly when the tail weight is odd;
             # push it onto the lowest clear tail row before shrinking
-            z = _lowest_bit(~row & tail)
-            emit("braid2", (0, z))
+            clear = ~row & tail
+            emit(1 | (clear & -clear))
 
         while (row & tail).bit_count() > 2:
+            # the tail's three lowest set bits, as one-bit ints
             t = row & tail
-            a1 = _lowest_bit(t)
-            a2 = _lowest_bit(t ^ (1 << a1))
-            a3 = _lowest_bit(t ^ (1 << a1) ^ (1 << a2))
+            b1 = t & -t
+            t ^= b1
+            b2 = t & -t
+            t ^= b2
+            three = b1 | b2 | (t & -t)
             clear = ~row & tail
             if clear:
-                emit("braid4", (_lowest_bit(clear), a1, a2, a3))
+                emit((clear & -clear) | three)
             elif use_ancilla:
                 # all-ones tail: park on mode 0, clear since the parity step
-                emit("braid4", (0, a1, a2, a3))
-                emit("braid2", (0, a1))
+                emit(1 | three)
+                emit(1 | b1)
             else:
                 # all-ones tail: borrow the lowest other generator with
                 # tail support (guaranteed by independence; a recorded
@@ -247,49 +274,53 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
                 raise SynthesisInvariantError(
                     f"generator {i} meets decoded pair {q}, {q + 1} in one mode only"
                 )
+            pair = 0b11 << q
             off = row & ~(slots | pair_region)
             if off:
-                emit("braid4", (q, q + 1, _lowest_bit(off), _lowest_bit(~row & slots)))
-            elif ~row & tail:
+                free_slot = ~row & slots
+                emit(pair | (off & -off) | (free_slot & -free_slot))
+            elif clear := ~row & tail:
                 # both slots set: park p+1 on the lowest clear tail mode;
                 # the next pair, or the finish below, brings it back
-                emit("braid4", (q, q + 1, p + 1, _lowest_bit(~row & tail)))
+                emit(pair | (2 << p) | (clear & -clear))
             elif use_ancilla:
                 # all-ones tail: park p+1 on mode 0, clear since off is 0
-                emit("braid4", (0, q, q + 1, p + 1))
+                emit(1 | pair | (2 << p))
             else:
                 substitute(i, (q - pivot_base) // 2)
 
         # one quadratic braid per bit still off the slots (mode 0 included)
         # puts it on a clear slot; a bit already on either slot stays put
         while row & ~slots:
-            emit("braid2", (_lowest_bit(~row & slots), _lowest_bit(row & ~slots)))
+            free_slot, off = ~row & slots, row & ~slots
+            emit((free_slot & -free_slot) | (off & -off))
 
     # ---- phase correction: doubled braids flip -i generators to +i ----
     correction_start = len(gates)
     log_start = pivot_base + 2 * r
-    free = list(ancilla_modes) + list(range(log_start, n_work))
-    mode_flips: dict[int, int] = {}
+    # the first three free modes (the ancilla pair, then the logical ones)
+    free = [1 << m for m in [*ancilla_modes, *range(log_start, n_work)][:3]]
+    logical = full ^ ((1 << log_start) - 1)
+    flipped = 0  # the logical modes met by an odd number of doubled braids
 
-    def emit_double(kind: str, modes: tuple[int, ...]) -> None:
-        emit(kind, modes)
-        emit(kind, modes)
-        for m in modes:
-            if m >= log_start:
-                mode_flips[m] = mode_flips.get(m, 0) + 1
+    def emit_double(mask: int) -> None:
+        nonlocal flipped
+        emit(mask)
+        emit(mask)
+        flipped ^= mask & logical
 
     catch_up()
     for j in range(r):
         if tab.phase(j) != 3:
             continue
-        pj = pivot_base + 2 * j
+        pj = 1 << (pivot_base + 2 * j)
         if len(free) >= 3:
-            emit_double("braid4", (pj, free[0], free[1], free[2]))
+            emit_double(pj | free[0] | free[1] | free[2])
         elif free and r >= 2:
             q = pivot_base if j != 0 else pivot_base + 2
-            emit_double("braid4", (pj, free[0], q, q + 1))
+            emit_double(pj | free[0] | (0b11 << q))
         elif free:
-            emit_double("braid2", (pj, free[0]))
+            emit_double(pj | free[0])
         else:
             partner = next((k for k in range(j + 1, r) if tab.phase(k) == 3), None)
             if partner is None:
@@ -297,14 +328,14 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
                     f"generator {j} is stuck at phase -i: no free modes remain "
                     "and no second flipped generator exists to pair with"
                 )
-            emit_double("braid2", (pj, pivot_base + 2 * partner))
+            emit_double(pj | (1 << (pivot_base + 2 * partner)))
         catch_up()
         if tab.phase(j) != 1:
             raise SynthesisInvariantError(f"generator {j} is not at +i after its correction")
     correction_span = (correction_start, len(gates))
 
     logical_flips = tuple(
-        (m - log_start) // 2 for m in sorted(mode_flips) if mode_flips[m] & 1
+        (m - log_start) // 2 for m in range(log_start, n_work) if flipped >> m & 1
     )
 
     target = DecodedTarget(n_work, pivot_base, r)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, one exit code at a time."""
 
+import dataclasses
 import json
 import os
 import random
@@ -25,6 +26,8 @@ from braidsynth.codes import (
     shortest_code,
 )
 from braidsynth.majorana import BraidGate, Circuit, MajoranaString, conjugate_circuit, invert
+from braidsynth.tableau import StabilizerCode
+from test_synth import gens, scrambled_total_parity_code, synthesis_outcomes
 
 SAMPLES = Path(__file__).resolve().parents[1] / "sample_codes"
 
@@ -261,20 +264,49 @@ def test_serialize_circuit_matches_json_dumps():
         CircuitDocument(Circuit(6, gates), (0, 1), ((1, 0), (2, 1)), "decoder"),
     ]
     for doc in docs:
-        out = {
-            "format_version": 1,
-            "role": doc.role,
-            "n_modes": doc.circuit.n_modes,
-            "ancilla_modes": list(doc.ancilla_modes),
-        }
-        if doc.substitutions:
-            out["substitutions"] = [list(s) for s in doc.substitutions]
-        out["gates"] = [
-            {"kind": g.kind, "modes": list(g.modes), "direction": g.direction}
-            for g in doc.circuit.gates
-        ]
-        assert serialize_circuit(doc) == json.dumps(out, indent=2) + "\n"
-        assert parse_circuit(serialize_circuit(doc)) == doc
+        inverted = dataclasses.replace(doc, circuit=invert(doc.circuit))
+        for d in (doc, inverted):
+            out = {
+                "format_version": 1,
+                "role": d.role,
+                "n_modes": d.circuit.n_modes,
+                "ancilla_modes": list(d.ancilla_modes),
+            }
+            if d.substitutions:
+                out["substitutions"] = [list(s) for s in d.substitutions]
+            out["gates"] = [
+                {"kind": g.kind, "modes": list(g.modes), "direction": g.direction}
+                for g in d.circuit.gates
+            ]
+            assert serialize_circuit(d) == json.dumps(out, indent=2) + "\n"
+            assert parse_circuit(serialize_circuit(d)) == d
+        # the inverse route writes invert(doc.circuit) without building it
+        assert serialize_circuit(doc, inverse=True) == serialize_circuit(inverted)
+        assert parse_circuit(serialize_circuit(doc, inverse=True)) == inverted
+
+    # synthesized decoders, both variants, substitutions and mode-0 parking
+    # included: the inverse route equals the invert route byte for byte
+    codes = []
+    for seed in range(20):
+        n = 2 * (seed % 12 + 2)
+        codes.append(random_code(n, seed % (n // 2 + 1), seed))
+    codes += [
+        StabilizerCode(6, gens(6, ((0, 1), 1), ((2, 3, 4, 5), 2), ((2, 3), 1))),
+        scrambled_total_parity_code(20, 7, 2),
+        scrambled_total_parity_code(16, 8, 4),
+    ]
+    substituted = 0
+    for code in codes:
+        for result in synthesis_outcomes(code):
+            if not isinstance(result, synth.SynthesisResult):
+                continue
+            substituted += bool(result.substitutions)
+            doc = CircuitDocument(
+                result.decoder, result.ancilla_modes, result.substitutions, "encoder"
+            )
+            encoder = dataclasses.replace(doc, circuit=result.encoder)
+            assert serialize_circuit(doc, inverse=True) == serialize_circuit(encoder)
+    assert substituted
 
 
 def test_verify_rejects_mode_count_mismatch(capsys, tmp_path):
@@ -330,7 +362,7 @@ def test_synth_decoder_only_builds_no_encoder(monkeypatch, tmp_path):
     assert main(argv) == 0
     assert calls == []
     assert main(["synth", "--builtin", "kitaev:4", "--ancilla-free", "-o", str(out)]) == 0
-    assert len(calls) == 1  # the encoder document does build it, once
+    assert calls == []  # the encoder document is written from the decoder
 
 
 @pytest.mark.parametrize(

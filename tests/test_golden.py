@@ -4,6 +4,8 @@ intentional algorithm change)."""
 
 from pathlib import Path
 
+import pytest
+
 from braidsynth.cli import main, render_ascii
 from braidsynth.codes import CircuitDocument, kitaev_chain, serialize_circuit, shortest_code
 from braidsynth.synth import synthesize_ancilla_free, synthesize_with_ancilla
@@ -40,3 +42,24 @@ def test_golden_documents_verify_against_their_codes(capsys):
         rc = main(["verify", "--builtin", builtin, str(GOLDEN / name), "--oracle"])
         assert rc == 0, capsys.readouterr()
         assert "oracle check: ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--builtin", "shortest"], "shortest.ancilla.encoder.circuit"),
+        (
+            ["--builtin", "kitaev:4", "--ancilla-free", "--decoder"],
+            "kitaev4.free.decoder.circuit",
+        ),
+    ],
+)
+def test_synth_writes_the_golden_bytes(capsys, tmp_path, argv, name):
+    """The bytes `synth -o` writes, to a file and to stdout, are the golden's."""
+    want = (GOLDEN / name).read_bytes()
+    out = tmp_path / name
+    assert main(["synth", *argv, "-o", str(out)]) == 0
+    assert out.read_bytes() == want
+    capsys.readouterr()
+    assert main(["synth", *argv, "-o", "-"]) == 0
+    assert capsys.readouterr().out.encode() == want

@@ -1,6 +1,7 @@
 """Decoder synthesis: both variants, reporting fields, and failure modes."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from braidsynth.codes import (
     kitaev_chain,
     random_circuit,
     random_code,
+    serialize_circuit,
     serialize_code,
     shortest_code,
 )
@@ -448,6 +450,17 @@ def scrambled_total_parity_code(n: int, r: int, seed: int) -> StabilizerCode:
     return apply_circuit(random_circuit(n, 4 * n, rng), StabilizerCode(n, tuple(rows)))
 
 
+def mixed_total_parity_code(n: int, r: int, seed: int) -> StabilizerCode:
+    """A scrambled total-parity code whose generators are then multiplied
+    together in 2r random pairs, so the parity spreads over several rows."""
+    rng = random.Random(seed)
+    rows = list(scrambled_total_parity_code(n, r, seed).generators)
+    for _ in range(2 * r):
+        i, j = rng.sample(range(r), 2)
+        rows[i] = multiply(rows[i], rows[j])
+    return StabilizerCode(n, tuple(rows))
+
+
 def test_reported_operators_equal_the_per_mode_fold():
     """destabilizers and logical_representatives, from one replay, equal the
     images of each mode folded alone through invert(decoder), refusals
@@ -618,3 +631,99 @@ def test_kitaev_chain_takes_one_quadratic_braid_per_generator(n):
     code = kitaev_chain(n)
     for result in (synthesize_with_ancilla(code), synthesize_ancilla_free(code)):
         assert gate_counts(result.decoder) == {"braid2": n - 1, "braid4": 0}
+
+
+# sha256 of serialize_circuit of each variant's decoder document (with an
+# ancilla, then ancilla-free), recorded before the sweep emitted gates from
+# support masks, or the name of the refusal it raised.  The goldens reach
+# neither mode-0 parking nor a substitution; these codes reach every
+# parking step and both substitution steps.
+PINNED_DECODERS = [
+    pytest.param(
+        lambda: random_code(40, 10, 1),
+        "5814e089153ecda73dfe7e795d839a03b89925c2377416298515d419f5700656",
+        "d65ec08eb7c9831e7af97b9f27e43ea2690a16605c1e36b176277ffb3edfb0f8",
+        id="random-40-10-1",
+    ),
+    pytest.param(
+        lambda: random_code(40, 10, 2),
+        "a7af63a7e140db4a63cdff3159aecd2886cc8aeb4f0897929f4f5310bb77cc65",
+        "252efce1653db2992054bf2fdb17adace9d10b5ee520bc387564de4ccfca55e5",
+        id="random-40-10-2",
+    ),
+    pytest.param(
+        lambda: random_code(40, 10, 3),
+        "b4667fb74c5628df5173394d37b580ec7a0ec5977274804c995976b544c88fe3",
+        "4dff93efe2d72e7a212aa1334af120100b3698f2aa01e99cb9cc4cb94d565f00",
+        id="random-40-10-3",
+    ),
+    pytest.param(
+        lambda: random_code(40, 10, 4),
+        "2051cd3d21130e1a5946e6c5244429dadc3401340f13b4658b2950bdfe09e944",
+        "30ebee8c5321353a9ae0f0d573c8a60c3e8e5c2b91e965f00d3b7c0db2c0afe2",
+        id="random-40-10-4",
+    ),
+    pytest.param(
+        lambda: random_code(40, 10, 5),
+        "d10ea9c43a7fee3a2fa87996eb0a1d91db143474a9bbc452a9d891d43324d424",
+        "0d77cf80688eb6ae8d80ee3926847ab74dd36c47018663d0faad93e1950baf1b",
+        id="random-40-10-5",
+    ),
+    pytest.param(  # its shrink parks on mode 0; obstructed without
+        lambda: scrambled_total_parity_code(20, 7, 2),
+        "f6fa2578f709ff6e5d054ff8bdfd31335861784ce04ad74ffd364c8b88040227",
+        "TotalParityObstruction",
+        id="total-parity-20-7-2",
+    ),
+    pytest.param(
+        lambda: scrambled_total_parity_code(16, 8, 4),
+        "5bafed90fc3e369d82db65129fc94c255bba4c98dcc7557d8d96510a740d31d8",
+        "c7f97b404d79ee81a8fabc2aad6492018e958af3228dd3b4b12d398202201c32",
+        id="total-parity-16-8-4",
+    ),
+    pytest.param(  # its parity step moves mode 0 off; obstructed without
+        lambda: mixed_total_parity_code(16, 6, 3),
+        "54d03e19d103b2966e74cd0b4d5ff098de4faa05245fcec3830037a4c0cd8e8e",
+        "TotalParityObstruction",
+        id="mixed-total-parity-16-6-3",
+    ),
+    pytest.param(  # its shrink parks on mode 0; obstructed without
+        lambda: PARITY4,
+        "b19ed8387d0beaaea8324778b7bc562cea6c8a85cc36b4d55a32e21f0b3da834",
+        "TotalParityObstruction",
+        id="parity4",
+    ),
+    pytest.param(  # its pair step parks on mode 0; substitutes without
+        lambda: StabilizerCode(4, gens(4, ((0, 1), 1), ((0, 1, 2, 3), 2))),
+        "6e2d17fe74f4e13d4d34aa58bef578f2c4e0bb56e00bd89b1c334c70a6c47045",
+        "a40994152af20511257734e5eaaf8b098e30d9aa62cd63bf6099b8602730c406",
+        id="pair-step-substitution",
+    ),
+    pytest.param(  # its shrink parks on mode 0; substitutes without
+        lambda: StabilizerCode(6, gens(6, ((0, 1), 1), ((2, 3, 4, 5), 2), ((2, 3), 1))),
+        "23fa27ecdb1dd5eccdd37c87db850cdc3a8fba62cc931ab60ac3586f1ea50d6d",
+        "399549e09201fda35982133e0922eef4533705bc8ea23c8c752f4db796afc004",
+        id="shrink-substitution",
+    ),
+    pytest.param(  # its shrink borrows the lowest of several holders
+        lambda: mixed_total_parity_code(8, 4, 8),
+        "e75d7294c35ff825e1510951ba8dc93e9d8625910d28187d891178d64b03083d",
+        "931908a3d1e0f919dd671d98a0c812e48584344b34a9ddb1fde16070a67678dc",
+        id="mixed-total-parity-8-4-8",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, with_ancilla, ancilla_free", PINNED_DECODERS)
+def test_sweep_gate_sequences_are_pinned(make, with_ancilla, ancilla_free):
+    code = make()
+    got = []
+    for synth in (synthesize_with_ancilla, synthesize_ancilla_free):
+        try:
+            result = synth(code)
+        except (TotalParityObstruction, PhaseCorrectionError) as exc:
+            got.append(type(exc).__name__)
+            continue
+        doc = CircuitDocument(result.decoder, result.ancilla_modes, result.substitutions, "decoder")
+        got.append(hashlib.sha256(serialize_circuit(doc).encode()).hexdigest())
+    assert got == [with_ancilla, ancilla_free]
