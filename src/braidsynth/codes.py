@@ -248,12 +248,6 @@ def serialize_code(code: StabilizerCode) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-_GATE_KEYS = frozenset(("kind", "modes", "direction"))
-# Mode lists of plain ints with a gate's length; any other passes _int one
-# mode at a time, which raises on the first that is not an integer.
-_INT_MODES = frozenset(((int, int), (int, int, int, int)))
-
-
 def _gates_at_once(entries: list[Any], n_modes: int) -> tuple[BraidGate, ...] | None:
     """The gates of a valid gates list, checked in whole-list passes with no
     Python code per gate; None if any check fails, and then the per-gate
@@ -332,15 +326,13 @@ def parse_circuit(text: str) -> CircuitDocument:
     valid = _gates_at_once(doc["gates"], n_modes)
     if valid is not None:
         return CircuitDocument(Circuit(n_modes, valid), ancilla, tuple(subs), role)
-    # The gate loop builds a message only when a check fails: the checks
-    # are the same for every gate, and a document may hold tens of
-    # thousands of them.
+    # Only a gates list the whole-list passes refused gets here, empty or
+    # faulty: the checks run one gate at a time to raise the first fault.
     gates = []
     for g, entry in enumerate(doc["gates"]):
         if not isinstance(entry, dict):
             raise err(f"gate {g} must be an object")
-        if entry.keys() != _GATE_KEYS:
-            _require_keys(entry, _GATE_KEYS, set(), f"gate {g}", err)
+        _require_keys(entry, {"kind", "modes", "direction"}, set(), f"gate {g}", err)
         kind = entry["kind"]
         if kind not in ("braid2", "braid4"):
             raise err(f"gate {g}: kind must be 'braid2' or 'braid4'")
@@ -348,12 +340,9 @@ def parse_circuit(text: str) -> CircuitDocument:
         if not isinstance(modes, list):
             raise err(f"gate {g}: modes must be a list")
         modes = tuple(modes)
-        if tuple(map(type, modes)) not in _INT_MODES:
-            for m in modes:
-                _int(m, f"gate {g} mode must be an integer", err)
-        direction = entry["direction"]
-        if type(direction) is not int:
-            _int(direction, f"gate {g} direction must be an integer", err)
+        for m in modes:
+            _int(m, f"gate {g} mode must be an integer", err)
+        direction = _int(entry["direction"], f"gate {g} direction must be an integer", err)
         try:
             gate = BraidGate(kind, modes, direction)
         except ValueError as exc:

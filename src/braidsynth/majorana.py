@@ -42,18 +42,17 @@ O(1); a changed (dirty) row still costs an O(N) scan of the columns.
 package; it stays public as the documented fold of a single monomial and
 as the independent reference the tableau is tested against.
 
-A gate is validated once, by the ``BraidGate`` constructor, where its data
-is new: a parsed document or a synthesis step.  The constructor is written
-by hand, so a valid gate costs one chained comparison and five slot
-writes.  The synthesis sweep hands it modes peeled off a support mask, so
-a gate it emits is checked there too.  ``BraidGate.inverse`` (and so
-``invert``) builds its gate without a second check, since flipping the
-direction of a valid gate cannot make it invalid.  The common paths build
-no inverse gate at all: ``_ModeTableau.run(gates, inverse=True)`` replays
-an encoder backwards, and ``codes.serialize_circuit(doc, inverse=True)``
-writes an encoder document from the decoder's gates, each direction
-negated as it goes out.  ``invert`` serves ``SynthesisResult.encoder``
-and the oracle branch of ``verify``.
+Every gate is built, and validated, by the ``BraidGate`` constructor: a
+parsed document's, a synthesis step's and ``BraidGate.inverse``'s (and so
+``invert``'s).  The constructor is written by hand, so a valid gate costs
+one chained comparison and four slot writes.  The synthesis sweep hands
+it modes peeled off a support mask, so a gate it emits is checked there
+too.  The common paths build no inverse gate at all:
+``_ModeTableau.run(gates, inverse=True)`` replays an encoder backwards,
+and ``codes.serialize_circuit(doc, inverse=True)`` writes an encoder
+document from the decoder's gates, each direction negated as it goes out.
+``invert`` serves ``SynthesisResult.encoder`` and the oracle branch of
+``verify``.
 """
 
 from __future__ import annotations
@@ -286,16 +285,16 @@ _SUPPORT_SIZE = {"braid2": 2, "braid4": 4}
 class BraidGate:
     """A quadratic or quartic braid on a sorted tuple of distinct modes.
 
-    The constructor validates every gate, with one chained comparison when
-    the gate is valid; ``inverse()`` is not validated again, because
-    negating the direction of a valid gate gives a valid gate.
-    generator_phase is computed with the check, and support_mask, whose
-    size grows with the highest mode, on first use and then kept: a gate
-    may name a mode far outside any register until a range check rejects
-    it.  Neither takes part in equality, hashing or repr.  The constructor
-    is written by hand and writes the slots directly, which costs less than
-    the generated frozen-dataclass one; keyword construction and
-    ``dataclasses.replace`` go through it as well.
+    The constructor is the only way to build a gate, ``inverse()``
+    included, and it validates every gate, with one chained comparison when
+    the gate is valid.  generator_phase is computed with the check and
+    stored, since every replayed gate reads it.  support_mask, whose size
+    grows with the highest mode, is computed from modes on each read and
+    never stored: a gate may name a mode far outside any register until a
+    range check rejects it.  Neither takes part in equality, hashing or
+    repr.  The constructor is written by hand and writes the slots
+    directly, which costs less than the generated frozen-dataclass one;
+    keyword construction and ``dataclasses.replace`` go through it as well.
     """
 
     kind: GateKind
@@ -303,7 +302,6 @@ class BraidGate:
     direction: int = 1
     # phase exponent r' of the gate generator ``i^{r'} [support]``
     generator_phase: int = field(init=False, repr=False, compare=False)
-    _mask: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, kind: GateKind, modes: tuple[int, ...], direction: int = 1) -> None:
         """One chained comparison passes a valid gate; anything else goes
@@ -325,7 +323,6 @@ class BraidGate:
         if not (valid and (direction == 1 or direction == -1)):
             self._check()
         _set_phase(self, (kind == "braid2") + (0 if direction == 1 else 2))
-        _set_mask(self, 0)
 
     def _check(self) -> None:
         """The checks one by one, raising the first that fails."""
@@ -342,22 +339,11 @@ class BraidGate:
 
     @property
     def support_mask(self) -> int:
-        mask = self._mask
-        if not mask:
-            for m in self.modes:
-                mask |= 1 << m
-            _set_mask(self, mask)
-        return mask
+        return sum(1 << m for m in self.modes)  # the modes are distinct
 
     def inverse(self) -> BraidGate:
-        """The same support, the other direction; built without a check."""
-        inv = _new_gate(BraidGate)
-        _set_kind(inv, self.kind)
-        _set_modes(inv, self.modes)
-        _set_direction(inv, -self.direction)
-        _set_phase(inv, self.generator_phase ^ 2)
-        _set_mask(inv, self._mask)
-        return inv
+        """The same support, the other direction."""
+        return BraidGate(self.kind, self.modes, -self.direction)
 
     def __str__(self) -> str:
         tag = "B2" if self.kind == "braid2" else "B4"
@@ -365,15 +351,12 @@ class BraidGate:
         return f"{tag} {sign}({','.join(map(str, self.modes))})"
 
 
-# The frozen gate's slots, written directly: __init__ sets every field,
-# support_mask the cached mask, and inverse() builds a gate from one
-# already checked.
-_new_gate = object.__new__
+# The frozen gate's slots, written directly by __init__, the one place a
+# gate is built.
 _set_kind = BraidGate.kind.__set__  # type: ignore[attr-defined]
 _set_modes = BraidGate.modes.__set__  # type: ignore[attr-defined]
 _set_direction = BraidGate.direction.__set__  # type: ignore[attr-defined]
 _set_phase = BraidGate.generator_phase.__set__  # type: ignore[attr-defined]
-_set_mask = BraidGate._mask.__set__  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True, slots=True)

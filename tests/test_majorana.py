@@ -364,12 +364,12 @@ def test_keyword_construction_and_replace():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_inverse_equals_the_validated_negated_gate(seed):
-    """inverse() skips the constructor's check; it must build exactly the
-    gate the constructor would, cached values included."""
+    """inverse() builds the gate the constructor gives for the negated
+    direction, generator phase and support mask included."""
     c = random_circuit(40, 200, random.Random(seed))
     for k, g in enumerate(c.gates):
         if k % 2:
-            g.support_mask  # half the gates carry a computed mask into inverse()
+            g.support_mask  # reading the mask first must not change inverse()
         inv = g.inverse()
         fresh = BraidGate(g.kind, g.modes, -g.direction)
         assert inv == fresh and hash(inv) == hash(fresh)
