@@ -92,13 +92,23 @@ def _first_odd_overlap(vectors: Sequence[int], length: int) -> tuple[int, int] |
 
 
 def _reorder_raw(u: int, v: int) -> int:
-    """Parity of pairs (a, b) with a > b, bit a set in u, bit b set in v."""
+    """Parity of pairs (a, b) with a > b, bit a set in u, bit b set in v.
+
+    The loop walks the sparser operand: over a in u it counts v's bits
+    below a, over b in v it counts u's bits above b.  So a product of a
+    dense row with a mode pair costs two popcounts.
+    """
     total = 0
-    x = u
-    while x:
-        low = x & -x
-        total += (v & (low - 1)).bit_count()
-        x ^= low
+    if u.bit_count() <= v.bit_count():
+        while u:
+            low = u & -u
+            total += (v & (low - 1)).bit_count()
+            u ^= low
+    else:
+        while v:
+            low = v & -v
+            total += (u >> low.bit_length()).bit_count()
+            v ^= low
     return total & 1
 
 

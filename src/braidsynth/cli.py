@@ -15,7 +15,7 @@ from functools import cache
 from pathlib import Path
 from typing import Iterator, TextIO
 
-from .bitlinalg import BitVec
+from .bitlinalg import BitVec, _transpose_raw
 from .codes import (
     CircuitDocument,
     CircuitFormatError,
@@ -30,6 +30,7 @@ from .majorana import (
     Circuit,
     MajoranaString,
     _ModeTableau,
+    _multiply_raw,
     gate_counts,
     invert,
 )
@@ -76,23 +77,30 @@ def verify_document(
     oracle if asked.  Raises CircuitFormatError when the document does not
     fit the code and VerificationFailure at the first failed check.
 
-    One replay serves the first two checks: the substitution-adjusted
-    generators, and with an ancilla pair the row i c_0 c_1 after them, go
-    through the decoder in one mode-major tableau.  An encoder's gates run
-    there in reverse order as their inverses, so no decoder ``Circuit`` is
-    built.  The row i c_0 c_1 must come back
+    One replay serves the first two checks: the code's own generators,
+    and with an ancilla pair the row i c_0 c_1 after them, go through the
+    decoder in one mode-major tableau.  An encoder's gates run there in
+    reverse order as their inverses, so no decoder ``Circuit`` is built.
+    Conjugation is an algebra automorphism, so the image of a
+    substitution-adjusted generator is the product of the images: the
+    recorded changes (i, j) fold, in order, on the replayed rows, which
+    for a correct document are sparse products of decoded pairs, and the
+    folded rows are compared with the decoded form as they stand, without
+    writing them back to the tableau.  The row i c_0 c_1 must come back
     as +-i c_0 c_1, or the ancilla pair would keep logical information,
     unless the code contains the total parity: braids fix the all-modes
     monomial, so the decoded generators already pin the row's image, and
     it is reported as it stands.  No check of the fermionic pairing runs:
     every braid's bit action preserves it (see ``majorana``).
 
-    The oracle folds the same rows through the decoder as Jordan-Wigner
-    matrices (``oracle.conjugate_rows``, which takes a decoder, so only
-    this branch inverts an encoder) and compares each with what the
-    checks above accepted: generator j with its decoded pair, i c_0 c_1
-    with the reported image.  It uses neither the tableau nor the bit
-    rule of ``majorana``, so it re-derives both checks.
+    The oracle folds the substitution-adjusted generators, multiplied out
+    with ``apply_substitutions`` on the code, and i c_0 c_1 through the
+    decoder as Jordan-Wigner matrices (``oracle.conjugate_rows``, which
+    takes a decoder, so only this branch inverts an encoder) and compares
+    each with what the checks above accepted: generator j with its decoded
+    pair, i c_0 c_1 with the reported image.  It uses neither the tableau,
+    the folded rows nor the bit rule of ``majorana``, so it re-derives
+    both checks.
     """
     working = prepend_ancilla_modes(code) if doc.ancilla_modes else code
     n = working.n_modes
@@ -108,16 +116,18 @@ def verify_document(
     encoder = doc.role == "encoder"
     target = DecodedTarget(n, 2 if doc.ancilla_modes else 0, code.n_stabilizers)
 
-    rows = list(apply_substitutions(working, doc.substitutions).generators)
+    rows = list(working.generators)
     if doc.ancilla_modes:
         rows.append(MajoranaString(BitVec(n, 0b11), 1))  # i c_0 c_1, row r
     tab = _ModeTableau([m.bits.value for m in rows], n, [m.phase_r for m in rows])
     tab.run(doc.circuit.gates, inverse=encoder)
-    if not tab.is_decoded(target.pivot_base, target.r):
+    if doc.substitutions or not tab.is_decoded(target.pivot_base, target.r):
+        bits, phases = _transpose_raw(tab.cols, len(rows)), tab.phases(target.r)
+        for i, j in doc.substitutions:
+            bits[i], phases[i] = _multiply_raw(bits[i], phases[i], bits[j], phases[j])
         for j in range(target.r):
-            bits, phase = tab.row(j)
-            arrived = MajoranaString(BitVec(n, bits), phase)
-            if arrived != target.generator(j):
+            if bits[j] != 0b11 << (target.pivot_base + 2 * j) or phases[j] != 1:
+                arrived = MajoranaString(BitVec(n, bits[j]), phases[j])
                 raise VerificationFailure("decoded-form", f"generator {j} arrives at {arrived}")
     yield "decoded-form check: ok"
 
@@ -145,6 +155,7 @@ def verify_document(
     if n > MAX_MODES:
         raise VerificationFailure("oracle", f"needs at most {MAX_MODES} total modes, got {n}")
     decoder = invert(doc.circuit) if encoder else doc.circuit
+    rows[: target.r] = apply_substitutions(working, doc.substitutions).generators
     try:
         cols, phases = conjugate_rows(decoder, rows)
     except NonMonomialError as exc:

@@ -368,12 +368,17 @@ _GATE_JSON = {
 }
 
 
+# One [i, j] substitution entry as json.dumps(indent=2) lays it out.
+_SUBSTITUTION_JSON = "    [\n      %d,\n      %d\n    ]"
+
+
 def serialize_circuit(doc: CircuitDocument, inverse: bool = False) -> str:
     """Render a circuit document as JSON (inverse of parse_circuit).
 
     The output is byte-identical to ``json.dumps(..., indent=2)`` of the
-    whole document; the header goes through json, and each gate through
-    one ``%`` on the template of its kind, which is several times faster.
+    whole document; the header goes through json, and each substitution
+    and each gate through one ``%`` on its template, which is several
+    times faster.
 
     With inverse, the gates written are those of ``invert(doc.circuit)``:
     the circuit's gates in reverse order, each with its direction negated,
@@ -386,13 +391,13 @@ def serialize_circuit(doc: CircuitDocument, inverse: bool = False) -> str:
         "n_modes": doc.circuit.n_modes,
         "ancilla_modes": list(doc.ancilla_modes),
     }
+    parts = [json.dumps(out, indent=2)[: -len("\n}")]]
     if doc.substitutions:
-        out["substitutions"] = [list(s) for s in doc.substitutions]
-    out["gates"] = []
-    text = json.dumps(out, indent=2)
+        subs = ",\n".join(_SUBSTITUTION_JSON % s for s in doc.substitutions)
+        parts.append(',\n  "substitutions": [\n' + subs + "\n  ]")
     if not doc.circuit.gates:
-        return text + "\n"
+        return "".join(parts) + ',\n  "gates": []\n}\n'
     gates = reversed(doc.circuit.gates) if inverse else doc.circuit.gates
     sign = -1 if inverse else 1
     body = ",\n".join(_GATE_JSON[g.kind] % (*g.modes, sign * g.direction) for g in gates)
-    return text[: -len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
+    return "".join(parts) + ',\n  "gates": [\n' + body + "\n  ]\n}\n"

@@ -37,7 +37,8 @@ gates in one ``run``, and ``synth.destabilizers`` and
 ``logical_representatives`` run the modes they report through the decoder
 backwards.  The tableau keeps the rows it was built from and a mask of the
 rows gates have changed since, so a row no gate has touched reads back in
-O(1); a changed (dirty) row still costs an O(N) scan of the columns.
+O(1); a changed (dirty) row still costs an O(N) scan of the columns,
+whose result is kept until a gate changes the row again.
 ``conjugate_circuit``, the plain one-monomial fold, has no caller in the
 package; it stays public as the documented fold of a single monomial and
 as the independent reference the tableau is tested against.
@@ -96,11 +97,11 @@ class _ModeTableau:
     the state in locals for the whole sequence.  Applying a gate equals
     folding every row through ``_conjugate_raw``.
 
-    The tableau also keeps each row as the int it was built from or last
-    set to (rows), and dirty, an r-bit mask of the rows a gate has changed
-    since: each gate ORs in the rows it changes, one big-int OR.  A clean
-    row reads back from its kept int in O(1); only a dirty row is scanned
-    out of the columns.
+    The tableau also keeps each row as the int it was built from, last
+    set to or last scanned as (rows), and dirty, an r-bit mask of the rows
+    a gate has changed since: each gate ORs in the rows it changes, one
+    big-int OR.  A clean row reads back from its kept int in O(1); only a
+    dirty row is scanned out of the columns.
     """
 
     __slots__ = ("cols", "tree", "p0", "p1", "rows", "dirty")
@@ -184,9 +185,12 @@ class _ModeTableau:
 
     def row(self, i: int) -> tuple[int, int]:
         """Row i's packed bits and phase exponent: O(1) while the row is
-        clean, an O(N) scan of the columns once a gate has changed it."""
+        clean, an O(N) scan of the columns once a gate has changed it.  The
+        scanned bits are kept, so the row is clean until a gate changes it
+        again."""
         if self.dirty >> i & 1:
-            return self._scan_row(i), self.phase(i)
+            self.rows[i] = self._scan_row(i)
+            self.dirty ^= 1 << i
         return self.rows[i], self.phase(i)
 
     def _scan_row(self, i: int) -> int:
@@ -202,19 +206,34 @@ class _ModeTableau:
         """Overwrite row i; the row is clean afterwards.
 
         Costs the read of the old row (O(1) clean, O(N) dirty) plus
-        O(log N) per changed mode.
+        O(log N) per two changed modes.  The changed modes go in ascending
+        pairs lo < hi, and, as in ``run``, the pair's two walks up the tree
+        stop where they meet, so a decoded pair (q, q+1), q even, touches
+        one node; a last lone mode walks to the end.
         """
-        cols, tree, n_modes, bit = self.cols, self.tree, len(self.cols), 1 << i
+        cols, tree, bit = self.cols, self.tree, 1 << i
+        end = len(cols) + 1
         diff = self.row(i)[0] ^ bits
         while diff:
-            low = diff & -diff
-            diff ^= low
-            m = low.bit_length() - 1
-            cols[m] ^= bit
-            k = m + 1
-            while k <= n_modes:
-                tree[k] ^= bit
-                k += k & -k
+            lo = diff & -diff
+            diff ^= lo
+            hi = diff & -diff
+            diff ^= hi
+            a = lo.bit_length()  # lo's mode + 1, its first node
+            cols[a - 1] ^= bit
+            if hi:
+                b = hi.bit_length()
+                cols[b - 1] ^= bit
+            else:
+                b = end
+            while a < b:
+                tree[a] ^= bit
+                a += a & -a
+            if a > end:
+                a = end
+            while b < a:
+                tree[b] ^= bit
+                b += b & -b
         self.rows[i] = bits
         self.dirty &= ~bit
         self.p0 = self.p0 & ~bit | (phase & 1) << i

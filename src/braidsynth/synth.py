@@ -1,21 +1,26 @@
 """Decoder synthesis: reduce a stabilizer code to aligned mode pairs.
 
-Both variants sweep the generators column by column.  Quartic braids shrink
-the working column's weight below the pivot by two per step, parking on its
-lowest clear mode there.  Then one quartic braid per already-decoded pair
-the column still holds clears that pair and moves a surviving bit onto a
-clear pivot slot, and one quadratic braid per bit still off the pivot pair
-puts it there.  Every emitted gate has even overlap with every finished
-pair, so decoded generators are never disturbed -- the loop invariant that
-makes the sweep correct.
+Both variants sweep the generators column by column.  A code is its
+stabilizer group, not one generating set, so each column starts by
+multiplying its generator by every already-decoded generator whose pair it
+still holds (commutation forces whole pairs): a recorded substitution, no
+gate.  Decoded generator j is exactly i^s c_q c_(q+1) at that point, so
+the product only clears the pair's two bits and adds s + 2 to the phase;
+all of a column's pairs go in one ``set_row``.  Quartic braids then shrink
+the column's weight from the pivot on by two per step, parking on its
+lowest clear mode there, and one quadratic braid per bit still off the
+pivot pair puts it there.  Every emitted gate has even overlap with every
+finished pair, so decoded generators are never disturbed -- the loop
+invariant that makes the sweep correct.
 
 The working generators live in one mode-major tableau (see ``majorana``)
 for the whole run, so each emitted gate costs O(|support| log N) big-int
 operations however many generators there are.  Emitting a gate only
 queues it; the tableau catches up on the queued gates, in one ``run``,
-just before it is next read: at the start of each column, before a change
-of generating set, and before each phase read.  So a column costs one
-``run`` call, not one per gate.  The sweep names each gate by its support
+just before it is next read: at the start of each column, before a
+borrowed generator is multiplied in, and before each phase read.  So a
+column costs one ``run`` call, not one per gate, and its column-start
+substitutions cost none.  The sweep names each gate by its support
 mask, built from the one-bit ints (``x & -x``) its pivot logic already
 computes; ``emit`` takes the kind from the mask's weight (2 modes make a
 ``braid2``, 4 a ``braid4``, any other weight is an invariant failure) and
@@ -27,8 +32,10 @@ It is read out of the tableau at the start of its column and written back
 only by a change of generating set.  That read is O(1) when no earlier
 gate has touched the row (the tableau keeps its input rows and a mask of
 the rows gates have changed), and an O(N) scan of the columns when one
-has.  The phase correction reads phases from the tableau's bit planes,
-and the final check compares the tableau with the decoded form in O(N).
+has; the tableau keeps the scan, so the ``set_row`` that follows reads
+the row in O(1).  The phase correction reads phases from the tableau's bit
+planes, and the final check compares the tableau with the decoded form in
+O(N).
 Internal invariants raise ``SynthesisInvariantError``, so they also hold
 under ``python -O``.
 
@@ -44,10 +51,12 @@ image in 0 or 2 modes.  With it, every braid fixes the all-modes monomial,
 which pins the image to the global parity times decoded generators, an
 operator no pair-preserving gate can move; that image is reported instead
 of hidden, and any other raises SynthesisInvariantError.  The ancilla-free
-variant meets an all-ones tail with a recorded change of generating set (a
-pre-multiplication, not a gate) instead; it must reject codes whose
-stabilizer group contains the total parity with r < N/2, for which no
-ancilla-free decoder exists at all.
+variant meets an all-ones tail by borrowing the lowest other generator
+with tail support, a recorded change of generating set (a
+pre-multiplication, not a gate), and then clears the decoded pairs that
+generator brings along; it must reject codes whose stabilizer group
+contains the total parity with r < N/2, for which no ancilla-free decoder
+exists at all.
 
 After the sweep all generator phases are +-i.  A doubled braid commutes
 with every monomial's bits and flips the sign of those it pairs oddly with,
@@ -59,7 +68,6 @@ flips on some logical-pair representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .bitlinalg import BitVec, _lowest_bit, _pairing_raw, _transpose_raw
 from .majorana import (
@@ -116,10 +124,15 @@ class SynthesisResult:
     on each access and not stored.  ``braidsynth synth`` does not build it:
     it writes the encoder document from the decoder with
     ``serialize_circuit(doc, inverse=True)``.
-    substitutions lists generating-set changes (i, j) meaning generator i
-    was pre-multiplied by generator j.  correction_span is the decoder gate
-    index range holding the doubled phase-correction braids; it runs to the
-    end of the decoder.  For the ancilla variant, ancilla_image is the
+    substitutions lists generating-set changes (i, j), in order, meaning
+    generator i was multiplied on the right by the current generator j: at
+    the start of column i by each decoded generator j < i whose pair it
+    held, and ancilla-free, on an all-ones tail, by a borrowed j > i.  A
+    document carries them so that ``verify`` can fold them; the decoder
+    maps the code's generators with them applied (``apply_substitutions``)
+    to the decoded form.  correction_span is the decoder gate index range
+    holding the doubled phase-correction braids; it runs to the end of the
+    decoder.  For the ancilla variant, ancilla_image is the
     decoder image of i c_0 c_1, and for a code whose stabilizer group does
     not contain the total parity it is i c_0 c_1 itself, ancilla_phase_r 1.
     Otherwise the image is pinned to the all-modes monomial times decoded
@@ -218,18 +231,41 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
             tab.run(gates[done:])
             done = len(gates)
 
-    def substitute(i: int, j: int) -> None:
-        nonlocal row
-        catch_up()
-        row, phase = _multiply_raw(row, tab.phase(i), *tab.row(j))
-        tab.set_row(i, row, phase)
-        substitutions.append((i, j))
+    def clear_pairs(i: int, bits: int, phase: int, decoded: int) -> tuple[int, int]:
+        """Generator i, at bits and phase, times every decoded generator
+        whose pair it holds, with each product recorded as a substitution.
 
+        Decoded generator j is exactly i^s c_q c_(q+1), q = pivot_base + 2j,
+        and commutation makes the row hold both modes of a pair or neither.
+        Holding both, the row reorders past the pair with parity 1, so the
+        product clears the pair, adds s + 2 to the phase and costs no gate.
+        """
+        held = bits & decoded
+        lows = held & evens
+        half = lows ^ (held >> 1 & evens)
+        if half:
+            q = _lowest_bit(half)
+            raise SynthesisInvariantError(
+                f"generator {i} meets decoded pair {q}, {q + 1} in one mode only"
+            )
+        while lows:
+            low = lows & -lows
+            lows ^= low
+            j = (low.bit_length() - 1 - pivot_base) >> 1
+            phase += tab.phase(j) + 2
+            substitutions.append((i, j))
+        return bits ^ held, phase & 3
+
+    evens = full // 3  # the even modes: the low mode of every aligned pair
     for i in range(r):
         p = pivot_base + 2 * i
         tail = full ^ ((1 << p) - 1)
+        decoded = (1 << p) - (1 << pivot_base)  # the decoded pairs' modes
         catch_up()
-        row = tab.row(i)[0]
+        row, phase = tab.row(i)
+        if row & decoded:
+            row, phase = clear_pairs(i, row, phase, decoded)
+            tab.set_row(i, row, phase)
 
         if use_ancilla and row & 1:
             # the parking bit is set exactly when the tail weight is odd;
@@ -255,42 +291,20 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
             else:
                 # all-ones tail: borrow the lowest other generator with
                 # tail support (guaranteed by independence; a recorded
-                # basis change)
+                # basis change), then clear the decoded pairs it brings
                 catch_up()
                 holders = 0
                 for c in tab.cols[p:]:
                     holders |= c
-                substitute(i, _lowest_bit(holders & ~(1 << i)))
+                k = _lowest_bit(holders & ~(1 << i))
+                substitutions.append((i, k))
+                bits, phase = _multiply_raw(row, tab.phase(i), *tab.row(k))
+                row, phase = clear_pairs(i, bits, phase, decoded)
+                tab.set_row(i, row, phase)
 
-        # clear the column's leftover support on already-decoded pairs
-        # (commutation forces it to occur in aligned complete pairs), one
-        # gate per pair that meets the row in three modes: the pair and a
-        # set bit off the pivot slots p, p+1, which lands on a clear slot
+        # the row now lies on at most two tail modes; one quadratic braid
+        # per bit off the slots p, p+1 puts it on a clear slot
         slots = 0b11 << p
-        pair_region = ((1 << p) - 1) ^ ((1 << pivot_base) - 1)
-        while row & pair_region:
-            q = _lowest_bit(row & pair_region)
-            if not (row >> (q + 1)) & 1:
-                raise SynthesisInvariantError(
-                    f"generator {i} meets decoded pair {q}, {q + 1} in one mode only"
-                )
-            pair = 0b11 << q
-            off = row & ~(slots | pair_region)
-            if off:
-                free_slot = ~row & slots
-                emit(pair | (off & -off) | (free_slot & -free_slot))
-            elif clear := ~row & tail:
-                # both slots set: park p+1 on the lowest clear tail mode;
-                # the next pair, or the finish below, brings it back
-                emit(pair | (2 << p) | (clear & -clear))
-            elif use_ancilla:
-                # all-ones tail: park p+1 on mode 0, clear since off is 0
-                emit(1 | pair | (2 << p))
-            else:
-                substitute(i, (q - pivot_base) // 2)
-
-        # one quadratic braid per bit still off the slots (mode 0 included)
-        # puts it on a clear slot; a bit already on either slot stays put
         while row & ~slots:
             free_slot, off = ~row & slots, row & ~slots
             emit((free_slot & -free_slot) | (off & -off))
@@ -388,32 +402,42 @@ def apply_substitutions(
     return StabilizerCode(code.n_modes, tuple(gens), code.name)
 
 
-def _encoder_images(result: SynthesisResult, modes: Sequence[int]) -> list[MajoranaString]:
-    """Encoder images of decoded-frame modes, reduced to the user register.
+def _hermitian_product(abits: int, aphase: int, bbits: int, bphase: int) -> tuple[int, int]:
+    """The product a * b, times i when the product is not Hermitian."""
+    bits, phase = _multiply_raw(abits, aphase, bbits, bphase)
+    if (phase ^ bits.bit_count() >> 1) & 1:
+        phase += 1
+    return bits, phase & 3
 
-    Every mode is one row of a ``_ModeTableau``, and the decoder runs
-    through it backwards once: one replay for all the modes, O(gates x
-    |support| log N) big-int operations on len(modes)-bit ints, and no
-    encoder circuit is built.
 
-    If a mode pairs oddly with the ancilla pair's decoder image (possible
+def _encoder_images(
+    result: SynthesisResult, rows: list[int], phases: list[int]
+) -> list[MajoranaString]:
+    """Encoder images of decoded-frame monomials, reduced to the user register.
+
+    Every monomial is one row of a ``_ModeTableau``, and the decoder runs
+    through it backwards once: one replay for all the rows, O(gates x
+    |support| log N) big-int operations on len(rows)-bit ints, and no
+    encoder circuit is built.  The lists are consumed.
+
+    If a row pairs oddly with the ancilla pair's decoder image (possible
     only for total-parity codes, where data-local operators of the needed
-    kind must have the opposite weight parity), the Hermitian pair
-    i c_0 c_mode is taken instead; that flips nothing against the decoded
-    pairs.  The image then meets the ancilla pair in both modes or neither.
-    When both, multiply by i c_0 c_1 -- a +1 operator at the decoder's
-    input, where the ancilla pair is freshly prepared -- to clear them
-    before dropping the two slots.
+    kind must have the opposite weight parity), c_0 times it, made
+    Hermitian, is taken instead; for a single mode that is i c_0 c_mode.
+    Mode 0 lies on no decoded pair, so that flips nothing against them.
+    The image then meets the ancilla pair in both modes or neither.  When
+    both, multiply by i c_0 c_1 -- a +1 operator at the decoder's input,
+    where the ancilla pair is freshly prepared -- to clear them before
+    dropping the two slots.
     """
-    n, n_rows = result.total_modes, len(modes)
-    rows, phases = [1 << m for m in modes], [0] * n_rows
+    n, n_rows = result.total_modes, len(rows)
     if result.ancilla_modes:
         if result.ancilla_image is None:
             raise SynthesisInvariantError("an ancilla result carries no ancilla image")
         image = result.ancilla_image.bits.value
         for i, bits in enumerate(rows):
             if _pairing_raw(bits, image):
-                rows[i], phases[i] = bits | 1, 1  # i c_0 c_mode
+                rows[i], phases[i] = _hermitian_product(1, 0, bits, phases[i])
     tab = _ModeTableau(rows, n, phases)
     tab.run(result.decoder.gates, inverse=True)
     images = zip(_transpose_raw(tab.cols, n_rows), tab.phases(n_rows))
@@ -430,15 +454,24 @@ def _encoder_images(result: SynthesisResult, modes: Sequence[int]) -> list[Major
 
 
 def destabilizers(result: SynthesisResult) -> list[MajoranaString]:
-    """Encoder images of the pivot modes, one per generator, on user modes,
-    from one replay of the decoder.
+    """One Hermitian partner per generator of the code, on user modes, from
+    one replay of the decoder: destabilizer j anticommutes with generator j
+    and commutes with all the others.
 
-    Destabilizer j anticommutes with generator j and commutes with all the
-    others, because single pivot modes do exactly that against the decoded
-    pairs and conjugation preserves pairings.
+    Single pivot modes pair that way with the decoded pairs, so their
+    encoder images do with the substitution-adjusted generators, since
+    conjugation preserves pairings.  Each change of generating set (i, j)
+    made g_i' = g_i g_j; undoing them in reverse order, d_j <- d_j d_i
+    (made Hermitian) keeps the partners dual to the generators before it.
+    The walk runs on the pivot-mode rows before the replay, where they are
+    sparse: conjugation is an automorphism, so that equals the walk on the
+    images.
     """
-    pb = result.target.pivot_base
-    return _encoder_images(result, [pb + 2 * j for j in range(result.target.r)])
+    pb, r = result.target.pivot_base, result.target.r
+    rows, phases = [1 << (pb + 2 * j) for j in range(r)], [0] * r
+    for i, j in reversed(result.substitutions):
+        rows[j], phases[j] = _hermitian_product(rows[j], phases[j], rows[i], phases[i])
+    return _encoder_images(result, rows, phases)
 
 
 def logical_representatives(
@@ -453,5 +486,6 @@ def logical_representatives(
     log_start = result.target.pivot_base + 2 * result.target.r
     if log_start == result.total_modes:
         raise ValueError("code has no encoded pairs")
-    images = _encoder_images(result, range(log_start, result.total_modes))
+    modes = range(log_start, result.total_modes)
+    images = _encoder_images(result, [1 << m for m in modes], [0] * len(modes))
     return list(zip(images[::2], images[1::2]))

@@ -90,6 +90,31 @@ def test_reorder_parity_brute_force(u, v):
     assert _reorder_raw(u, v) == naive_reorder(u, v)
 
 
+def reorder_over_u(u: int, v: int) -> int:
+    """The reorder parity walked over u's bits whatever the operands' weights."""
+    total = 0
+    while u:
+        low = u & -u
+        total += (v & (low - 1)).bit_count()
+        u ^= low
+    return total & 1
+
+
+def sparse_or_dense(n: int):
+    """n-bit ints of every density: a few set bits, or a few clear ones."""
+    few = st.lists(st.integers(min_value=0, max_value=n - 1), max_size=6)
+    sparse = few.map(lambda ms: sum({1 << m for m in ms}))
+    return st.one_of(sparse, sparse.map(lambda x: x ^ ((1 << n) - 1)), st.integers(0, (1 << n) - 1))
+
+
+@settings(max_examples=300)
+@given(sparse_or_dense(400), sparse_or_dense(400))
+def test_reorder_walks_either_operand_alike(u, v):
+    """Walking the sparser operand gives the parity of the walk over u."""
+    assert _reorder_raw(u, v) == reorder_over_u(u, v)
+    assert _reorder_raw(v, u) == reorder_over_u(v, u)
+
+
 @given(packed, packed)
 def test_reorder_swap_identity(u, v):
     """Swapping arguments flips exactly by the count of unequal index pairs."""

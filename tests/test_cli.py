@@ -251,6 +251,23 @@ def test_oversized_registers_exit_1_before_allocating(capsys, tmp_path, argv, re
     assert peak < 1 << 20
 
 
+def json_reference(d: CircuitDocument) -> str:
+    """The document through json.dumps(indent=2), the bytes serialize_circuit must match."""
+    out = {
+        "format_version": 1,
+        "role": d.role,
+        "n_modes": d.circuit.n_modes,
+        "ancilla_modes": list(d.ancilla_modes),
+    }
+    if d.substitutions:
+        out["substitutions"] = [list(s) for s in d.substitutions]
+    out["gates"] = [
+        {"kind": g.kind, "modes": list(g.modes), "direction": g.direction}
+        for g in d.circuit.gates
+    ]
+    return json.dumps(out, indent=2) + "\n"
+
+
 def test_serialize_circuit_matches_json_dumps():
     gates = (
         BraidGate("braid2", (0, 1)),
@@ -262,30 +279,20 @@ def test_serialize_circuit_matches_json_dumps():
         CircuitDocument(Circuit(4, ()), (), (), "decoder"),
         CircuitDocument(Circuit(6, gates[:1]), (), (), "encoder"),
         CircuitDocument(Circuit(6, gates), (0, 1), ((1, 0), (2, 1)), "decoder"),
+        CircuitDocument(Circuit(4, ()), (), ((0, 1),), "encoder"),
+        CircuitDocument(Circuit(6, gates[1:]), (), ((1, 0), (12, 3), (0, 1)), "encoder"),
     ]
     for doc in docs:
         inverted = dataclasses.replace(doc, circuit=invert(doc.circuit))
         for d in (doc, inverted):
-            out = {
-                "format_version": 1,
-                "role": d.role,
-                "n_modes": d.circuit.n_modes,
-                "ancilla_modes": list(d.ancilla_modes),
-            }
-            if d.substitutions:
-                out["substitutions"] = [list(s) for s in d.substitutions]
-            out["gates"] = [
-                {"kind": g.kind, "modes": list(g.modes), "direction": g.direction}
-                for g in d.circuit.gates
-            ]
-            assert serialize_circuit(d) == json.dumps(out, indent=2) + "\n"
+            assert serialize_circuit(d) == json_reference(d)
             assert parse_circuit(serialize_circuit(d)) == d
         # the inverse route writes invert(doc.circuit) without building it
         assert serialize_circuit(doc, inverse=True) == serialize_circuit(inverted)
         assert parse_circuit(serialize_circuit(doc, inverse=True)) == inverted
 
     # synthesized decoders, both variants, substitutions and mode-0 parking
-    # included: the inverse route equals the invert route byte for byte
+    # included: both routes match json.dumps byte for byte
     codes = []
     for seed in range(20):
         n = 2 * (seed % 12 + 2)
@@ -306,6 +313,9 @@ def test_serialize_circuit_matches_json_dumps():
             )
             encoder = dataclasses.replace(doc, circuit=result.encoder)
             assert serialize_circuit(doc, inverse=True) == serialize_circuit(encoder)
+            assert serialize_circuit(encoder) == json_reference(encoder)
+            decoder = dataclasses.replace(doc, role="decoder")
+            assert serialize_circuit(decoder) == json_reference(decoder)
     assert substituted
 
 
@@ -426,7 +436,8 @@ def test_ancilla_pair_that_keeps_logical_information_exits_4(
     tampered = Circuit(n, result.decoder.gates + (extra,))
     circuit = tampered if role == "decoder" else invert(tampered)
     path = tmp_path / f"tampered.{role}.circuit"
-    path.write_text(serialize_circuit(CircuitDocument(circuit, (0, 1), (), role)))
+    doc = CircuitDocument(circuit, (0, 1), result.substitutions, role)
+    path.write_text(serialize_circuit(doc))
     rc, out, err = run(capsys, "verify", str(code_file), str(path), *oracle)
     assert rc == 4
     assert out == "decoded-form check: ok\n"

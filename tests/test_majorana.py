@@ -285,7 +285,9 @@ def test_every_support_shape_on_nine_modes():
             assert applied.row(i) == (bits[i], phases[i])
     ran = _ModeTableau(start, n, start_phases)
     ran.run(gates)
-    for name in ("cols", "tree", "p0", "p1", "dirty"):
+    # the reads above kept every row of applied; reading ran's rows keeps them too
+    assert [ran.row(i) for i in range(len(start))] == list(zip(bits, phases))
+    for name in ("cols", "tree", "p0", "p1", "rows", "dirty"):
         assert getattr(ran, name) == getattr(applied, name), name
     backwards = _ModeTableau(start, n, start_phases)
     backwards.run(gates, inverse=True)

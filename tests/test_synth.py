@@ -124,7 +124,8 @@ def test_shortest_code_with_ancilla():
     result = synthesize_with_ancilla(code)
     assert result.total_modes == 14
     assert result.ancilla_modes == (0, 1)
-    assert gate_counts(result.decoder) == {"braid2": 4, "braid4": 15}
+    assert gate_counts(result.decoder) == {"braid2": 6, "braid4": 7}
+    assert len(result.substitutions) == 6
     assert decoded_ok(code, result)
     # the ancilla pair comes back to (0, 1), up to a reported sign
     assert result.ancilla_image is not None
@@ -137,12 +138,13 @@ def test_shortest_code_with_ancilla():
 
 def test_ancilla_shrink_takes_one_gate_on_a_clear_tail_mode():
     """Each shrink step is one braid4 on the lowest clear tail mode, and each
-    decoded pair one braid4 that also lands a tail bit on a pivot slot, which
-    these counts pin; the ancilla pair is never touched, so no gate follows
-    the phase correction."""
+    decoded pair a column holds one recorded substitution and no gate,
+    which these counts pin; the ancilla pair is never touched, so no gate
+    follows the phase correction."""
     code = random_code(100, 25, seed=1)
     result = synthesize_with_ancilla(code)
-    assert gate_counts(result.decoder) == {"braid2": 12, "braid4": 613}
+    assert gate_counts(result.decoder) == {"braid2": 25, "braid4": 460}
+    assert len(result.substitutions) == 151
     assert len(result.decoder) - result.correction_span[1] == 0
     assert decoded_ok(code, result)
     assert result.ancilla_image == folded_ancilla_image(result)
@@ -248,17 +250,14 @@ def test_last_column_falls_back_to_a_substitution():
     assert decoded_ok(code, result)
 
 
-def test_last_column_parks_on_mode_0_with_an_ancilla():
-    """The ancilla twin of the substitution above: generator 1's tail is
-    all ones and its pivot slots are both set, so the pair step parks p+1
-    on mode 0 and one quadratic braid brings it back."""
+def test_last_column_substitutes_with_an_ancilla_too():
+    """The ancilla twin of the substitution above: generator 1 holds the
+    decoded pair of generator 0, which its column clears by the same
+    recorded substitution, leaving it on its own slots with no gate."""
     code = StabilizerCode(4, gens(4, ((0, 1), 1), ((0, 1, 2, 3), 2)))
     result = synthesize_with_ancilla(code)
-    assert result.decoder.gates[: result.correction_span[0]] == (
-        BraidGate("braid4", (0, 2, 3, 5)),
-        BraidGate("braid2", (0, 5)),
-    )
-    assert result.substitutions == ()
+    assert result.substitutions == ((1, 0),)
+    assert len(result.decoder) == 0
     for doc in documents(result):
         list(verify_document(code, doc, oracle=True))
 
@@ -309,6 +308,22 @@ def test_a_stray_ancilla_image_raises_invariant_error(monkeypatch):
     monkeypatch.setattr(_ModeTableau, "row", without_mode_1)
     with pytest.raises(SynthesisInvariantError, match="ancilla image"):
         synthesize_with_ancilla(shortest_code())
+
+
+def test_a_row_on_one_mode_of_a_decoded_pair_raises_invariant_error(monkeypatch):
+    """Generator 1 holds generator 0's whole pair; a tableau that loses its
+    mode 1 leaves a row meeting the pair in one mode, which the column-start
+    check refuses instead of substituting."""
+    row = _ModeTableau.row
+
+    def without_mode_1(self, i):
+        bits, phase = row(self, i)
+        return (bits & ~0b10 if i == 1 else bits), phase
+
+    monkeypatch.setattr(_ModeTableau, "row", without_mode_1)
+    code = StabilizerCode(4, gens(4, ((0, 1), 1), ((0, 1, 2, 3), 2)))
+    with pytest.raises(SynthesisInvariantError, match="meets decoded pair 0, 1 in one mode only"):
+        synthesize_ancilla_free(code)
 
 
 def synthesis_outcomes(code: StabilizerCode) -> list:
@@ -379,8 +394,11 @@ def test_kitaev_1000_sweep_scans_no_row(monkeypatch):
 
 def test_the_sweep_runs_its_tableau_once_per_column(monkeypatch):
     """Emitted gates queue until the tableau is next read, so a synthesis
-    calls run O(r) times, not once per gate: once per column, corrected
-    generator and substitution, plus two; every gate runs exactly once."""
+    calls run O(r) times, not once per gate: at the start of every column
+    but the first, once more before the phase correction, once per
+    corrected generator and once per borrowed generator (a substitution
+    (i, k) with k > i); the substitutions that clear decoded pairs at a
+    column's start run nothing.  Every gate runs exactly once."""
     batches: list[int] = []
     run = _ModeTableau.run
 
@@ -394,7 +412,8 @@ def test_the_sweep_runs_its_tableau_once_per_column(monkeypatch):
         batches.clear()
         result = synth(code)
         lo, hi = result.correction_span
-        bound = code.n_stabilizers + (hi - lo) // 2 + len(result.substitutions) + 2
+        borrowed = sum(k > i for i, k in result.substitutions)
+        bound = code.n_stabilizers + (hi - lo) // 2 + borrowed
         assert len(batches) <= bound < len(result.decoder) // 50
         assert sum(batches) == len(result.decoder)
 
@@ -421,17 +440,24 @@ def test_no_representatives_without_encoded_pairs():
         logical_representatives(result)
 
 
-def per_mode_encoder_image(result: SynthesisResult, encoder: Circuit, mode: int):
-    """One mode folded alone through the encoder with conjugate_circuit and
-    reduced to the user register: the reference the one-replay images are
-    compared with.  A mode pairing oddly with the ancilla image is taken as
-    i c0 c_mode, and an image on both ancilla modes is multiplied by i c0 c1."""
+def hermitian(m: MajoranaString) -> MajoranaString:
+    """m, times i when m is not Hermitian."""
+    return m if m.is_hermitian() else MajoranaString(m.bits, (m.phase_r + 1) % 4)
+
+
+def per_mode_encoder_image(result: SynthesisResult, encoder: Circuit, m: MajoranaString | int):
+    """One monomial (or mode) folded alone through the encoder with
+    conjugate_circuit and reduced to the user register: the reference the
+    one-replay images are compared with.  A monomial pairing oddly with the
+    ancilla image is taken as c0 times it, made Hermitian (i c0 c_mode for a
+    mode), and an image on both ancilla modes is multiplied by i c0 c1."""
     n = result.total_modes
-    m = MajoranaString.single_mode(n, mode)
+    if isinstance(m, int):
+        m = MajoranaString.single_mode(n, m)
     if not result.ancilla_modes:
         return conjugate_circuit(encoder, m)
     if symplectic_pairing(m.bits, result.ancilla_image.bits):
-        m = MajoranaString.from_modes(n, (0, mode), 1)
+        m = hermitian(multiply(MajoranaString.single_mode(n, 0), m))
     img = conjugate_circuit(encoder, m)
     if img.bits.value & 0b11:
         assert img.bits.value & 0b11 == 0b11
@@ -461,10 +487,22 @@ def mixed_total_parity_code(n: int, r: int, seed: int) -> StabilizerCode:
     return StabilizerCode(n, tuple(rows))
 
 
+def undone_pivot_modes(result: SynthesisResult) -> list[MajoranaString]:
+    """The pivot modes with the recorded substitutions undone in reverse
+    order, d_j <- d_j d_i made Hermitian, with multiply on whole monomials."""
+    pb, r, n = result.target.pivot_base, result.target.r, result.total_modes
+    ds = [MajoranaString.single_mode(n, pb + 2 * j) for j in range(r)]
+    for i, j in reversed(result.substitutions):
+        ds[j] = hermitian(multiply(ds[j], ds[i]))
+    return ds
+
+
 def test_reported_operators_equal_the_per_mode_fold():
     """destabilizers and logical_representatives, from one replay, equal the
-    images of each mode folded alone through invert(decoder), refusals
-    included, for both variants."""
+    images of each input folded alone through invert(decoder), refusals
+    included, for both variants: each logical mode, and each pivot mode
+    after the substitutions are undone.  Each result also keeps the
+    pairing contract against the code's own generators."""
     codes = [shortest_code(), kitaev_chain(4), kitaev_chain(30), PARITY4]
     codes += [  # substitutions, a parked pair step and a clean full-rank reset
         StabilizerCode(4, gens(4, ((0, 1), 1), ((0, 1, 2, 3), 2))),
@@ -485,7 +523,7 @@ def test_reported_operators_equal_the_per_mode_fold():
                 continue
             encoder = invert(result.decoder)
             pb, r, n = result.target.pivot_base, result.target.r, result.total_modes
-            want = [per_mode_encoder_image(result, encoder, pb + 2 * j) for j in range(r)]
+            want = [per_mode_encoder_image(result, encoder, d) for d in undone_pivot_modes(result)]
             assert destabilizers(result) == want
             logical = [per_mode_encoder_image(result, encoder, m) for m in range(pb + 2 * r, n)]
             if logical:
@@ -499,8 +537,33 @@ def test_reported_operators_equal_the_per_mode_fold():
                     symplectic_pairing(BitVec(n, 1 << m), image) for m in range(pb, n)
                 )
             substituted += bool(result.substitutions)
+            check_reported_operators(code, result)
     # both reductions of the ancilla variant, and substitutions, were reached
     assert swapped and substituted
+
+
+@pytest.mark.parametrize("synth", [synthesize_with_ancilla, synthesize_ancilla_free])
+@pytest.mark.parametrize(
+    "code",
+    [
+        StabilizerCode(4, gens(4, ((0, 1), 1), ((0, 1, 2, 3), 2))),
+        StabilizerCode(6, gens(6, ((0, 1), 1), ((2, 3, 4, 5), 2), ((2, 3), 1))),
+    ],
+    ids=["pair-step-substitution", "shrink-substitution"],
+)
+def test_destabilizers_pair_with_the_code_generators(code, synth):
+    """Destabilizer j anticommutes with the code's own generator j only, not
+    with the substitution-adjusted one: the pairing matrix is the identity
+    (before the substitutions were undone it was [[1, 1], [0, 1]] and
+    [[1, 0, 0], [0, 1, 0], [0, 1, 1]] ancilla-free)."""
+    result = synth(code)
+    ds = destabilizers(result)
+    assert all(d.is_hermitian() for d in ds)
+    pairing = [[symplectic_pairing(d.bits, g.bits) for g in code.generators] for d in ds]
+    r = code.n_stabilizers
+    assert pairing == [[int(i == j) for i in range(r)] for j in range(r)]
+    if synth is synthesize_ancilla_free:
+        assert result.substitutions
 
 
 def test_reported_operators_take_one_replay(monkeypatch):
@@ -535,7 +598,9 @@ def test_an_image_on_both_ancilla_modes_is_cleared_by_i_c0_c1():
     user mode 1."""
     result = synthesize_with_ancilla(shortest_code())
     result = dataclasses.replace(
-        result, decoder=Circuit(result.total_modes, (BraidGate("braid4", (0, 1, 2, 3)),))
+        result,
+        decoder=Circuit(result.total_modes, (BraidGate("braid4", (0, 1, 2, 3)),)),
+        substitutions=(),
     )
     encoder = invert(result.decoder)
     assert str(conjugate_circuit(encoder, MajoranaString.single_mode(14, 2))) == "+i c0 c1 c3"
@@ -607,7 +672,7 @@ def shifted(gates, by: int) -> tuple[BraidGate, ...]:
 def test_without_the_total_parity_the_ancilla_sweep_is_the_free_one_shifted():
     """Only an all-ones tail sends the sweep to mode 0, and that needs the
     total parity in the group; so for every other code the ancilla sweep is
-    the ancilla-free one two modes up, nothing is substituted, no gate
+    the ancilla-free one two modes up, with the same substitutions, no gate
     follows the phase correction and i c0 c1 comes back untouched."""
     rng = random.Random(16)
     codes = []
@@ -621,7 +686,7 @@ def test_without_the_total_parity_the_ancilla_sweep_is_the_free_one_shifted():
         anc, free = synthesize_with_ancilla(code), synthesize_ancilla_free(code)
         sweep = anc.decoder.gates[: anc.correction_span[0]]
         assert sweep == shifted(free.decoder.gates[: free.correction_span[0]], 2)
-        assert anc.substitutions == free.substitutions == ()
+        assert anc.substitutions == free.substitutions
         assert anc.correction_span[1] == len(anc.decoder)
         assert str(anc.ancilla_image) == "+i c0 c1" and anc.ancilla_phase_r == 1
 
@@ -634,56 +699,57 @@ def test_kitaev_chain_takes_one_quadratic_braid_per_generator(n):
 
 
 # sha256 of serialize_circuit of each variant's decoder document (with an
-# ancilla, then ancilla-free), recorded before the sweep emitted gates from
-# support masks, or the name of the refusal it raised.  The goldens reach
-# neither mode-0 parking nor a substitution; these codes reach every
-# parking step and both substitution steps.
+# ancilla, then ancilla-free), recorded when the sweep began to clear
+# decoded pairs by substitution, or the name of the refusal it raised.  The
+# goldens reach neither mode-0 parking nor a borrowed generator; these codes
+# reach every parking step, the column-start substitution and the borrow,
+# once with decoded pairs that the borrowed generator brings along.
 PINNED_DECODERS = [
     pytest.param(
         lambda: random_code(40, 10, 1),
-        "5814e089153ecda73dfe7e795d839a03b89925c2377416298515d419f5700656",
-        "d65ec08eb7c9831e7af97b9f27e43ea2690a16605c1e36b176277ffb3edfb0f8",
+        "bc320d5b15d7d69a5fe5119740488f0263e05194e78c1237ef0ecd6629aba293",
+        "e00573199214b1521ffa163fb4f0f5bb012d8cd02739f4cdb64eeb5c38c16fe8",
         id="random-40-10-1",
     ),
     pytest.param(
         lambda: random_code(40, 10, 2),
-        "a7af63a7e140db4a63cdff3159aecd2886cc8aeb4f0897929f4f5310bb77cc65",
-        "252efce1653db2992054bf2fdb17adace9d10b5ee520bc387564de4ccfca55e5",
+        "4ffbc507d520db91be94e2435721bc1fcfad2be405eb320beccb98acdf232f5c",
+        "70a78c02ebdb5f89fe2136d3ea4d2a4d61081bb034d7c8d06b51855bda71f91d",
         id="random-40-10-2",
     ),
     pytest.param(
         lambda: random_code(40, 10, 3),
-        "b4667fb74c5628df5173394d37b580ec7a0ec5977274804c995976b544c88fe3",
-        "4dff93efe2d72e7a212aa1334af120100b3698f2aa01e99cb9cc4cb94d565f00",
+        "8e86007d2f8ba81748e3a2981c1cf694e65ec1e2a98c4a43641f00f23b2ce59f",
+        "e2b578996f8d82dd7445a3ea1643b6b504e0d81db6618496b814e619e945e6b0",
         id="random-40-10-3",
     ),
     pytest.param(
         lambda: random_code(40, 10, 4),
-        "2051cd3d21130e1a5946e6c5244429dadc3401340f13b4658b2950bdfe09e944",
-        "30ebee8c5321353a9ae0f0d573c8a60c3e8e5c2b91e965f00d3b7c0db2c0afe2",
+        "9e763c3a82874c55b97c0814fcc225bdaebf099105f1132f29c3548fc0ee0580",
+        "d7787a718712612906f5dab4399960807d44731635183afeee7a74465a7802a2",
         id="random-40-10-4",
     ),
     pytest.param(
         lambda: random_code(40, 10, 5),
-        "d10ea9c43a7fee3a2fa87996eb0a1d91db143474a9bbc452a9d891d43324d424",
-        "0d77cf80688eb6ae8d80ee3926847ab74dd36c47018663d0faad93e1950baf1b",
+        "6c13e76d175602816eb62f3e864e7648838921980280df1ce3fb5c17c772769f",
+        "3e57ce0e8fb8811cb1f646b5fbf6a36f1e96d94c0b41f76948b0b15b5d9e8997",
         id="random-40-10-5",
     ),
     pytest.param(  # its shrink parks on mode 0; obstructed without
         lambda: scrambled_total_parity_code(20, 7, 2),
-        "f6fa2578f709ff6e5d054ff8bdfd31335861784ce04ad74ffd364c8b88040227",
+        "dbd1202bb7e38f7e859586c29d3bfb86163fd6a876ab6882c1a5ec84169c5aea",
         "TotalParityObstruction",
         id="total-parity-20-7-2",
     ),
     pytest.param(
         lambda: scrambled_total_parity_code(16, 8, 4),
-        "5bafed90fc3e369d82db65129fc94c255bba4c98dcc7557d8d96510a740d31d8",
-        "c7f97b404d79ee81a8fabc2aad6492018e958af3228dd3b4b12d398202201c32",
+        "f9cc0ab813295d7f21af36447ececca3b9e7c89aa53b8ab096d779600996b199",
+        "fbd7d2afa4e95832bae763ea34c3cc33a1d476b57c265f1d86aa1a04cf9bb60b",
         id="total-parity-16-8-4",
     ),
     pytest.param(  # its parity step moves mode 0 off; obstructed without
         lambda: mixed_total_parity_code(16, 6, 3),
-        "54d03e19d103b2966e74cd0b4d5ff098de4faa05245fcec3830037a4c0cd8e8e",
+        "6066d81ff08b899d987656786abe330449bc3eb96cd3d5efcd5260dda08f192f",
         "TotalParityObstruction",
         id="mixed-total-parity-16-6-3",
     ),
@@ -693,22 +759,22 @@ PINNED_DECODERS = [
         "TotalParityObstruction",
         id="parity4",
     ),
-    pytest.param(  # its pair step parks on mode 0; substitutes without
+    pytest.param(  # generator 1 holds pair 0: substituted in both, no gate
         lambda: StabilizerCode(4, gens(4, ((0, 1), 1), ((0, 1, 2, 3), 2))),
-        "6e2d17fe74f4e13d4d34aa58bef578f2c4e0bb56e00bd89b1c334c70a6c47045",
+        "b6d2a97bfe99e1d2dce7cf70a649892c6bdf36714f91d55469ae425909904584",
         "a40994152af20511257734e5eaaf8b098e30d9aa62cd63bf6099b8602730c406",
         id="pair-step-substitution",
     ),
-    pytest.param(  # its shrink parks on mode 0; substitutes without
+    pytest.param(  # its shrink parks on mode 0; borrows without
         lambda: StabilizerCode(6, gens(6, ((0, 1), 1), ((2, 3, 4, 5), 2), ((2, 3), 1))),
         "23fa27ecdb1dd5eccdd37c87db850cdc3a8fba62cc931ab60ac3586f1ea50d6d",
         "399549e09201fda35982133e0922eef4533705bc8ea23c8c752f4db796afc004",
         id="shrink-substitution",
     ),
-    pytest.param(  # its shrink borrows the lowest of several holders
+    pytest.param(  # its shrink borrows the lowest of several holders, and pairs
         lambda: mixed_total_parity_code(8, 4, 8),
-        "e75d7294c35ff825e1510951ba8dc93e9d8625910d28187d891178d64b03083d",
-        "931908a3d1e0f919dd671d98a0c812e48584344b34a9ddb1fde16070a67678dc",
+        "4fa3f9a86d4b545387a5bfad344634995c26fdb3d3933df9f09b4a649da1ad9b",
+        "d6b84020cceecf9960c6687b901eb211d2f8edfb075fcead64a680a8ba8ba08b",
         id="mixed-total-parity-8-4-8",
     ),
 ]

@@ -177,14 +177,16 @@ def test_apply_circuit_without_generators():
 
 def check_every_row(tab, bits, phases, seen):
     """Every row reads back as the fold, through row() and through the
-    column scan, and every row outside dirty still equals its kept int."""
+    column scan, and every row outside dirty still equals its kept int; a
+    read keeps what it scanned, so every row is clean after its read."""
     for i, (b, ph) in enumerate(zip(bits, phases)):
-        assert tab.row(i) == (b, ph)
-        assert tab._scan_row(i) == b
         dirty = tab.dirty >> i & 1
         seen.add(dirty)
         if not dirty:
             assert tab.rows[i] == b
+        assert tab.row(i) == (b, ph)
+        assert tab._scan_row(i) == b
+        assert not tab.dirty >> i & 1 and tab.rows[i] == b
 
 
 def sparse_rows_and_gates(n, rng):
