@@ -7,9 +7,10 @@ equal from ``serialize_circuit`` and ``parse_circuit``, and pass
 ``verify_document`` (the verifier behind ``braidsynth verify``), which folds
 the ancilla pair's image from the document itself, and that image and its
 residual phase are the ones the synthesizer reports, and the operator
-oracle re-derives both checks (it takes up to 26 modes, ancilla pair
-included, so --max-modes must stay at most 24); gate count within the
-linear bound, reported operators pair correctly, and the ancilla-free
+oracle re-derives both checks (it refuses a fold of more than
+``oracle.MAX_WORK`` rows x gates x modes, which a full-rank random code
+reaches at about 130 modes, so keep --max-modes below that); gate count
+within the linear bound, reported operators pair correctly, and the ancilla-free
 obstruction raised exactly when it must be.  For a code without the total
 parity the ancilla image must be i c0 c1 itself (residual phase_r 1) and
 the ancilla sweep the ancilla-free one shifted by two modes.  Every other

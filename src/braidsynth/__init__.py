@@ -4,7 +4,8 @@ Majorana monomials are tracked as packed GF(2) bit strings with exact Z4
 phases; circuits are sequences of quadratic and quartic braid gates.  The
 synthesizer reduces any valid code to aligned mode pairs with +i phases,
 either on two extra ancilla modes or ancilla-free where possible, and every
-step can be cross-checked against an exact operator oracle for small registers.
+step can be cross-checked against an exact operator oracle that re-derives
+each conjugation in the Majorana algebra.
 """
 
 from .bitlinalg import BitVec, symplectic_pairing

@@ -34,6 +34,7 @@ from .majorana import (
     gate_counts,
     invert,
 )
+from .oracle import MAX_WORK, NonMonomialError, conjugate_rows
 from .synth import (
     PhaseCorrectionError,
     SynthesisResult,
@@ -95,12 +96,14 @@ def verify_document(
 
     The oracle folds the substitution-adjusted generators, multiplied out
     with ``apply_substitutions`` on the code, and i c_0 c_1 through the
-    decoder as Jordan-Wigner matrices (``oracle.conjugate_rows``, which
-    takes a decoder, so only this branch inverts an encoder) and compares
-    each with what the checks above accepted: generator j with its decoded
-    pair, i c_0 c_1 with the reported image.  It uses neither the tableau,
-    the folded rows nor the bit rule of ``majorana``, so it re-derives
-    both checks.
+    decoder in the Majorana algebra, each gate expanded into its four
+    products (``oracle.conjugate_rows``, which takes a decoder, so only this
+    branch inverts an encoder), and compares each with what the checks
+    above accepted: generator j with its decoded pair, i c_0 c_1 with the
+    reported image.  It uses neither the tableau, the folded rows nor the
+    bit rule of ``majorana``, so it re-derives both checks.  A fold of more
+    than ``oracle.MAX_WORK`` rows x gates x modes is refused before it
+    starts.
     """
     working = prepend_ancilla_modes(code) if doc.ancilla_modes else code
     n = working.n_modes
@@ -149,24 +152,28 @@ def verify_document(
     if not oracle:
         yield "oracle check: skipped (pass --oracle to run)"
         return
-    # numpy loads with the oracle, so only on this branch
-    from .oracle import MAX_MODES, NonMonomialError, conjugate_rows, monomial_arrays
-
-    if n > MAX_MODES:
-        raise VerificationFailure("oracle", f"needs at most {MAX_MODES} total modes, got {n}")
-    decoder = invert(doc.circuit) if encoder else doc.circuit
     rows[: target.r] = apply_substitutions(working, doc.substitutions).generators
+    work = len(rows) * len(doc.circuit) * n
+    if work > MAX_WORK:
+        raise VerificationFailure(
+            "oracle",
+            f"needs at most {MAX_WORK} rows x gates x modes, got {work} "
+            f"({len(rows)} x {len(doc.circuit)} x {n})",
+        )
+    decoder = invert(doc.circuit) if encoder else doc.circuit
     try:
-        cols, phases = conjugate_rows(decoder, rows)
+        folded = conjugate_rows(decoder, rows)
     except NonMonomialError as exc:
         raise VerificationFailure("oracle", str(exc)) from None
     wanted = [*target.generators(), image] if doc.ancilla_modes else target.generators()
-    for j, want in enumerate(wanted):
-        col, phase = monomial_arrays(want)
-        if not ((cols[j] == col).all() and (phases[j] == phase).all()):
+    for j, (got, want) in enumerate(zip(folded, wanted)):
+        if got != want:
             row = f"generator {j}" if j < target.r else "i c0 c1"
             raise VerificationFailure("oracle", f"operator conjugation of {row} disagrees")
-    yield f"oracle check: ok ({n} modes, dimension {2 ** (n // 2)})"
+    # the dimension in decimal up to 64 modes; beyond, as a power, since the
+    # decimal grows without bound and past the interpreter's int-to-str limit
+    dimension = 2 ** (n // 2) if n <= 64 else f"2^{n // 2}"
+    yield f"oracle check: ok ({n} modes, dimension {dimension})"
 
 
 def _wire_labels(n_modes: int, ancilla_modes: tuple[int, ...]) -> list[str]:

@@ -1,12 +1,12 @@
 """Dense complex128 matrices of Majorana modes, monomials and braid gates.
 
-These are the reference that ``braidsynth.oracle``'s phased-permutation
-arrays and four-term conjugation are tested against.  They use the same
-qubit chain (mode ``2j`` -> Z..Z X I..I, mode ``2j+1`` -> Z..Z Y I..I with
-j leading Z factors) but are built here on their own, from the Pauli
-matrices and ``np.kron``, so the oracle's arrays are checked against an
-independent construction.  A matrix on N modes has 2^N entries, so
-keep N small: one mode matrix on 26 modes takes 1 GiB.
+These are the reference that ``braidsynth.oracle``'s products and
+four-term conjugation in the Majorana algebra are tested against: a
+monomial's matrix is built on the qubit chain (mode ``2j`` -> Z..Z X I..I,
+mode ``2j+1`` -> Z..Z Y I..I with j leading Z factors) from the Pauli
+matrices and ``np.kron``, a construction independent of the oracle's.  A
+matrix on N modes has 2^N entries, so keep N small: one mode matrix on 26
+modes takes 1 GiB.
 """
 
 from functools import lru_cache

@@ -1,6 +1,6 @@
-"""The operator oracle: its phased-permutation arrays and the four-term
-conjugation fold that `verify --oracle` runs, checked against the literal
-dense matrices of tests/dense_reference.py.
+"""The operator oracle: its product and four-term conjugation fold in the
+Majorana algebra, which `verify --oracle` runs, checked against the literal
+dense matrices of tests/dense_reference.py and the symbolic fold.
 
 The fold's checks raise without assert, so these tests also run under
 python -O, where the pytest.raises cases still show them firing.
@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from braidsynth import cli, oracle
@@ -32,22 +32,14 @@ from braidsynth.majorana import (
     invert,
     multiply,
 )
-from braidsynth.oracle import (
-    MAX_MODES,
-    NonMonomialError,
-    _generator,
-    conjugate_arrays,
-    conjugate_rows,
-    mode_arrays,
-    monomial_arrays,
-)
+from braidsynth.oracle import NonMonomialError, _collapse, _generator, _product, conjugate_rows
 from braidsynth.synth import synthesize_with_ancilla
 from dense_reference import conjugate_dense, dense_gate, dense_majorana, dense_monomial
 
 N = 6
 DIM = 2 ** (N // 2)
-# The dense references are checked up to 16 modes: at MAX_MODES = 26 one
-# cached dense mode matrix alone takes 1 GiB.
+# The dense references are checked up to 16 modes: a dense mode matrix on
+# N modes has 2^N entries.
 DENSE_MAX_MODES = 16
 
 
@@ -73,23 +65,13 @@ def test_mode_matrix_cache_is_write_protected():
         dense_majorana(N, 0)[0, 0] = 5
 
 
-def test_register_guards():
-    for n, message in ((5, "even number of modes"), (MAX_MODES + 2, "must lie in 2..")):
-        with pytest.raises(ValueError, match=message):
-            mode_arrays(n)
-        with pytest.raises(ValueError, match=message):
-            conjugate_rows(Circuit(n), [])
-
-
 def test_the_oracle_module_holds_no_complex_matrix():
-    """The oracle is integer arithmetic throughout; the dense complex
-    references it is tested against live in tests/dense_reference.py."""
-    complex_arrays = [
-        name
-        for name, value in vars(oracle).items()
-        if isinstance(value, np.ndarray) and np.iscomplexobj(value)
-    ]
-    assert complex_arrays == []
+    """The oracle is integer arithmetic throughout: it imports no numpy, and
+    its unit tables hold ints only.  The dense complex references it is
+    tested against live in tests/dense_reference.py."""
+    assert not any(getattr(v, "__name__", "") == "numpy" for v in vars(oracle).values())
+    tables = [*oracle._UNIT, *oracle._TWICE_UNIT, tuple(oracle._TWICE_UNIT.values())]
+    assert all(type(x) is int for table in tables for x in table)
 
 
 @given(
@@ -110,11 +92,33 @@ def test_dense_monomial_is_a_homomorphism(abits, ar, bbits, br):
     )
 
 
+def as_monomial(m):
+    return m.bits.indices(), m.phase_r
+
+
+def as_string(n, monomial):
+    modes, e = monomial
+    return MajoranaString.from_modes(n, modes, e)
+
+
+@given(
+    st.integers(min_value=0, max_value=(1 << N) - 1),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=(1 << N) - 1),
+    st.integers(min_value=0, max_value=3),
+)
+def test_product_matches_dense_products(abits, ar, bbits, br):
+    """The oracle's merge of two mode tuples is the matrix product, with
+    either factor the shorter one."""
+    a = MajoranaString(BitVec(N, abits), ar)
+    b = MajoranaString(BitVec(N, bbits), br)
+    ab = as_string(N, _product(as_monomial(a), as_monomial(b)))
+    assert np.array_equal(dense_monomial(a) @ dense_monomial(b), dense_monomial(ab))
+
+
 def test_gate_generator_squares_to_identity():
     for gate in (BraidGate("braid2", (1, 4)), BraidGate("braid4", (0, 2, 3, 5), -1)):
-        v = dense_monomial(
-            MajoranaString.from_modes(N, gate.modes, gate.generator_phase)
-        )
+        v = dense_monomial(as_string(N, _generator(gate)))
         assert np.array_equal(v @ v, np.eye(DIM))
         assert np.array_equal(v, v.conj().T)
 
@@ -138,105 +142,97 @@ def test_gate_and_inverse_cancel():
     assert np.array_equal(conjugate_dense(g.inverse(), conjugate_dense(g, m, N), N), m)
 
 
-def as_dense(col, phase):
-    """The matrix whose row i holds i^phase[i] in column col[i]."""
-    out = np.zeros((len(col), len(col)), dtype=np.complex128)
-    out[np.arange(len(col)), col] = 1j ** phase.astype(int)
-    return out
-
-
 def random_monomial(n, rng):
     return MajoranaString(BitVec(n, rng.randrange(1 << n)), rng.randrange(4))
 
 
-def test_mode_arrays_match_dense_matrices():
-    for n in range(2, DENSE_MAX_MODES + 1, 2):
-        cols, phases = mode_arrays(n)
-        assert cols.shape == phases.shape == (n, 2 ** (n // 2))
-        for k in range(n):
-            assert np.array_equal(as_dense(cols[k], phases[k]), dense_majorana(n, k))
-    with pytest.raises(ValueError):
-        mode_arrays(MAX_MODES + 2)
-    with pytest.raises(ValueError):
-        mode_arrays(MAX_MODES)[0][0, 0] = 1
-
-
-def test_monomial_arrays_match_dense_products():
-    rng = random.Random(5)
-    for n in range(2, DENSE_MAX_MODES + 1, 2):
-        monomials = [MajoranaString(BitVec(n), r) for r in range(4)]
-        monomials += [random_monomial(n, rng) for _ in range(6 if n < 14 else 2)]
-        for m in monomials:
-            assert np.array_equal(as_dense(*monomial_arrays(m)), dense_monomial(m))
-
-
-def test_conjugate_arrays_matches_conjugate_dense():
-    """The four-term expansion agrees entry by entry with the dense product,
-    for every gate of a six-mode register and a stack of monomials."""
+def test_single_gate_conjugation_matches_conjugate_dense():
+    """The four-term expansion agrees with the dense product for every gate
+    of a six-mode register, both directions, on a stack of monomials."""
     rng = random.Random(8)
     stack = [MajoranaString.single_mode(N, k) for k in range(N)]
+    stack += [MajoranaString(BitVec(N), r) for r in range(4)]
     stack += [random_monomial(N, rng) for _ in range(10)]
-    arrays = [monomial_arrays(m) for m in stack]
-    cols, phases = np.stack([c for c, _ in arrays]), np.stack([p for _, p in arrays])
     for arity, kind in ((2, "braid2"), (4, "braid4")):
         for modes in itertools.combinations(range(N), arity):
             for direction in (1, -1):
                 g = BraidGate(kind, modes, direction)
-                out_cols, out_phases = conjugate_arrays(cols, phases, _generator(g, N))
-                for m, c, p in zip(stack, out_cols, out_phases):
-                    assert np.array_equal(as_dense(c, p), conjugate_dense(g, dense_monomial(m), N))
+                for m, image in zip(stack, conjugate_rows(Circuit(N, (g,)), stack)):
+                    assert np.array_equal(
+                        dense_monomial(image), conjugate_dense(g, dense_monomial(m), N)
+                    )
+
+
+def test_random_gates_match_conjugate_dense_at_every_register_size():
+    rng = random.Random(5)
+    for n in range(2, DENSE_MAX_MODES + 1, 2):
+        stack = [random_monomial(n, rng) for _ in range(4)]
+        for g in random_circuit(n, 8 if n < 14 else 3, rng).gates:
+            for m, image in zip(stack, conjugate_rows(Circuit(n, (g,)), stack)):
+                assert np.array_equal(
+                    dense_monomial(image), conjugate_dense(g, dense_monomial(m), n)
+                )
 
 
 def test_conjugate_modes_matches_the_symbolic_images():
+    """Multi-gate folds of single modes and random monomials agree with the
+    one-monomial fold of majorana, up to 60 modes."""
     rng = random.Random(3)
-    for n in (2, 8, DENSE_MAX_MODES):
+    for n in (2, 8, 16, 30, 44, 60):
         circuit = random_circuit(n, 3 * n, rng)
-        cols, phases = conjugate_rows(circuit, [MajoranaString.single_mode(n, k) for k in range(n)])
-        for k in range(n):
-            image = conjugate_circuit(circuit, MajoranaString.single_mode(n, k))
-            col, phase = monomial_arrays(image)
-            assert np.array_equal(cols[k], col) and np.array_equal(phases[k], phase)
+        rows = [MajoranaString.single_mode(n, k) for k in range(n)]
+        rows += [random_monomial(n, rng) for _ in range(8)]
+        assert conjugate_rows(circuit, rows) == [conjugate_circuit(circuit, m) for m in rows]
     modes = [MajoranaString.single_mode(N, k) for k in range(N)]
-    identity = conjugate_rows(Circuit(N), modes)
-    assert all(np.array_equal(a, b) for a, b in zip(identity, mode_arrays(N)))
-    cols, phases = conjugate_rows(random_circuit(N, 5, rng), [])
-    assert cols.shape == phases.shape == (0, DIM)
+    assert conjugate_rows(Circuit(N), modes) == modes
+    assert conjugate_rows(random_circuit(N, 5, rng), []) == []
+
+
+def wrong_by(flip):
+    def wrong_generator(gate):
+        modes, e = _generator(gate)
+        return modes, (e + flip) & 3
+
+    return wrong_generator
 
 
 @pytest.mark.parametrize("flip", [1, 3])
-def test_wrong_generator_phase_is_not_a_monomial(flip):
-    """A generator with the wrong phase makes (I + iV)/sqrt(2) non-unitary:
-    a commuting mode's image vanishes and an anticommuting one gets two
-    entries.  The fold raises either way."""
-    cols, phases = mode_arrays(N)
-    vcol, vphase = _generator(BraidGate("braid4", (0, 1, 2, 4)), N)
-    wrong = (vcol, (vphase + flip) & 3)
-    with pytest.raises(NonMonomialError, match=r"^image 0 is not a monomial: row 0 has 2 nonzero"):
-        conjugate_arrays(cols, phases, wrong)
+def test_wrong_generator_phase_is_not_a_monomial(monkeypatch, flip):
+    """A generator with the wrong phase squares to -1, which makes
+    (1 + iV)/sqrt(2) non-unitary: an anticommuting mode's image keeps two
+    terms and a commuting one's none.  The fold raises either way."""
+    monkeypatch.setattr(oracle, "_generator", wrong_by(flip))
+    gate = BraidGate("braid4", (0, 1, 2, 4))
+    circuit = Circuit(N, (BraidGate("braid2", (1, 5)), gate))
+    modes = [MajoranaString.single_mode(N, k) for k in range(N)]
+    with pytest.raises(
+        NonMonomialError, match=r"^gate 0 \(B2 \+\(1,5\)\): image 0 is not a monomial: 0 terms left$"
+    ):
+        conjugate_rows(circuit, modes)
+    with pytest.raises(
+        NonMonomialError, match=r"^gate 0 \(B4 \+\(0,1,2,4\)\): image 0 is not a monomial: 2 terms left$"
+    ):
+        conjugate_rows(Circuit(N, (gate,)), modes)
     # mode 3 is outside the support and commutes with the generator
-    with pytest.raises(NonMonomialError, match=r"^image 0 is not a monomial: row 0 has 0 nonzero"):
-        conjugate_arrays(cols[3:], phases[3:], wrong)
+    with pytest.raises(NonMonomialError, match=r"image 0 is not a monomial: 0 terms left$"):
+        conjugate_rows(Circuit(N, (gate,)), modes[3:])
 
 
 def test_non_unit_entry_is_reported():
-    """A diagonal generator lands all four terms on one column; with the
-    wrong phase their sum is not twice a unit."""
-    cols, phases = mode_arrays(N)
-    vcol, vphase = _generator(BraidGate("braid2", (0, 1)), N)
-    assert np.array_equal(vcol, np.arange(len(vcol)))
-    with pytest.raises(NonMonomialError, match=r"row 0 has the entry \(4\+0i\)/2, not a unit$"):
-        conjugate_arrays(cols[:1], phases[:1], (vcol, (vphase + 1) & 3))
+    """Terms that land on one mode tuple are summed; one left with a sum
+    that is not twice a unit is no monomial."""
+    with pytest.raises(NonMonomialError, match=r"^the coefficient \(4\+0i\)/2 is not a unit$"):
+        _collapse([((0, 1), 0)] * 4)
+    with pytest.raises(NonMonomialError, match=r"^the coefficient \(1-1i\)/2 is not a unit$"):
+        _collapse([((2,), 0), ((2,), 3)])
+    assert _collapse([((0, 1), 1), ((3,), 0), ((0, 1), 1), ((3,), 2)]) == ((0, 1), 1)
 
 
 def test_two_entries_are_rejected_even_when_they_sum_to_twice_a_unit():
-    """With a V that is not an involution (a cyclic shift), i V M and -i M V
-    cancel and M + V M V leaves two entries of 1 in every row: the row sum is
-    2, a valid total, so only the column check rejects it."""
-    d = 8
-    identity = np.arange(d, dtype=np.int16)[None], np.zeros((1, d), np.int8)
-    shift = (np.roll(np.arange(d, dtype=np.int16), -1), np.zeros(d, np.int8))
-    with pytest.raises(NonMonomialError, match=r"^image 0 is not a monomial: row 0 has 2 nonzero"):
-        conjugate_arrays(*identity, shift)
+    """Two monomials of coefficient 1 each sum to the valid total 2, but
+    they are two terms, so only the count of terms rejects them."""
+    with pytest.raises(NonMonomialError, match=r"^2 terms left$"):
+        _collapse([((0,), 0), ((1,), 0), ((2,), 0), ((2,), 2)])
 
 
 def shortest_decoder_document():
@@ -277,13 +273,14 @@ def tampered_document(code, extra, role):
 @pytest.mark.parametrize("role", ["decoder", "encoder"])
 @pytest.mark.parametrize(
     "code, mode",
-    [(shortest_code(), 12), (random_code(10, 2, seed=3), 6)],
-    ids=["shortest", "random-10-2-3"],
+    [(shortest_code(), 12), (random_code(10, 2, seed=3), 6), (random_code(40, 10, seed=3), 22)],
+    ids=["shortest", "random-10-2-3", "random-40-10-3"],
 )
 def test_oracle_rejects_an_ancilla_row_the_tableau_misses(monkeypatch, code, mode, role):
     """braid2(0, mode) moves i c0 c1 onto the first logical mode.  With the
     tableau blind to it, the ancilla check accepts -i c0 c1 or the like; the
-    oracle folds the row through the real decoder and disagrees."""
+    oracle folds the row through the real decoder and disagrees, on 42
+    modes as on 14."""
     extra = BraidGate("braid2", (0, mode))
     doc = tampered_document(code, extra, role)
     monkeypatch.setattr(cli, "_ModeTableau", blinded_to(extra))
@@ -328,11 +325,7 @@ def test_verify_reports_a_non_monomial_fold(monkeypatch):
     """A wrong generator inside verify_document is an oracle failure, not a pass."""
     code, doc = shortest_decoder_document()
 
-    def wrong_generator(gate, n_modes):
-        col, phase = _generator(gate, n_modes)
-        return col, (phase + 1) & 3
-
-    monkeypatch.setattr(oracle, "_generator", wrong_generator)
+    monkeypatch.setattr(oracle, "_generator", wrong_by(1))
     with pytest.raises(cli.VerificationFailure) as failure:
         list(cli.verify_document(code, doc, oracle=True))
     assert failure.value.check == "oracle"
