@@ -133,7 +133,7 @@ def main() -> None:
         result = synthesize_with_ancilla(code)
         check(code, result)
         mode0_gates += sum(g[1][0] == 0 for g in sweep(result))
-        clean = result.ancilla_image.bits.value == 0b11
+        clean = result.ancilla_image.bits == 0b11
         assert (result.ancilla_phase_r is not None) == clean
         if not ptot:
             assert clean and result.ancilla_phase_r == 1

@@ -8,7 +8,7 @@ step can be cross-checked against an exact operator oracle that re-derives
 each conjugation in the Majorana algebra.
 """
 
-from .bitlinalg import BitVec, symplectic_pairing
+from .bitlinalg import symplectic_pairing
 from .codes import (
     MAX_REGISTER_MODES,
     CircuitDocument,
@@ -55,7 +55,6 @@ from .tableau import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitVec",
     "symplectic_pairing",
     "MajoranaString",
     "BraidGate",

@@ -1,7 +1,8 @@
 """Bit-packed linear algebra over GF(2) with the fermionic pairing.
 
-Vectors are fixed-length bit strings packed into Python ints, so XOR, AND
-and popcount run word-parallel inside the interpreter.
+Vectors are plain Python ints, bit m standing for mode m, so XOR, AND and
+popcount run word-parallel inside the interpreter.  An int carries no
+length: the register size lives with the caller (``MajoranaString.n_modes``).
 
 The commutation pairing of two even-weight mode sets is computed in closed
 form, ``weight(u)*weight(v) + u.v  (mod 2)``, so the dense pairing matrix
@@ -22,10 +23,9 @@ both reduce against their pivots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-__all__ = ["BitVec", "symplectic_pairing"]
+__all__ = ["symplectic_pairing"]
 
 
 def _bit_positions(x: int) -> list[int]:
@@ -56,11 +56,6 @@ def _lowest_bit(x: int) -> int:
     if x <= 0:
         raise ValueError("no set bit")
     return (x & -x).bit_length() - 1
-
-
-def _pairing_raw(u: int, v: int) -> int:
-    """Fermionic commutation pairing of two packed bit strings."""
-    return (u.bit_count() * v.bit_count() + (u & v).bit_count()) & 1
 
 
 def _first_odd_overlap(vectors: Sequence[int], length: int) -> tuple[int, int] | None:
@@ -112,43 +107,6 @@ def _reorder_raw(u: int, v: int) -> int:
     return total & 1
 
 
-@dataclass(frozen=True, slots=True)
-class BitVec:
-    """Immutable GF(2) vector of fixed length, packed into a Python int."""
-
-    length: int
-    value: int = 0
-
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError("length must be nonnegative")
-        if self.value < 0 or self.value >> self.length:
-            raise ValueError(f"value does not fit in {self.length} bits")
-
-    @classmethod
-    def from_indices(cls, length: int, indices: Iterable[int]) -> BitVec:
-        value = 0
-        for i in indices:
-            if not 0 <= i < length:
-                raise ValueError(f"index {i} out of range for length {length}")
-            value |= 1 << i
-        return cls(length, value)
-
-    def weight(self) -> int:
-        return self.value.bit_count()
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(_bit_positions(self.value))
-
-    def __str__(self) -> str:
-        return "".join(str((self.value >> i) & 1) for i in range(self.length))
-
-
-def _same_length(u: BitVec, v: BitVec) -> None:
-    if u.length != v.length:
-        raise ValueError(f"length mismatch: {u.length} != {v.length}")
-
-
 def _mat_vec(columns: Sequence[int], x: int) -> int:
     """The XOR of the columns picked by the set bits of x."""
     acc = 0
@@ -159,27 +117,24 @@ def _mat_vec(columns: Sequence[int], x: int) -> int:
     return acc
 
 
-def symplectic_pairing(u: BitVec, v: BitVec) -> int:
-    """Commutation pairing: 0 when the monomials on u and v commute, else 1.
+def symplectic_pairing(u: int, v: int) -> int:
+    """Commutation pairing: 0 when the monomials on the packed mode sets u
+    and v commute, else 1.
 
     Closed form ``weight(u)*weight(v) + |u & v|  (mod 2)``; equivalent to the
-    quadratic form of the identity-plus-all-ones pairing matrix.
+    quadratic form of the identity-plus-all-ones pairing matrix.  An int
+    carries no register length, so none is checked.
     """
-    _same_length(u, v)
-    return _pairing_raw(u.value, v.value)
+    return (u.bit_count() * v.bit_count() + (u & v).bit_count()) & 1
 
 
 def _eliminate(columns: Iterable[int]) -> dict[int, int]:
     """Column elimination; pivots are the lowest set row of each survivor."""
     pivots: dict[int, int] = {}
-    for cur in columns:
-        while cur:
-            row = (cur & -cur).bit_length() - 1
-            seen = pivots.get(row)
-            if seen is None:
-                pivots[row] = cur
-                break
-            cur ^= seen
+    for v in columns:
+        v = _residue(pivots, v)
+        if v:
+            pivots[_lowest_bit(v)] = v
     return pivots
 
 

@@ -15,7 +15,7 @@ from functools import cache
 from pathlib import Path
 from typing import Iterator, TextIO
 
-from .bitlinalg import BitVec, _transpose_raw
+from .bitlinalg import _transpose_raw
 from .codes import (
     CircuitDocument,
     CircuitFormatError,
@@ -121,8 +121,8 @@ def verify_document(
 
     rows = list(working.generators)
     if doc.ancilla_modes:
-        rows.append(MajoranaString(BitVec(n, 0b11), 1))  # i c_0 c_1, row r
-    tab = _ModeTableau([m.bits.value for m in rows], n, [m.phase_r for m in rows])
+        rows.append(MajoranaString(n, 0b11, 1))  # i c_0 c_1, row r
+    tab = _ModeTableau([m.bits for m in rows], n, [m.phase_r for m in rows])
     tab.run(doc.circuit.gates, inverse=encoder)
     if doc.substitutions or not tab.is_decoded(target.pivot_base, target.r):
         bits, phases = _transpose_raw(tab.cols, len(rows)), tab.phases(target.r)
@@ -130,13 +130,13 @@ def verify_document(
             bits[i], phases[i] = _multiply_raw(bits[i], phases[i], bits[j], phases[j])
         for j in range(target.r):
             if bits[j] != 0b11 << (target.pivot_base + 2 * j) or phases[j] != 1:
-                arrived = MajoranaString(BitVec(n, bits[j]), phases[j])
+                arrived = MajoranaString(n, bits[j], phases[j])
                 raise VerificationFailure("decoded-form", f"generator {j} arrives at {arrived}")
     yield "decoded-form check: ok"
 
     if doc.ancilla_modes:
         bits, phase = tab.row(target.r)
-        image = MajoranaString(BitVec(n, bits), phase)
+        image = MajoranaString(n, bits, phase)
         if bits == 0b11:
             yield f"ancilla check: ok (i c0 c1 -> {image}, residual phase_r {phase})"
         elif contains_total_parity(code):

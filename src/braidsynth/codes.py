@@ -41,7 +41,6 @@ from itertools import chain, islice
 from operator import itemgetter, lt
 from typing import Any
 
-from .bitlinalg import BitVec
 from .majorana import BraidGate, Circuit, MajoranaString
 from .tableau import DecodedTarget, StabilizerCode, apply_circuit
 
@@ -230,9 +229,9 @@ def parse_code(text: str) -> StabilizerCode:
         if not 0 <= phase_r <= 3:
             raise err(bad_phase)
         # the modes are checked and distinct, so one built-in pass sums
-        # their bits; BitVec still checks that the row fits
+        # their bits; MajoranaString still checks that the row fits
         bits = sum(map((1).__lshift__, modes))
-        gens.append(MajoranaString(BitVec(n_modes, bits), phase_r))
+        gens.append(MajoranaString(n_modes, bits, phase_r))
     return StabilizerCode(n_modes, tuple(gens), name=name)
 
 
@@ -243,7 +242,7 @@ def serialize_code(code: StabilizerCode) -> str:
         doc["name"] = code.name
     doc["n_modes"] = code.n_modes
     doc["generators"] = [
-        {"modes": list(g.bits.indices()), "phase_r": g.phase_r} for g in code.generators
+        {"modes": list(g.modes), "phase_r": g.phase_r} for g in code.generators
     ]
     return json.dumps(doc, indent=2) + "\n"
 

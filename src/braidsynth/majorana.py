@@ -1,8 +1,9 @@
 """Majorana monomials with exact Z4 phases, and braid-gate conjugation.
 
 A monomial is ``i^r * c_{a1} c_{a2} ... c_{ak}`` with mode indices strictly
-increasing; it is stored as a packed bit string plus the phase exponent
-``r mod 4``.  The library's gate set is generated by two families:
+increasing; ``MajoranaString`` stores it as one flat record: the register
+size, the modes packed into one int (bit m set for c_m) and the phase
+exponent ``r mod 4``.  The library's gate set is generated by two families:
 
 * quadratic braid ``exp(-pi/4 c_a c_b)`` -- generator ``i * c_a c_b``,
 * quartic braid ``exp(+i pi/4 c_a c_b c_c c_d)`` -- generator ``c_a c_b c_c c_d``,
@@ -61,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
-from .bitlinalg import BitVec, _reorder_raw, _transpose_raw
+from .bitlinalg import _bit_positions, _reorder_raw, _transpose_raw
 
 __all__ = [
     "MajoranaString",
@@ -259,30 +260,42 @@ def _multiply_raw(abits: int, aphase: int, bbits: int, bphase: int) -> tuple[int
 
 @dataclass(frozen=True, slots=True)
 class MajoranaString:
-    """``i^phase_r`` times an ordered product of Majorana modes."""
+    """``i^phase_r`` times an ordered product of Majorana modes on a register
+    of n_modes: bit m of bits is set when the product contains c_m."""
 
-    bits: BitVec
+    n_modes: int
+    bits: int = 0
     phase_r: int = 0
 
     def __post_init__(self) -> None:
+        if self.n_modes < 0:
+            raise ValueError("n_modes must be nonnegative")
+        if self.bits < 0 or self.bits >> self.n_modes:
+            raise ValueError(f"bits do not fit in {self.n_modes} modes")
         if not 0 <= self.phase_r <= 3:
             raise ValueError("phase_r must lie in 0..3")
 
     @classmethod
     def single_mode(cls, n_modes: int, k: int) -> MajoranaString:
-        return cls(BitVec.from_indices(n_modes, (k,)), 0)
+        return cls.from_modes(n_modes, (k,))
 
     @classmethod
     def from_modes(cls, n_modes: int, modes: Iterable[int], phase_r: int = 0) -> MajoranaString:
-        return cls(BitVec.from_indices(n_modes, modes), phase_r)
+        bits = 0
+        for m in modes:
+            if not 0 <= m < n_modes:
+                raise ValueError(f"mode {m} out of range for {n_modes} modes")
+            bits |= 1 << m
+        return cls(n_modes, bits, phase_r)
 
     @property
-    def n_modes(self) -> int:
-        return self.bits.length
+    def modes(self) -> tuple[int, ...]:
+        """The modes of the product, ascending."""
+        return tuple(_bit_positions(self.bits))
 
     @property
     def weight(self) -> int:
-        return self.bits.weight()
+        return self.bits.bit_count()
 
     def is_hermitian(self) -> bool:
         """Hermitian iff the phase parity matches weight*(weight-1)/2."""
@@ -292,7 +305,7 @@ class MajoranaString:
     def __str__(self) -> str:
         if self.weight == 0:
             return _PHASE_STR[self.phase_r]
-        modes = " ".join(f"c{i}" for i in self.bits.indices())
+        modes = " ".join(f"c{i}" for i in self.modes)
         return f"{_PHASE_STR[self.phase_r]} {modes}"
 
 
@@ -400,18 +413,18 @@ def multiply(a: MajoranaString, b: MajoranaString) -> MajoranaString:
     """Operator product a*b, with the reorder sign folded into the phase."""
     if a.n_modes != b.n_modes:
         raise ValueError("mode count mismatch")
-    bits, phase = _multiply_raw(a.bits.value, a.phase_r, b.bits.value, b.phase_r)
-    return MajoranaString(BitVec(a.n_modes, bits), phase)
+    bits, phase = _multiply_raw(a.bits, a.phase_r, b.bits, b.phase_r)
+    return MajoranaString(a.n_modes, bits, phase)
 
 
 def conjugate_circuit(circuit: Circuit, m: MajoranaString) -> MajoranaString:
     """Conjugate m through every gate of the circuit, in order."""
     if circuit.n_modes != m.n_modes:
         raise ValueError("mode count mismatch")
-    bits, phase = m.bits.value, m.phase_r
+    bits, phase = m.bits, m.phase_r
     for g in circuit.gates:
         bits, phase = _conjugate_raw(g.support_mask, g.generator_phase, bits, phase)
-    return MajoranaString(BitVec(m.n_modes, bits), phase)
+    return MajoranaString(m.n_modes, bits, phase)
 
 
 def invert(circuit: Circuit) -> Circuit:

@@ -93,7 +93,7 @@ def _generator(gate: BraidGate) -> Monomial:
 def conjugate_rows(circuit: Circuit, rows: Sequence[MajoranaString]) -> list[MajoranaString]:
     """``U m U^dagger`` for every monomial m in rows, with U the circuit's
     unitary (later gates applied last)."""
-    folded = [(m.bits.indices(), m.phase_r) for m in rows]
+    folded = [(m.modes, m.phase_r) for m in rows]
     for j, g in enumerate(circuit.gates):
         v = _generator(g)
         for i, m in enumerate(folded):

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitlinalg import BitVec, _lowest_bit, _pairing_raw, _transpose_raw
+from .bitlinalg import _lowest_bit, _transpose_raw, symplectic_pairing
 from .majorana import (
     BraidGate,
     Circuit,
@@ -138,20 +138,28 @@ class SynthesisResult:
     Otherwise the image is pinned to the all-modes monomial times decoded
     pairs.  When that product is the ancilla pair (possible only with no
     encoded pairs left over), the image is i^s c_0 c_1 with the residual
-    sign s recorded in ancilla_phase_r (reported, not corrected); else it
+    sign s that ancilla_phase_r reads (reported, not corrected); else it
     cannot be reduced, ancilla_phase_r is None, and the full monomial is
-    reported.
+    reported.  total_modes and ancilla_phase_r are read off decoder and
+    ancilla_image, not stored, so ``dataclasses.replace`` keeps them in step.
     """
 
     decoder: Circuit
-    total_modes: int
     ancilla_modes: tuple[int, ...]
     target: DecodedTarget
     logical_sign_flips: tuple[int, ...]
     substitutions: tuple[tuple[int, int], ...]
-    ancilla_phase_r: int | None
     ancilla_image: MajoranaString | None
     correction_span: tuple[int, int]
+
+    @property
+    def total_modes(self) -> int:
+        return self.decoder.n_modes
+
+    @property
+    def ancilla_phase_r(self) -> int | None:
+        image = self.ancilla_image
+        return image.phase_r if image is not None and image.bits == 0b11 else None
 
     @property
     def encoder(self) -> Circuit:
@@ -195,7 +203,7 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
     # low bits.  Emitted gates queue in gates[done:] until the tableau is
     # next read; catch_up runs them in one pass.
     gens = work.generators + seed
-    tab = _ModeTableau([g.bits.value for g in gens], n_work, [g.phase_r for g in gens])
+    tab = _ModeTableau([g.bits for g in gens], n_work, [g.phase_r for g in gens])
     row = done = 0
     gates: list[BraidGate] = []
     substitutions: list[tuple[int, int]] = []
@@ -354,7 +362,6 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
 
     target = DecodedTarget(n_work, pivot_base, r)
 
-    ancilla_phase: int | None = None
     ancilla_image: MajoranaString | None = None
     if use_ancilla:
         # ---- the ancilla image, row r: i c_0 c_1 or pinned ----
@@ -371,9 +378,7 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
             raise SynthesisInvariantError(
                 "the ancilla image is neither i c0 c1 nor pinned by the total parity"
             )
-        ancilla_image = MajoranaString(BitVec(n_work, row), phase)
-        if row == 0b11:
-            ancilla_phase = phase
+        ancilla_image = MajoranaString(n_work, row, phase)
 
     catch_up()
     if not tab.is_decoded(pivot_base, r):
@@ -381,12 +386,10 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
 
     return SynthesisResult(
         decoder=Circuit(n_work, tuple(gates)),
-        total_modes=n_work,
         ancilla_modes=ancilla_modes,
         target=target,
         logical_sign_flips=logical_flips,
         substitutions=tuple(substitutions),
-        ancilla_phase_r=ancilla_phase,
         ancilla_image=ancilla_image,
         correction_span=correction_span,
     )
@@ -434,22 +437,22 @@ def _encoder_images(
     if result.ancilla_modes:
         if result.ancilla_image is None:
             raise SynthesisInvariantError("an ancilla result carries no ancilla image")
-        image = result.ancilla_image.bits.value
+        image = result.ancilla_image.bits
         for i, bits in enumerate(rows):
-            if _pairing_raw(bits, image):
+            if symplectic_pairing(bits, image):
                 rows[i], phases[i] = _hermitian_product(1, 0, bits, phases[i])
     tab = _ModeTableau(rows, n, phases)
     tab.run(result.decoder.gates, inverse=True)
     images = zip(_transpose_raw(tab.cols, n_rows), tab.phases(n_rows))
     if not result.ancilla_modes:
-        return [MajoranaString(BitVec(n, bits), phase) for bits, phase in images]
+        return [MajoranaString(n, bits, phase) for bits, phase in images]
     out = []
     for bits, phase in images:
         if bits & 0b11:
             if bits & 0b11 != 0b11:
                 raise SynthesisInvariantError("an encoder image meets the ancilla pair in one mode")
             bits, phase = _multiply_raw(bits, phase, 0b11, 1)
-        out.append(MajoranaString(BitVec(n - 2, bits >> 2), phase))
+        out.append(MajoranaString(n - 2, bits >> 2, phase))
     return out
 
 

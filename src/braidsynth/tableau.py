@@ -29,14 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitlinalg import (
-    BitVec,
-    _eliminate,
-    _first_odd_overlap,
-    _lowest_bit,
-    _residue,
-    _transpose_raw,
-)
+from .bitlinalg import _eliminate, _first_odd_overlap, _lowest_bit, _residue, _transpose_raw
 from .majorana import Circuit, MajoranaString, _ModeTableau
 
 __all__ = [
@@ -103,7 +96,7 @@ class StabilizerCode:
                     f"for weight {g.weight}",
                 )
         # every weight is even from here on, so pairings are overlap parities
-        pair = _first_odd_overlap([g.bits.value for g in gens], self.n_modes)
+        pair = _first_odd_overlap([g.bits for g in gens], self.n_modes)
         if pair is not None:
             j, k = pair
             raise CodeValidationError(
@@ -111,7 +104,7 @@ class StabilizerCode:
             )
         pivots: dict[int, int] = {}
         for j, g in enumerate(gens):
-            v = _residue(pivots, g.bits.value)
+            v = _residue(pivots, g.bits)
             if not v:
                 raise CodeValidationError(
                     "dependent", (j,), f"generator {j} is a product of earlier generators"
@@ -143,25 +136,21 @@ def apply_circuit(circuit: Circuit, code: StabilizerCode) -> StabilizerCode:
     if circuit.n_modes != code.n_modes:
         raise ValueError("mode count mismatch")
     n, gens = code.n_modes, code.generators
-    tab = _ModeTableau([g.bits.value for g in gens], n, [g.phase_r for g in gens])
+    tab = _ModeTableau([g.bits for g in gens], n, [g.phase_r for g in gens])
     tab.run(circuit.gates)
     bits = _transpose_raw(tab.cols, len(gens))
-    images = tuple(
-        MajoranaString(BitVec(n, b), ph) for b, ph in zip(bits, tab.phases(len(gens)))
-    )
+    images = tuple(MajoranaString(n, b, ph) for b, ph in zip(bits, tab.phases(len(gens))))
     return StabilizerCode(n, images, code.name)
 
 
 def contains_total_parity(code: StabilizerCode) -> bool:
     """True iff the all-modes product lies in the GF(2) span of the bits."""
-    pivots = _eliminate(g.bits.value for g in code.generators)
+    pivots = _eliminate(g.bits for g in code.generators)
     return _residue(pivots, (1 << code.n_modes) - 1) == 0
 
 
 def prepend_ancilla_modes(code: StabilizerCode) -> StabilizerCode:
     """Shift the code up by one fresh mode pair at indices 0 and 1."""
     n = code.n_modes + 2
-    gens = tuple(
-        MajoranaString(BitVec(n, g.bits.value << 2), g.phase_r) for g in code.generators
-    )
+    gens = tuple(MajoranaString(n, g.bits << 2, g.phase_r) for g in code.generators)
     return StabilizerCode(n, gens, code.name)

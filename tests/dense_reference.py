@@ -41,7 +41,7 @@ def dense_monomial(m: MajoranaString) -> np.ndarray:
     """Matrix of ``i^r c_{a1}...c_{ak}``, factors in ascending mode order."""
     dim = 2 ** (m.n_modes // 2)
     out = (1j**m.phase_r) * np.eye(dim, dtype=np.complex128)
-    for k in m.bits.indices():
+    for k in m.modes:
         out = out @ dense_majorana(m.n_modes, k)
     return out
 

@@ -9,18 +9,21 @@ accidental blow-ups, not to benchmark.
 
 import itertools
 import random
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from braidsynth.bitlinalg import BitVec, _pairing_raw, symplectic_pairing
+from braidsynth.bitlinalg import symplectic_pairing
 from braidsynth.cli import verify_document
 from braidsynth.codes import (
     CircuitDocument,
     kitaev_chain,
     random_circuit,
     random_code,
+    serialize_circuit,
     shortest_code,
 )
 from braidsynth.majorana import (
@@ -97,13 +100,13 @@ def test_gate_algebra_matches_dense_oracle_exactly():
         for gate in gates:
             for v in low_weight:
                 for phase in range(4):
-                    agree(gate, MajoranaString(BitVec(n, v), phase), n)
+                    agree(gate, MajoranaString(n, v, phase), n)
         rng = random.Random(n)
         for _ in range(5000):
             v = rng.randrange(1, 1 << n)
             while v.bit_count() < 3:
                 v = rng.randrange(1, 1 << n)
-            agree(rng.choice(gates), MajoranaString(BitVec(n, v), rng.randrange(4)), n)
+            agree(rng.choice(gates), MajoranaString(n, v, rng.randrange(4)), n)
 
     elapsed = time.perf_counter() - t0
     print(f"exact dense agreement on {checks} conjugations in {elapsed:.1f}s")
@@ -137,7 +140,7 @@ def test_shortest_code_end_to_end_with_ancilla():
     modes = [MajoranaString.single_mode(14, m) for m in range(14)]
     assert conjugate_rows(both, modes) == modes
 
-    assert result.ancilla_image.bits.indices() == (0, 1)
+    assert result.ancilla_image.modes == (0, 1)
     assert result.ancilla_phase_r in (1, 3)
     assert time.perf_counter() - t0 < 30
 
@@ -154,7 +157,7 @@ def test_circuit_matrices_preserve_the_pairing_form(corpus):
         tab.run(result.encoder.gates)
         images = [tab.row(m)[0] for m in range(n)]
         for m, k in itertools.combinations(range(n), 2):
-            assert _pairing_raw(images[m], images[k]) == 1
+            assert symplectic_pairing(images[m], images[k]) == 1
         tab.run(result.decoder.gates)
         assert [tab.row(m) for m in range(n)] == [(1 << m, 0) for m in range(n)]
     assert build_seconds + time.perf_counter() - t0 < 60
@@ -236,7 +239,7 @@ def test_injected_sign_flips_are_corrected_and_reported():
         for m in range(log_start, result.total_modes):
             img = MajoranaString.single_mode(result.total_modes, m)
             img = conjugate_circuit(Circuit(result.total_modes, result.decoder.gates[lo:hi]), img)
-            assert img.bits.value == 1 << m
+            assert img.bits == 1 << m
             if img.phase_r == 2:
                 flips.append((m - log_start) // 2)
         return tuple(flips)
@@ -282,3 +285,31 @@ def test_destabilizer_and_normalizer_contracts():
     assert in_normalizer(MajoranaString.from_modes(12, (0, 2, 4), 1))
     assert not in_normalizer(MajoranaString.from_modes(12, (0, 1), 1))
     assert time.perf_counter() - t0 < 5
+
+
+def test_readme_library_example_runs_as_documented():
+    """The fenced python block under README.md's ``## Library`` runs, and
+    the values its comments state are what it computes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    ns: dict = {}
+    exec(compile(block, "README.md", "exec"), ns)
+    result, doc, same = ns["result"], ns["doc"], ns["same"]
+    assert gate_counts(result.decoder) == {"braid2": 6, "braid4": 7}
+    assert result.total_modes == 14
+    assert str(result.ancilla_image) == "+i c0 c1"
+    assert serialize_circuit(doc).encode() == serialize_circuit(same, inverse=True).encode()
+    # each stated value is the comment on the line that computes it
+    stated = {
+        "gate_counts(result.decoder)": "{'braid2': 6, 'braid4': 7}",
+        "result.total_modes": "14",
+        "str(result.ancilla_image)": "'+i c0 c1'",
+    }
+    comments = dict(
+        (code.strip(), comment.strip())
+        for code, _, comment in (line.partition("#") for line in block.splitlines())
+    )
+    for expr, value in stated.items():
+        assert comments[expr].startswith(value)
+        assert repr(eval(expr, ns)) == value

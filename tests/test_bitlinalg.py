@@ -5,11 +5,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from braidsynth.bitlinalg import (
-    BitVec,
     _eliminate,
     _first_odd_overlap,
     _mat_vec,
-    _pairing_raw,
     _reorder_raw,
     _transpose_raw,
     symplectic_pairing,
@@ -51,38 +49,21 @@ def naive_rank(columns, n_rows: int) -> int:
     return len(basis)
 
 
-def test_bitvec_construction():
-    v = BitVec.from_indices(6, (0, 3, 5))
-    assert v.value == 0b101001
-    assert v.weight() == 3
-    assert v.indices() == (0, 3, 5)
-    assert str(v) == "100101"
-
-
-def test_bitvec_rejects_bad_values():
-    with pytest.raises(ValueError):
-        BitVec(4, 16)
-    with pytest.raises(ValueError):
-        BitVec(4, -1)
-    with pytest.raises(ValueError):
-        BitVec.from_indices(4, (4,))
-
-
 @given(packed, packed)
 def test_pairing_matches_dense_form(u, v):
-    assert symplectic_pairing(BitVec(N, u), BitVec(N, v)) == naive_pairing(u, v, N)
+    assert symplectic_pairing(u, v) == naive_pairing(u, v, N)
 
 
 @given(packed, packed, packed)
 def test_pairing_is_bilinear(u, v, w):
-    p = lambda a, b: symplectic_pairing(BitVec(N, a), BitVec(N, b))
+    p = symplectic_pairing
     assert p(u ^ v, w) == (p(u, w) + p(v, w)) % 2
     assert p(w, u ^ v) == (p(w, u) + p(w, v)) % 2
 
 
 @given(packed)
 def test_pairing_is_alternating(u):
-    assert symplectic_pairing(BitVec(N, u), BitVec(N, u)) == 0
+    assert symplectic_pairing(u, u) == 0
 
 
 @given(packed, packed)
@@ -158,7 +139,7 @@ def first_anticommuting_pair(rows):
     """The lexicographically first pair with pairing 1, one pairing at a time."""
     for j in range(len(rows)):
         for k in range(j + 1, len(rows)):
-            if _pairing_raw(rows[j], rows[k]):
+            if symplectic_pairing(rows[j], rows[k]):
                 return j, k
     return None
 
@@ -207,7 +188,7 @@ def dense_rows(draw):
     n = 2 * draw(st.integers(4, 20))
     r = draw(st.integers(3, min(10, n // 2)))
     code = random_code(n, r, draw(st.integers(0, 10_000)))
-    return n, draw(even_flips(n, [g.bits.value for g in code.generators]))
+    return n, draw(even_flips(n, [g.bits for g in code.generators]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -29,7 +29,7 @@ def test_kitaev_chain_structure():
     code = kitaev_chain(4)
     assert code.n_modes == 8
     assert code.name == "kitaev-chain-4"
-    assert [g.bits.indices() for g in code.generators] == [(1, 2), (3, 4), (5, 6)]
+    assert [g.modes for g in code.generators] == [(1, 2), (3, 4), (5, 6)]
     assert all(g.phase_r == 1 for g in code.generators)
     code.validate()
     assert code.n_logical == 1
@@ -44,7 +44,7 @@ def test_kitaev_chain_needs_two_sites():
 def test_shortest_code_rows():
     code = shortest_code()
     assert code.n_modes == 12 and code.name == "shortest"
-    assert [g.bits.indices() for g in code.generators] == [
+    assert [g.modes for g in code.generators] == [
         (0, 1, 2, 3),
         (2, 3, 4, 5),
         (6, 7, 8, 9),

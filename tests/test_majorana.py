@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidsynth.bitlinalg import BitVec, _pairing_raw
+from braidsynth.bitlinalg import symplectic_pairing
 from braidsynth.codes import random_circuit
 from braidsynth.majorana import (
     BraidGate,
@@ -55,13 +55,13 @@ def slow_multiply(amodes, ar, bmodes, br):
 
 
 def mk(bits: int, r: int) -> MajoranaString:
-    return MajoranaString(BitVec(N, bits), r)
+    return MajoranaString(N, bits, r)
 
 
 def conjugate(gate: BraidGate, m: MajoranaString) -> MajoranaString:
     """One gate's conjugation, straight from the kernel."""
-    bits, phase = _conjugate_raw(gate.support_mask, gate.generator_phase, m.bits.value, m.phase_r)
-    return MajoranaString(BitVec(m.n_modes, bits), phase)
+    bits, phase = _conjugate_raw(gate.support_mask, gate.generator_phase, m.bits, m.phase_r)
+    return MajoranaString(m.n_modes, bits, phase)
 
 
 def random_gates(n_modes, count, seed):
@@ -112,14 +112,39 @@ def test_product_example():
     a = MajoranaString.from_modes(4, (0, 1), 1)
     b = MajoranaString.from_modes(4, (1, 2), 1)
     assert multiply(a, b) == MajoranaString.from_modes(4, (0, 2), 2)  # -c0c2
-    assert multiply(a, a) == MajoranaString(BitVec(4))  # (i c0c1)^2 = +1
+    assert multiply(a, a) == MajoranaString(4)  # (i c0c1)^2 = +1
 
 
 def test_string_rendering():
     assert str(MajoranaString.from_modes(4, (0, 2), 3)) == "-i c0 c2"
-    assert str(MajoranaString(BitVec(4))) == "+1"
+    assert str(MajoranaString(4)) == "+1"
     assert str(BraidGate("braid4", (0, 2, 3, 4))) == "B4 +(0,2,3,4)"
     assert str(BraidGate("braid2", (1, 5), -1)) == "B2 -(1,5)"
+
+
+def test_majorana_string_construction():
+    m = MajoranaString.from_modes(6, (0, 3, 5), 2)
+    assert m == MajoranaString(6, 0b101001, 2)
+    assert (m.n_modes, m.bits, m.phase_r) == (6, 0b101001, 2)
+    assert m.weight == 3
+    assert m.modes == (0, 3, 5)
+    assert MajoranaString(4) == MajoranaString(4, 0, 0)
+    assert MajoranaString(0).modes == ()
+
+
+def test_majorana_string_rejects_bad_values():
+    with pytest.raises(ValueError, match="do not fit in 4 modes"):
+        MajoranaString(4, 16)  # bits too wide
+    with pytest.raises(ValueError, match="do not fit in 4 modes"):
+        MajoranaString(4, -1)  # negative bits
+    with pytest.raises(ValueError, match="mode 4 out of range for 4 modes"):
+        MajoranaString.from_modes(4, (4,))
+    with pytest.raises(ValueError, match="mode -1 out of range"):
+        MajoranaString.from_modes(4, (-1,))
+    with pytest.raises(ValueError, match="n_modes must be nonnegative"):
+        MajoranaString(-1)
+    with pytest.raises(ValueError, match="phase_r must lie in 0..3"):
+        MajoranaString(4, 0, 4)
 
 
 # ---- properties ----
@@ -128,7 +153,7 @@ def test_string_rendering():
 @given(packed, phases, packed, phases)
 def test_multiply_matches_bubble_sort(abits, ar, bbits, br):
     a, b = mk(abits, ar), mk(bbits, br)
-    modes, r = slow_multiply(a.bits.indices(), ar, b.bits.indices(), br)
+    modes, r = slow_multiply(a.modes, ar, b.modes, br)
     assert multiply(a, b) == MajoranaString.from_modes(N, modes, r)
 
 
@@ -141,7 +166,7 @@ def test_multiply_associative(xb, xr, yb, yr, zb, zr):
 @given(packed, phases)
 def test_identity_is_neutral(bits, r):
     m = mk(bits, r)
-    one = MajoranaString(BitVec(N))
+    one = MajoranaString(N)
     assert multiply(one, m) == m == multiply(m, one)
 
 
@@ -150,7 +175,7 @@ def test_hermitian_strings_square_to_plus_one(bits):
     w = bits.bit_count()
     m = mk(bits, (w * (w - 1) // 2) % 4)
     assert m.is_hermitian()
-    assert multiply(m, m) == MajoranaString(BitVec(N))
+    assert multiply(m, m) == MajoranaString(N)
 
 
 @given(packed, phases, st.integers())
@@ -216,7 +241,7 @@ def test_gate_matrix_columns_are_single_mode_images(seed):
     cols = circuit_columns(Circuit(N, (gate,)))
     for j in range(N):
         img = conjugate(gate, MajoranaString.single_mode(N, j))
-        assert cols[j] == img.bits.value
+        assert cols[j] == img.bits
     assert cols == gate_columns(gate, N)
 
 
@@ -256,7 +281,7 @@ def test_circuit_matrix_columns_are_the_mode_images(n):
     tab.run(c.gates)
     for j in range(n):
         image = conjugate_circuit(c, MajoranaString.single_mode(n, j))
-        assert tab.row(j) == (image.bits.value, image.phase_r)
+        assert tab.row(j) == (image.bits, image.phase_r)
 
 
 def test_every_support_shape_on_nine_modes():
@@ -304,7 +329,7 @@ def test_braid_bit_action_preserves_the_pairing(n):
     support m is the transvection v -> v + (v.m) m with |m| even, which is
     why verify needs no check of the fermionic pairing."""
     monomials = range(1 << n)
-    pairing = np.array([[_pairing_raw(u, v) for v in monomials] for u in monomials])
+    pairing = np.array([[symplectic_pairing(u, v) for v in monomials] for u in monomials])
     gates = [
         BraidGate(kind, modes)
         for kind, arity in (("braid2", 2), ("braid4", 4))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidsynth.bitlinalg import BitVec, symplectic_pairing
+from braidsynth.bitlinalg import symplectic_pairing
 from braidsynth.cli import VerificationFailure, main, verify_document
 from braidsynth.codes import (
     CircuitDocument,
@@ -82,7 +82,7 @@ def recomputed_sign_flips(result: SynthesisResult) -> tuple[int, ...]:
     for m in range(log_start, result.total_modes):
         img = MajoranaString.single_mode(result.total_modes, m)
         img = conjugate_circuit(Circuit(result.total_modes, result.decoder.gates[lo:hi]), img)
-        assert img.bits.value == 1 << m  # doubled braids never move bits
+        assert img.bits == 1 << m  # doubled braids never move bits
         if img.phase_r == 2:
             flips.append((m - log_start) // 2)
     return tuple(flips)
@@ -129,7 +129,7 @@ def test_shortest_code_with_ancilla():
     assert decoded_ok(code, result)
     # the ancilla pair comes back to (0, 1), up to a reported sign
     assert result.ancilla_image is not None
-    assert result.ancilla_image.bits.indices() == (0, 1)
+    assert result.ancilla_image.modes == (0, 1)
     assert result.ancilla_phase_r == 1
     assert str(result.ancilla_image) == "+i c0 c1"
     assert result.ancilla_image == folded_ancilla_image(result)
@@ -202,7 +202,7 @@ def test_total_parity_pins_the_ancilla_image():
     # the image cannot be brought back to the bare pair: it is stuck on the
     # all-modes monomial times the decoded generator
     assert result.ancilla_phase_r is None
-    assert result.ancilla_image.bits.indices() == (0, 1, 4, 5)
+    assert result.ancilla_image.modes == (0, 1, 4, 5)
     assert result.ancilla_image.phase_r == 0
     assert result.ancilla_image == folded_ancilla_image(result)
     [d] = destabilizers(result)
@@ -218,8 +218,21 @@ def test_full_stabilizer_rank_can_still_reset_cleanly():
     code = StabilizerCode(4, gens(4, ((0, 1), 1), ((2, 3), 1)))
     assert contains_total_parity(code)
     result = synthesize_with_ancilla(code)
-    assert result.ancilla_image.bits.indices() == (0, 1)
+    assert result.ancilla_image.modes == (0, 1)
     assert result.ancilla_phase_r == result.ancilla_image.phase_r == 1
+
+
+def test_derived_fields_follow_a_replaced_result():
+    """total_modes and ancilla_phase_r are read off the decoder and the
+    ancilla image, so ``dataclasses.replace`` cannot leave them stale."""
+    result = synthesize_with_ancilla(shortest_code())
+    assert (result.total_modes, result.ancilla_phase_r) == (14, 1)
+    assert dataclasses.replace(result, ancilla_image=None).ancilla_phase_r is None
+    flipped = MajoranaString.from_modes(14, (0, 1), 3)
+    assert dataclasses.replace(result, ancilla_image=flipped).ancilla_phase_r == 3
+    pinned = MajoranaString.from_modes(14, (0, 1, 4, 5), 0)
+    assert dataclasses.replace(result, ancilla_image=pinned).ancilla_phase_r is None
+    assert dataclasses.replace(result, decoder=Circuit(16)).total_modes == 16
 
 
 def test_lone_minus_i_generator_with_no_room_fails():
@@ -442,7 +455,7 @@ def test_no_representatives_without_encoded_pairs():
 
 def hermitian(m: MajoranaString) -> MajoranaString:
     """m, times i when m is not Hermitian."""
-    return m if m.is_hermitian() else MajoranaString(m.bits, (m.phase_r + 1) % 4)
+    return m if m.is_hermitian() else MajoranaString(m.n_modes, m.bits, (m.phase_r + 1) % 4)
 
 
 def per_mode_encoder_image(result: SynthesisResult, encoder: Circuit, m: MajoranaString | int):
@@ -459,10 +472,10 @@ def per_mode_encoder_image(result: SynthesisResult, encoder: Circuit, m: Majoran
     if symplectic_pairing(m.bits, result.ancilla_image.bits):
         m = hermitian(multiply(MajoranaString.single_mode(n, 0), m))
     img = conjugate_circuit(encoder, m)
-    if img.bits.value & 0b11:
-        assert img.bits.value & 0b11 == 0b11
+    if img.bits & 0b11:
+        assert img.bits & 0b11 == 0b11
         img = multiply(img, MajoranaString.from_modes(n, (0, 1), 1))
-    return MajoranaString(BitVec(n - 2, img.bits.value >> 2), img.phase_r)
+    return MajoranaString(n - 2, img.bits >> 2, img.phase_r)
 
 
 def scrambled_total_parity_code(n: int, r: int, seed: int) -> StabilizerCode:
@@ -534,7 +547,7 @@ def test_reported_operators_equal_the_per_mode_fold():
             if result.ancilla_image is not None:
                 image = result.ancilla_image.bits
                 swapped += any(
-                    symplectic_pairing(BitVec(n, 1 << m), image) for m in range(pb, n)
+                    symplectic_pairing(1 << m, image) for m in range(pb, n)
                 )
             substituted += bool(result.substitutions)
             check_reported_operators(code, result)
@@ -639,9 +652,9 @@ def test_random_codes_decode_in_both_variants(seed):
     assert result.total_modes == n + 2
     assert decoded_ok(code, result)
     assert len(result.decoder) <= 3 * r * result.total_modes
-    assert result.ancilla_image.bits.value & 0b11 == 0b11
+    assert result.ancilla_image.bits & 0b11 == 0b11
     assert result.ancilla_image == folded_ancilla_image(result)
-    clean = result.ancilla_image.bits.value == 0b11
+    clean = result.ancilla_image.bits == 0b11
     assert (result.ancilla_phase_r is not None) == clean
     if not ptot:
         assert clean and result.ancilla_phase_r in (1, 3)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidsynth.codes import kitaev_chain, random_circuit, random_code, shortest_code
-from braidsynth.bitlinalg import BitVec, _transpose_raw, symplectic_pairing
+from braidsynth.bitlinalg import _transpose_raw, symplectic_pairing
 from braidsynth.majorana import (
     BraidGate,
     Circuit,
@@ -160,7 +160,7 @@ def test_apply_circuit_equals_the_per_generator_fold(n):
         code = random_code(n, rng.randint(0, n // 2), seed=trial)
         # rows need not form a code: arbitrary bits and all four phases
         rows = tuple(
-            MajoranaString(BitVec(n, rng.getrandbits(n)), rng.randrange(4))
+            MajoranaString(n, rng.getrandbits(n), rng.randrange(4))
             for _ in range(rng.randint(0, 2 * n))
         )
         for c in (code, StabilizerCode(n, rows)):
@@ -270,7 +270,7 @@ def test_mode_tableau_decoded_form_check():
     # ancilla image during synthesis) changes no verdict
     for pivot_base, n, r in ((0, 6, 3), (2, 8, 2), (0, 4, 0)):
         target = DecodedTarget(n, pivot_base, r).generators()
-        rows = [g.bits.value for g in target]
+        rows = [g.bits for g in target]
         for tail, tail_phases in (([], []), ([(1 << n) - 1], [2]), ([0b11], [3])):
             phases = [1] * r + tail_phases
             assert _ModeTableau(rows + tail, n, phases).is_decoded(pivot_base, r)
@@ -330,14 +330,14 @@ def reference_validate(code):
             if symplectic_pairing(gens[j].bits, gens[k].bits):
                 return "anticommuting", (j, k), f"generators {j} and {k} anticommute"
     for j in range(len(gens)):
-        if rank([g.bits.value for g in gens[: j + 1]]) <= j:
+        if rank([g.bits for g in gens[: j + 1]]) <= j:
             return "dependent", (j,), f"generator {j} is a product of earlier generators"
     return None
 
 
 def hermitian(n, bits):
     w = bits.bit_count()
-    return MajoranaString(BitVec(n, bits), (w * (w - 1) // 2) % 2)
+    return MajoranaString(n, bits, (w * (w - 1) // 2) % 2)
 
 
 @st.composite
@@ -362,16 +362,16 @@ def validate_inputs(draw):
         if change in ("even_flip", "odd_flip"):
             sizes = (2, 4) if change == "even_flip" else (1, 3)
             k = draw(st.sampled_from([k for k in sizes if k <= n]))
-            bits = gens[j].bits.value
+            bits = gens[j].bits
             for m in draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)):
                 bits ^= 1 << m
             gens[j] = hermitian(n, bits)
         elif change == "phase":
-            gens[j] = MajoranaString(gens[j].bits, (gens[j].phase_r + 1) % 4)
+            gens[j] = MajoranaString(n, gens[j].bits, (gens[j].phase_r + 1) % 4)
         elif change == "copy":
             gens.insert(j + 1, gens[i])
         else:
-            gens.append(hermitian(n, gens[i].bits.value ^ gens[j].bits.value))
+            gens.append(hermitian(n, gens[i].bits ^ gens[j].bits))
     return StabilizerCode(n, tuple(gens))
 
 
