@@ -81,8 +81,8 @@ def sweep(result, shift=0):
 
 
 def check(code, result):
-    for role, circuit in (("decoder", result.decoder), ("encoder", result.encoder)):
-        doc = CircuitDocument(circuit, result.ancilla_modes, result.substitutions, role)
+    for role in ("decoder", "encoder"):
+        doc = CircuitDocument(result.decoder, result.ancilla_modes, result.substitutions, role)
         assert parse_circuit(serialize_circuit(doc)) == doc
         lines = list(verify_document(code, doc, oracle=True))
         if result.ancilla_modes:

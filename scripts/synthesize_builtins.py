@@ -32,12 +32,17 @@ def main() -> None:
         render_ascii(doc.circuit, doc.ancilla_modes)
     )
 
+    # a document holds the decoder for either role; an encoder file lists
+    # the encoder's gates, and its diagram draws them in that order
     result = synthesize_with_ancilla(shortest_code())
     doc = CircuitDocument(
-        result.encoder, result.ancilla_modes, result.substitutions, "encoder"
+        result.decoder, result.ancilla_modes, result.substitutions, "encoder"
     )
     (args.out_dir / "shortest.ancilla.encoder.circuit").write_text(
         serialize_circuit(doc)
+    )
+    (args.out_dir / "shortest.ancilla.encoder.txt").write_text(
+        render_ascii(result.encoder, doc.ancilla_modes)
     )
     for name in sorted(p.name for p in args.out_dir.iterdir()):
         print(f"wrote {args.out_dir / name}")

@@ -72,35 +72,33 @@ def verify_document(
     code: StabilizerCode, doc: CircuitDocument, oracle: bool = False
 ) -> Iterator[str]:
     """Check a circuit document against a validated code, yielding each report
-    line as its check passes: the decoded form (an encoder document is
-    replayed backwards with every gate inverted), where the decoder leaves
+    line as its check passes: the decoded form, where the decoder leaves
     i c_0 c_1 when the document has an ancilla pair, then the operator
     oracle if asked.  Raises CircuitFormatError when the document does not
-    fit the code and VerificationFailure at the first failed check.
+    fit the code and VerificationFailure at the first failed check.  The
+    document's circuit is the decoder whatever its role (``codes`` reads
+    the order a file lists the gates in), so it always runs forward.
 
     One replay serves the first two checks: the code's own generators,
     and with an ancilla pair the row i c_0 c_1 after them, go through the
-    decoder in one mode-major tableau.  An encoder's gates run there in
-    reverse order as their inverses, so no decoder ``Circuit`` is built.
-    Conjugation is an algebra automorphism, so the image of a
-    substitution-adjusted generator is the product of the images: the
-    recorded changes (i, j) fold, in order, on the replayed rows, which
-    for a correct document are sparse products of decoded pairs, and the
-    folded rows are compared with the decoded form as they stand, without
-    writing them back to the tableau.  The row i c_0 c_1 must come back
-    as +-i c_0 c_1, or the ancilla pair would keep logical information,
-    unless the code contains the total parity: braids fix the all-modes
-    monomial, so the decoded generators already pin the row's image, and
-    it is reported as it stands.  No check of the fermionic pairing runs:
+    decoder in one mode-major tableau.  Conjugation is an algebra
+    automorphism, so the image of a substitution-adjusted generator is the
+    product of the images: the recorded changes (i, j) fold, in order, on
+    the replayed rows, which for a correct document are sparse products of
+    decoded pairs, and the folded rows are compared with the decoded form
+    as they stand, without writing them back to the tableau.  The row
+    i c_0 c_1 must come back as +-i c_0 c_1, or the ancilla pair would keep
+    logical information, unless the code contains the total parity: braids
+    fix the all-modes monomial, so the decoded generators already pin the
+    row's image, and it is reported as it stands.  No check of the fermionic pairing runs:
     every braid's bit action preserves it (see ``majorana``).
 
     The oracle folds the substitution-adjusted generators, multiplied out
     with ``apply_substitutions`` on the code, and i c_0 c_1 through the
     decoder in the Majorana algebra, each gate expanded into its four
-    products (``oracle.conjugate_rows``, which takes a decoder, so only this
-    branch inverts an encoder), and compares each with what the checks
-    above accepted: generator j with its decoded pair, i c_0 c_1 with the
-    reported image.  It uses neither the tableau, the folded rows nor the
+    products (``oracle.conjugate_rows``), and compares each with what the
+    checks above accepted: generator j with its decoded pair, i c_0 c_1
+    with the reported image.  It uses neither the tableau, the folded rows nor the
     bit rule of ``majorana``, so it re-derives both checks.  A fold of more
     than ``oracle.MAX_WORK`` rows x gates x modes is refused before it
     starts.
@@ -116,14 +114,13 @@ def verify_document(
             raise CircuitFormatError(
                 f"substitution [{i}, {j}] is out of range for {code.n_stabilizers} generators"
             )
-    encoder = doc.role == "encoder"
     target = DecodedTarget(n, 2 if doc.ancilla_modes else 0, code.n_stabilizers)
 
     rows = list(working.generators)
     if doc.ancilla_modes:
         rows.append(MajoranaString(n, 0b11, 1))  # i c_0 c_1, row r
     tab = _ModeTableau([m.bits for m in rows], n, [m.phase_r for m in rows])
-    tab.run(doc.circuit.gates, inverse=encoder)
+    tab.run(doc.circuit.gates)
     if doc.substitutions or not tab.is_decoded(target.pivot_base, target.r):
         bits, phases = _transpose_raw(tab.cols, len(rows)), tab.phases(target.r)
         for i, j in doc.substitutions:
@@ -160,9 +157,8 @@ def verify_document(
             f"needs at most {MAX_WORK} rows x gates x modes, got {work} "
             f"({len(rows)} x {len(doc.circuit)} x {n})",
         )
-    decoder = invert(doc.circuit) if encoder else doc.circuit
     try:
-        folded = conjugate_rows(decoder, rows)
+        folded = conjugate_rows(doc.circuit, rows)
     except NonMonomialError as exc:
         raise VerificationFailure("oracle", str(exc)) from None
     wanted = [*target.generators(), image] if doc.ancilla_modes else target.generators()
@@ -288,26 +284,22 @@ def _report_synth(
 def cmd_synth(args: argparse.Namespace) -> int:
     """Synthesize a decoder, write the requested document and report.
 
-    Both roles are written from ``result.decoder``: the encoder document
-    through ``serialize_circuit(doc, inverse=True)``, which writes the
-    decoder's gates in reverse order with each direction negated, so no
-    encoder circuit is built.
+    Both roles hold ``result.decoder``; ``serialize_circuit`` writes an
+    encoder document's gates in reverse order with each direction negated,
+    so no encoder circuit is built.
     """
     code = _load_code(args)  # synthesis validates it
-    if args.ancilla_free:
-        result = synthesize_ancilla_free(code)
-    else:
-        result = synthesize_with_ancilla(code)
+    result = (synthesize_ancilla_free if args.ancilla_free else synthesize_with_ancilla)(code)
     role = "decoder" if args.decoder else "encoder"
     doc = CircuitDocument(result.decoder, result.ancilla_modes, result.substitutions, role)
     out = sys.stdout
     if args.output is None:
         dest = "not written (pass -o to write)"
     elif args.output == "-":
-        sys.stdout.write(serialize_circuit(doc, inverse=not args.decoder))
+        sys.stdout.write(serialize_circuit(doc))
         dest, out = "stdout", sys.stderr  # keep stdout one JSON document
     else:
-        Path(args.output).write_text(serialize_circuit(doc, inverse=not args.decoder))
+        Path(args.output).write_text(serialize_circuit(doc))
         dest = args.output
     _report_synth(code, result, role, dest, out)
     return 0
@@ -323,9 +315,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
+    """Draw the gates in the order the file lists them: an encoder's are
+    the inverse of the document's circuit, the decoder."""
     doc = parse_circuit(_read_text(args.circuit, CircuitFormatError))
     render = render_latex if args.latex else render_ascii
-    sys.stdout.write(render(doc.circuit, doc.ancilla_modes))
+    circuit = invert(doc.circuit) if doc.role == "encoder" else doc.circuit
+    sys.stdout.write(render(circuit, doc.ancilla_modes))
     return 0
 
 

@@ -12,11 +12,16 @@ Code documents hold n_modes, a generators list of {"modes": [...],
 structure; algebraic admissibility stays with StabilizerCode.validate().
 
 Circuit documents hold n_modes, ancilla_modes, a gates list, plus two
-optional fields -- role ("encoder" or "decoder", default decoder) so verify
-knows which way to run the circuit, and substitutions recording
-generating-set changes made during synthesis.  A substitution [i, j]
-(generator i <- generator i * generator j) needs 0 <= i, j < r and i != j;
-verify checks the range against the code's r before replaying.
+optional fields -- role ("encoder" or "decoder", default decoder), and
+substitutions recording generating-set changes made during synthesis.  The
+encoder is the exact inverse of the decoder, so an encoder document lists
+the decoder's gates in reverse order, each in the other direction.  In
+memory a ``CircuitDocument`` always holds the decoder, whatever its role:
+role only names the order in which the file lists the gates, and this
+module, which parses and writes that order, is the one that reads it.  A
+substitution [i, j] (generator i <- generator i * generator j) needs
+0 <= i, j < r and i != j; verify checks the range against the code's r
+before replaying.
 
 A code register holds at most MAX_REGISTER_MODES modes, and a circuit
 document at most two more (the ancilla pair).  kitaev_chain, parse_code
@@ -38,7 +43,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import itemgetter, lt
+from operator import itemgetter, lt, neg
 from typing import Any
 
 from .majorana import BraidGate, Circuit, MajoranaString
@@ -73,10 +78,20 @@ class CircuitFormatError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class CircuitDocument:
+    """A circuit document in memory: circuit is the decoder for both roles,
+    and role names the order its file lists the gates in (an encoder file
+    lists the decoder's gates reversed, each direction negated).  A role
+    or ancilla_modes that no file may hold raises ValueError, so
+    serialize_circuit never writes a document that parse_circuit refuses."""
+
     circuit: Circuit
     ancilla_modes: tuple[int, ...]
     substitutions: tuple[tuple[int, int], ...]
     role: str
+
+    def __post_init__(self) -> None:
+        if self.role not in ("encoder", "decoder") or self.ancilla_modes not in ((), (0, 1)):
+            raise ValueError("role must be 'encoder' or 'decoder', and ancilla_modes () or (0, 1)")
 
 
 def kitaev_chain(n_sites: int) -> StabilizerCode:
@@ -247,10 +262,13 @@ def serialize_code(code: StabilizerCode) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _gates_at_once(entries: list[Any], n_modes: int) -> tuple[BraidGate, ...] | None:
-    """The gates of a valid gates list, checked in whole-list passes with no
-    Python code per gate; None if any check fails, and then the per-gate
-    loop of parse_circuit finds the first fault and its message.
+def _gates_at_once(entries: list[Any], n_modes: int, encoder: bool) -> tuple[BraidGate, ...] | None:
+    """The decoder gates of a valid gates list, empty or not, checked in
+    whole-list passes with no Python code per gate; None if any check
+    fails, and then the per-gate loop of parse_circuit finds the first
+    fault and its message.  An encoder's entries are taken in reverse
+    order, and their directions negated on the way into the one
+    constructor pass.
 
     itemgetter fails (TypeError, KeyError) on an entry that is not an
     object or lacks a key, and a length of 3 leaves no other key.  Each
@@ -261,32 +279,37 @@ def _gates_at_once(entries: list[Any], n_modes: int) -> tuple[BraidGate, ...] | 
     range check runs last, on the highest mode of each valid gate, and no
     gate has built anything sized by its modes before it.
     """
+    if encoder:
+        entries = entries[::-1]
     try:
         kinds = list(map(itemgetter("kind"), entries))
         mode_lists = list(map(itemgetter("modes"), entries))
         directions = list(map(itemgetter("direction"), entries))
     except (TypeError, KeyError):
         return None
-    if (
-        set(map(len, entries)) != {3}
-        or set(map(type, kinds)) != {str}
-        or set(map(type, mode_lists)) != {list}
-        or set(map(type, chain.from_iterable(mode_lists))) != {int}
-        or set(map(type, directions)) != {int}
+    if not (
+        set(map(len, entries)) <= {3}
+        and set(map(type, kinds)) <= {str}
+        and set(map(type, mode_lists)) <= {list}
+        and set(map(type, chain.from_iterable(mode_lists))) <= {int}
+        and set(map(type, directions)) <= {int}
     ):
         return None
     supports = tuple(map(tuple, mode_lists))
+    signs = map(neg, directions) if encoder else directions
     try:
-        gates = tuple(map(BraidGate, kinds, supports, directions))
+        gates = tuple(map(BraidGate, kinds, supports, signs))
     except ValueError:
         return None
-    if max(map(itemgetter(-1), supports)) >= n_modes:
+    if max(map(itemgetter(-1), supports), default=0) >= n_modes:
         return None
     return gates
 
 
 def parse_circuit(text: str) -> CircuitDocument:
-    """Parse a strict JSON circuit document."""
+    """Parse a strict JSON circuit document; its circuit is the decoder,
+    so an encoder's gates come back reversed, each direction negated.
+    Every message names a gate by its position in the file."""
     err = CircuitFormatError
     doc = _load_document(
         text,
@@ -322,12 +345,12 @@ def parse_circuit(text: str) -> CircuitDocument:
         subs.append((i, j))
     if not isinstance(doc["gates"], list):
         raise err("gates must be a list")
-    valid = _gates_at_once(doc["gates"], n_modes)
+    valid = _gates_at_once(doc["gates"], n_modes, role == "encoder")
     if valid is not None:
         return CircuitDocument(Circuit(n_modes, valid), ancilla, tuple(subs), role)
-    # Only a gates list the whole-list passes refused gets here, empty or
-    # faulty: the checks run one gate at a time to raise the first fault.
-    gates = []
+    # Only a gates list the whole-list passes refused gets here, and each
+    # has a fault: the checks run one gate at a time, in file order, to
+    # raise the first.
     for g, entry in enumerate(doc["gates"]):
         if not isinstance(entry, dict):
             raise err(f"gate {g} must be an object")
@@ -338,19 +361,17 @@ def parse_circuit(text: str) -> CircuitDocument:
         modes = entry["modes"]
         if not isinstance(modes, list):
             raise err(f"gate {g}: modes must be a list")
-        modes = tuple(modes)
         for m in modes:
             _int(m, f"gate {g} mode must be an integer", err)
         direction = _int(entry["direction"], f"gate {g} direction must be an integer", err)
         try:
-            gate = BraidGate(kind, modes, direction)
+            BraidGate(kind, modes, direction)
         except ValueError as exc:
             raise err(f"gate {g}: {exc}") from exc
         # Only after this check is anything sized by the modes built.
         if modes[-1] >= n_modes:
             raise err(f"gate {g}: mode out of range 0..{n_modes - 1}")
-        gates.append(gate)
-    return CircuitDocument(Circuit(n_modes, tuple(gates)), ancilla, tuple(subs), role)
+    raise AssertionError("the whole-list passes refused a gates list with no fault")
 
 
 # One gate object of each kind exactly as json.dumps(indent=2) lays it out
@@ -371,7 +392,7 @@ _GATE_JSON = {
 _SUBSTITUTION_JSON = "    [\n      %d,\n      %d\n    ]"
 
 
-def serialize_circuit(doc: CircuitDocument, inverse: bool = False) -> str:
+def serialize_circuit(doc: CircuitDocument) -> str:
     """Render a circuit document as JSON (inverse of parse_circuit).
 
     The output is byte-identical to ``json.dumps(..., indent=2)`` of the
@@ -379,10 +400,9 @@ def serialize_circuit(doc: CircuitDocument, inverse: bool = False) -> str:
     and each gate through one ``%`` on its template, which is several
     times faster.
 
-    With inverse, the gates written are those of ``invert(doc.circuit)``:
-    the circuit's gates in reverse order, each with its direction negated,
-    so ``synth`` writes an encoder document from the decoder without
-    building the encoder.  Both directions share one format expression.
+    An encoder document lists the decoder's gates in reverse order, each
+    direction negated as it goes out, so no encoder circuit is built.
+    Both roles share one format expression.
     """
     out: dict[str, Any] = {
         "format_version": 1,
@@ -396,7 +416,7 @@ def serialize_circuit(doc: CircuitDocument, inverse: bool = False) -> str:
         parts.append(',\n  "substitutions": [\n' + subs + "\n  ]")
     if not doc.circuit.gates:
         return "".join(parts) + ',\n  "gates": []\n}\n'
-    gates = reversed(doc.circuit.gates) if inverse else doc.circuit.gates
-    sign = -1 if inverse else 1
+    sign = -1 if doc.role == "encoder" else 1
+    gates = doc.circuit.gates[::sign]  # an encoder's backwards
     body = ",\n".join(_GATE_JSON[g.kind] % (*g.modes, sign * g.direction) for g in gates)
     return "".join(parts) + ',\n  "gates": [\n' + body + "\n  ]\n}\n"

@@ -31,10 +31,11 @@ gate loop; ``run(gates, inverse=True)`` walks the gates backwards with
 each generator phase flipped, which replays the inverse circuit without
 building it.  The tableau is the one gate update shared by every multi-row
 path: ``tableau.apply_circuit`` runs code generators through it,
-``verify`` runs a document's generators and the ancilla row (through an
-encoder document backwards), the synthesis sweep keeps its working
-generators in one tableau for the whole run and passes it each column's
-gates in one ``run``, and ``synth.destabilizers`` and
+``verify`` runs a document's generators and the ancilla row through its
+decoder (a parsed document holds the decoder whatever its role), the
+synthesis sweep keeps its working generators in one tableau for the
+whole run and passes it each column's gates in one ``run``, and
+``synth.destabilizers`` and
 ``logical_representatives`` run the modes they report through the decoder
 backwards.  The tableau keeps the rows it was built from and a mask of the
 rows gates have changed since, so a row no gate has touched reads back in
@@ -49,12 +50,14 @@ parsed document's, a synthesis step's and ``BraidGate.inverse``'s (and so
 ``invert``'s).  The constructor is written by hand, so a valid gate costs
 one chained comparison and four slot writes.  The synthesis sweep hands
 it modes peeled off a support mask, so a gate it emits is checked there
-too.  The common paths build no inverse gate at all:
-``_ModeTableau.run(gates, inverse=True)`` replays an encoder backwards,
-and ``codes.serialize_circuit(doc, inverse=True)`` writes an encoder
-document from the decoder's gates, each direction negated as it goes out.
-``invert`` serves ``SynthesisResult.encoder`` and the oracle branch of
-``verify``.
+too.  The common paths build no inverse gate at all: ``synth`` runs
+the decoder backwards through ``_ModeTableau.run(gates, inverse=True)``
+for the encoder images, ``codes.parse_circuit`` builds an encoder
+document's decoder in its one constructor pass, each direction negated
+on the way in, and ``codes.serialize_circuit`` writes an encoder
+document from the decoder's gates, each direction negated as it goes
+out.  ``invert`` serves ``SynthesisResult.encoder`` and ``diagram`` of
+an encoder document.
 """
 
 from __future__ import annotations

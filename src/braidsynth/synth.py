@@ -122,8 +122,8 @@ class SynthesisResult:
     decoder conjugates the (ancilla-extended, substitution-adjusted) code to
     the decoded target; encoder is its exact gate-for-gate inverse, built
     on each access and not stored.  ``braidsynth synth`` does not build it:
-    it writes the encoder document from the decoder with
-    ``serialize_circuit(doc, inverse=True)``.
+    a ``CircuitDocument`` holds the decoder for either role, and
+    ``serialize_circuit`` writes an encoder document's gates from it.
     substitutions lists generating-set changes (i, j), in order, meaning
     generator i was multiplied on the right by the current generator j: at
     the start of column i by each decoded generator j < i whose pair it

@@ -251,8 +251,13 @@ def test_oversized_registers_exit_1_before_allocating(capsys, tmp_path, argv, re
     assert peak < 1 << 20
 
 
+def gate_entries(circuit: Circuit) -> list[dict]:
+    return [{"kind": g.kind, "modes": list(g.modes), "direction": g.direction} for g in circuit.gates]
+
+
 def json_reference(d: CircuitDocument) -> str:
-    """The document through json.dumps(indent=2), the bytes serialize_circuit must match."""
+    """The document through json.dumps(indent=2), the bytes serialize_circuit
+    must match.  d.circuit is the decoder; an encoder file lists its inverse."""
     out = {
         "format_version": 1,
         "role": d.role,
@@ -261,10 +266,7 @@ def json_reference(d: CircuitDocument) -> str:
     }
     if d.substitutions:
         out["substitutions"] = [list(s) for s in d.substitutions]
-    out["gates"] = [
-        {"kind": g.kind, "modes": list(g.modes), "direction": g.direction}
-        for g in d.circuit.gates
-    ]
+    out["gates"] = gate_entries(invert(d.circuit) if d.role == "encoder" else d.circuit)
     return json.dumps(out, indent=2) + "\n"
 
 
@@ -285,11 +287,18 @@ def test_serialize_circuit_matches_json_dumps():
     for doc in docs:
         inverted = dataclasses.replace(doc, circuit=invert(doc.circuit))
         for d in (doc, inverted):
-            assert serialize_circuit(d) == json_reference(d)
-            assert parse_circuit(serialize_circuit(d)) == d
-        # the inverse route writes invert(doc.circuit) without building it
-        assert serialize_circuit(doc, inverse=True) == serialize_circuit(inverted)
-        assert parse_circuit(serialize_circuit(doc, inverse=True)) == inverted
+            for role in ("decoder", "encoder"):
+                same = dataclasses.replace(d, role=role)
+                assert serialize_circuit(same) == json_reference(same)
+                assert parse_circuit(serialize_circuit(same)) == same
+        # an encoder file lists invert(doc.circuit) without building it: the
+        # gates a decoder file of the inverted circuit lists
+        encoder = dataclasses.replace(doc, role="encoder")
+        decoder = dataclasses.replace(inverted, role="decoder")
+        assert serialize_circuit(encoder) == serialize_circuit(decoder).replace(
+            '"role": "decoder"', '"role": "encoder"'
+        )
+        assert parse_circuit(serialize_circuit(encoder)).circuit == doc.circuit
 
     # synthesized decoders, both variants, substitutions and mode-0 parking
     # included: both routes match json.dumps byte for byte
@@ -311,9 +320,8 @@ def test_serialize_circuit_matches_json_dumps():
             doc = CircuitDocument(
                 result.decoder, result.ancilla_modes, result.substitutions, "encoder"
             )
-            encoder = dataclasses.replace(doc, circuit=result.encoder)
-            assert serialize_circuit(doc, inverse=True) == serialize_circuit(encoder)
-            assert serialize_circuit(encoder) == json_reference(encoder)
+            assert json.loads(serialize_circuit(doc))["gates"] == gate_entries(result.encoder)
+            assert serialize_circuit(doc) == json_reference(doc)
             decoder = dataclasses.replace(doc, role="decoder")
             assert serialize_circuit(decoder) == json_reference(decoder)
     assert substituted
@@ -434,9 +442,8 @@ def test_ancilla_pair_that_keeps_logical_information_exits_4(
         Circuit(n, (extra,)), MajoranaString.from_modes(n, (0, 1), result.ancilla_phase_r)
     )
     tampered = Circuit(n, result.decoder.gates + (extra,))
-    circuit = tampered if role == "decoder" else invert(tampered)
     path = tmp_path / f"tampered.{role}.circuit"
-    doc = CircuitDocument(circuit, (0, 1), result.substitutions, role)
+    doc = CircuitDocument(tampered, (0, 1), result.substitutions, role)
     path.write_text(serialize_circuit(doc))
     rc, out, err = run(capsys, "verify", str(code_file), str(path), *oracle)
     assert rc == 4

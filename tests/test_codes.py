@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from braidsynth import codes
 from braidsynth.cli import main
 from braidsynth.codes import (
     CircuitDocument,
@@ -22,7 +23,7 @@ from braidsynth.codes import (
     serialize_code,
     shortest_code,
 )
-from braidsynth.majorana import MajoranaString
+from braidsynth.majorana import BraidGate, Circuit, MajoranaString, invert
 
 
 def test_kitaev_chain_structure():
@@ -230,6 +231,86 @@ def test_parse_circuit_gate_messages_after_valid_gates(monkeypatch, k):
 
     monkeypatch.setitem(globals(), "parse_circuit", parse_behind_valid_gates)
     test_parse_circuit_gate_messages()
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_parse_circuit_gate_messages_in_an_encoder_document(monkeypatch, k):
+    """Every case of test_parse_circuit_gate_messages in an encoder document,
+    behind k valid gates and ahead of two more.  The whole-list pass takes
+    an encoder's entries in reverse, but each message must still name the
+    gate by its position in the file, not in the decoder: the index is
+    shifted back by k here, and the trailing gates would move it in the
+    decoder's order."""
+    valid = [gate(modes=(1, 3)), gate(kind="braid4", modes=(0, 1, 2, 3), direction=-1)]
+    parse = parse_circuit
+
+    def parse_as_encoder(text):
+        doc = json.loads(text)
+        doc["role"] = "encoder"
+        doc["gates"][:0] = (valid * k)[:k]
+        doc["gates"] += valid
+        try:
+            return parse(json.dumps(doc))
+        except CircuitFormatError as exc:
+            index, rest = re.fullmatch(r"gate (\d+)(.*)", str(exc)).groups()
+            assert int(index) >= k, str(exc)
+            raise CircuitFormatError(f"gate {int(index) - k}{rest}") from None
+
+    monkeypatch.setitem(globals(), "parse_circuit", parse_as_encoder)
+    test_parse_circuit_gate_messages()
+
+
+def test_parsed_encoder_document_holds_the_decoder(monkeypatch):
+    """An encoder file lists the decoder's gates reversed, each direction
+    negated; parsing gives the decoder back, with one gate construction
+    per listed gate and none to invert them afterwards."""
+    decoder = Circuit(6, (
+        BraidGate("braid2", (0, 1)),
+        BraidGate("braid4", (0, 2, 3, 5), -1),
+        BraidGate("braid2", (4, 5), -1),
+    ))
+    listed = [
+        {"kind": g.kind, "modes": list(g.modes), "direction": g.direction}
+        for g in invert(decoder).gates
+    ]
+    text = json.dumps(
+        {"format_version": 1, "role": "encoder", "n_modes": 6, "ancilla_modes": [], "gates": listed}
+    )
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return BraidGate(*args)
+
+    monkeypatch.setattr(codes, "BraidGate", counted)
+    doc = parse_circuit(text)
+    assert doc.role == "encoder" and doc.circuit == decoder
+    assert len(built) == len(listed)
+    monkeypatch.undo()
+    assert serialize_circuit(doc) == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "role, ancilla",
+    [("Encoder", ()), ("inverse", ()), ("", ()), (None, ()),
+     ("decoder", (0,)), ("encoder", (1, 0)), ("decoder", (0, 1, 2)), ("decoder", [0, 1])],
+)
+def test_circuit_document_refuses_what_parse_circuit_refuses(role, ancilla):
+    """A role or ancilla_modes that no circuit file may hold is refused when
+    the document is built, so serialize_circuit never writes a file that
+    parse_circuit refuses, or a mistyped role in the decoder's order."""
+    with pytest.raises(ValueError) as exc:
+        CircuitDocument(Circuit(2, ()), ancilla, (), role)
+    assert str(exc.value) == (
+        "role must be 'encoder' or 'decoder', and ancilla_modes () or (0, 1)"
+    )
+
+
+def test_circuit_document_accepts_both_roles_and_ancilla_layouts():
+    for role in ("encoder", "decoder"):
+        for ancilla in ((), (0, 1)):
+            doc = CircuitDocument(Circuit(2, ()), ancilla, (), role)
+            assert parse_circuit(serialize_circuit(doc)) == doc
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -27,8 +27,7 @@ from braidsynth.tableau import StabilizerCode
 
 
 def _pair(code, result, role):
-    circuit = result.decoder if role == "decoder" else result.encoder
-    doc = CircuitDocument(circuit, result.ancilla_modes, result.substitutions, role)
+    doc = CircuitDocument(result.decoder, result.ancilla_modes, result.substitutions, role)
     return json.loads(serialize_code(code)), json.loads(serialize_circuit(doc))
 
 

@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 
 from braidsynth.cli import main, render_ascii
-from braidsynth.codes import CircuitDocument, kitaev_chain, serialize_circuit, shortest_code
+from braidsynth.codes import (
+    CircuitDocument,
+    kitaev_chain,
+    parse_circuit,
+    serialize_circuit,
+    shortest_code,
+)
 from braidsynth.synth import synthesize_ancilla_free, synthesize_with_ancilla
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -27,11 +33,39 @@ def test_kitaev_free_decoder_document_is_stable():
 def test_shortest_encoder_document_is_stable():
     result = synthesize_with_ancilla(shortest_code())
     doc = CircuitDocument(
-        result.encoder, result.ancilla_modes, result.substitutions, "encoder"
+        result.decoder, result.ancilla_modes, result.substitutions, "encoder"
     )
     assert serialize_circuit(doc) == (
         GOLDEN / "shortest.ancilla.encoder.circuit"
     ).read_text()
+
+
+def test_parsed_encoder_golden_holds_the_decoder():
+    """The encoder file lists the encoder's gates; parsed, it holds the
+    decoder, as every document does."""
+    result = synthesize_with_ancilla(shortest_code())
+    doc = parse_circuit((GOLDEN / "shortest.ancilla.encoder.circuit").read_text())
+    assert doc.role == "encoder"
+    assert doc.circuit == result.decoder
+    assert doc == CircuitDocument(
+        result.decoder, result.ancilla_modes, result.substitutions, "encoder"
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["kitaev4.free.decoder.circuit", "shortest.ancilla.encoder.circuit"]
+)
+def test_golden_documents_round_trip_byte_for_byte(name):
+    text = (GOLDEN / name).read_text()
+    assert serialize_circuit(parse_circuit(text)) == text
+
+
+@pytest.mark.parametrize("name", ["kitaev4.free.decoder", "shortest.ancilla.encoder"])
+def test_diagram_prints_the_golden_bytes(capsys, name):
+    """`braidsynth diagram` draws a document's gates in the order its file
+    lists them: an encoder's are the inverse of the decoder it holds."""
+    assert main(["diagram", str(GOLDEN / f"{name}.circuit")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
 
 
 def test_golden_documents_verify_against_their_codes(capsys):

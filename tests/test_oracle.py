@@ -28,7 +28,6 @@ from braidsynth.majorana import (
     MajoranaString,
     _ModeTableau,
     conjugate_circuit,
-    invert,
     multiply,
 )
 from braidsynth.oracle import NonMonomialError, _collapse, _generator, _product, conjugate_rows
@@ -244,29 +243,26 @@ def shortest_decoder_document():
 def blinded_to(tamper):
     """A tableau class whose replay skips the tamper gate at the decoder's
     end: the symbolic checks then pass a tampered document, and only the
-    oracle's own fold of the document's rows can see the gate.  An encoder
-    is replayed backwards, so there the gate is the first, as its inverse."""
+    oracle's own fold of the document's rows can see the gate.  A document
+    of either role holds the decoder, so verify replays it forwards and
+    the gate is the last."""
 
     class Blinded(_ModeTableau):
         def run(self, gates, inverse=False):
-            if inverse:
-                first, *kept = gates
-                assert first == tamper.inverse()
-            else:
-                *kept, last = gates
-                assert last == tamper
-            super().run(kept, inverse)
+            assert not inverse
+            *kept, last = gates
+            assert last == tamper
+            super().run(kept)
 
     return Blinded
 
 
 def tampered_document(code, extra, role):
     """The code's ancilla decoder with one extra gate at its end (the decoder
-    may hold the same gate earlier), written as the given role."""
+    may hold the same gate earlier), as a document of the given role."""
     result = synthesize_with_ancilla(code)
     tampered = Circuit(result.total_modes, result.decoder.gates + (extra,))
-    circuit = tampered if role == "decoder" else invert(tampered)
-    return CircuitDocument(circuit, result.ancilla_modes, result.substitutions, role)
+    return CircuitDocument(tampered, result.ancilla_modes, result.substitutions, role)
 
 
 @pytest.mark.parametrize("role", ["decoder", "encoder"])

@@ -52,10 +52,11 @@ PARITY4 = StabilizerCode(4, gens(4, ((0, 1, 2, 3), 0)), name="parity4")
 
 
 def documents(result: SynthesisResult) -> list[CircuitDocument]:
-    """The decoder and the encoder document `braidsynth synth` would write."""
+    """The decoder and the encoder document `braidsynth synth` would write;
+    both hold the decoder, and only the order of the written gates differs."""
     return [
-        CircuitDocument(circuit, result.ancilla_modes, result.substitutions, role)
-        for role, circuit in (("decoder", result.decoder), ("encoder", result.encoder))
+        CircuitDocument(result.decoder, result.ancilla_modes, result.substitutions, role)
+        for role in ("decoder", "encoder")
     ]
 
 
