@@ -2,28 +2,32 @@
 """Randomized stress run for the synthesizer.
 
 Generates seeded random codes, synthesizes both variants, and checks the
-full contract on each: the decoder and the encoder document come back
-equal from ``serialize_circuit`` and ``parse_circuit``, and pass
-``verify_document`` (the verifier behind ``braidsynth verify``), which folds
-the ancilla pair's image from the document itself, and that image and its
-residual phase are the ones the synthesizer reports, and the operator
+full contract on each: the decoder and the encoder document come back equal
+from ``serialize_circuit`` and ``parse_circuit``, and pass
+``verify_document`` (the verifier behind ``braidsynth verify``), which
+folds the ancilla pair's image from the document itself, and that image and
+its residual phase are the ones the synthesizer reports, and the operator
 oracle re-derives both checks (it refuses a fold of more than
 ``oracle.MAX_WORK`` rows x gates x modes, which a full-rank random code
 reaches at about 130 modes, so keep --max-modes below that); gate count
-within the linear bound, reported operators pair correctly, and the ancilla-free
-obstruction raised exactly when it must be.  For a code without the total
-parity the ancilla image must be i c0 c1 itself (residual phase_r 1) and
-the ancilla sweep the ancilla-free one shifted by two modes.  Every other
-code contains the total parity (scrambling decoded pairs reaches it only
-at r = N/2), so the pinned-image and obstruction branches are exercised
-too.  Half of the codes are scrambled by 4N random gates,
-so their rows look generic; the other half are sparse, the rows in
-shuffled order and scrambled by only N/2 gates, so many rows reach their
-sweep column untouched and the tableau reads them from its kept rows.
-Prints one summary line, with the number of ancilla sweep gates that
-touch mode 0 (only codes with the total parity reach one); any violation
-trips an assert or raises ``VerificationFailure``, and a run of at least
-50 codes that sees no pinned image or no obstruction exits non-zero.
+within the linear bound, reported operators pair correctly, the recorded
+substitutions are the back-substitution's (k, i), k < i, leaving no
+generator k < i on generator i's top mode, followed by column starts
+(i, j), j < i, and the ancilla-free obstruction raised exactly when it
+must be.
+For a code without the total parity the ancilla image must be i c0 c1
+itself (residual phase_r 1) and the ancilla sweep the ancilla-free one
+shifted by two modes.  Every other code contains the total parity
+(scrambling decoded pairs reaches it only at r = N/2), so the pinned-image
+and obstruction branches are exercised too.  Half of the codes are
+scrambled by 4N random gates, so their rows look generic; the other half
+are sparse, the rows in shuffled order and scrambled by only N/2 gates, so
+many rows reach their sweep column untouched and the tableau reads them
+from its kept rows.  Prints one summary line, with the number of ancilla
+sweep gates that touch mode 0 (only codes with the total parity reach one);
+any violation trips an assert or raises ``VerificationFailure``, and a run
+of at least 50 codes that sees no pinned image or no obstruction exits
+non-zero.
 """
 
 import argparse
@@ -41,6 +45,7 @@ from braidsynth.codes import (
 from braidsynth.majorana import MajoranaString
 from braidsynth.synth import (
     PhaseCorrectionError,
+    apply_substitutions,
     TotalParityObstruction,
     destabilizers,
     logical_representatives,
@@ -94,6 +99,13 @@ def check(code, result):
             assert folded.startswith(claimed), (folded, claimed)
     r = code.n_stabilizers
     assert len(result.decoder) <= 3 * r * result.total_modes
+    subs = result.substitutions
+    cut = next((t for t, (i, j) in enumerate(subs) if i > j), len(subs))
+    assert all(j < i for i, j in subs[cut:])
+    rows = apply_substitutions(code, subs[:cut]).generators
+    for i in range(1, r):
+        top = rows[i].bits.bit_length() - 1
+        assert not any(rows[k].bits >> top & 1 for k in range(i)), (code, subs)
     for j, d in enumerate(destabilizers(result)):
         assert d.is_hermitian()
         for i, g in enumerate(code.generators):

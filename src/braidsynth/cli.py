@@ -84,9 +84,12 @@ def verify_document(
     decoder in one mode-major tableau.  Conjugation is an algebra
     automorphism, so the image of a substitution-adjusted generator is the
     product of the images: the recorded changes (i, j) fold, in order, on
-    the replayed rows, which for a correct document are sparse products of
-    decoded pairs, and the folded rows are compared with the decoded form
-    as they stand, without writing them back to the tableau.  The row
+    the replayed rows, and the folded rows are compared with the decoded
+    form as they stand, without writing them back to the tableau.  The rows
+    are not sparse while the fold runs: the back-substitution's products
+    come first, on images as dense as the code's generators (the product
+    kernel's prefix-parity route), and only the column starts after them
+    fold on sparse products of decoded pairs.  The row
     i c_0 c_1 must come back as +-i c_0 c_1, or the ancilla pair would keep
     logical information, unless the code contains the total parity: braids
     fix the all-modes monomial, so the decoded generators already pin the
@@ -109,12 +112,11 @@ def verify_document(
         raise CircuitFormatError(
             f"circuit acts on {doc.circuit.n_modes} modes, expected {n} for this code"
         )
-    for i, j in doc.substitutions:
-        if max(i, j) >= code.n_stabilizers:
-            raise CircuitFormatError(
-                f"substitution [{i}, {j}] is out of range for {code.n_stabilizers} generators"
-            )
-    target = DecodedTarget(n, 2 if doc.ancilla_modes else 0, code.n_stabilizers)
+    r = code.n_stabilizers
+    if max(map(max, doc.substitutions), default=-1) >= r:
+        i, j = next(s for s in doc.substitutions if max(s) >= r)
+        raise CircuitFormatError(f"substitution [{i}, {j}] is out of range for {r} generators")
+    target = DecodedTarget(n, 2 if doc.ancilla_modes else 0, r)
 
     rows = list(working.generators)
     if doc.ancilla_modes:

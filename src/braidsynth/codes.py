@@ -29,9 +29,9 @@ and parse_circuit check the cap before they build anything, so an
 oversized request fails at once with a one-line error instead of running
 out of memory.
 
-A valid list (a gates list, or a generator's modes) is accepted by a few
-whole-list passes of built-ins (itemgetter, type, min, max) with no
-Python code per item; only a list that fails them goes through the checks
+A valid list (a gates list, a substitutions list, or a generator's modes)
+is accepted by a few whole-list passes of built-ins (itemgetter, type,
+min, max) with no Python code per item; only a list that fails them goes through the checks
 one item at a time, which are the only code that builds a message.  So
 every message, and which check reports when several fail, is the same
 whichever path a document takes.
@@ -43,7 +43,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import itemgetter, lt, neg
+from operator import eq, itemgetter, lt, neg
 from typing import Any
 
 from .majorana import BraidGate, Circuit, MajoranaString
@@ -306,6 +306,25 @@ def _gates_at_once(entries: list[Any], n_modes: int, encoder: bool) -> tuple[Bra
     return gates
 
 
+def _substitutions_at_once(entries: list[Any]) -> tuple[tuple[int, int], ...] | None:
+    """The (i, j) pairs of a valid substitutions list, empty or not,
+    checked in whole-list passes with no Python code per entry; None if
+    any check fails, and then parse_circuit's per-entry loop finds the
+    first fault and its message.  type() is exact, so a bool is not an
+    int here either."""
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}):
+        return None
+    flat = list(chain.from_iterable(entries))
+    firsts, seconds = flat[::2], flat[1::2]
+    if not (
+        set(map(type, flat)) <= {int}
+        and min(flat, default=0) >= 0
+        and not any(map(eq, firsts, seconds))
+    ):
+        return None
+    return tuple(zip(firsts, seconds))
+
+
 def parse_circuit(text: str) -> CircuitDocument:
     """Parse a strict JSON circuit document; its circuit is the decoder,
     so an encoder's gates come back reversed, each direction negated.
@@ -331,23 +350,27 @@ def parse_circuit(text: str) -> CircuitDocument:
     role = doc.get("role", "decoder")
     if role not in ("encoder", "decoder"):
         raise err("role must be 'encoder' or 'decoder'")
-    if not isinstance(doc.get("substitutions", []), list):
+    entries = doc.get("substitutions", [])
+    if not isinstance(entries, list):
         raise err("substitutions must be a list")
-    subs = []
-    for entry in doc.get("substitutions", []):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise err("substitutions entries must be [i, j] pairs")
-        i, j = (_int(k, "substitution index must be an integer", err) for k in entry)
-        if i < 0 or j < 0:
-            raise err(f"substitution {entry} has a negative index")
-        if i == j:
-            raise err(f"substitution {entry} multiplies a generator by itself")
-        subs.append((i, j))
+    subs = _substitutions_at_once(entries)
+    if subs is None:
+        # a list the whole-list passes refused: one entry at a time, in
+        # file order, to raise the first fault
+        for entry in entries:
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise err("substitutions entries must be [i, j] pairs")
+            i, j = (_int(k, "substitution index must be an integer", err) for k in entry)
+            if i < 0 or j < 0:
+                raise err(f"substitution {entry} has a negative index")
+            if i == j:
+                raise err(f"substitution {entry} multiplies a generator by itself")
+        raise AssertionError("the whole-list passes refused substitutions with no fault")
     if not isinstance(doc["gates"], list):
         raise err("gates must be a list")
     valid = _gates_at_once(doc["gates"], n_modes, role == "encoder")
     if valid is not None:
-        return CircuitDocument(Circuit(n_modes, valid), ancilla, tuple(subs), role)
+        return CircuitDocument(Circuit(n_modes, valid), ancilla, subs, role)
     # Only a gates list the whole-list passes refused gets here, and each
     # has a fault: the checks run one gate at a time, in file order, to
     # raise the first.

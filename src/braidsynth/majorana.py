@@ -105,15 +105,24 @@ class _ModeTableau:
     set to or last scanned as (rows), and dirty, an r-bit mask of the rows
     a gate has changed since: each gate ORs in the rows it changes, one
     big-int OR.  A clean row reads back from its kept int in O(1); only a
-    dirty row is scanned out of the columns.
+    dirty row is scanned out of the columns.  A caller that already holds
+    the rows' transpose passes it as cols, and the tableau takes it over.
     """
 
     __slots__ = ("cols", "tree", "p0", "p1", "rows", "dirty")
 
-    def __init__(self, rows: Iterable[int], n_modes: int, phases: list[int]) -> None:
+    def __init__(
+        self,
+        rows: Iterable[int],
+        n_modes: int,
+        phases: list[int],
+        cols: list[int] | None = None,
+    ) -> None:
         self.rows = list(rows)
         self.dirty = self.p0 = self.p1 = 0
-        self.cols = cols = _transpose_raw(self.rows, n_modes)
+        if cols is None:
+            cols = _transpose_raw(self.rows, n_modes)
+        self.cols = cols
         self.tree = tree = [0] + cols
         for k in range(1, n_modes + 1):
             up = k + (k & -k)

@@ -1,60 +1,89 @@
 """Decoder synthesis: reduce a stabilizer code to aligned mode pairs.
 
-Both variants sweep the generators column by column.  A code is its
-stabilizer group, not one generating set, so each column starts by
-multiplying its generator by every already-decoded generator whose pair it
-still holds (commutation forces whole pairs): a recorded substitution, no
-gate.  Decoded generator j is exactly i^s c_q c_(q+1) at that point, so
-the product only clears the pair's two bits and adds s + 2 to the phase;
-all of a column's pairs go in one ``set_row``.  Quartic braids then shrink
-the column's weight from the pivot on by two per step, parking on its
-lowest clear mode there, and one quadratic braid per bit still off the
-pivot pair puts it there.  Every emitted gate has even overlap with every
-finished pair, so decoded generators are never disturbed -- the loop
+A code is its stabilizer group, not one generating set, so the synthesis
+chooses the generating set it decodes, and records each change as a
+substitution (i, j): generator i multiplied on the right by the current
+generator j, a product and no gate.  Two kinds are recorded, and a third
+can no longer arise:
+
+* the back-substitution, before any gate: for i from r - 1 down to 1,
+  every generator k < i holding generator i's highest mode (its top) is
+  multiplied by generator i, recorded as (k, i) with k < i.  Row i is
+  final when its step starts, so afterwards no generator holds a later
+  generator's top mode.  Rows still to come then hold fewer modes of the
+  logical region, where every two modes cost the shrink step one braid4.
+  The rows holding a mode are read off the input rows' mode-major
+  columns, corrected by the products made so far, at one big-int test per
+  row.  A code whose tops rise with the row index (``kitaev:N``) needs no
+  product, which two C-level passes over the rows show first, and the
+  tableau takes the input columns over; after a product it transposes
+  the rows again.
+* the column start: (i, j) with j < i, described below.
+* the borrow, (i, j) with j > i at an ancilla-free all-ones tail, is
+  unreachable after the back-substitution, and its place is taken by a
+  ``SynthesisInvariantError``.  Suppose column k's tail (its modes from
+  the pivot p = 2k on) is all ones.  Generators 0..k-1 are the decoded
+  pairs c_0 c_1 .. c_(p-2) c_(p-1) in the current frame, and generator
+  k has cleared them, so the product of generators 0..k is the
+  all-modes monomial.  Braids fix that monomial's bits and the column
+  substitutions stay within generators 0..k, so the total parity lies
+  in the span of the back-substituted generators 0..k.  For k < r - 1
+  none of those holds top(r - 1) and the total parity does: no such
+  tail.  For k = r - 1 the total parity lies in the group, so the
+  obstruction check has refused the code unless r = N/2, and then the
+  tail has two modes, which the shrink step never reaches.
+
+Both variants then sweep the generators column by column.  Each column
+starts by multiplying its generator by every already-decoded generator
+whose pair it still holds (commutation forces whole pairs): a recorded
+substitution, no gate.  Decoded generator j is exactly i^s c_q c_(q+1) at
+that point, so the product only clears the pair's two bits and adds s + 2
+to the phase; all of a column's pairs go in one ``set_row``.  Quartic braids
+then shrink the column's weight from the pivot on by two per step, parking
+on its lowest clear mode there, and one quadratic braid per bit still off
+the pivot pair puts it there.  Every emitted gate has even overlap with
+every finished pair, so decoded generators are never disturbed -- the loop
 invariant that makes the sweep correct.
 
 The working generators live in one mode-major tableau (see ``majorana``)
 for the whole run, so each emitted gate costs O(|support| log N) big-int
-operations however many generators there are.  Emitting a gate only
-queues it; the tableau catches up on the queued gates, in one ``run``,
-just before it is next read: at the start of each column, before a
-borrowed generator is multiplied in, and before each phase read.  So a
-column costs one ``run`` call, not one per gate, and its column-start
-substitutions cost none.  The sweep names each gate by its support
-mask, built from the one-bit ints (``x & -x``) its pivot logic already
-computes; ``emit`` takes the kind from the mask's weight (2 modes make a
-``braid2``, 4 a ``braid4``, any other weight is an invariant failure) and
-peels the modes off in ascending order for the ``BraidGate`` constructor,
-which still validates every gate.  The active generator is also kept as one
-packed int, its bits alone folded through each gate, because the pivot
-logic reads its low bits; its phase is read from the tableau when needed.
-It is read out of the tableau at the start of its column and written back
-only by a change of generating set.  That read is O(1) when no earlier
-gate has touched the row (the tableau keeps its input rows and a mask of
-the rows gates have changed), and an O(N) scan of the columns when one
-has; the tableau keeps the scan, so the ``set_row`` that follows reads
-the row in O(1).  The phase correction reads phases from the tableau's bit
-planes, and the final check compares the tableau with the decoded form in
-O(N).
-Internal invariants raise ``SynthesisInvariantError``, so they also hold
-under ``python -O``.
+operations however many generators there are.  Emitting a gate only queues
+it; the tableau catches up on the queued gates, in one ``run``, just before
+it is next read: at the start of each column and before each phase read.
+So a column costs one ``run`` call, not one per gate, and its column-start
+substitutions cost none.  The sweep names each gate by its support mask,
+built from the one-bit ints (``x & -x``) its pivot logic already computes;
+``emit`` takes the kind from the mask's weight (2 modes make a ``braid2``,
+4 a ``braid4``, any other weight is an invariant failure) and peels the
+modes off in ascending order for the ``BraidGate`` constructor, which still
+validates every gate.  The active generator is also kept as one packed int,
+its bits alone folded through each gate, because the pivot logic reads its
+low bits; its phase is read from the tableau when needed.  It is read out
+of the tableau at the start of its column and written back only by a change
+of generating set.  That read is O(1) when no earlier gate has touched the
+row (the tableau keeps its input rows and a mask of the rows gates have
+changed), and an O(N) scan of the columns when one has; the tableau keeps
+the scan, so the ``set_row`` that follows reads the row in O(1).  The phase
+correction reads phases from the tableau's bit planes, and the final check
+compares the tableau with the decoded form in O(N).  Internal invariants
+raise ``SynthesisInvariantError``, so they also hold under ``python -O``.
 
 The ancilla variant adjoins a fresh mode pair at indices 0 and 1.  When a
-tail is all ones it parks on mode 0 (a quartic braid through mode 0, then
-a quadratic one back), so it never fails.  An all-ones tail needs the total
-parity in the stabilizer group, so for every other code the ancilla sweep
-is the ancilla-free one shifted by two modes.  The image of i c_0 c_1 is
-one more row of the tableau, row r, so every gate folds it along with the
-generators.  Without the total parity it ends as i c_0 c_1: the sweep
-never touches mode 0 or 1, and the doubled correction braids meet the
-image in 0 or 2 modes.  With it, every braid fixes the all-modes monomial,
-which pins the image to the global parity times decoded generators, an
-operator no pair-preserving gate can move; that image is reported instead
-of hidden, and any other raises SynthesisInvariantError.  The ancilla-free
-variant meets an all-ones tail by borrowing the lowest other generator
-with tail support, a recorded change of generating set (a
-pre-multiplication, not a gate), and then clears the decoded pairs that
-generator brings along; it must reject codes whose stabilizer group
+tail is all ones it parks on mode 0 (a quartic braid through mode 0, then a
+quadratic one back, which leaves mode 0 clear), so it never fails.  The
+argument above, on the user modes 2..N+1, puts that tail in the last column
+only, and only when the total parity lies in the group; so mode 0 is clear
+at every column start, which the sweep checks.  For a code without the
+total parity the ancilla sweep is the ancilla-free one shifted by two
+modes.  The image of i c_0 c_1 is one more row of the tableau, row r, so
+every gate folds it along with the generators.  Without the total parity it
+ends as i c_0 c_1: the sweep never touches mode 0 or 1, and the doubled
+correction braids meet the image in 0 or 2 modes.  With it, every braid
+fixes the all-modes monomial, which pins the image to the global parity
+times decoded generators, an operator no pair-preserving gate can move;
+that image is reported instead of hidden, and any other raises
+SynthesisInvariantError.  The ancilla-free variant never meets an all-ones
+tail (see the borrow above); it must reject codes whose stabilizer group
 contains the total parity with r < N/2, for which no ancilla-free decoder
 exists at all.
 
@@ -68,8 +97,9 @@ flips on some logical-pair representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 
-from .bitlinalg import _lowest_bit, _transpose_raw, symplectic_pairing
+from .bitlinalg import _below_parity, _lowest_bit, _transpose_raw, symplectic_pairing
 from .majorana import (
     BraidGate,
     Circuit,
@@ -125,12 +155,14 @@ class SynthesisResult:
     a ``CircuitDocument`` holds the decoder for either role, and
     ``serialize_circuit`` writes an encoder document's gates from it.
     substitutions lists generating-set changes (i, j), in order, meaning
-    generator i was multiplied on the right by the current generator j: at
-    the start of column i by each decoded generator j < i whose pair it
-    held, and ancilla-free, on an all-ones tail, by a borrowed j > i.  A
-    document carries them so that ``verify`` can fold them; the decoder
-    maps the code's generators with them applied (``apply_substitutions``)
-    to the decoded form.  correction_span is the decoder gate index range
+    generator i was multiplied on the right by the current generator j.
+    The back-substitution's come first, each (k, i) with k < i, before any
+    gate; then, at the start of column i, one (i, j) for each decoded
+    generator j < i whose pair generator i held.  The third kind, a
+    borrowed j > i at an ancilla-free all-ones tail, cannot arise (the
+    proof is in the module docstring).  A document carries them so that
+    ``verify`` can fold them; the decoder maps the code's generators with
+    them applied (``apply_substitutions``) to the decoded form.  correction_span is the decoder gate index range
     holding the doubled phase-correction braids; it runs to the end of the
     decoder.  For the ancilla variant, ancilla_image is the
     decoder image of i c_0 c_1, and for a code whose stabilizer group does
@@ -203,10 +235,13 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
     # low bits.  Emitted gates queue in gates[done:] until the tableau is
     # next read; catch_up runs them in one pass.
     gens = work.generators + seed
-    tab = _ModeTableau([g.bits for g in gens], n_work, [g.phase_r for g in gens])
+    rows, phases = [g.bits for g in gens], [g.phase_r for g in gens]
+    cols = _transpose_raw(rows, n_work)
+    substitutions = _back_substitute(rows, phases, cols, r)
+    # the input columns serve the tableau unless a product changed a row
+    tab = _ModeTableau(rows, n_work, phases, None if substitutions else cols)
     row = done = 0
     gates: list[BraidGate] = []
-    substitutions: list[tuple[int, int]] = []
 
     def emit(mask: int) -> None:
         nonlocal row
@@ -276,10 +311,9 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
             tab.set_row(i, row, phase)
 
         if use_ancilla and row & 1:
-            # the parking bit is set exactly when the tail weight is odd;
-            # push it onto the lowest clear tail row before shrinking
-            clear = ~row & tail
-            emit(1 | (clear & -clear))
+            # only a park puts mode 0 in a row, and only the last column
+            # parks (module docstring)
+            raise SynthesisInvariantError(f"generator {i} holds mode 0 at its column start")
 
         while (row & tail).bit_count() > 2:
             # the tail's three lowest set bits, as one-bit ints
@@ -293,22 +327,14 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
             if clear:
                 emit((clear & -clear) | three)
             elif use_ancilla:
-                # all-ones tail: park on mode 0, clear since the parity step
+                # all-ones tail: park on mode 0, clear until this column
                 emit(1 | three)
                 emit(1 | b1)
             else:
-                # all-ones tail: borrow the lowest other generator with
-                # tail support (guaranteed by independence; a recorded
-                # basis change), then clear the decoded pairs it brings
-                catch_up()
-                holders = 0
-                for c in tab.cols[p:]:
-                    holders |= c
-                k = _lowest_bit(holders & ~(1 << i))
-                substitutions.append((i, k))
-                bits, phase = _multiply_raw(row, tab.phase(i), *tab.row(k))
-                row, phase = clear_pairs(i, bits, phase, decoded)
-                tab.set_row(i, row, phase)
+                # unreachable after the back-substitution (module docstring)
+                raise SynthesisInvariantError(
+                    f"generator {i} has an all-ones tail of {(row & tail).bit_count()} modes"
+                )
 
         # the row now lies on at most two tail modes; one quadratic braid
         # per bit off the slots p, p+1 puts it on a clear slot
@@ -393,6 +419,52 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         ancilla_image=ancilla_image,
         correction_span=correction_span,
     )
+
+
+def _back_substitute(
+    rows: list[int], phases: list[int], cols: list[int], r: int
+) -> list[tuple[int, int]]:
+    """Multiply, for i from r - 1 down to 1, every row k < i holding row
+    i's highest mode by row i; return the products as substitutions (k, i).
+
+    Rows and phases are updated in place; cols, the input rows' mode-major
+    columns, is only read.  Row i is final when its step starts (only rows
+    below it change there), so afterwards no row holds a later row's top
+    mode.  The rows holding mode t now are cols[t], corrected by every
+    earlier step whose row holds t (that step flipped t in the rows it
+    multiplied): one big-int test per row while no step has multiplied.
+    When the tops rise with the row index, as on ``kitaev:N``, no row
+    holds a later row's top, which two C-level passes over the rows show
+    before any per-row test.  Each product is ``_multiply_raw(rows[k],
+    phases[k], rows[i], phases[i])``, its reorder parity read off row i's
+    one ``_below_parity``.
+    """
+    tops = list(map(int.bit_length, rows[:r]))
+    if all(map(lt, tops, tops[1:])):
+        return []
+    substitutions = []
+    steps: list[tuple[int, int]] = []  # (row i, the rows it multiplied)
+    low = (1 << r) - 1
+    for i in range(r - 1, 0, -1):
+        low >>= 1
+        bits = rows[i]
+        top = bits.bit_length() - 1
+        held = cols[top]
+        for step_bits, step_held in steps:
+            if step_bits >> top & 1:
+                held ^= step_held
+        held &= low
+        if not held:
+            continue
+        below, phase, rest = _below_parity(bits, len(cols)), phases[i], held
+        while rest:
+            k = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            phases[k] = (phases[k] + phase + 2 * ((rows[k] & below).bit_count() & 1)) & 3
+            rows[k] ^= bits
+            substitutions.append((k, i))
+        steps.append((bits, held))
+    return substitutions
 
 
 def apply_substitutions(

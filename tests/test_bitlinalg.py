@@ -1,10 +1,14 @@
 """Packed GF(2) linear algebra against brute-force references."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from braidsynth import bitlinalg
 from braidsynth.bitlinalg import (
+    _PREFIX_ROUTE_WEIGHT,
     _eliminate,
     _first_odd_overlap,
     _mat_vec,
@@ -29,11 +33,14 @@ def naive_pairing(u: int, v: int, n: int) -> int:
 
 
 def naive_reorder(u: int, v: int) -> int:
-    total = 0
-    for a in range(64):
-        for b in range(a):
-            if (u >> a) & 1 and (v >> b) & 1:
-                total += 1
+    """Count the pairs a > b, a in u and b in v, one mode at a time: seen
+    counts v's modes below a."""
+    total = seen = 0
+    for a in range(max(u.bit_length(), v.bit_length())):
+        if (u >> a) & 1:
+            total += seen
+        if (v >> a) & 1:
+            seen += 1
     return total % 2
 
 
@@ -96,6 +103,39 @@ def test_reorder_walks_either_operand_alike(u, v):
     assert _reorder_raw(v, u) == reorder_over_u(v, u)
 
 
+def weighted(n: int):
+    """n-bit ints holding exactly w set bits, for w on both sides of the
+    prefix-parity route's threshold."""
+    t = _PREFIX_ROUTE_WEIGHT
+    weights = st.sampled_from([0, 1, 2, t - 2, t - 1, t, t + 1, 2 * t, n // 2, n - 1, n])
+    return st.tuples(weights, st.integers(0, 2**32)).map(
+        lambda ws: sum(1 << m for m in random.Random(ws[1]).sample(range(n), ws[0]))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([400, 2000]).flatmap(lambda n: st.tuples(weighted(n), weighted(n))))
+def test_reorder_routes_match_the_naive_count(pair):
+    """Both routes of _reorder_raw, on 400- and 2,000-bit ints, against the
+    mode-by-mode count; either operand may be the denser one."""
+    u, v = pair
+    assert _reorder_raw(u, v) == naive_reorder(u, v)
+    assert _reorder_raw(v, u) == naive_reorder(v, u)
+
+
+def test_reorder_takes_the_prefix_route_only_when_both_are_dense(monkeypatch):
+    calls = []
+    below = bitlinalg._below_parity
+    monkeypatch.setattr(bitlinalg, "_below_parity", lambda v, n: calls.append(v) or below(v, n))
+    t = _PREFIX_ROUTE_WEIGHT
+    dense, sparse = (1 << t) - 1, (1 << (t - 1)) - 1
+    for u, v in [(dense, sparse), (sparse, dense), (sparse << 3, sparse)]:
+        _reorder_raw(u, v)
+    assert calls == []
+    _reorder_raw(dense << 1, dense)
+    assert calls == [dense]
+
+
 @given(packed, packed)
 def test_reorder_swap_identity(u, v):
     """Swapping arguments flips exactly by the count of unequal index pairs."""
@@ -133,6 +173,40 @@ def test_transpose_matches_entries(cols):
     assert len(t) == N
     assert all(t[i] >> j & 1 == cols[j] >> i & 1 for i in range(N) for j in range(len(cols)))
     assert _transpose_raw(t, len(cols)) == cols
+
+
+def transpose_by_bits(vectors, length):
+    """The transpose one set bit at a time, the sparse route's rule."""
+    out = [0] * length
+    for i, v in enumerate(vectors):
+        for k in range(length):
+            out[k] |= (v >> k & 1) << i
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 70).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.one_of(st.integers(0, (1 << n) - 1), st.sampled_from([0, 1, (1 << n) - 1])),
+                max_size=24,
+            ),
+        )
+    )
+)
+def test_transpose_routes_agree(case):
+    """Sparse, half-full and full matrices, so both routes run."""
+    n, vectors = case
+    assert _transpose_raw(vectors, n) == transpose_by_bits(vectors, n)
+
+
+def test_dense_transpose_refuses_a_vector_too_long():
+    full = (1 << 32) - 1
+    assert _transpose_raw([full] * 8, 32) == [(1 << 8) - 1] * 32
+    with pytest.raises(ValueError, match="does not fit in 32 bits"):
+        _transpose_raw([full] * 8 + [full << 1], 32)
 
 
 def first_anticommuting_pair(rows):

@@ -260,6 +260,65 @@ def test_parse_circuit_gate_messages_in_an_encoder_document(monkeypatch, k):
     test_parse_circuit_gate_messages()
 
 
+def substitutions_text(subs):
+    return json.dumps({**json.loads(circuit_text(gate())), "substitutions": subs})
+
+
+# (substitutions list, message) for every per-entry fault, and which check
+# reports when an entry, or the list, breaks several
+SUBSTITUTION_CASES = [
+    ([[0]], "substitutions entries must be [i, j] pairs"),
+    ([[0, 1, 2]], "substitutions entries must be [i, j] pairs"),
+    (["01"], "substitutions entries must be [i, j] pairs"),
+    ([(0, 1), 5], "substitutions entries must be [i, j] pairs"),
+    ([[True, 0]], "substitution index must be an integer"),
+    ([[0, 1.0]], "substitution index must be an integer"),
+    ([[-1, "x"]], "substitution index must be an integer"),
+    ([[0, -1]], "substitution [0, -1] has a negative index"),
+    ([[2, 2]], "substitution [2, 2] multiplies a generator by itself"),
+    ([[1, 0], [-1, -1], [0]], "substitution [-1, -1] has a negative index"),
+    ([[3, 3], [0, -1]], "substitution [3, 3] multiplies a generator by itself"),
+    ([[0, -1], [1]], "substitution [0, -1] has a negative index"),
+]
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_parse_circuit_substitution_messages(k):
+    """Every per-entry message, word for word, behind k valid entries: the
+    whole-list passes refuse each list, and the per-entry loop reports the
+    first fault in file order."""
+    valid = [[1, 0], [0, 3], [2, 1], [3, 2]][:k]
+    for subs, message in SUBSTITUTION_CASES:
+        with pytest.raises(CircuitFormatError) as exc:
+            parse_circuit(substitutions_text(valid + subs))
+        assert str(exc.value) == message, subs
+    with pytest.raises(CircuitFormatError, match="^substitutions must be a list$"):
+        parse_circuit(substitutions_text({"0": 1}))
+
+
+def test_valid_substitutions_skip_the_per_entry_loop(monkeypatch):
+    """A valid list, empty or not, passes the whole-list checks alone: the
+    per-entry loop, the one caller of _int with the index message, never
+    runs, and the pairs come back in file order."""
+    index_checks = []
+    check = codes._int
+
+    def counted(value, message, error):
+        if message.startswith("substitution"):
+            index_checks.append(value)
+        return check(value, message, error)
+
+    monkeypatch.setattr(codes, "_int", counted)
+    subs = [[5, 0], [0, 5], [1, 2], [7, 3]] * 50
+    assert parse_circuit(substitutions_text(subs)).substitutions == tuple(map(tuple, subs))
+    assert parse_circuit(substitutions_text([])).substitutions == ()
+    assert parse_circuit(circuit_text(gate())).substitutions == ()
+    assert index_checks == []
+    with pytest.raises(CircuitFormatError):
+        parse_circuit(substitutions_text([[0, 1], [1, True]]))
+    assert index_checks == [0, 1, 1, True]
+
+
 def test_parsed_encoder_document_holds_the_decoder(monkeypatch):
     """An encoder file lists the decoder's gates reversed, each direction
     negated; parsing gives the decoder back, with one gate construction

@@ -35,10 +35,10 @@ def _bases():
     """(code, circuit) documents that verify: an ancilla-free decoder that
     records a substitution, and an ancilla encoder of a chain."""
     modes = (((0, 1), 1), ((2, 3, 4, 5), 2), ((2, 3), 1))
-    borrow = StabilizerCode(6, tuple(MajoranaString.from_modes(6, m, r) for m, r in modes))
+    substituted = StabilizerCode(6, tuple(MajoranaString.from_modes(6, m, r) for m, r in modes))
     chain = kitaev_chain(3)
     return [
-        _pair(borrow, synthesize_ancilla_free(borrow), "decoder"),
+        _pair(substituted, synthesize_ancilla_free(substituted), "decoder"),
         _pair(chain, synthesize_with_ancilla(chain), "encoder"),
     ]
 

@@ -89,6 +89,14 @@ def recomputed_sign_flips(result: SynthesisResult) -> tuple[int, ...]:
     return tuple(flips)
 
 
+def split_substitutions(result: SynthesisResult) -> tuple[tuple, tuple]:
+    """The back-substitution's leading products (k, i), k < i, and the
+    column starts' (i, j), j < i, after them."""
+    subs = result.substitutions
+    cut = next((t for t, (a, b) in enumerate(subs) if a > b), len(subs))
+    return subs[:cut], subs[cut:]
+
+
 def check_reported_operators(code: StabilizerCode, result: SynthesisResult):
     ds = destabilizers(result)
     assert len(ds) == code.n_stabilizers
@@ -125,8 +133,8 @@ def test_shortest_code_with_ancilla():
     result = synthesize_with_ancilla(code)
     assert result.total_modes == 14
     assert result.ancilla_modes == (0, 1)
-    assert gate_counts(result.decoder) == {"braid2": 6, "braid4": 7}
-    assert len(result.substitutions) == 6
+    assert gate_counts(result.decoder) == {"braid2": 7, "braid4": 7}
+    assert len(result.substitutions) == 7
     assert decoded_ok(code, result)
     # the ancilla pair comes back to (0, 1), up to a reported sign
     assert result.ancilla_image is not None
@@ -138,14 +146,15 @@ def test_shortest_code_with_ancilla():
 
 
 def test_ancilla_shrink_takes_one_gate_on_a_clear_tail_mode():
-    """Each shrink step is one braid4 on the lowest clear tail mode, and each
-    decoded pair a column holds one recorded substitution and no gate,
-    which these counts pin; the ancilla pair is never touched, so no gate
-    follows the phase correction."""
+    """Each shrink step is one braid4 on the lowest clear tail mode, each
+    back-substitution product and each decoded pair a column holds one
+    recorded substitution and no gate, which these counts pin; the ancilla
+    pair is never touched, so no gate follows the phase correction."""
     code = random_code(100, 25, seed=1)
     result = synthesize_with_ancilla(code)
-    assert gate_counts(result.decoder) == {"braid2": 25, "braid4": 460}
-    assert len(result.substitutions) == 151
+    assert gate_counts(result.decoder) == {"braid2": 25, "braid4": 428}
+    back, column_starts = split_substitutions(result)
+    assert (len(back), len(column_starts)) == (153, 131)
     assert len(result.decoder) - result.correction_span[1] == 0
     assert decoded_ok(code, result)
     assert result.ancilla_image == folded_ancilla_image(result)
@@ -277,11 +286,13 @@ def test_last_column_substitutes_with_an_ancilla_too():
 
 
 def test_all_ones_tail_borrows_another_generator(tmp_path):
-    # r = N/2: generator 1's tail (modes 2..5) is all ones, so the sweep has
-    # no clear row to park on and multiplies in generator 2 instead
+    # r = N/2: generator 1's tail (modes 2..5) would be all ones, with no
+    # clear mode to park on; generator 2's top mode is 3, so the
+    # back-substitution multiplies generator 1 by it first, before any gate
     code = StabilizerCode(6, gens(6, ((0, 1), 1), ((2, 3, 4, 5), 2), ((2, 3), 1)))
     result = synthesize_ancilla_free(code)
     assert result.substitutions == ((1, 2),)
+    assert split_substitutions(result) == (((1, 2),), ())
     assert decoded_ok(code, result)
     code_file, circ = tmp_path / "borrow.code", tmp_path / "borrow.circuit"
     code_file.write_text(serialize_code(code))
@@ -381,7 +392,8 @@ def test_kept_rows_change_no_synthesis(monkeypatch):
     codes = [
         shortest_code(),
         StabilizerCode(kitaev.n_modes, tuple(shuffled)),
-        # the all-ones-tail borrow code: a substitution, so set_row runs
+        # the all-ones-tail code: a back-substitution product, kept before
+        # the tableau is built
         StabilizerCode(6, gens(6, ((0, 1), 1), ((2, 3, 4, 5), 2), ((2, 3), 1))),
         *(lightly_scrambled_code(n, r, seed) for seed, (n, r) in enumerate(light)),
     ]
@@ -408,11 +420,12 @@ def test_kitaev_1000_sweep_scans_no_row(monkeypatch):
 
 def test_the_sweep_runs_its_tableau_once_per_column(monkeypatch):
     """Emitted gates queue until the tableau is next read, so a synthesis
-    calls run O(r) times, not once per gate: at the start of every column
-    but the first, once more before the phase correction, once per
-    corrected generator and once per borrowed generator (a substitution
-    (i, k) with k > i); the substitutions that clear decoded pairs at a
-    column's start run nothing.  Every gate runs exactly once."""
+    calls run at most once per column and once per corrected generator,
+    not once per gate: at the start of every column but the first, once
+    more before the phase correction, and once after each correction.  No
+    substitution runs anything: the back-substitution's come before any
+    gate, and the sweep's own are column starts (i, j), j < i, that clear
+    decoded pairs.  Every gate runs exactly once."""
     batches: list[int] = []
     run = _ModeTableau.run
 
@@ -426,10 +439,106 @@ def test_the_sweep_runs_its_tableau_once_per_column(monkeypatch):
         batches.clear()
         result = synth(code)
         lo, hi = result.correction_span
-        borrowed = sum(k > i for i, k in result.substitutions)
-        bound = code.n_stabilizers + (hi - lo) // 2 + borrowed
-        assert len(batches) <= bound < len(result.decoder) // 50
+        columns = code.n_stabilizers
+        assert len(batches) <= columns + (hi - lo) // 2 <= 2 * columns
         assert sum(batches) == len(result.decoder)
+        back, column_starts = split_substitutions(result)
+        assert back and all(j < i for i, j in column_starts)
+
+
+def reference_back_substitution(code: StabilizerCode):
+    """The back-substitution written from its definition, one generator and
+    one mode at a time with multiply: for i from r - 1 down to 1, every
+    generator k < i holding generator i's top mode times generator i."""
+    rows, subs = list(code.generators), []
+    for i in range(code.n_stabilizers - 1, 0, -1):
+        top = rows[i].bits.bit_length() - 1
+        for k in range(i):
+            if rows[k].bits >> top & 1:
+                rows[k] = multiply(rows[k], rows[i])
+                subs.append((k, i))
+    return tuple(subs), rows
+
+
+def test_back_substitution_matches_its_definition():
+    """The recorded substitutions start with the back-substitution's, in
+    its order, each (k, i) with k < i; the column starts (i, j), j < i,
+    follow.  Afterwards no generator k < i holds generator i's top mode,
+    and the substitution-adjusted rows are the reference's, phases
+    included.  Both variants record the same ones."""
+    rng = random.Random(25)
+    codes = [shortest_code(), PARITY4, mixed_total_parity_code(8, 4, 8)]
+    for seed in range(150):
+        n = 2 * rng.randint(2, 12)
+        if seed % 3 == 0:
+            codes.append(random_code(n, rng.randint(0, n // 2), seed))
+        elif seed % 3 == 1:
+            codes.append(scrambled_total_parity_code(n, rng.randint(1, n // 2), seed))
+        else:
+            codes.append(mixed_total_parity_code(n, rng.randint(2, n // 2), seed))
+    products = 0
+    for code in codes:
+        want, rows = reference_back_substitution(code)
+        for i in range(1, len(rows)):
+            top = rows[i].bits.bit_length() - 1
+            assert not any(rows[k].bits >> top & 1 for k in range(i))
+        for result in synthesis_outcomes(code):
+            if not isinstance(result, SynthesisResult):
+                continue
+            back, column_starts = split_substitutions(result)
+            assert back == want
+            assert all(k < i for k, i in back) and all(j < i for i, j in column_starts)
+            assert list(apply_substitutions(code, back).generators) == rows
+        products += len(want)
+    assert products
+
+
+@pytest.mark.parametrize("n", [4, 30, 1000])
+def test_kitaev_chains_need_no_back_substitution(n):
+    """Each chain generator's top mode lies on no earlier generator."""
+    code = kitaev_chain(n)
+    for result in (synthesize_with_ancilla(code), synthesize_ancilla_free(code)):
+        assert result.substitutions == ()
+
+
+def test_without_the_back_substitution_the_sweep_refuses(monkeypatch):
+    """Two invariants the back-substitution keeps, shown by skipping it:
+    ancilla-free, mixed_total_parity_code(8, 4, 8) reaches an all-ones
+    tail before its last column, where the sweep once borrowed a later
+    generator; with the ancilla, mixed_total_parity_code(16, 6, 3) parks on
+    mode 0 before its last column, and the next column starts on mode 0,
+    where the sweep once took a parity step."""
+    monkeypatch.setattr("braidsynth.synth._back_substitute", lambda rows, phases, cols, r: [])
+    with pytest.raises(SynthesisInvariantError, match="^generator 1 has an all-ones tail of 6"):
+        synthesize_ancilla_free(mixed_total_parity_code(8, 4, 8))
+    with pytest.raises(SynthesisInvariantError, match="holds mode 0 at its column start"):
+        synthesize_with_ancilla(mixed_total_parity_code(16, 6, 3))
+    # and with it both synthesize, as pinned in PINNED_DECODERS
+    monkeypatch.undo()
+    synthesize_ancilla_free(mixed_total_parity_code(8, 4, 8))
+    synthesize_with_ancilla(mixed_total_parity_code(16, 6, 3))
+
+
+@pytest.mark.parametrize("synth", [synthesize_with_ancilla, synthesize_ancilla_free])
+def test_reported_operators_pair_on_a_400_mode_code(synth):
+    """destabilizers undo thousands of back-substitution products on the
+    pivot modes; both reports still pair as the contract says."""
+    code = random_code(400, 100, 1)
+    result = synth(code)
+    assert len(split_substitutions(result)[0]) > 2000
+    check_reported_operators(code, result)
+
+
+def test_oracle_verifies_a_back_substituted_document():
+    """The operator oracle folds the code's generators with every recorded
+    substitution multiplied out, back-substitution products first, on a
+    24-mode ancilla document, and agrees with the bit-level checks."""
+    code = random_code(22, 6, seed=3)
+    result = synthesize_with_ancilla(code)
+    assert result.total_modes == 24 and split_substitutions(result)[0]
+    for doc in documents(result):
+        lines = list(verify_document(code, doc, oracle=True))
+        assert lines[-1] == "oracle check: ok (24 modes, dimension 4096)"
 
 
 def test_apply_substitutions_multiplies_rows():
@@ -713,57 +822,61 @@ def test_kitaev_chain_takes_one_quadratic_braid_per_generator(n):
 
 
 # sha256 of serialize_circuit of each variant's decoder document (with an
-# ancilla, then ancilla-free), recorded when the sweep began to clear
-# decoded pairs by substitution, or the name of the refusal it raised.  The
-# goldens reach neither mode-0 parking nor a borrowed generator; these codes
-# reach every parking step, the column-start substitution and the borrow,
-# once with decoded pairs that the borrowed generator brings along.
+# ancilla, then ancilla-free), recorded when the synthesis began to
+# back-substitute the generators on their top modes, or the name of the
+# refusal it raised.  The goldens reach no mode-0 parking; these codes reach
+# the parking step, the back-substitution and the column-start
+# substitution.  Two were pinned for the borrow, which the back-substitution
+# made unreachable; test_without_the_back_substitution_the_sweep_refuses
+# shows them reaching it again.
 PINNED_DECODERS = [
     pytest.param(
         lambda: random_code(40, 10, 1),
-        "bc320d5b15d7d69a5fe5119740488f0263e05194e78c1237ef0ecd6629aba293",
-        "e00573199214b1521ffa163fb4f0f5bb012d8cd02739f4cdb64eeb5c38c16fe8",
+        "805165bacabfe7e271b1529e31a0db38d9e3c18e97c5305347d3dc696f7cc4ef",
+        "9c7e0aa6f4561686e2eb8b68040d09c62d6b135b7bfd2ccc44ed614e6986ab6a",
         id="random-40-10-1",
     ),
     pytest.param(
         lambda: random_code(40, 10, 2),
-        "4ffbc507d520db91be94e2435721bc1fcfad2be405eb320beccb98acdf232f5c",
-        "70a78c02ebdb5f89fe2136d3ea4d2a4d61081bb034d7c8d06b51855bda71f91d",
+        "877a427a8293351bb92e27ffc95300ee506c1f17b907a502b0a92c0cf7fb7ea8",
+        "96e5c78f65838a10a9c1bf0afc1deb17d25d07d1aa93770042be06a39b63efbb",
         id="random-40-10-2",
     ),
     pytest.param(
         lambda: random_code(40, 10, 3),
-        "8e86007d2f8ba81748e3a2981c1cf694e65ec1e2a98c4a43641f00f23b2ce59f",
-        "e2b578996f8d82dd7445a3ea1643b6b504e0d81db6618496b814e619e945e6b0",
+        "0808af150421648cd8b064435adaafa3540914fbd7bc3e1b7d15a3b55952aa3a",
+        "64bf4ac5df6432045edff77ba7c2ff2170979faf445aed2427ca4a174ef338dd",
         id="random-40-10-3",
     ),
     pytest.param(
         lambda: random_code(40, 10, 4),
-        "9e763c3a82874c55b97c0814fcc225bdaebf099105f1132f29c3548fc0ee0580",
-        "d7787a718712612906f5dab4399960807d44731635183afeee7a74465a7802a2",
+        "3e4399c82230c0340b8ce131bf119dc5819d064b10bb2937ea704a8e05cfec6b",
+        "56c0bef7de6913ebeb592439795e72ba6e122e81de1d5173ab1677a40b2518cc",
         id="random-40-10-4",
     ),
     pytest.param(
         lambda: random_code(40, 10, 5),
-        "6c13e76d175602816eb62f3e864e7648838921980280df1ce3fb5c17c772769f",
-        "3e57ce0e8fb8811cb1f646b5fbf6a36f1e96d94c0b41f76948b0b15b5d9e8997",
+        "c08f78c148b071c83d1a1cfb3850bb1c7804e98c8f2303a74284dcaab67ac3d8",
+        "064f2e1005e8c18e5ce4fba9276d0abf3212dd12dddfa68be47b0135b43639e1",
         id="random-40-10-5",
     ),
-    pytest.param(  # its shrink parks on mode 0; obstructed without
+    pytest.param(  # its last column parks on mode 0; obstructed without
         lambda: scrambled_total_parity_code(20, 7, 2),
-        "dbd1202bb7e38f7e859586c29d3bfb86163fd6a876ab6882c1a5ec84169c5aea",
+        "53e37edfc615530d3bb2107ea99c8611fa611eb6521b62207b7fce7e4d6ed490",
         "TotalParityObstruction",
         id="total-parity-20-7-2",
     ),
     pytest.param(
         lambda: scrambled_total_parity_code(16, 8, 4),
-        "f9cc0ab813295d7f21af36447ececca3b9e7c89aa53b8ab096d779600996b199",
-        "fbd7d2afa4e95832bae763ea34c3cc33a1d476b57c265f1d86aa1a04cf9bb60b",
+        "8ca65f657bfb20a96bf2434264d20074594af23a784bd989db15489fee114af1",
+        "2a8a450eb52acf1246f8376c26784e423f23167f37727fdd18760b99d9ddc766",
         id="total-parity-16-8-4",
     ),
-    pytest.param(  # its parity step moves mode 0 off; obstructed without
+    pytest.param(  # its last column parks on mode 0 (before the
+        # back-substitution an earlier column parked, and parity steps moved
+        # mode 0 off); obstructed without
         lambda: mixed_total_parity_code(16, 6, 3),
-        "6066d81ff08b899d987656786abe330449bc3eb96cd3d5efcd5260dda08f192f",
+        "969847db7ff6c1512fb66fcf557bf1f1308ab72ca1151520d6832fb88c7d899a",
         "TotalParityObstruction",
         id="mixed-total-parity-16-6-3",
     ),
@@ -779,16 +892,19 @@ PINNED_DECODERS = [
         "a40994152af20511257734e5eaaf8b098e30d9aa62cd63bf6099b8602730c406",
         id="pair-step-substitution",
     ),
-    pytest.param(  # its shrink parks on mode 0; borrows without
+    pytest.param(  # one back-substitution product, no parking or gate on its
+        # all-ones tail (before, the ancilla sweep parked and the free one
+        # borrowed)
         lambda: StabilizerCode(6, gens(6, ((0, 1), 1), ((2, 3, 4, 5), 2), ((2, 3), 1))),
-        "23fa27ecdb1dd5eccdd37c87db850cdc3a8fba62cc931ab60ac3586f1ea50d6d",
+        "c449b04306e66486a4565f353bd38538eb1863d10ac00961df78fb74a865fa0e",
         "399549e09201fda35982133e0922eef4533705bc8ea23c8c752f4db796afc004",
         id="shrink-substitution",
     ),
-    pytest.param(  # its shrink borrows the lowest of several holders, and pairs
+    pytest.param(  # five back-substitution products and three column starts;
+        # before, its free shrink borrowed the lowest of several holders
         lambda: mixed_total_parity_code(8, 4, 8),
-        "4fa3f9a86d4b545387a5bfad344634995c26fdb3d3933df9f09b4a649da1ad9b",
-        "d6b84020cceecf9960c6687b901eb211d2f8edfb075fcead64a680a8ba8ba08b",
+        "d3d52dc7c7913793d8f50055ef34c5b387812289a736c68557527ca6564ada14",
+        "a20e7cdf0518efe6e0779ca4fa52eba6e83fb75d8326c452943d96e9c5d1e756",
         id="mixed-total-parity-8-4-8",
     ),
 ]
@@ -806,4 +922,6 @@ def test_sweep_gate_sequences_are_pinned(make, with_ancilla, ancilla_free):
             continue
         doc = CircuitDocument(result.decoder, result.ancilla_modes, result.substitutions, "decoder")
         got.append(hashlib.sha256(serialize_circuit(doc).encode()).hexdigest())
+        # no borrow: after the back-substitution, only column starts
+        assert all(j < i for i, j in split_substitutions(result)[1])
     assert got == [with_ancilla, ancilla_free]
