@@ -15,7 +15,6 @@ from functools import cache
 from pathlib import Path
 from typing import Iterator, TextIO
 
-from .bitlinalg import _transpose_raw
 from .codes import (
     CircuitDocument,
     CircuitFormatError,
@@ -124,7 +123,7 @@ def verify_document(
     tab = _ModeTableau([m.bits for m in rows], n, [m.phase_r for m in rows])
     tab.run(doc.circuit.gates)
     if doc.substitutions or not tab.is_decoded(target.pivot_base, target.r):
-        bits, phases = _transpose_raw(tab.cols, len(rows)), tab.phases(target.r)
+        bits, phases = tab.read()
         for i, j in doc.substitutions:
             bits[i], phases[i] = _multiply_raw(bits[i], phases[i], bits[j], phases[j])
         for j in range(target.r):
@@ -276,7 +275,7 @@ def _report_synth(
     total = counts["braid2"] + counts["braid4"]
     print(f"gate counts: braid2={counts['braid2']} braid4={counts['braid4']} total={total}", file=out)
     print(f"logical sign flips: {list(result.logical_sign_flips)}", file=out)
-    print(f"generating-set changes: {[list(s) for s in result.substitutions]}", file=out)
+    print(f"generating-set changes: {len(result.substitutions)}", file=out)
     if result.ancilla_modes:
         print(f"ancilla image: {result.ancilla_image}", file=out)
         print(f"ancilla residual phase_r: {result.ancilla_phase_r}", file=out)
@@ -382,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except VerificationFailure as exc:
-        print(f"verification failed ({exc.check}): {exc}", file=sys.stderr)
+        print(f"verification failed: {exc}", file=sys.stderr)
         return 4
 
 

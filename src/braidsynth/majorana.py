@@ -40,7 +40,9 @@ whole run and passes it each column's gates in one ``run``, and
 backwards.  The tableau keeps the rows it was built from and a mask of the
 rows gates have changed since, so a row no gate has touched reads back in
 O(1); a changed (dirty) row still costs an O(N) scan of the columns,
-whose result is kept until a gate changes the row again.
+whose result is kept until a gate changes the row again.  ``read`` hands
+every row back at once, in one transpose of the columns; no other module
+reads the tableau's columns.
 ``conjugate_circuit``, the plain one-monomial fold, has no caller in the
 package; it stays public as the documented fold of a single monomial and
 as the independent reference the tableau is tested against.
@@ -105,24 +107,17 @@ class _ModeTableau:
     set to or last scanned as (rows), and dirty, an r-bit mask of the rows
     a gate has changed since: each gate ORs in the rows it changes, one
     big-int OR.  A clean row reads back from its kept int in O(1); only a
-    dirty row is scanned out of the columns.  A caller that already holds
-    the rows' transpose passes it as cols, and the tableau takes it over.
+    dirty row is scanned out of the columns.  The tableau is the one owner
+    of the mode-major layout: it builds its columns from the rows, and
+    ``read`` hands every row back row-major, so no caller transposes.
     """
 
     __slots__ = ("cols", "tree", "p0", "p1", "rows", "dirty")
 
-    def __init__(
-        self,
-        rows: Iterable[int],
-        n_modes: int,
-        phases: list[int],
-        cols: list[int] | None = None,
-    ) -> None:
+    def __init__(self, rows: Iterable[int], n_modes: int, phases: list[int]) -> None:
         self.rows = list(rows)
         self.dirty = self.p0 = self.p1 = 0
-        if cols is None:
-            cols = _transpose_raw(self.rows, n_modes)
-        self.cols = cols
+        self.cols = cols = _transpose_raw(self.rows, n_modes)
         self.tree = tree = [0] + cols
         for k in range(1, n_modes + 1):
             up = k + (k & -k)
@@ -193,8 +188,11 @@ class _ModeTableau:
     def phase(self, i: int) -> int:
         return (self.p0 >> i & 1) | (self.p1 >> i & 1) << 1
 
-    def phases(self, n_rows: int) -> list[int]:
-        return [self.phase(i) for i in range(n_rows)]
+    def read(self) -> tuple[list[int], list[int]]:
+        """Every row's packed bits and phase exponent, as two fresh lists:
+        one transpose of the columns, whatever rows are dirty."""
+        n_rows = len(self.rows)
+        return _transpose_raw(self.cols, n_rows), [self.phase(i) for i in range(n_rows)]
 
     def row(self, i: int) -> tuple[int, int]:
         """Row i's packed bits and phase exponent: O(1) while the row is

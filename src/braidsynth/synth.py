@@ -12,12 +12,10 @@ can no longer arise:
   final when its step starts, so afterwards no generator holds a later
   generator's top mode.  Rows still to come then hold fewer modes of the
   logical region, where every two modes cost the shrink step one braid4.
-  The rows holding a mode are read off the input rows' mode-major
-  columns, corrected by the products made so far, at one big-int test per
-  row.  A code whose tops rise with the row index (``kitaev:N``) needs no
-  product, which two C-level passes over the rows show first, and the
-  tableau takes the input columns over; after a product it transposes
-  the rows again.
+  The pass works on the rows as they stand, one shift-and-test per row
+  below i, and the tableau is built from its result.  A code whose tops
+  rise with the row index (``kitaev:N``) needs no product, which two
+  C-level passes over the rows show first.
 * the column start: (i, j) with j < i, described below.
 * the borrow, (i, j) with j > i at an ancilla-free all-ones tail, is
   unreachable after the back-substitution, and its place is taken by a
@@ -99,7 +97,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import lt
 
-from .bitlinalg import _below_parity, _lowest_bit, _transpose_raw, symplectic_pairing
+from .bitlinalg import _below_parity, _lowest_bit, symplectic_pairing
 from .majorana import (
     BraidGate,
     Circuit,
@@ -236,10 +234,8 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
     # next read; catch_up runs them in one pass.
     gens = work.generators + seed
     rows, phases = [g.bits for g in gens], [g.phase_r for g in gens]
-    cols = _transpose_raw(rows, n_work)
-    substitutions = _back_substitute(rows, phases, cols, r)
-    # the input columns serve the tableau unless a product changed a row
-    tab = _ModeTableau(rows, n_work, phases, None if substitutions else cols)
+    substitutions = _back_substitute(rows, phases, r)
+    tab = _ModeTableau(rows, n_work, phases)
     row = done = 0
     gates: list[BraidGate] = []
 
@@ -421,49 +417,37 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
     )
 
 
-def _back_substitute(
-    rows: list[int], phases: list[int], cols: list[int], r: int
-) -> list[tuple[int, int]]:
+def _back_substitute(rows: list[int], phases: list[int], r: int) -> list[tuple[int, int]]:
     """Multiply, for i from r - 1 down to 1, every row k < i holding row
     i's highest mode by row i; return the products as substitutions (k, i).
 
-    Rows and phases are updated in place; cols, the input rows' mode-major
-    columns, is only read.  Row i is final when its step starts (only rows
-    below it change there), so afterwards no row holds a later row's top
-    mode.  The rows holding mode t now are cols[t], corrected by every
-    earlier step whose row holds t (that step flipped t in the rows it
-    multiplied): one big-int test per row while no step has multiplied.
-    When the tops rise with the row index, as on ``kitaev:N``, no row
-    holds a later row's top, which two C-level passes over the rows show
-    before any per-row test.  Each product is ``_multiply_raw(rows[k],
-    phases[k], rows[i], phases[i])``, its reorder parity read off row i's
-    one ``_below_parity``.
+    Rows and phases are updated in place.  Row i is final when its step
+    starts (only rows below it change there), and its top is read then,
+    since a later row's step may have moved it; afterwards no row holds a
+    later row's top mode.  The rows holding the top are found on the rows
+    as they stand, one shift-and-test per row k < i.  When the tops rise
+    with the row index, as on ``kitaev:N``, no row holds a later row's
+    top, which two C-level passes over the rows show before any per-row
+    test.  Each product is ``_multiply_raw(rows[k], phases[k], rows[i],
+    phases[i])``, its reorder parity read off row i's one
+    ``_below_parity``.
     """
     tops = list(map(int.bit_length, rows[:r]))
     if all(map(lt, tops, tops[1:])):
         return []
+    width = max(tops)  # a product of rows is no wider than they are
     substitutions = []
-    steps: list[tuple[int, int]] = []  # (row i, the rows it multiplied)
-    low = (1 << r) - 1
     for i in range(r - 1, 0, -1):
-        low >>= 1
         bits = rows[i]
         top = bits.bit_length() - 1
-        held = cols[top]
-        for step_bits, step_held in steps:
-            if step_bits >> top & 1:
-                held ^= step_held
-        held &= low
+        held = [k for k in range(i) if rows[k] >> top & 1]
         if not held:
             continue
-        below, phase, rest = _below_parity(bits, len(cols)), phases[i], held
-        while rest:
-            k = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+        below, phase = _below_parity(bits, width), phases[i]
+        for k in held:
             phases[k] = (phases[k] + phase + 2 * ((rows[k] & below).bit_count() & 1)) & 3
             rows[k] ^= bits
             substitutions.append((k, i))
-        steps.append((bits, held))
     return substitutions
 
 
@@ -505,7 +489,7 @@ def _encoder_images(
     where the ancilla pair is freshly prepared -- to clear them before
     dropping the two slots.
     """
-    n, n_rows = result.total_modes, len(rows)
+    n = result.total_modes
     if result.ancilla_modes:
         if result.ancilla_image is None:
             raise SynthesisInvariantError("an ancilla result carries no ancilla image")
@@ -515,7 +499,7 @@ def _encoder_images(
                 rows[i], phases[i] = _hermitian_product(1, 0, bits, phases[i])
     tab = _ModeTableau(rows, n, phases)
     tab.run(result.decoder.gates, inverse=True)
-    images = zip(_transpose_raw(tab.cols, n_rows), tab.phases(n_rows))
+    images = zip(*tab.read())
     if not result.ancilla_modes:
         return [MajoranaString(n, bits, phase) for bits, phase in images]
     out = []

@@ -17,19 +17,19 @@ anticommuting pair.
 The synthesis target is the decoded form in which generator j acts only on
 the mode pair (pivot_base + 2j, pivot_base + 2j + 1) with phase +i.
 
-``apply_circuit`` transposes the generators into the mode-major tableau of
-``majorana`` and replays the circuit on all of them at once, in one
-``_ModeTableau.run``, instead of one conjugation per generator: each gate
-costs at most O(|support| log N) big-int operations on r-bit ints, since
-each pair of its support walks the Fenwick tree only until the pair's two
-paths meet.
+``apply_circuit`` puts the generators in one mode-major tableau of
+``majorana``, replays the circuit on all of them at once, in one
+``_ModeTableau.run``, instead of one conjugation per generator, and reads
+the images back with ``_ModeTableau.read``: each gate costs at most
+O(|support| log N) big-int operations on r-bit ints, since each pair of
+its support walks the Fenwick tree only until the pair's two paths meet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitlinalg import _eliminate, _first_odd_overlap, _lowest_bit, _residue, _transpose_raw
+from .bitlinalg import _eliminate, _first_odd_overlap, _lowest_bit, _residue
 from .majorana import Circuit, MajoranaString, _ModeTableau
 
 __all__ = [
@@ -138,8 +138,7 @@ def apply_circuit(circuit: Circuit, code: StabilizerCode) -> StabilizerCode:
     n, gens = code.n_modes, code.generators
     tab = _ModeTableau([g.bits for g in gens], n, [g.phase_r for g in gens])
     tab.run(circuit.gates)
-    bits = _transpose_raw(tab.cols, len(gens))
-    images = tuple(MajoranaString(n, b, ph) for b, ph in zip(bits, tab.phases(len(gens))))
+    images = tuple(MajoranaString(n, b, ph) for b, ph in zip(*tab.read()))
     return StabilizerCode(n, images, code.name)
 
 

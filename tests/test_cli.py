@@ -58,6 +58,18 @@ def test_synth_report_is_deterministic(capsys):
     assert "ancilla residual phase_r: 1" in out1
 
 
+def test_synth_report_counts_the_generating_set_changes(capsys, tmp_path):
+    """The report prints how many changes there are; the pairs themselves
+    are in the document."""
+    code_file, circ = tmp_path / "random.code", tmp_path / "random.circuit"
+    code_file.write_text(serialize_code(random_code(40, 10, seed=1)))
+    rc, out, _ = run(capsys, "synth", str(code_file), "--decoder", "-o", str(circ))
+    assert rc == 0
+    substitutions = json.loads(circ.read_text())["substitutions"]
+    assert len(substitutions) > 1
+    assert f"generating-set changes: {len(substitutions)}\n" in out.splitlines(keepends=True)
+
+
 def test_synth_verify_round_trip(capsys, tmp_path):
     enc = tmp_path / "shortest.enc.circuit"
     rc, out, _ = run(capsys, "synth", "--builtin", "shortest", "-o", str(enc))
@@ -416,7 +428,7 @@ def test_corrupted_circuit_fails_verification(capsys, tmp_path):
     circ.write_text(json.dumps(doc))
     rc, _, err = run(capsys, "verify", "--builtin", "shortest", str(circ))
     assert rc == 4
-    assert "verification failed (decoded-form)" in err
+    assert "verification failed: decoded-form: " in err
 
 
 @pytest.mark.parametrize("oracle", [(), ("--oracle",)])
@@ -449,7 +461,7 @@ def test_ancilla_pair_that_keeps_logical_information_exits_4(
     assert rc == 4
     assert out == "decoded-form check: ok\n"
     assert err == (
-        f"verification failed (ancilla): ancilla: the decoder leaves i c0 c1 at "
+        f"verification failed: ancilla: the decoder leaves i c0 c1 at "
         f"{image}, off the ancilla pair\n"
     )
 
@@ -509,7 +521,7 @@ def test_oracle_refuses_large_registers(monkeypatch, capsys, tmp_path):
     assert rc == 4
     assert out.splitlines()[-1].startswith("ancilla check: ok")
     assert err == (
-        f"verification failed (oracle): oracle: needs at most {oracle.MAX_WORK} "
+        f"verification failed: oracle: needs at most {oracle.MAX_WORK} "
         f"rows x gates x modes, got {work} (200 x 199 x 402)\n"
     )
 

@@ -312,7 +312,7 @@ def test_verify_oracle_exits_4_on_a_row_the_tableau_misses(monkeypatch, capsys, 
         "ancilla check: ok (i c0 c1 -> +i c0 c1, residual phase_r 1)\n"
     )
     assert captured.err == (
-        "verification failed (oracle): oracle: operator conjugation of i c0 c1 disagrees\n"
+        "verification failed: oracle: operator conjugation of i c0 c1 disagrees\n"
     )
 
 

@@ -508,7 +508,7 @@ def test_without_the_back_substitution_the_sweep_refuses(monkeypatch):
     generator; with the ancilla, mixed_total_parity_code(16, 6, 3) parks on
     mode 0 before its last column, and the next column starts on mode 0,
     where the sweep once took a parity step."""
-    monkeypatch.setattr("braidsynth.synth._back_substitute", lambda rows, phases, cols, r: [])
+    monkeypatch.setattr("braidsynth.synth._back_substitute", lambda rows, phases, r: [])
     with pytest.raises(SynthesisInvariantError, match="^generator 1 has an all-ones tail of 6"):
         synthesize_ancilla_free(mixed_total_parity_code(8, 4, 8))
     with pytest.raises(SynthesisInvariantError, match="holds mode 0 at its column start"):

@@ -232,6 +232,7 @@ def run_rows_against_the_fold(n, bits, gates, rng):
         assert tab.tree == fenwick(tab.cols)
         for i, (b, ph) in enumerate(zip(bits, phases)):
             bits[i], phases[i] = _conjugate_raw(gate.support_mask, gate.generator_phase, b, ph)
+        assert tab.read() == (bits, phases)  # the rows the gate changed are dirty
         check_every_row(tab, bits, phases, seen)
         i, j = rng.randrange(len(bits)), rng.randrange(len(bits))
         if i != j:
@@ -241,7 +242,7 @@ def run_rows_against_the_fold(n, bits, gates, rng):
             assert not tab.dirty >> i & 1
             check_every_row(tab, bits, phases, seen)
     assert tab.cols == _transpose_raw(bits, n)
-    assert tab.phases(len(bits)) == phases
+    assert tab.read() == (bits, phases)  # every row is clean
     return seen
 
 
