@@ -29,7 +29,7 @@ from .majorana import (
     Circuit,
     MajoranaString,
     _ModeTableau,
-    _multiply_raw,
+    _multiply_rows,
     gate_counts,
     invert,
 )
@@ -38,7 +38,6 @@ from .synth import (
     PhaseCorrectionError,
     SynthesisResult,
     TotalParityObstruction,
-    apply_substitutions,
     synthesize_ancilla_free,
     synthesize_with_ancilla,
 )
@@ -78,32 +77,30 @@ def verify_document(
     document's circuit is the decoder whatever its role (``codes`` reads
     the order a file lists the gates in), so it always runs forward.
 
-    One replay serves the first two checks: the code's own generators,
-    and with an ancilla pair the row i c_0 c_1 after them, go through the
-    decoder in one mode-major tableau.  Conjugation is an algebra
-    automorphism, so the image of a substitution-adjusted generator is the
-    product of the images: the recorded changes (i, j) fold, in order, on
-    the replayed rows, and the folded rows are compared with the decoded
-    form as they stand, without writing them back to the tableau.  The rows
-    are not sparse while the fold runs: the back-substitution's products
-    come first, on images as dense as the code's generators (the product
-    kernel's prefix-parity route), and only the column starts after them
-    fold on sparse products of decoded pairs.  The row
-    i c_0 c_1 must come back as +-i c_0 c_1, or the ancilla pair would keep
-    logical information, unless the code contains the total parity: braids
-    fix the all-modes monomial, so the decoded generators already pin the
-    row's image, and it is reported as it stands.  No check of the fermionic pairing runs:
+    The recorded changes of generating set (i, j) are multiplied out
+    first, in order, on the code's own rows, by the kernel synthesis uses
+    (``majorana._multiply_rows``).  Conjugation is an algebra
+    automorphism, so replaying these rows equals folding the changes on
+    the replayed images.  One replay then serves the first two checks:
+    the adjusted generators, and with an ancilla pair the row i c_0 c_1
+    after them, go through the decoder in one mode-major tableau, and
+    ``_ModeTableau.undecoded``, the test synthesis ends on, names the
+    first generator off its pair.  The row i c_0 c_1 must come back as
+    +-i c_0 c_1, or the ancilla pair would keep logical information,
+    unless the code contains the total parity: braids fix the all-modes
+    monomial, so the decoded generators already pin the row's image, and
+    it is reported as it stands.  No check of the fermionic pairing runs:
     every braid's bit action preserves it (see ``majorana``).
 
-    The oracle folds the substitution-adjusted generators, multiplied out
-    with ``apply_substitutions`` on the code, and i c_0 c_1 through the
-    decoder in the Majorana algebra, each gate expanded into its four
-    products (``oracle.conjugate_rows``), and compares each with what the
-    checks above accepted: generator j with its decoded pair, i c_0 c_1
-    with the reported image.  It uses neither the tableau, the folded rows nor the
-    bit rule of ``majorana``, so it re-derives both checks.  A fold of more
-    than ``oracle.MAX_WORK`` rows x gates x modes is refused before it
-    starts.
+    The oracle takes the code's generators, i c_0 c_1 and the recorded
+    changes, multiplies the changes out with its own product and folds
+    the rows through the decoder in the Majorana algebra, each gate
+    expanded into its four products (``oracle.conjugate_rows``).  It
+    compares each row with what the checks above accepted: generator j
+    with its decoded pair, i c_0 c_1 with the reported image.  It uses
+    neither the tableau, the row-product kernel nor the bit rule of
+    ``majorana``, so it re-derives both checks.  A fold of more than
+    ``oracle.MAX_WORK`` rows x gates x modes is refused before it starts.
     """
     working = prepend_ancilla_modes(code) if doc.ancilla_modes else code
     n = working.n_modes
@@ -120,16 +117,15 @@ def verify_document(
     rows = list(working.generators)
     if doc.ancilla_modes:
         rows.append(MajoranaString(n, 0b11, 1))  # i c_0 c_1, row r
-    tab = _ModeTableau([m.bits for m in rows], n, [m.phase_r for m in rows])
+    bits, phases = [m.bits for m in rows], [m.phase_r for m in rows]
+    _multiply_rows(bits, phases, doc.substitutions, n)
+    tab = _ModeTableau(bits, n, phases)
     tab.run(doc.circuit.gates)
-    if doc.substitutions or not tab.is_decoded(target.pivot_base, target.r):
-        bits, phases = tab.read()
-        for i, j in doc.substitutions:
-            bits[i], phases[i] = _multiply_raw(bits[i], phases[i], bits[j], phases[j])
-        for j in range(target.r):
-            if bits[j] != 0b11 << (target.pivot_base + 2 * j) or phases[j] != 1:
-                arrived = MajoranaString(n, bits[j], phases[j])
-                raise VerificationFailure("decoded-form", f"generator {j} arrives at {arrived}")
+    off = tab.undecoded(target.pivot_base, target.r)
+    if off:
+        j = (off & -off).bit_length() - 1
+        arrived = MajoranaString(n, *tab.row(j))
+        raise VerificationFailure("decoded-form", f"generator {j} arrives at {arrived}")
     yield "decoded-form check: ok"
 
     if doc.ancilla_modes:
@@ -150,7 +146,6 @@ def verify_document(
     if not oracle:
         yield "oracle check: skipped (pass --oracle to run)"
         return
-    rows[: target.r] = apply_substitutions(working, doc.substitutions).generators
     work = len(rows) * len(doc.circuit) * n
     if work > MAX_WORK:
         raise VerificationFailure(
@@ -159,7 +154,7 @@ def verify_document(
             f"({len(rows)} x {len(doc.circuit)} x {n})",
         )
     try:
-        folded = conjugate_rows(doc.circuit, rows)
+        folded = conjugate_rows(doc.circuit, rows, doc.substitutions)
     except NonMonomialError as exc:
         raise VerificationFailure("oracle", str(exc)) from None
     wanted = [*target.generators(), image] if doc.ancilla_modes else target.generators()

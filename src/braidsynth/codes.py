@@ -20,8 +20,9 @@ memory a ``CircuitDocument`` always holds the decoder, whatever its role:
 role only names the order in which the file lists the gates, and this
 module, which parses and writes that order, is the one that reads it.  A
 substitution [i, j] (generator i <- generator i * generator j) needs
-0 <= i, j < r and i != j; verify checks the range against the code's r
-before replaying.
+0 <= i, j < r and i != j; ``CircuitDocument`` refuses any other pair
+than one of distinct nonnegative ints, and verify checks the range
+against the code's r before folding.
 
 A code register holds at most MAX_REGISTER_MODES modes, and a circuit
 document at most two more (the ancilla pair).  kitaev_chain, parse_code
@@ -31,10 +32,12 @@ out of memory.
 
 A valid list (a gates list, a substitutions list, or a generator's modes)
 is accepted by a few whole-list passes of built-ins (itemgetter, type,
-min, max) with no Python code per item; only a list that fails them goes through the checks
-one item at a time, which are the only code that builds a message.  So
-every message, and which check reports when several fail, is the same
-whichever path a document takes.
+min, max) with no Python code per item; a substitutions list's passes
+are ``CircuitDocument``'s own check, so they run once per document.
+Only a list that fails them goes through the checks one item at a time,
+which are the only code that builds a message.  So every message, and
+which check reports when several fail, is the same whichever path a
+document takes.
 """
 
 from __future__ import annotations
@@ -81,8 +84,12 @@ class CircuitDocument:
     """A circuit document in memory: circuit is the decoder for both roles,
     and role names the order its file lists the gates in (an encoder file
     lists the decoder's gates reversed, each direction negated).  A role
-    or ancilla_modes that no file may hold raises ValueError, so
-    serialize_circuit never writes a document that parse_circuit refuses."""
+    ancilla_modes or substitutions that no file may hold raises
+    ValueError, so serialize_circuit never writes a document that
+    parse_circuit refuses: each substitution is a pair (i, j) of distinct
+    nonnegative ints, and a bool is not an int.  That check is the one
+    whole-list check of a substitutions list, parsed or built in memory.
+    """
 
     circuit: Circuit
     ancilla_modes: tuple[int, ...]
@@ -92,6 +99,19 @@ class CircuitDocument:
     def __post_init__(self) -> None:
         if self.role not in ("encoder", "decoder") or self.ancilla_modes not in ((), (0, 1)):
             raise ValueError("role must be 'encoder' or 'decoder', and ancilla_modes () or (0, 1)")
+        if not _valid_substitutions(self.substitutions):
+            raise ValueError("substitutions must be pairs (i, j) of distinct nonnegative ints")
+
+
+def _valid_substitutions(pairs: tuple[tuple[int, int], ...]) -> bool:
+    """True iff every entry is a tuple (i, j) of two distinct nonnegative
+    ints, checked in whole-list passes with no Python code per entry.
+    type() is exact, so a bool is not an int here either."""
+    if not (set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2}):
+        return False
+    flat = list(chain.from_iterable(pairs))
+    distinct = not any(map(eq, flat[::2], flat[1::2]))
+    return set(map(type, flat)) <= {int} and min(flat, default=0) >= 0 and distinct
 
 
 def kitaev_chain(n_sites: int) -> StabilizerCode:
@@ -306,25 +326,6 @@ def _gates_at_once(entries: list[Any], n_modes: int, encoder: bool) -> tuple[Bra
     return gates
 
 
-def _substitutions_at_once(entries: list[Any]) -> tuple[tuple[int, int], ...] | None:
-    """The (i, j) pairs of a valid substitutions list, empty or not,
-    checked in whole-list passes with no Python code per entry; None if
-    any check fails, and then parse_circuit's per-entry loop finds the
-    first fault and its message.  type() is exact, so a bool is not an
-    int here either."""
-    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}):
-        return None
-    flat = list(chain.from_iterable(entries))
-    firsts, seconds = flat[::2], flat[1::2]
-    if not (
-        set(map(type, flat)) <= {int}
-        and min(flat, default=0) >= 0
-        and not any(map(eq, firsts, seconds))
-    ):
-        return None
-    return tuple(zip(firsts, seconds))
-
-
 def parse_circuit(text: str) -> CircuitDocument:
     """Parse a strict JSON circuit document; its circuit is the decoder,
     so an encoder's gates come back reversed, each direction negated.
@@ -353,28 +354,27 @@ def parse_circuit(text: str) -> CircuitDocument:
     entries = doc.get("substitutions", [])
     if not isinstance(entries, list):
         raise err("substitutions must be a list")
-    subs = _substitutions_at_once(entries)
-    if subs is None:
-        # a list the whole-list passes refused: one entry at a time, in
-        # file order, to raise the first fault
-        for entry in entries:
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise err("substitutions entries must be [i, j] pairs")
-            i, j = (_int(k, "substitution index must be an integer", err) for k in entry)
-            if i < 0 or j < 0:
-                raise err(f"substitution {entry} has a negative index")
-            if i == j:
-                raise err(f"substitution {entry} multiplies a generator by itself")
-        raise AssertionError("the whole-list passes refused substitutions with no fault")
-    if not isinstance(doc["gates"], list):
-        raise err("gates must be a list")
-    valid = _gates_at_once(doc["gates"], n_modes, role == "encoder")
+    gates = doc["gates"]
+    valid = _gates_at_once(gates, n_modes, role == "encoder") if isinstance(gates, list) else None
     if valid is not None:
-        return CircuitDocument(Circuit(n_modes, valid), ancilla, subs, role)
-    # Only a gates list the whole-list passes refused gets here, and each
-    # has a fault: the checks run one gate at a time, in file order, to
-    # raise the first.
-    for g, entry in enumerate(doc["gates"]):
+        try:
+            return CircuitDocument(Circuit(n_modes, valid), ancilla, tuple(map(tuple, entries)), role)
+        except (TypeError, ValueError):
+            pass  # the substitutions are at fault: the loop below names the first
+    # Only a document the whole-list passes refused gets here, and it has a
+    # fault: the checks run one item at a time, substitutions and then
+    # gates, each in file order, to raise the first.
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise err("substitutions entries must be [i, j] pairs")
+        i, j = (_int(k, "substitution index must be an integer", err) for k in entry)
+        if i < 0 or j < 0:
+            raise err(f"substitution {entry} has a negative index")
+        if i == j:
+            raise err(f"substitution {entry} multiplies a generator by itself")
+    if not isinstance(gates, list):
+        raise err("gates must be a list")
+    for g, entry in enumerate(gates):
         if not isinstance(entry, dict):
             raise err(f"gate {g} must be an object")
         _require_keys(entry, {"kind", "modes", "direction"}, set(), f"gate {g}", err)
@@ -394,7 +394,7 @@ def parse_circuit(text: str) -> CircuitDocument:
         # Only after this check is anything sized by the modes built.
         if modes[-1] >= n_modes:
             raise err(f"gate {g}: mode out of range 0..{n_modes - 1}")
-    raise AssertionError("the whole-list passes refused a gates list with no fault")
+    raise AssertionError("the whole-list passes refused a document with no fault")
 
 
 # One gate object of each kind exactly as json.dumps(indent=2) lays it out

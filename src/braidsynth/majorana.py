@@ -41,8 +41,18 @@ backwards.  The tableau keeps the rows it was built from and a mask of the
 rows gates have changed since, so a row no gate has touched reads back in
 O(1); a changed (dirty) row still costs an O(N) scan of the columns,
 whose result is kept until a gate changes the row again.  ``read`` hands
-every row back at once, in one transpose of the columns; no other module
-reads the tableau's columns.
+every row back at once, in one transpose of the columns, and
+``undecoded`` compares every row with the decoded form in one pass over
+them; no other module reads the tableau's columns.  That predicate is
+the one decoded-form test: synthesis ends on it and ``verify`` checks it.
+
+A change of generating set multiplies rows, not the tableau: row i times
+row j for each recorded pair (i, j), in order.  ``_multiply_rows`` is
+the one kernel for it, on row-major ints before any replay.  The
+synthesis back-substitution, ``synth.apply_substitutions`` and
+``verify``'s fold of a document's substitutions all call it, and a run
+of products by the same row j shares that row's prefix parities.
+
 ``conjugate_circuit``, the plain one-monomial fold, has no caller in the
 package; it stays public as the documented fold of a single monomial and
 as the independent reference the tableau is tested against.
@@ -67,7 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
-from .bitlinalg import _bit_positions, _reorder_raw, _transpose_raw
+from .bitlinalg import _below_parity, _bit_positions, _reorder_raw, _transpose_raw
 
 __all__ = [
     "MajoranaString",
@@ -250,22 +260,43 @@ class _ModeTableau:
         self.p0 = self.p0 & ~bit | (phase & 1) << i
         self.p1 = self.p1 & ~bit | (phase >> 1 & 1) << i
 
-    def is_decoded(self, pivot_base: int, n_rows: int) -> bool:
-        """True iff row j is exactly i c_p c_(p+1), p = pivot_base + 2j, for
-        every j < n_rows; rows from n_rows on are not read.  O(N)
-        comparisons."""
+    def undecoded(self, pivot_base: int, n_rows: int) -> int:
+        """The mask of the rows j < n_rows that are not exactly
+        i c_p c_(p+1), p = pivot_base + 2j; rows from n_rows on are not
+        read.  One pass over the columns, O(N) big-int operations."""
         end = pivot_base + 2 * n_rows
         mask = (1 << n_rows) - 1
-        for m, c in enumerate(self.cols):
-            if c & mask != (1 << ((m - pivot_base) >> 1) if pivot_base <= m < end else 0):
-                return False
-        return self.p0 & mask == mask and not self.p1 & mask
+        off = (self.p0 ^ mask | self.p1) & mask  # phase not 1
+        for m, c in enumerate(self.cols):  # mode m belongs to row (m - pivot_base) // 2 alone
+            off |= (c ^ (1 << ((m - pivot_base) >> 1)) if pivot_base <= m < end else c) & mask
+        return off
 
 
 def _multiply_raw(abits: int, aphase: int, bbits: int, bphase: int) -> tuple[int, int]:
     """Product kernel on packed ints."""
     phase = (aphase + bphase + 2 * _reorder_raw(abits, bbits)) & 3
     return abits ^ bbits, phase
+
+
+def _multiply_rows(
+    rows: list[int], phases: list[int], pairs: Iterable[tuple[int, int]], n_modes: int
+) -> None:
+    """For each (i, j) of pairs, in order, set row i to the product row i
+    times row j, in place; no row is wider than n_modes.
+
+    The reorder parity of a product is ``popcount(row i & below) & 1``,
+    with below row j's ``_below_parity``, which a run of equal j shares:
+    it is built again when j changes, and row j changes only through an
+    entry (j, x), whose x starts a new run.  A pair i == j squares row i
+    and ends its run as well.
+    """
+    last = -1
+    for i, j in pairs:
+        if j != last:
+            below = _below_parity(rows[j], n_modes)
+        phases[i] = (phases[i] + phases[j] + 2 * ((rows[i] & below).bit_count() & 1)) & 3
+        rows[i] ^= rows[j]
+        last = j if i != j else -1
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,13 +14,15 @@ conjugation ``U M U^dagger`` expands to ``(M + i V M - i M V + V M V)/2``.
 each gate literally into those four products: their coefficients are summed
 per mode tuple as Gaussian integers, and exactly one monomial must be left,
 with coefficient twice a unit, or the fold raises NonMonomialError.
-``verify --oracle`` folds the document's own rows, the code's generators and
-i c_0 c_1, and compares them with their targets.  Everything is integer
-arithmetic and every comparison is ``==``; neither the bit-pairing rule of
-``majorana`` nor its tableau is used, so the oracle re-derives the symbolic
-checks independently.  It is exact at any register size.  A gate costs
-O(w) per row of weight w, so ``verify`` refuses a fold of more than
-MAX_WORK rows x gates x modes before it starts.
+``verify --oracle`` hands it the code's generators, i c_0 c_1 and the
+document's changes of generating set; ``conjugate_rows`` multiplies the
+changes out with ``_product`` before the fold, and ``verify`` compares the
+folded rows with their targets.  Everything is integer arithmetic and every
+comparison is ``==``; neither the bit-pairing rule of ``majorana``, its
+row-product kernel nor its tableau is used (only its types are imported),
+so the oracle re-derives the symbolic checks independently.  It is exact at
+any register size.  A gate costs O(w) per row of weight w, so ``verify``
+refuses a fold of more than MAX_WORK rows x gates x modes before it starts.
 """
 
 from __future__ import annotations
@@ -90,10 +92,18 @@ def _generator(gate: BraidGate) -> Monomial:
     return gate.modes, gate.generator_phase
 
 
-def conjugate_rows(circuit: Circuit, rows: Sequence[MajoranaString]) -> list[MajoranaString]:
+def conjugate_rows(
+    circuit: Circuit,
+    rows: Sequence[MajoranaString],
+    products: Sequence[tuple[int, int]] = (),
+) -> list[MajoranaString]:
     """``U m U^dagger`` for every monomial m in rows, with U the circuit's
-    unitary (later gates applied last)."""
+    unitary (later gates applied last).  Each (i, j) of products, in
+    order, first sets row i to the product row i times row j, with this
+    module's own ``_product``."""
     folded = [(m.modes, m.phase_r) for m in rows]
+    for i, j in products:
+        folded[i] = _product(folded[i], folded[j])
     for j, g in enumerate(circuit.gates):
         v = _generator(g)
         for i, m in enumerate(folded):

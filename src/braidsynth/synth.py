@@ -35,8 +35,8 @@ Both variants then sweep the generators column by column.  Each column
 starts by multiplying its generator by every already-decoded generator
 whose pair it still holds (commutation forces whole pairs): a recorded
 substitution, no gate.  Decoded generator j is exactly i^s c_q c_(q+1) at
-that point, so the product only clears the pair's two bits and adds s + 2
-to the phase; all of a column's pairs go in one ``set_row``.  Quartic braids
+that point, so the held pairs multiply to one monomial, and one product by
+it clears their bits; all of a column's pairs go in one ``set_row``.  Quartic braids
 then shrink the column's weight from the pivot on by two per step, parking
 on its lowest clear mode there, and one quadratic braid per bit still off
 the pivot pair puts it there.  Every emitted gate has even overlap with
@@ -63,8 +63,9 @@ row (the tableau keeps its input rows and a mask of the rows gates have
 changed), and an O(N) scan of the columns when one has; the tableau keeps
 the scan, so the ``set_row`` that follows reads the row in O(1).  The phase
 correction reads phases from the tableau's bit planes, and the final check
-compares the tableau with the decoded form in O(N).  Internal invariants
-raise ``SynthesisInvariantError``, so they also hold under ``python -O``.
+is ``_ModeTableau.undecoded``, the decoded-form test ``verify`` runs too,
+in O(N).  Internal invariants raise ``SynthesisInvariantError``, so they
+also hold under ``python -O``.
 
 The ancilla variant adjoins a fresh mode pair at indices 0 and 1.  When a
 tail is all ones it parks on mode 0 (a quartic braid through mode 0, then a
@@ -97,15 +98,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import lt
 
-from .bitlinalg import _below_parity, _lowest_bit, symplectic_pairing
+from .bitlinalg import _lowest_bit, symplectic_pairing
 from .majorana import (
     BraidGate,
     Circuit,
     MajoranaString,
     _ModeTableau,
     _multiply_raw,
+    _multiply_rows,
     invert,
-    multiply,
 )
 from .tableau import (
     DecodedTarget,
@@ -158,9 +159,11 @@ class SynthesisResult:
     gate; then, at the start of column i, one (i, j) for each decoded
     generator j < i whose pair generator i held.  The third kind, a
     borrowed j > i at an ancilla-free all-ones tail, cannot arise (the
-    proof is in the module docstring).  A document carries them so that
-    ``verify`` can fold them; the decoder maps the code's generators with
-    them applied (``apply_substitutions``) to the decoded form.  correction_span is the decoder gate index range
+    proof is in the module docstring).  The decoder maps the code's
+    generators with them multiplied out (``apply_substitutions``) to the
+    decoded form; a document carries them, and ``verify`` multiplies them
+    out on the code's rows, with the same kernel as synthesis, before it
+    replays the decoder.  correction_span is the decoder gate index range
     holding the doubled phase-correction braids; it runs to the end of the
     decoder.  For the ancilla variant, ancilla_image is the
     decoder image of i c_0 c_1, and for a code whose stabilizer group does
@@ -276,8 +279,9 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
 
         Decoded generator j is exactly i^s c_q c_(q+1), q = pivot_base + 2j,
         and commutation makes the row hold both modes of a pair or neither.
-        Holding both, the row reorders past the pair with parity 1, so the
-        product clears the pair, adds s + 2 to the phase and costs no gate.
+        The held pairs are disjoint and listed in ascending order, so their
+        product is i^(sum of their s) times their modes, one monomial, and
+        one ``_multiply_raw`` by it clears them all and costs no gate.
         """
         held = bits & decoded
         lows = held & evens
@@ -287,13 +291,14 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
             raise SynthesisInvariantError(
                 f"generator {i} meets decoded pair {q}, {q + 1} in one mode only"
             )
+        s = 0
         while lows:
             low = lows & -lows
             lows ^= low
             j = (low.bit_length() - 1 - pivot_base) >> 1
-            phase += tab.phase(j) + 2
+            s += tab.phase(j)
             substitutions.append((i, j))
-        return bits ^ held, phase & 3
+        return _multiply_raw(bits, phase, held, s)
 
     evens = full // 3  # the even modes: the low mode of every aligned pair
     for i in range(r):
@@ -403,7 +408,7 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         ancilla_image = MajoranaString(n_work, row, phase)
 
     catch_up()
-    if not tab.is_decoded(pivot_base, r):
+    if tab.undecoded(pivot_base, r):
         raise SynthesisInvariantError("the generators did not reach the decoded form")
 
     return SynthesisResult(
@@ -425,29 +430,22 @@ def _back_substitute(rows: list[int], phases: list[int], r: int) -> list[tuple[i
     starts (only rows below it change there), and its top is read then,
     since a later row's step may have moved it; afterwards no row holds a
     later row's top mode.  The rows holding the top are found on the rows
-    as they stand, one shift-and-test per row k < i.  When the tops rise
+    as they stand, one shift-and-test per row k < i, and a step's products
+    go to ``_multiply_rows`` as one run by row i.  When the tops rise
     with the row index, as on ``kitaev:N``, no row holds a later row's
     top, which two C-level passes over the rows show before any per-row
-    test.  Each product is ``_multiply_raw(rows[k], phases[k], rows[i],
-    phases[i])``, its reorder parity read off row i's one
-    ``_below_parity``.
+    test.
     """
     tops = list(map(int.bit_length, rows[:r]))
     if all(map(lt, tops, tops[1:])):
         return []
     width = max(tops)  # a product of rows is no wider than they are
-    substitutions = []
+    substitutions: list[tuple[int, int]] = []
     for i in range(r - 1, 0, -1):
-        bits = rows[i]
-        top = bits.bit_length() - 1
-        held = [k for k in range(i) if rows[k] >> top & 1]
-        if not held:
-            continue
-        below, phase = _below_parity(bits, width), phases[i]
-        for k in held:
-            phases[k] = (phases[k] + phase + 2 * ((rows[k] & below).bit_count() & 1)) & 3
-            rows[k] ^= bits
-            substitutions.append((k, i))
+        top = rows[i].bit_length() - 1
+        held = [(k, i) for k in range(i) if rows[k] >> top & 1]
+        _multiply_rows(rows, phases, held, width)
+        substitutions += held
     return substitutions
 
 
@@ -455,10 +453,11 @@ def apply_substitutions(
     code: StabilizerCode, substitutions: tuple[tuple[int, int], ...]
 ) -> StabilizerCode:
     """Replay recorded generating-set changes: gens[i] <- gens[i] * gens[j]."""
-    gens = list(code.generators)
-    for i, j in substitutions:
-        gens[i] = multiply(gens[i], gens[j])
-    return StabilizerCode(code.n_modes, tuple(gens), code.name)
+    n, gens = code.n_modes, code.generators
+    rows, phases = [g.bits for g in gens], [g.phase_r for g in gens]
+    _multiply_rows(rows, phases, substitutions, n)
+    images = tuple(MajoranaString(n, b, ph) for b, ph in zip(rows, phases))
+    return StabilizerCode(n, images, code.name)
 
 
 def _hermitian_product(abits: int, aphase: int, bbits: int, bphase: int) -> tuple[int, int]:

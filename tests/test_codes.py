@@ -24,6 +24,7 @@ from braidsynth.codes import (
     shortest_code,
 )
 from braidsynth.majorana import BraidGate, Circuit, MajoranaString, invert
+from braidsynth.synth import synthesize_with_ancilla
 
 
 def test_kitaev_chain_structure():
@@ -370,6 +371,50 @@ def test_circuit_document_accepts_both_roles_and_ancilla_layouts():
         for ancilla in ((), (0, 1)):
             doc = CircuitDocument(Circuit(2, ()), ancilla, (), role)
             assert parse_circuit(serialize_circuit(doc)) == doc
+
+
+@pytest.mark.parametrize(
+    "subs, message",
+    [
+        (((0, 0),), "multiplies a generator by itself"),
+        (((-1, 2),), "has a negative index"),
+        (((True, 1),), "substitution index must be an integer"),
+    ],
+    ids=["self", "negative", "bool"],
+)
+def test_circuit_document_refuses_substitutions_no_file_may_hold(subs, message):
+    """Each of these once serialized to a file that parse_circuit refuses;
+    the document now refuses it when it is built, and the file, written by
+    hand, still fails to parse with its own message."""
+    with pytest.raises(ValueError) as exc:
+        CircuitDocument(Circuit(4, ()), (), subs, "decoder")
+    assert str(exc.value) == "substitutions must be pairs (i, j) of distinct nonnegative ints"
+    header = {"format_version": 1, "n_modes": 4, "ancilla_modes": [], "gates": []}
+    text = json.dumps({**header, "substitutions": [list(s) for s in subs]})
+    with pytest.raises(CircuitFormatError, match=message):
+        parse_circuit(text)
+
+
+def test_a_negative_substitution_index_never_reaches_verify():
+    """(0, -1) on the shortest ancilla document would name the ancilla row
+    through Python's negative index; the document refuses it instead."""
+    result = synthesize_with_ancilla(shortest_code())
+    with pytest.raises(ValueError, match="distinct nonnegative ints"):
+        CircuitDocument(result.decoder, (0, 1), result.substitutions + ((0, -1),), "decoder")
+
+
+def test_parse_circuit_checks_a_substitutions_list_once(monkeypatch):
+    """The whole-list check of the substitutions is the document's own, and
+    a parsed document runs it once."""
+    result = synthesize_with_ancilla(shortest_code())
+    doc = CircuitDocument(result.decoder, (0, 1), result.substitutions, "decoder")
+    text = serialize_circuit(doc)
+    check = codes._valid_substitutions
+    calls = []
+    counted = lambda pairs: calls.append(pairs) or check(pairs)  # noqa: E731
+    monkeypatch.setattr(codes, "_valid_substitutions", counted)
+    assert parse_circuit(text) == doc
+    assert calls == [doc.substitutions]
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from braidsynth import majorana
 from braidsynth.bitlinalg import symplectic_pairing
 from braidsynth.codes import random_circuit
 from braidsynth.majorana import (
@@ -22,6 +23,7 @@ from braidsynth.majorana import (
     MajoranaString,
     _conjugate_raw,
     _ModeTableau,
+    _multiply_rows,
     conjugate_circuit,
     gate_counts,
     invert,
@@ -155,6 +157,39 @@ def test_multiply_matches_bubble_sort(abits, ar, bbits, br):
     a, b = mk(abits, ar), mk(bbits, br)
     modes, r = slow_multiply(a.modes, ar, b.modes, br)
     assert multiply(a, b) == MajoranaString.from_modes(N, modes, r)
+
+
+def fold_of_multiply(n, rows, phases, pairs):
+    """One multiply per pair, in order: the reference for _multiply_rows."""
+    strings = [MajoranaString(n, b, ph) for b, ph in zip(rows, phases)]
+    for i, j in pairs:
+        strings[i] = multiply(strings[i], strings[j])
+    return [m.bits for m in strings], [m.phase_r for m in strings]
+
+
+@pytest.mark.parametrize("n, n_rows, seed", [(10, 6, 1), (64, 12, 2), (400, 100, 3)])
+def test_multiply_rows_is_the_fold_of_multiply(monkeypatch, n, n_rows, seed):
+    """The row-product kernel agrees with one multiply per pair: on a run
+    of equal j, which builds row j's prefix parities once; on a run broken
+    by an entry (j, x), which changes row j, so the run after it builds
+    them again; on a pair (i, i), which changes row i; and on random
+    pairs, on dense rows of up to 400 modes."""
+    rng = random.Random(seed)
+    rows = [rng.getrandbits(n) for _ in range(n_rows)]
+    phases = [rng.randrange(4) for _ in rows]
+    below = majorana._below_parity
+    calls = []
+    monkeypatch.setattr(majorana, "_below_parity", lambda v, w: calls.append(v) or below(v, w))
+    run = [(k, 0) for k in range(1, n_rows)]
+    broken = [(2, 0), (3, 0), (0, 1), (4, 0), (5, 0)]
+    squared = [(3, 2), (2, 2), (4, 2)]
+    scattered = [tuple(rng.sample(range(n_rows), 2)) for _ in range(5 * n_rows)]
+    for pairs, builds in ((run, 1), (broken, 3), (squared, 2), (scattered, None)):
+        got_rows, got_phases = list(rows), list(phases)
+        calls.clear()
+        _multiply_rows(got_rows, got_phases, pairs, n)
+        assert (got_rows, got_phases) == fold_of_multiply(n, rows, phases, pairs)
+        assert builds is None or len(calls) == builds
 
 
 @given(packed, phases, packed, phases, packed, phases)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidsynth import cli, oracle
+from braidsynth import cli, majorana, oracle, synth
 from braidsynth.codes import (
     CircuitDocument,
     random_circuit,
@@ -326,3 +326,33 @@ def test_verify_reports_a_non_monomial_fold(monkeypatch):
     assert failure.value.check == "oracle"
     assert f"gate 0 ({doc.circuit.gates[0]}): image " in str(failure.value)
     assert "is not a monomial" in str(failure.value)
+
+
+def test_oracle_multiplies_the_changes_out_on_its_own(monkeypatch):
+    """Synthesis and the decoded-form check share one row-product kernel,
+    so a fault in it agrees with itself: patched to flip the phase of the
+    product (3, 4), it steers synthesis to a decoder for the wrong
+    generating set, which the decoded-form check then accepts.  The oracle
+    multiplies the changes out with its own product and disagrees."""
+    code, real = shortest_code(), majorana._multiply_rows
+    flipped = (3, 4)
+    assert flipped in synthesize_with_ancilla(code).substitutions
+
+    def faulty(rows, phases, pairs, n_modes):
+        for pair in pairs:
+            real(rows, phases, (pair,), n_modes)
+            if pair == flipped:
+                phases[pair[0]] ^= 2
+
+    monkeypatch.setattr(synth, "_multiply_rows", faulty)
+    monkeypatch.setattr(cli, "_multiply_rows", faulty)
+    result = synthesize_with_ancilla(code)
+    doc = CircuitDocument(result.decoder, result.ancilla_modes, result.substitutions, "decoder")
+    assert list(cli.verify_document(code, doc))[:2] == [
+        "decoded-form check: ok",
+        "ancilla check: ok (i c0 c1 -> +i c0 c1, residual phase_r 1)",
+    ]
+    with pytest.raises(cli.VerificationFailure) as failure:
+        list(cli.verify_document(code, doc, oracle=True))
+    assert failure.value.check == "oracle"
+    assert str(failure.value) == "oracle: operator conjugation of generator 3 disagrees"

@@ -268,19 +268,23 @@ def test_mode_tableau_sparse_rows_read_clean_and_dirty(n):
 
 def test_mode_tableau_decoded_form_check():
     # the check reads only the first r rows: one extra arbitrary row (the
-    # ancilla image during synthesis) changes no verdict
+    # ancilla image during synthesis) changes no verdict; the mask names
+    # exactly the row off its pair
     for pivot_base, n, r in ((0, 6, 3), (2, 8, 2), (0, 4, 0)):
         target = DecodedTarget(n, pivot_base, r).generators()
         rows = [g.bits for g in target]
         for tail, tail_phases in (([], []), ([(1 << n) - 1], [2]), ([0b11], [3])):
             phases = [1] * r + tail_phases
-            assert _ModeTableau(rows + tail, n, phases).is_decoded(pivot_base, r)
+            assert _ModeTableau(rows + tail, n, phases).undecoded(pivot_base, r) == 0
             if r:
                 flipped = [1] * (r - 1) + [3] + tail_phases
-                assert not _ModeTableau(rows + tail, n, flipped).is_decoded(pivot_base, r)
+                off = _ModeTableau(rows + tail, n, flipped).undecoded(pivot_base, r)
+                assert off == 1 << (r - 1)
                 for extra in (1, 1 << (n - 1)):
                     moved = rows[:-1] + [rows[-1] ^ extra] + tail
-                    assert not _ModeTableau(moved, n, phases).is_decoded(pivot_base, r)
+                    assert _ModeTableau(moved, n, phases).undecoded(pivot_base, r) == 1 << (r - 1)
+                every = [0] * r + tail_phases  # +1 on every row's pair
+                assert _ModeTableau(rows + tail, n, every).undecoded(pivot_base, r) == (1 << r) - 1
 
 
 @pytest.mark.parametrize(
