@@ -118,7 +118,9 @@ def _first_odd_overlap(vectors: Sequence[int], length: int) -> tuple[int, int] |
 def _below_parity(v: int, n: int) -> int:
     """An int whose bit a, for every a < n, is the parity of v's bits below
     a: the prefix XOR of v << 1, built in O(log n) shift/XOR steps.  Bits
-    from n on are left over from the shifts; mask them before use."""
+    from n on are left over from the shifts; mask them before use.  The
+    one reorder rule reads it: the reorder parity of u against v is
+    ``popcount(u & _below_parity(v, n)) & 1`` for any u below bit n."""
     x, step = v << 1, 1
     while step < n:
         x ^= x << step
@@ -126,35 +128,12 @@ def _below_parity(v: int, n: int) -> int:
     return x
 
 
-# Operand weight from which _reorder_raw takes the prefix-parity route.
-_PREFIX_ROUTE_WEIGHT = 8
-
-
 def _reorder_raw(u: int, v: int) -> int:
-    """Parity of pairs (a, b) with a > b, bit a set in u, bit b set in v.
-
-    Two exact routes.  When both operands hold at least
-    ``_PREFIX_ROUTE_WEIGHT`` bits, the parity is ``popcount(u & x) & 1``
-    with x = ``_below_parity(v)``, O(log N) shift/XOR steps whatever the
-    weights.  Otherwise the loop walks the sparser operand: over a in u it
-    counts v's bits below a, over b in v it counts u's bits above b.  So a
-    product of a dense row with a mode pair costs two popcounts.
-    """
-    wu, wv = u.bit_count(), v.bit_count()
-    if wu >= _PREFIX_ROUTE_WEIGHT and wv >= _PREFIX_ROUTE_WEIGHT:
-        return (u & _below_parity(v, u.bit_length())).bit_count() & 1
-    total = 0
-    if wu <= wv:
-        while u:
-            low = u & -u
-            total += (v & (low - 1)).bit_count()
-            u ^= low
-    else:
-        while v:
-            low = v & -v
-            total += (u >> low.bit_length()).bit_count()
-            v ^= low
-    return total & 1
+    """Parity of pairs (a, b) with a > b, bit a set in u, bit b set in v:
+    ``popcount(u & _below_parity(v))`` mod 2, the reorder rule
+    ``majorana._multiply_rows`` uses too, in O(log N) shift/XOR steps
+    whatever the weights."""
+    return (u & _below_parity(v, u.bit_length())).bit_count() & 1
 
 
 def _mat_vec(columns: Sequence[int], x: int) -> int:

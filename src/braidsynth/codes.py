@@ -282,7 +282,7 @@ def serialize_code(code: StabilizerCode) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _gates_at_once(entries: list[Any], n_modes: int, encoder: bool) -> tuple[BraidGate, ...] | None:
+def _gates_at_once(entries: list[Any], encoder: bool) -> tuple[BraidGate, ...] | None:
     """The decoder gates of a valid gates list, empty or not, checked in
     whole-list passes with no Python code per gate; None if any check
     fails, and then the per-gate loop of parse_circuit finds the first
@@ -296,8 +296,8 @@ def _gates_at_once(entries: list[Any], n_modes: int, encoder: bool) -> tuple[Bra
     3-tuple per gate alive, and those extra container objects set off
     enough garbage-collector passes to cost more than the gates' own
     checks.  type() is exact, so a bool is not an int here either.  The
-    range check runs last, on the highest mode of each valid gate, and no
-    gate has built anything sized by its modes before it.
+    register range is not checked here: ``Circuit`` refuses a gate past
+    it, and no gate builds anything sized by its modes before that.
     """
     if encoder:
         entries = entries[::-1]
@@ -320,8 +320,6 @@ def _gates_at_once(entries: list[Any], n_modes: int, encoder: bool) -> tuple[Bra
     try:
         gates = tuple(map(BraidGate, kinds, supports, signs))
     except ValueError:
-        return None
-    if max(map(itemgetter(-1), supports), default=0) >= n_modes:
         return None
     return gates
 
@@ -355,15 +353,17 @@ def parse_circuit(text: str) -> CircuitDocument:
     if not isinstance(entries, list):
         raise err("substitutions must be a list")
     gates = doc["gates"]
-    valid = _gates_at_once(gates, n_modes, role == "encoder") if isinstance(gates, list) else None
+    valid = _gates_at_once(gates, role == "encoder") if isinstance(gates, list) else None
     if valid is not None:
         try:
             return CircuitDocument(Circuit(n_modes, valid), ancilla, tuple(map(tuple, entries)), role)
         except (TypeError, ValueError):
-            pass  # the substitutions are at fault: the loop below names the first
-    # Only a document the whole-list passes refused gets here, and it has a
-    # fault: the checks run one item at a time, substitutions and then
-    # gates, each in file order, to raise the first.
+            # Circuit refused a gate past the register, or CircuitDocument a
+            # substitution: the loop below names the first fault
+            pass
+    # Only a document with a fault gets here: the checks run one item at a
+    # time, substitutions and then gates, each in file order, to raise the
+    # first.
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != 2:
             raise err("substitutions entries must be [i, j] pairs")
@@ -394,7 +394,7 @@ def parse_circuit(text: str) -> CircuitDocument:
         # Only after this check is anything sized by the modes built.
         if modes[-1] >= n_modes:
             raise err(f"gate {g}: mode out of range 0..{n_modes - 1}")
-    raise AssertionError("the whole-list passes refused a document with no fault")
+    raise AssertionError("the fast path refused a document with no fault")
 
 
 # One gate object of each kind exactly as json.dumps(indent=2) lays it out

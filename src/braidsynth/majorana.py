@@ -10,8 +10,8 @@ exponent ``r mod 4``.  The library's gate set is generated by two families:
 
 each with an inverse direction.  Conjugating a monomial by a braid either
 fixes it (even pairing) or multiplies it by ``i`` times the gate generator
-(odd pairing); both branches reduce to one XOR and a phase update with a
-reorder parity.  On the bits, a braid on support m is the transvection
+(odd pairing), so ``_conjugate_raw`` is either no change or one product,
+``_multiply_raw``.  On the bits, a braid on support m is the transvection
 ``v -> v + (v.m) m``; m has even weight, so it preserves both ``u.v`` and
 weight parity, hence the fermionic pairing of every two monomials.  No
 braid circuit can break the pairing, so ``verify`` does not check it.
@@ -46,12 +46,19 @@ every row back at once, in one transpose of the columns, and
 them; no other module reads the tableau's columns.  That predicate is
 the one decoded-form test: synthesis ends on it and ``verify`` checks it.
 
-A change of generating set multiplies rows, not the tableau: row i times
-row j for each recorded pair (i, j), in order.  ``_multiply_rows`` is
-the one kernel for it, on row-major ints before any replay.  The
-synthesis back-substitution, ``synth.apply_substitutions`` and
-``verify``'s fold of a document's substitutions all call it, and a run
-of products by the same row j shares that row's prefix parities.
+A change of generating set multiplies rows: row i times row j for each
+recorded pair (i, j), in order.  ``_multiply_rows`` is the one kernel for
+it, on row-major ints before any replay.  The synthesis
+back-substitution, ``synth.apply_substitutions`` and ``verify``'s fold
+of a document's substitutions all call it, and a run of products by the
+same row j shares that row's prefix parities.  The one change written
+into a tableau after it is built is synthesis's column start, which
+clears whole decoded pairs (q, q+1), q even, from one row:
+``toggle_pairs`` writes exactly that, two column XORs and one Fenwick
+node per pair.  Outside the tableau every reorder parity follows one
+rule, ``popcount(u & _below_parity(v)) & 1``: ``_multiply_rows`` applies
+it, and so does ``_reorder_raw``, behind ``_multiply_raw`` and
+``_conjugate_raw``.
 
 ``conjugate_circuit``, the plain one-monomial fold, has no caller in the
 package; it stays public as the documented fold of a single monomial and
@@ -92,14 +99,6 @@ __all__ = [
 _PHASE_STR = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
 
 
-def _conjugate_raw(mask: int, gen_phase: int, bits: int, phase: int) -> tuple[int, int]:
-    """Conjugation kernel on packed ints; mask has even weight."""
-    if (mask & bits).bit_count() & 1 == 0:
-        return bits, phase
-    phase = (phase + 1 + gen_phase + 2 * _reorder_raw(mask, bits)) & 3
-    return bits ^ mask, phase
-
-
 class _ModeTableau:
     """Rows of monomials stored mode-major, updated one gate at a time.
 
@@ -114,12 +113,14 @@ class _ModeTableau:
     folding every row through ``_conjugate_raw``.
 
     The tableau also keeps each row as the int it was built from, last
-    set to or last scanned as (rows), and dirty, an r-bit mask of the rows
-    a gate has changed since: each gate ORs in the rows it changes, one
-    big-int OR.  A clean row reads back from its kept int in O(1); only a
-    dirty row is scanned out of the columns.  The tableau is the one owner
-    of the mode-major layout: it builds its columns from the rows, and
-    ``read`` hands every row back row-major, so no caller transposes.
+    written as or last scanned as (rows), and dirty, an r-bit mask of the
+    rows a gate has changed since: each gate ORs in the rows it changes,
+    one big-int OR.  A clean row reads back from its kept int in O(1);
+    only a dirty row is scanned out of the columns.  The one write besides
+    the gates is ``toggle_pairs``, which flips whole aligned pairs of one
+    row.  The tableau is the one owner of the mode-major layout: it builds
+    its columns from the rows, and ``read`` hands every row back
+    row-major, so no caller transposes.
     """
 
     __slots__ = ("cols", "tree", "p0", "p1", "rows", "dirty")
@@ -223,40 +224,25 @@ class _ModeTableau:
                 bits |= 1 << m
         return bits
 
-    def set_row(self, i: int, bits: int, phase: int) -> None:
-        """Overwrite row i; the row is clean afterwards.
+    def toggle_pairs(self, i: int, pairs: int, phase: int) -> None:
+        """Flip the modes of pairs in row i and set its phase to phase; the
+        row is clean afterwards.
 
-        Costs the read of the old row (O(1) clean, O(N) dirty) plus
-        O(log N) per two changed modes.  The changed modes go in ascending
-        pairs lo < hi, and, as in ``run``, the pair's two walks up the tree
-        stop where they meet, so a decoded pair (q, q+1), q even, touches
-        one node; a last lone mode walks to the end.
+        pairs must lie on whole aligned pairs (q, q+1), q even.  Fenwick
+        node k covers cols[k - (k & -k) .. k-1], and k - (k & -k) is even,
+        so node q + 1 is the one node that covers mode q without q + 1:
+        every other node holds both modes or neither, and the two flips
+        cancel there.  A pair then costs two column XORs and one node.
         """
         cols, tree, bit = self.cols, self.tree, 1 << i
-        end = len(cols) + 1
-        diff = self.row(i)[0] ^ bits
-        while diff:
-            lo = diff & -diff
-            diff ^= lo
-            hi = diff & -diff
-            diff ^= hi
-            a = lo.bit_length()  # lo's mode + 1, its first node
-            cols[a - 1] ^= bit
-            if hi:
-                b = hi.bit_length()
-                cols[b - 1] ^= bit
-            else:
-                b = end
-            while a < b:
-                tree[a] ^= bit
-                a += a & -a
-            if a > end:
-                a = end
-            while b < a:
-                tree[b] ^= bit
-                b += b & -b
-        self.rows[i] = bits
-        self.dirty &= ~bit
+        self.rows[i] = self.row(i)[0] ^ pairs
+        while pairs:
+            low = pairs & -pairs
+            pairs ^= low | low << 1
+            q = low.bit_length() - 1
+            cols[q] ^= bit
+            cols[q + 1] ^= bit
+            tree[q + 1] ^= bit
         self.p0 = self.p0 & ~bit | (phase & 1) << i
         self.p1 = self.p1 & ~bit | (phase >> 1 & 1) << i
 
@@ -273,9 +259,20 @@ class _ModeTableau:
 
 
 def _multiply_raw(abits: int, aphase: int, bbits: int, bphase: int) -> tuple[int, int]:
-    """Product kernel on packed ints."""
+    """Product kernel on packed ints; the reorder parity is
+    ``_reorder_raw``'s."""
     phase = (aphase + bphase + 2 * _reorder_raw(abits, bbits)) & 3
     return abits ^ bbits, phase
+
+
+def _conjugate_raw(mask: int, gen_phase: int, bits: int, phase: int) -> tuple[int, int]:
+    """Conjugation kernel on packed ints; mask has even weight.  The
+    monomial M = i^phase [bits] is fixed when it pairs evenly with the
+    generator V = i^gen_phase [mask], and becomes the product i V M when
+    it pairs oddly."""
+    if (mask & bits).bit_count() & 1 == 0:
+        return bits, phase
+    return _multiply_raw(mask, gen_phase + 1, bits, phase)
 
 
 def _multiply_rows(
@@ -285,10 +282,11 @@ def _multiply_rows(
     times row j, in place; no row is wider than n_modes.
 
     The reorder parity of a product is ``popcount(row i & below) & 1``,
-    with below row j's ``_below_parity``, which a run of equal j shares:
-    it is built again when j changes, and row j changes only through an
-    entry (j, x), whose x starts a new run.  A pair i == j squares row i
-    and ends its run as well.
+    with below row j's ``_below_parity``: the one reorder rule, which
+    ``_reorder_raw`` follows too.  A run of equal j shares below: it is
+    built again when j changes, and row j changes only through an entry
+    (j, x), whose x starts a new run.  A pair i == j squares row i and
+    ends its run as well.
     """
     last = -1
     for i, j in pairs:

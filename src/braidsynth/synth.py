@@ -36,12 +36,13 @@ starts by multiplying its generator by every already-decoded generator
 whose pair it still holds (commutation forces whole pairs): a recorded
 substitution, no gate.  Decoded generator j is exactly i^s c_q c_(q+1) at
 that point, so the held pairs multiply to one monomial, and one product by
-it clears their bits; all of a column's pairs go in one ``set_row``.  Quartic braids
-then shrink the column's weight from the pivot on by two per step, parking
-on its lowest clear mode there, and one quadratic braid per bit still off
-the pivot pair puts it there.  Every emitted gate has even overlap with
-every finished pair, so decoded generators are never disturbed -- the loop
-invariant that makes the sweep correct.
+it clears their bits.  The row changes on those whole pairs alone, and
+``_ModeTableau.toggle_pairs`` writes them, one Fenwick node per pair.
+Quartic braids then shrink the column's weight from the pivot on by two
+per step, parking on its lowest clear mode there, and one quadratic braid
+per bit still off the pivot pair puts it there.  Every emitted gate has
+even overlap with every finished pair, so decoded generators are never
+disturbed -- the loop invariant that makes the sweep correct.
 
 The working generators live in one mode-major tableau (see ``majorana``)
 for the whole run, so each emitted gate costs O(|support| log N) big-int
@@ -61,11 +62,11 @@ of the tableau at the start of its column and written back only by a change
 of generating set.  That read is O(1) when no earlier gate has touched the
 row (the tableau keeps its input rows and a mask of the rows gates have
 changed), and an O(N) scan of the columns when one has; the tableau keeps
-the scan, so the ``set_row`` that follows reads the row in O(1).  The phase
-correction reads phases from the tableau's bit planes, and the final check
-is ``_ModeTableau.undecoded``, the decoded-form test ``verify`` runs too,
-in O(N).  Internal invariants raise ``SynthesisInvariantError``, so they
-also hold under ``python -O``.
+the scan, so the ``toggle_pairs`` that follows reads the row in O(1).  The
+phase correction reads phases from the tableau's bit planes, and the final
+check is ``_ModeTableau.undecoded``, the decoded-form test ``verify`` runs
+too, in O(N).  Internal invariants raise ``SynthesisInvariantError``, so
+they also hold under ``python -O``.
 
 The ancilla variant adjoins a fresh mode pair at indices 0 and 1.  When a
 tail is all ones it parks on mode 0 (a quartic braid through mode 0, then a
@@ -273,15 +274,18 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
             tab.run(gates[done:])
             done = len(gates)
 
-    def clear_pairs(i: int, bits: int, phase: int, decoded: int) -> tuple[int, int]:
-        """Generator i, at bits and phase, times every decoded generator
-        whose pair it holds, with each product recorded as a substitution.
+    def clear_pairs(i: int, bits: int, phase: int, decoded: int) -> int:
+        """Multiply generator i, at bits and phase, by every decoded
+        generator whose pair it holds, record each product as a
+        substitution, write the result to the tableau and return its bits.
 
         Decoded generator j is exactly i^s c_q c_(q+1), q = pivot_base + 2j,
         and commutation makes the row hold both modes of a pair or neither.
         The held pairs are disjoint and listed in ascending order, so their
         product is i^(sum of their s) times their modes, one monomial, and
-        one ``_multiply_raw`` by it clears them all and costs no gate.
+        one ``_multiply_raw`` by it clears them all and costs no gate.  The
+        change to the row is those whole pairs, which is what
+        ``_ModeTableau.toggle_pairs`` writes.
         """
         held = bits & decoded
         lows = held & evens
@@ -298,7 +302,9 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
             j = (low.bit_length() - 1 - pivot_base) >> 1
             s += tab.phase(j)
             substitutions.append((i, j))
-        return _multiply_raw(bits, phase, held, s)
+        bits, phase = _multiply_raw(bits, phase, held, s)
+        tab.toggle_pairs(i, held, phase)
+        return bits
 
     evens = full // 3  # the even modes: the low mode of every aligned pair
     for i in range(r):
@@ -308,8 +314,7 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         catch_up()
         row, phase = tab.row(i)
         if row & decoded:
-            row, phase = clear_pairs(i, row, phase, decoded)
-            tab.set_row(i, row, phase)
+            row = clear_pairs(i, row, phase, decoded)
 
         if use_ancilla and row & 1:
             # only a park puts mode 0 in a row, and only the last column

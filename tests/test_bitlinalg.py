@@ -6,9 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from braidsynth import bitlinalg
 from braidsynth.bitlinalg import (
-    _PREFIX_ROUTE_WEIGHT,
     _eliminate,
     _first_odd_overlap,
     _mat_vec,
@@ -98,16 +96,15 @@ def sparse_or_dense(n: int):
 @settings(max_examples=300)
 @given(sparse_or_dense(400), sparse_or_dense(400))
 def test_reorder_walks_either_operand_alike(u, v):
-    """Walking the sparser operand gives the parity of the walk over u."""
+    """The reorder rule gives the parity of the walk over u's bits, on
+    operands of every density."""
     assert _reorder_raw(u, v) == reorder_over_u(u, v)
     assert _reorder_raw(v, u) == reorder_over_u(v, u)
 
 
 def weighted(n: int):
-    """n-bit ints holding exactly w set bits, for w on both sides of the
-    prefix-parity route's threshold."""
-    t = _PREFIX_ROUTE_WEIGHT
-    weights = st.sampled_from([0, 1, 2, t - 2, t - 1, t, t + 1, 2 * t, n // 2, n - 1, n])
+    """n-bit ints holding exactly w set bits, for weights from 0 to n."""
+    weights = st.sampled_from([0, 1, 2, 6, 7, 8, 9, 16, n // 2, n - 1, n])
     return st.tuples(weights, st.integers(0, 2**32)).map(
         lambda ws: sum(1 << m for m in random.Random(ws[1]).sample(range(n), ws[0]))
     )
@@ -116,24 +113,11 @@ def weighted(n: int):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([400, 2000]).flatmap(lambda n: st.tuples(weighted(n), weighted(n))))
 def test_reorder_routes_match_the_naive_count(pair):
-    """Both routes of _reorder_raw, on 400- and 2,000-bit ints, against the
-    mode-by-mode count; either operand may be the denser one."""
+    """_reorder_raw, on 400- and 2,000-bit ints of every weight, against
+    the mode-by-mode count; either operand may be the denser one."""
     u, v = pair
     assert _reorder_raw(u, v) == naive_reorder(u, v)
     assert _reorder_raw(v, u) == naive_reorder(v, u)
-
-
-def test_reorder_takes_the_prefix_route_only_when_both_are_dense(monkeypatch):
-    calls = []
-    below = bitlinalg._below_parity
-    monkeypatch.setattr(bitlinalg, "_below_parity", lambda v, n: calls.append(v) or below(v, n))
-    t = _PREFIX_ROUTE_WEIGHT
-    dense, sparse = (1 << t) - 1, (1 << (t - 1)) - 1
-    for u, v in [(dense, sparse), (sparse, dense), (sparse << 3, sparse)]:
-        _reorder_raw(u, v)
-    assert calls == []
-    _reorder_raw(dense << 1, dense)
-    assert calls == [dense]
 
 
 @given(packed, packed)

@@ -2,6 +2,7 @@
 documents (regenerate with scripts/synthesize_builtins.py after an
 intentional algorithm change)."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ from braidsynth.codes import (
     CircuitDocument,
     kitaev_chain,
     parse_circuit,
+    random_code,
     serialize_circuit,
+    serialize_code,
     shortest_code,
 )
 from braidsynth.synth import synthesize_ancilla_free, synthesize_with_ancilla
@@ -97,3 +100,26 @@ def test_synth_writes_the_golden_bytes(capsys, tmp_path, argv, name):
     capsys.readouterr()
     assert main(["synth", *argv, "-o", "-"]) == 0
     assert capsys.readouterr().out.encode() == want
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ([], "b548d48af7574aa74959da14451112cc103f335ded2275380faf782de2d9f366"),
+        (
+            ["--ancilla-free", "--decoder"],
+            "e5eb3fe3318ad62c18087a594534be784c3a3bb283a953773c68408ef7247d2d",
+        ),
+    ],
+    ids=["ancilla-encoder", "ancilla-free-decoder"],
+)
+def test_synth_pins_the_documents_of_a_code_with_many_products(tmp_path, argv, digest):
+    """The goldens hold two small codes; this pins the exact documents of a
+    dense one, random_code(64, 16, 1), whose 187 gates come with 118
+    substitutions in either variant.  A change to the gate counts on
+    purpose updates the digests, as it regenerates the goldens."""
+    code = tmp_path / "random64.code"
+    code.write_text(serialize_code(random_code(64, 16, 1)))
+    out = tmp_path / "random64.circuit"
+    assert main(["synth", str(code), *argv, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -219,37 +219,44 @@ def fenwick(cols):
 
 
 def run_rows_against_the_fold(n, bits, gates, rng):
-    """Apply the gates, and a random set_row after each, to a tableau and
-    to a row-major list folded through _conjugate_raw; every row must agree
-    after every step, and the tree must be the Fenwick tree of the columns.
-    Returns the dirty states the reads saw."""
-    phases = [rng.randrange(4) for _ in bits]
-    tab = _ModeTableau(bits, n, list(phases))
+    """Apply the gates, and after each a write of a few random whole
+    aligned pairs to one random row, to a tableau and to a row-major list
+    folded through _conjugate_raw and _multiply_raw.  Every row must agree
+    after every gate and every write, and the tree must be the Fenwick tree
+    of the columns.  The pairs are (q, q+1), q = pivot_base + 2j, as at
+    synthesis's column start, for pivot bases 0 and 2; the write lands
+    before the rows are read, so the written row may be dirty.  Returns the
+    dirty states the reads saw."""
     seen: set[int] = set()
-    check_every_row(tab, bits, phases, seen)
-    for gate in gates:
-        tab.run((gate,))
-        assert tab.tree == fenwick(tab.cols)
-        for i, (b, ph) in enumerate(zip(bits, phases)):
-            bits[i], phases[i] = _conjugate_raw(gate.support_mask, gate.generator_phase, b, ph)
-        assert tab.read() == (bits, phases)  # the rows the gate changed are dirty
-        check_every_row(tab, bits, phases, seen)
-        i, j = rng.randrange(len(bits)), rng.randrange(len(bits))
-        if i != j:
-            bits[i], phases[i] = _multiply_raw(bits[i], phases[i], bits[j], phases[j])
-            tab.set_row(i, bits[i], phases[i])
+    for pivot_base in (0, 2):
+        lows = range(pivot_base, n - 1, 2)
+        rows = list(bits)
+        phases = [rng.randrange(4) for _ in rows]
+        tab = _ModeTableau(rows, n, list(phases))
+        check_every_row(tab, rows, phases, seen)
+        for gate in gates:
+            tab.run((gate,))
             assert tab.tree == fenwick(tab.cols)
-            assert not tab.dirty >> i & 1
-            check_every_row(tab, bits, phases, seen)
-    assert tab.cols == _transpose_raw(bits, n)
-    assert tab.read() == (bits, phases)  # every row is clean
+            for i, (b, ph) in enumerate(zip(rows, phases)):
+                rows[i], phases[i] = _conjugate_raw(gate.support_mask, gate.generator_phase, b, ph)
+            assert tab.read() == (rows, phases)  # the rows the gate changed are dirty
+            i = rng.randrange(len(rows))
+            pairs = sum(3 << q for q in rng.sample(lows, min(len(lows), rng.randint(0, 3))))
+            rows[i], phases[i] = _multiply_raw(rows[i], phases[i], pairs, rng.randrange(4))
+            tab.toggle_pairs(i, pairs, phases[i])
+            assert tab.tree == fenwick(tab.cols)
+            assert not tab.dirty >> i & 1 and tab.rows[i] == rows[i]
+            check_every_row(tab, rows, phases, seen)
+        assert tab.cols == _transpose_raw(rows, n)
+        assert tab.read() == (rows, phases)  # every row is clean
     return seen
 
 
 @pytest.mark.parametrize("n", [2, 6, 64, 65, 66])
 def test_mode_tableau_rows_follow_the_row_major_fold(n):
-    """Reading, overwriting and updating single rows of the mode-major
-    tableau agrees with a row-major list folded through _conjugate_raw."""
+    """Reading single rows, writing whole aligned pairs to them and
+    updating them by gates in the mode-major tableau agrees with a
+    row-major list folded through _conjugate_raw and _multiply_raw."""
     rng = random.Random(2000 + n)
     bits = [rng.getrandbits(n) for _ in range(rng.randint(1, 2 * n))]
     gates = edge_gates(n, rng) + list(random_circuit(n, 60, rng).gates)
