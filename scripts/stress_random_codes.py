@@ -24,7 +24,9 @@ scrambled by 4N random gates, so their rows look generic; the other half
 are sparse, the rows in shuffled order and scrambled by only N/2 gates, so
 many rows reach their sweep column untouched and the tableau reads them
 from its kept rows.  Prints one summary line, with the number of ancilla
-sweep gates that touch mode 0 (only codes with the total parity reach one);
+sweep gates that touch mode 0 (only codes with the total parity reach one)
+and the total decoder gate count of both variants, so that a diff of the
+line against a recorded one catches a change to the gate counts;
 any violation trips an assert or raises ``VerificationFailure``, and a run
 of at least 50 codes that sees no pinned image or no obstruction exits
 non-zero.
@@ -127,7 +129,7 @@ def main() -> None:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
-    pinned = clean_full_rank = obstructed = mode0_gates = 0
+    pinned = clean_full_rank = obstructed = mode0_gates = decoder_gates = 0
     for idx in range(args.codes):
         n = 2 * rng.randint(2, args.max_modes // 2)
         seed = args.seed * 100_000 + idx
@@ -144,6 +146,7 @@ def main() -> None:
 
         result = synthesize_with_ancilla(code)
         check(code, result)
+        decoder_gates += len(result.decoder)
         mode0_gates += sum(g[1][0] == 0 for g in sweep(result))
         clean = result.ancilla_image.bits == 0b11
         assert (result.ancilla_phase_r is not None) == clean
@@ -163,12 +166,13 @@ def main() -> None:
             assert code.n_logical == 0
         else:
             check(code, free)
+            decoder_gates += len(free.decoder)
             assert ptot or sweep(result) == sweep(free, 2)
 
     summary = (
         f"{args.codes} codes | pinned ancilla images: {pinned} | "
         f"clean full-rank images: {clean_full_rank} | obstructions: {obstructed} | "
-        f"sweep gates on mode 0: {mode0_gates}"
+        f"sweep gates on mode 0: {mode0_gates} | decoder gates: {decoder_gates}"
     )
     if args.codes >= 50 and not (pinned and obstructed):
         sys.exit(f"stress run missed the pinned-image or obstruction branch: {summary}")

@@ -51,14 +51,16 @@ recorded pair (i, j), in order.  ``_multiply_rows`` is the one kernel for
 it, on row-major ints before any replay.  The synthesis
 back-substitution, ``synth.apply_substitutions`` and ``verify``'s fold
 of a document's substitutions all call it, and a run of products by the
-same row j shares that row's prefix parities.  The one change written
-into a tableau after it is built is synthesis's column start, which
+same row j shares that row's prefix parities.  Two changes are written
+into a tableau after it is built, both by synthesis.  Its column start
 clears whole decoded pairs (q, q+1), q even, from one row:
 ``toggle_pairs`` writes exactly that, two column XORs and one Fenwick
-node per pair.  Outside the tableau every reorder parity follows one
-rule, ``popcount(u & _below_parity(v)) & 1``: ``_multiply_rows`` applies
-it, and so does ``_reorder_raw``, behind ``_multiply_raw`` and
-``_conjugate_raw``.
+node per pair.  Its column end may reverse the gate just run:
+``reverse_last`` negates the rows that gate met oddly, one XOR of the
+support's columns, and changes no bit.  Outside the tableau every
+reorder parity follows one rule, ``popcount(u & _below_parity(v)) & 1``:
+``_multiply_rows`` applies it, and so does ``_reorder_raw``, behind
+``_multiply_raw`` and ``_conjugate_raw``.
 
 ``conjugate_circuit``, the plain one-monomial fold, has no caller in the
 package; it stays public as the documented fold of a single monomial and
@@ -116,11 +118,12 @@ class _ModeTableau:
     written as or last scanned as (rows), and dirty, an r-bit mask of the
     rows a gate has changed since: each gate ORs in the rows it changes,
     one big-int OR.  A clean row reads back from its kept int in O(1);
-    only a dirty row is scanned out of the columns.  The one write besides
-    the gates is ``toggle_pairs``, which flips whole aligned pairs of one
-    row.  The tableau is the one owner of the mode-major layout: it builds
-    its columns from the rows, and ``read`` hands every row back
-    row-major, so no caller transposes.
+    only a dirty row is scanned out of the columns.  Two writes besides
+    the gates: ``toggle_pairs``, which flips whole aligned pairs of one
+    row, and ``reverse_last``, which turns the last gate run into its
+    reverse and changes only phases.  The tableau is the one owner of the
+    mode-major layout: it builds its columns from the rows, and ``read``
+    hands every row back row-major, so no caller transposes.
     """
 
     __slots__ = ("cols", "tree", "p0", "p1", "rows", "dirty")
@@ -245,6 +248,20 @@ class _ModeTableau:
             tree[q + 1] ^= bit
         self.p0 = self.p0 & ~bit | (phase & 1) << i
         self.p1 = self.p1 & ~bit | (phase >> 1 & 1) << i
+
+    def reverse_last(self, modes: tuple[int, ...]) -> None:
+        """Turn the gate run last, on modes, into its reverse.
+
+        The reverse has the same support and generator phase 2 more, so
+        it changes the same rows to the same bits with the opposite sign:
+        the rows that meet the support oddly, which a gate on it keeps
+        (a transvection by an even-weight support preserves each row's
+        pairing with that support).  Only their phase's high bit flips.
+        """
+        odd = 0
+        for a in modes:
+            odd ^= self.cols[a]
+        self.p1 ^= odd
 
     def undecoded(self, pivot_base: int, n_rows: int) -> int:
         """The mask of the rows j < n_rows that are not exactly

@@ -48,10 +48,12 @@ The working generators live in one mode-major tableau (see ``majorana``)
 for the whole run, so each emitted gate costs O(|support| log N) big-int
 operations however many generators there are.  Emitting a gate only queues
 it; the tableau catches up on the queued gates, in one ``run``, just before
-it is next read: at the start of each column and before each phase read.
-So a column costs one ``run`` call, not one per gate, and its column-start
-substitutions cost none.  The sweep names each gate by its support mask,
-built from the one-bit ints (``x & -x``) its pivot logic already computes;
+it is next read: at the end of each column that emitted a gate, where it
+reads the phase that column's last gate is chosen from (below), and after
+each phase correction.  So a column costs at most one ``run`` call, not
+one per gate, and its column-start substitutions cost none.  The sweep
+names each gate by its support mask, built from the one-bit ints
+(``x & -x``) its pivot logic already computes;
 ``emit`` takes the kind from the mask's weight (2 modes make a ``braid2``,
 4 a ``braid4``, any other weight is an invariant failure) and peels the
 modes off in ascending order for the ``BraidGate`` constructor, which still
@@ -87,11 +89,30 @@ tail (see the borrow above); it must reject codes whose stabilizer group
 contains the total parity with r < N/2, for which no ancilla-free decoder
 exists at all.
 
-After the sweep all generator phases are +-i.  A doubled braid commutes
-with every monomial's bits and flips the sign of those it pairs oddly with,
-which is exactly the hammer needed to turn -i phases into +i; the chosen
-supports keep every other generator even, at the recorded cost of sign
-flips on some logical-pair representatives.
+Each column that emits a gate ends its generator at +i.  A braid's
+reverse direction negates its generator, so it flips the sign of every row
+the braid meets oddly and leaves the others as they are.  Every sweep gate
+of column i meets row i oddly (a shrink braid holds three of the row's
+modes, the park's two gates three and one, a slot braid one) and every
+finished pair evenly.  So the direction of the column's last gate decides
+generator i's final phase, +i or -i, and disturbs no decoded generator;
+the rows still to come absorb the flip, and their signs do not matter yet.
+The bits, and so every later gate's support, are the same either way.  At
+the column end the tableau runs the column's gates and reads row i's
+phase.  If it reads -i, the last gate is reversed in the decoder, and
+``_ModeTableau.reverse_last`` negates every row that gate met oddly: a
+reversed gate's generator phase is 2 more, so that is the state running
+the reversed gate would have left, and no gate runs twice.  ``emit`` does
+no phase work per gate, and a column costs one phase read and, when its
+last gate is reversed, one XOR of that gate's columns.
+
+A generator whose column emits no gate (it is on its own pair once the
+column start has cleared the decoded ones) keeps the phase it has there,
++i or -i.  A doubled braid commutes with every monomial's bits and flips
+the sign of those it pairs oddly with, which is exactly the hammer needed
+to turn those -i phases into +i; the chosen supports keep every other
+generator even, at the recorded cost of sign flips on some logical-pair
+representatives.
 """
 
 from __future__ import annotations
@@ -140,9 +161,11 @@ class SynthesisInvariantError(RuntimeError):
 
 
 class PhaseCorrectionError(Exception):
-    """A lone -i generator with no admissible correction support (possible
-    only ancilla-free with k = 0, where the all-modes monomial's sign is
-    rigid under every braid gate)."""
+    """A -i generator whose column emitted no gate, with no admissible
+    correction support: possible only ancilla-free with k = 0.  There the
+    all-modes monomial, the product of every generator, is fixed by every
+    braid gate, sign included, so the code fixes the parity of the number
+    of generators at -i, and an odd one is left without a partner."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,8 +188,16 @@ class SynthesisResult:
     decoded form; a document carries them, and ``verify`` multiplies them
     out on the code's rows, with the same kernel as synthesis, before it
     replays the decoder.  correction_span is the decoder gate index range
-    holding the doubled phase-correction braids; it runs to the end of the
-    decoder.  For the ancilla variant, ancilla_image is the
+    holding the doubled phase-correction braids, which only generators
+    whose column emitted no gate need: every other column's last gate
+    takes the direction that ends its generator at +i.  The span runs to
+    the end of the decoder and is empty when no such generator ends at -i.
+    logical_sign_flips lists the logical pairs, by index, of the logical
+    modes that an odd number of those doubled braids meet, whose
+    representatives they negate; the sweep's choice of directions is not
+    recorded there, and ``logical_representatives`` reads the
+    representatives off the whole decoder.  For the ancilla variant,
+    ancilla_image is the
     decoder image of i c_0 c_1, and for a code whose stabilizer group does
     not contain the total parity it is i c_0 c_1 itself, ancilla_phase_r 1.
     Otherwise the image is pinned to the all-modes monomial times decoded
@@ -311,7 +342,6 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         p = pivot_base + 2 * i
         tail = full ^ ((1 << p) - 1)
         decoded = (1 << p) - (1 << pivot_base)  # the decoded pairs' modes
-        catch_up()
         row, phase = tab.row(i)
         if row & decoded:
             row = clear_pairs(i, row, phase, decoded)
@@ -349,7 +379,16 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
             free_slot, off = ~row & slots, row & ~slots
             emit((free_slot & -free_slot) | (off & -off))
 
-    # ---- phase correction: doubled braids flip -i generators to +i ----
+        if done < len(gates):
+            # the column's last gate takes the direction that lands the
+            # generator at +i (module docstring)
+            catch_up()
+            if tab.phase(i) == 3:
+                gates[-1] = gates[-1].inverse()
+                tab.reverse_last(gates[-1].modes)
+
+    # ---- phase correction: doubled braids flip -i generators left by
+    # columns that emitted no gate ----
     correction_start = len(gates)
     log_start = pivot_base + 2 * r
     # the first three free modes (the ancilla pair, then the logical ones)
@@ -363,7 +402,6 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         emit(mask)
         flipped ^= mask & logical
 
-    catch_up()
     for j in range(r):
         if tab.phase(j) != 3:
             continue

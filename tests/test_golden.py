@@ -105,21 +105,43 @@ def test_synth_writes_the_golden_bytes(capsys, tmp_path, argv, name):
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        ([], "b548d48af7574aa74959da14451112cc103f335ded2275380faf782de2d9f366"),
+        ([], "9843db46d0479ddb93d7f19ce9020a922ab51931cacd8832846eb5d05c11dc8d"),
         (
             ["--ancilla-free", "--decoder"],
-            "e5eb3fe3318ad62c18087a594534be784c3a3bb283a953773c68408ef7247d2d",
+            "2465859c4dca6f64a102b937eea2d3cbc6aa1d026e75fb5a3aab327eedd0b2d6",
         ),
     ],
     ids=["ancilla-encoder", "ancilla-free-decoder"],
 )
 def test_synth_pins_the_documents_of_a_code_with_many_products(tmp_path, argv, digest):
     """The goldens hold two small codes; this pins the exact documents of a
-    dense one, random_code(64, 16, 1), whose 187 gates come with 118
+    dense one, random_code(64, 16, 1), whose 173 gates come with 118
     substitutions in either variant.  A change to the gate counts on
     purpose updates the digests, as it regenerates the goldens."""
     code = tmp_path / "random64.code"
     code.write_text(serialize_code(random_code(64, 16, 1)))
     out = tmp_path / "random64.circuit"
     assert main(["synth", str(code), *argv, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ([], "cf96da0cdae3c8bba838dcd2c80f8f1b5150584191e4294b24160d7bb0191878"),
+        (
+            ["--ancilla-free", "--decoder"],
+            "4f2466dc0a529939915cea225b18cac2b3d49859c9b1e758bbff3d022ca046f6",
+        ),
+    ],
+    ids=["ancilla-encoder", "ancilla-free-decoder"],
+)
+def test_synth_pins_the_documents_of_kitaev_1000(tmp_path, argv, digest):
+    """kitaev:1000 is the benchmark's large sparse code: 999 quadratic
+    braids per variant and no substitution, and every column already ends
+    its generator at +i, so no braid is reversed or doubled.  Its documents
+    are pinned so that a change to the sweep shows here as well as in the
+    benchmark's gate count."""
+    out = tmp_path / "kitaev1000.circuit"
+    assert main(["synth", "--builtin", "kitaev:1000", *argv, "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -133,7 +133,7 @@ def test_shortest_code_with_ancilla():
     result = synthesize_with_ancilla(code)
     assert result.total_modes == 14
     assert result.ancilla_modes == (0, 1)
-    assert gate_counts(result.decoder) == {"braid2": 7, "braid4": 7}
+    assert gate_counts(result.decoder) == {"braid2": 7, "braid4": 3}
     assert len(result.substitutions) == 7
     assert decoded_ok(code, result)
     # the ancilla pair comes back to (0, 1), up to a reported sign
@@ -152,7 +152,7 @@ def test_ancilla_shrink_takes_one_gate_on_a_clear_tail_mode():
     pair is never touched, so no gate follows the phase correction."""
     code = random_code(100, 25, seed=1)
     result = synthesize_with_ancilla(code)
-    assert gate_counts(result.decoder) == {"braid2": 25, "braid4": 428}
+    assert gate_counts(result.decoder) == {"braid2": 25, "braid4": 400}
     back, column_starts = split_substitutions(result)
     assert (len(back), len(column_starts)) == (153, 131)
     assert len(result.decoder) - result.correction_span[1] == 0
@@ -421,11 +421,12 @@ def test_kitaev_1000_sweep_scans_no_row(monkeypatch):
 def test_the_sweep_runs_its_tableau_once_per_column(monkeypatch):
     """Emitted gates queue until the tableau is next read, so a synthesis
     calls run at most once per column and once per corrected generator,
-    not once per gate: at the start of every column but the first, once
-    more before the phase correction, and once after each correction.  No
-    substitution runs anything: the back-substitution's come before any
-    gate, and the sweep's own are column starts (i, j), j < i, that clear
-    decoded pairs.  Every gate runs exactly once."""
+    not once per gate: at the end of every column that emitted a gate,
+    where the phase its last gate's direction is chosen from is read, and
+    once after each correction.  No substitution runs anything: the
+    back-substitution's come before any gate, and the sweep's own are
+    column starts (i, j), j < i, that clear decoded pairs.  Every gate runs
+    exactly once."""
     batches: list[int] = []
     run = _ModeTableau.run
 
@@ -822,54 +823,56 @@ def test_kitaev_chain_takes_one_quadratic_braid_per_generator(n):
 
 
 # sha256 of serialize_circuit of each variant's decoder document (with an
-# ancilla, then ancilla-free), recorded when the synthesis began to
-# back-substitute the generators on their top modes, or the name of the
-# refusal it raised.  The goldens reach no mode-0 parking; these codes reach
-# the parking step, the back-substitution and the column-start
-# substitution.  Two were pinned for the borrow, which the back-substitution
-# made unreachable; test_without_the_back_substitution_the_sweep_refuses
-# shows them reaching it again.
+# ancilla, then ancilla-free), or the name of the refusal it raised;
+# recorded when the synthesis began to back-substitute the generators on
+# their top modes, and re-recorded where they moved when each column's
+# last braid began to take the direction that lands its generator at +i.
+# The goldens reach no mode-0 parking; these codes reach the parking step,
+# the back-substitution and the column-start substitution.  Two were pinned
+# for the borrow, which the back-substitution made unreachable;
+# test_without_the_back_substitution_the_sweep_refuses shows them reaching
+# it again.
 PINNED_DECODERS = [
     pytest.param(
         lambda: random_code(40, 10, 1),
-        "805165bacabfe7e271b1529e31a0db38d9e3c18e97c5305347d3dc696f7cc4ef",
-        "9c7e0aa6f4561686e2eb8b68040d09c62d6b135b7bfd2ccc44ed614e6986ab6a",
+        "634361cf2dd6b671c3852cad94717a4c31babd959447b88d6f1edcdc9588780c",
+        "1e7397234e83b18aaecdc10b4b8752200c8f29efe2bad89ca1ba514a81e81a1c",
         id="random-40-10-1",
     ),
     pytest.param(
         lambda: random_code(40, 10, 2),
-        "877a427a8293351bb92e27ffc95300ee506c1f17b907a502b0a92c0cf7fb7ea8",
-        "96e5c78f65838a10a9c1bf0afc1deb17d25d07d1aa93770042be06a39b63efbb",
+        "9bacb62a747ac67348159b714e0468c0b159ca48d344ae0ad7d23e38032be86b",
+        "818bb4e842e3a5b4a0a266514fadec9fa3efdd6612d7afa4d83762629793d621",
         id="random-40-10-2",
     ),
     pytest.param(
         lambda: random_code(40, 10, 3),
-        "0808af150421648cd8b064435adaafa3540914fbd7bc3e1b7d15a3b55952aa3a",
-        "64bf4ac5df6432045edff77ba7c2ff2170979faf445aed2427ca4a174ef338dd",
+        "15779272466fd036c2fbf14c261302e778fbf1ed2b9da9d3c24aa0f5e7845a99",
+        "ef1c35277bbacb1dba49f7598a4098dd4025f9271837adb6b936768d9618fd40",
         id="random-40-10-3",
     ),
     pytest.param(
         lambda: random_code(40, 10, 4),
-        "3e4399c82230c0340b8ce131bf119dc5819d064b10bb2937ea704a8e05cfec6b",
-        "56c0bef7de6913ebeb592439795e72ba6e122e81de1d5173ab1677a40b2518cc",
+        "bf047c4a7cbb7e441ffcc96da9713f6b2bcf86e57f653a397db06cfb6e7c30c6",
+        "e91cd1dfe21fbd5c3aa70df0f13855ed76a61f461d845da413fef2a4b0296d44",
         id="random-40-10-4",
     ),
     pytest.param(
         lambda: random_code(40, 10, 5),
-        "c08f78c148b071c83d1a1cfb3850bb1c7804e98c8f2303a74284dcaab67ac3d8",
-        "064f2e1005e8c18e5ce4fba9276d0abf3212dd12dddfa68be47b0135b43639e1",
+        "1f526ec7f184f6ef98a14373265d51d8e43dcedafa693ce4448d494794954623",
+        "12fef492aaf23dbf7fadb4b3fdaf54ee69fc6cec70e5de67e6facb4059f0f286",
         id="random-40-10-5",
     ),
     pytest.param(  # its last column parks on mode 0; obstructed without
         lambda: scrambled_total_parity_code(20, 7, 2),
-        "53e37edfc615530d3bb2107ea99c8611fa611eb6521b62207b7fce7e4d6ed490",
+        "430f66e6a4851ef80d2917b43f893640de35bc319540299a89419dd35cf7fe7f",
         "TotalParityObstruction",
         id="total-parity-20-7-2",
     ),
     pytest.param(
         lambda: scrambled_total_parity_code(16, 8, 4),
-        "8ca65f657bfb20a96bf2434264d20074594af23a784bd989db15489fee114af1",
-        "2a8a450eb52acf1246f8376c26784e423f23167f37727fdd18760b99d9ddc766",
+        "57d341b0522fbcf780a8cce8e6a8687ba2eb666e39d84e9128efb62bcb733ea1",
+        "dcbb19f9998788ab450f385e47e94b24c6e12d4950d38c181564852a84ca7b7c",
         id="total-parity-16-8-4",
     ),
     pytest.param(  # its last column parks on mode 0 (before the

@@ -263,6 +263,24 @@ def test_mode_tableau_rows_follow_the_row_major_fold(n):
     run_rows_against_the_fold(n, bits, gates, rng)
 
 
+@pytest.mark.parametrize("n", [6, 65])
+def test_reversing_the_last_gate_equals_running_its_inverse(n):
+    """A gate followed by reverse_last on its modes leaves the tableau as
+    running the gate's inverse does, gate after gate: the same columns,
+    tree, dirty rows and phases."""
+    rng = random.Random(3000 + n)
+    bits = [rng.getrandbits(n) for _ in range(2 * n)]
+    phases = [rng.randrange(4) for _ in bits]
+    reversed_, inverse = _ModeTableau(bits, n, list(phases)), _ModeTableau(bits, n, list(phases))
+    for gate in edge_gates(n, rng) + list(random_circuit(n, 40, rng).gates):
+        reversed_.run((gate,))
+        reversed_.reverse_last(gate.modes)
+        inverse.run((gate.inverse(),))
+        for slot in ("cols", "tree", "dirty", "p0", "p1"):
+            assert getattr(reversed_, slot) == getattr(inverse, slot), slot
+    assert reversed_.read() == inverse.read()
+
+
 @pytest.mark.parametrize("n", [64, 90])
 def test_mode_tableau_sparse_rows_read_clean_and_dirty(n):
     """Sparse rows under gates that mostly miss them: reads take both the
