@@ -15,9 +15,10 @@ substitutions are the back-substitution's (k, i), k < i, leaving no
 generator k < i on generator i's top mode, followed by column starts
 (i, j), j < i, and the ancilla-free obstruction raised exactly when it
 must be.
-For a code without the total parity the ancilla image must be i c0 c1
-itself (residual phase_r 1) and the ancilla sweep the ancilla-free one
-shifted by two modes.  Every other code contains the total parity
+Every phase-correction gate must be a braid2.  For a code without the
+total parity the ancilla image must be i c0 c1 itself (residual phase_r 1)
+and the whole ancilla decoder the ancilla-free one shifted by two modes.
+Every other code contains the total parity
 (scrambling decoded pairs reaches it only at r = N/2), so the pinned-image
 and obstruction branches are exercised too.  Half of the codes are
 scrambled by 4N random gates, so their rows look generic; the other half
@@ -44,10 +45,9 @@ from braidsynth.codes import (
     random_circuit,
     serialize_circuit,
 )
-from braidsynth.majorana import MajoranaString
+from braidsynth.majorana import MajoranaString, multiply
 from braidsynth.synth import (
     PhaseCorrectionError,
-    apply_substitutions,
     TotalParityObstruction,
     destabilizers,
     logical_representatives,
@@ -79,12 +79,9 @@ def scrambled(n, rows, n_gates, rng):
     return apply_circuit(random_circuit(n, n_gates, rng), StabilizerCode(n, tuple(rows)))
 
 
-def sweep(result, shift=0):
-    """The sweep's gates, before the phase correction, modes shifted up."""
-    return [
-        (g.kind, tuple(m + shift for m in g.modes), g.direction)
-        for g in result.decoder.gates[: result.correction_span[0]]
-    ]
+def gates(result, shift=0):
+    """The decoder's gates, modes shifted up."""
+    return [(g.kind, tuple(m + shift for m in g.modes), g.direction) for g in result.decoder.gates]
 
 
 def check(code, result):
@@ -101,10 +98,14 @@ def check(code, result):
             assert folded.startswith(claimed), (folded, claimed)
     r = code.n_stabilizers
     assert len(result.decoder) <= 3 * r * result.total_modes
+    lo, hi = result.correction_span
+    assert all(g.kind == "braid2" for g in result.decoder.gates[lo:hi])
     subs = result.substitutions
     cut = next((t for t, (i, j) in enumerate(subs) if i > j), len(subs))
     assert all(j < i for i, j in subs[cut:])
-    rows = apply_substitutions(code, subs[:cut]).generators
+    rows = list(code.generators)
+    for k, i in subs[:cut]:
+        rows[k] = multiply(rows[k], rows[i])
     for i in range(1, r):
         top = rows[i].bits.bit_length() - 1
         assert not any(rows[k].bits >> top & 1 for k in range(i)), (code, subs)
@@ -147,7 +148,8 @@ def main() -> None:
         result = synthesize_with_ancilla(code)
         check(code, result)
         decoder_gates += len(result.decoder)
-        mode0_gates += sum(g[1][0] == 0 for g in sweep(result))
+        sweep = gates(result)[: result.correction_span[0]]
+        mode0_gates += sum(g[1][0] == 0 for g in sweep)
         clean = result.ancilla_image.bits == 0b11
         assert (result.ancilla_phase_r is not None) == clean
         if not ptot:
@@ -167,7 +169,7 @@ def main() -> None:
         else:
             check(code, free)
             decoder_gates += len(free.decoder)
-            assert ptot or sweep(result) == sweep(free, 2)
+            assert ptot or gates(result) == gates(free, 2)
 
     summary = (
         f"{args.codes} codes | pinned ancilla images: {pinned} | "

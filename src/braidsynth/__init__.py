@@ -37,7 +37,6 @@ from .synth import (
     SynthesisInvariantError,
     SynthesisResult,
     TotalParityObstruction,
-    apply_substitutions,
     destabilizers,
     logical_representatives,
     synthesize_ancilla_free,
@@ -87,7 +86,6 @@ __all__ = [
     "SynthesisResult",
     "synthesize_with_ancilla",
     "synthesize_ancilla_free",
-    "apply_substitutions",
     "destabilizers",
     "logical_representatives",
     "__version__",

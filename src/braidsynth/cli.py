@@ -269,7 +269,6 @@ def _report_synth(
     print(f"ancilla modes: {list(result.ancilla_modes)}", file=out)
     total = counts["braid2"] + counts["braid4"]
     print(f"gate counts: braid2={counts['braid2']} braid4={counts['braid4']} total={total}", file=out)
-    print(f"logical sign flips: {list(result.logical_sign_flips)}", file=out)
     print(f"generating-set changes: {len(result.substitutions)}", file=out)
     if result.ancilla_modes:
         print(f"ancilla image: {result.ancilla_image}", file=out)

@@ -49,8 +49,8 @@ the one decoded-form test: synthesis ends on it and ``verify`` checks it.
 A change of generating set multiplies rows: row i times row j for each
 recorded pair (i, j), in order.  ``_multiply_rows`` is the one kernel for
 it, on row-major ints before any replay.  The synthesis
-back-substitution, ``synth.apply_substitutions`` and ``verify``'s fold
-of a document's substitutions all call it, and a run of products by the
+back-substitution and ``verify``'s fold of a document's substitutions
+both call it, and a run of products by the
 same row j shares that row's prefix parities.  Two changes are written
 into a tableau after it is built, both by synthesis.  Its column start
 clears whole decoded pairs (q, q+1), q even, from one row:

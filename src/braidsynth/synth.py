@@ -75,19 +75,20 @@ tail is all ones it parks on mode 0 (a quartic braid through mode 0, then a
 quadratic one back, which leaves mode 0 clear), so it never fails.  The
 argument above, on the user modes 2..N+1, puts that tail in the last column
 only, and only when the total parity lies in the group; so mode 0 is clear
-at every column start, which the sweep checks.  For a code without the
-total parity the ancilla sweep is the ancilla-free one shifted by two
-modes.  The image of i c_0 c_1 is one more row of the tableau, row r, so
-every gate folds it along with the generators.  Without the total parity it
-ends as i c_0 c_1: the sweep never touches mode 0 or 1, and the doubled
-correction braids meet the image in 0 or 2 modes.  With it, every braid
-fixes the all-modes monomial, which pins the image to the global parity
-times decoded generators, an operator no pair-preserving gate can move;
-that image is reported instead of hidden, and any other raises
-SynthesisInvariantError.  The ancilla-free variant never meets an all-ones
-tail (see the borrow above); it must reject codes whose stabilizer group
-contains the total parity with r < N/2, for which no ancilla-free decoder
-exists at all.
+at every column start, which the sweep checks.  A code without the total
+parity has k >= 1 encoded pairs (r = N/2 would put the total parity in the
+group), so its phase correction braids to the first logical mode in both
+variants (below), and its whole ancilla decoder is the ancilla-free one
+shifted by two modes.  The image of i c_0 c_1 is one more row of the
+tableau, row r, so every gate folds it along with the generators.  Without
+the total parity it ends as i c_0 c_1: no gate touches mode 0 or 1.  With
+it, every braid fixes the all-modes monomial, which pins the image to the
+global parity times decoded generators, an operator no pair-preserving
+gate can move; that image is reported instead of hidden, and any other
+raises SynthesisInvariantError.  The ancilla-free variant never meets an
+all-ones tail (see the borrow above); it must reject codes whose
+stabilizer group contains the total parity with r < N/2, for which no
+ancilla-free decoder exists at all.
 
 Each column that emits a gate ends its generator at +i.  A braid's
 reverse direction negates its generator, so it flips the sign of every row
@@ -108,11 +109,20 @@ last gate is reversed, one XOR of that gate's columns.
 
 A generator whose column emits no gate (it is on its own pair once the
 column start has cleared the decoded ones) keeps the phase it has there,
-+i or -i.  A doubled braid commutes with every monomial's bits and flips
-the sign of those it pairs oddly with, which is exactly the hammer needed
-to turn those -i phases into +i; the chosen supports keep every other
-generator even, at the recorded cost of sign flips on some logical-pair
-representatives.
++i or -i.  A doubled braid is its generator up to phase: it moves no bit
+and flips the sign of exactly the rows that meet its support oddly.  Each
+such generator j at -i gets one doubled braid2 on {p_j, f}, p_j its pivot
+and f one free mode: the first logical mode, or mode 0 when the ancilla
+variant has none (k = 0).  The support meets row j once and every other
+decoded pair never, so only generator j turns to +i.  A logical f never
+meets the ancilla pair.  With f = 0 the code has no encoded pair (r =
+N/2), so the group holds the total parity, and the image is pinned and
+reported with the sign the braids leave it.  Ancilla-free with k = 0 no
+free mode exists, and f is the pivot of the next generator at -i, which
+that one braid turns to +i too; when none is left,
+``PhaseCorrectionError`` is raised.  The logical-pair representatives
+pick up the braids' signs, and ``logical_representatives`` reads them off
+the whole decoder.
 """
 
 from __future__ import annotations
@@ -144,7 +154,6 @@ __all__ = [
     "SynthesisResult",
     "synthesize_with_ancilla",
     "synthesize_ancilla_free",
-    "apply_substitutions",
     "destabilizers",
     "logical_representatives",
 ]
@@ -161,8 +170,9 @@ class SynthesisInvariantError(RuntimeError):
 
 
 class PhaseCorrectionError(Exception):
-    """A -i generator whose column emitted no gate, with no admissible
-    correction support: possible only ancilla-free with k = 0.  There the
+    """A -i generator whose column emitted no gate, with no free mode to
+    braid to and no later -i generator to pair with: possible only
+    ancilla-free with k = 0, where no free mode exists.  There the
     all-modes monomial, the product of every generator, is fixed by every
     braid gate, sign included, so the code fixes the parity of the number
     of generators at -i, and an odd one is left without a partner."""
@@ -184,20 +194,17 @@ class SynthesisResult:
     generator j < i whose pair generator i held.  The third kind, a
     borrowed j > i at an ancilla-free all-ones tail, cannot arise (the
     proof is in the module docstring).  The decoder maps the code's
-    generators with them multiplied out (``apply_substitutions``) to the
-    decoded form; a document carries them, and ``verify`` multiplies them
-    out on the code's rows, with the same kernel as synthesis, before it
-    replays the decoder.  correction_span is the decoder gate index range
-    holding the doubled phase-correction braids, which only generators
-    whose column emitted no gate need: every other column's last gate
+    generators with them multiplied out, in order, to the decoded form; a
+    document carries them, and ``verify`` multiplies them out on the
+    code's rows, with the same kernel as synthesis, before it replays the
+    decoder.  correction_span is the decoder gate index range holding the
+    doubled phase-correction braid2s, one pair per generator whose column
+    emitted no gate and left it at -i: every other column's last gate
     takes the direction that ends its generator at +i.  The span runs to
     the end of the decoder and is empty when no such generator ends at -i.
-    logical_sign_flips lists the logical pairs, by index, of the logical
-    modes that an odd number of those doubled braids meet, whose
-    representatives they negate; the sweep's choice of directions is not
-    recorded there, and ``logical_representatives`` reads the
-    representatives off the whole decoder.  For the ancilla variant,
-    ancilla_image is the
+    Those braids and the sweep's directions change the signs of the
+    logical-pair representatives, which ``logical_representatives`` reads
+    off the whole decoder.  For the ancilla variant, ancilla_image is the
     decoder image of i c_0 c_1, and for a code whose stabilizer group does
     not contain the total parity it is i c_0 c_1 itself, ancilla_phase_r 1.
     Otherwise the image is pinned to the all-modes monomial times decoded
@@ -212,7 +219,6 @@ class SynthesisResult:
     decoder: Circuit
     ancilla_modes: tuple[int, ...]
     target: DecodedTarget
-    logical_sign_flips: tuple[int, ...]
     substitutions: tuple[tuple[int, int], ...]
     ancilla_image: MajoranaString | None
     correction_span: tuple[int, int]
@@ -387,48 +393,30 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
                 gates[-1] = gates[-1].inverse()
                 tab.reverse_last(gates[-1].modes)
 
-    # ---- phase correction: doubled braids flip -i generators left by
-    # columns that emitted no gate ----
+    # ---- phase correction: a doubled braid2 from the pivot to one free
+    # mode flips each -i generator left by a column that emitted no gate ----
     correction_start = len(gates)
     log_start = pivot_base + 2 * r
-    # the first three free modes (the ancilla pair, then the logical ones)
-    free = [1 << m for m in [*ancilla_modes, *range(log_start, n_work)][:3]]
-    logical = full ^ ((1 << log_start) - 1)
-    flipped = 0  # the logical modes met by an odd number of doubled braids
-
-    def emit_double(mask: int) -> None:
-        nonlocal flipped
-        emit(mask)
-        emit(mask)
-        flipped ^= mask & logical
-
+    free = log_start if log_start < n_work else 0 if use_ancilla else None
     for j in range(r):
         if tab.phase(j) != 3:
             continue
-        pj = 1 << (pivot_base + 2 * j)
-        if len(free) >= 3:
-            emit_double(pj | free[0] | free[1] | free[2])
-        elif free and r >= 2:
-            q = pivot_base if j != 0 else pivot_base + 2
-            emit_double(pj | free[0] | (0b11 << q))
-        elif free:
-            emit_double(pj | free[0])
-        else:
+        f = free
+        if f is None:
             partner = next((k for k in range(j + 1, r) if tab.phase(k) == 3), None)
             if partner is None:
                 raise PhaseCorrectionError(
                     f"generator {j} is stuck at phase -i: no free modes remain "
                     "and no second flipped generator exists to pair with"
                 )
-            emit_double(pj | (1 << (pivot_base + 2 * partner)))
+            f = pivot_base + 2 * partner
+        support = 1 << (pivot_base + 2 * j) | 1 << f
+        emit(support)
+        emit(support)
         catch_up()
         if tab.phase(j) != 1:
             raise SynthesisInvariantError(f"generator {j} is not at +i after its correction")
     correction_span = (correction_start, len(gates))
-
-    logical_flips = tuple(
-        (m - log_start) // 2 for m in range(log_start, n_work) if flipped >> m & 1
-    )
 
     target = DecodedTarget(n_work, pivot_base, r)
 
@@ -436,10 +424,10 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
     if use_ancilla:
         # ---- the ancilla image, row r: i c_0 c_1 or pinned ----
         # The sweep touches mode 0 only on an all-ones tail, which needs the
-        # total parity in the stabilizer group; otherwise the image keeps
-        # its bits, and the doubled correction braids meet it in 0 or 2
-        # modes.  With the total parity in the group, braids fix the
-        # all-modes monomial, so the image covers every free mode and no
+        # total parity in the stabilizer group, and the correction braids
+        # meet mode 0 only when it does; otherwise the image is untouched.
+        # With the total parity in the group, braids fix the all-modes
+        # monomial, so the image covers every free mode and no
         # pair-preserving gate can move it: it is reported as it stands.
         catch_up()
         row, phase = tab.row(r)
@@ -458,7 +446,6 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         decoder=Circuit(n_work, tuple(gates)),
         ancilla_modes=ancilla_modes,
         target=target,
-        logical_sign_flips=logical_flips,
         substitutions=tuple(substitutions),
         ancilla_image=ancilla_image,
         correction_span=correction_span,
@@ -490,17 +477,6 @@ def _back_substitute(rows: list[int], phases: list[int], r: int) -> list[tuple[i
         _multiply_rows(rows, phases, held, width)
         substitutions += held
     return substitutions
-
-
-def apply_substitutions(
-    code: StabilizerCode, substitutions: tuple[tuple[int, int], ...]
-) -> StabilizerCode:
-    """Replay recorded generating-set changes: gens[i] <- gens[i] * gens[j]."""
-    n, gens = code.n_modes, code.generators
-    rows, phases = [g.bits for g in gens], [g.phase_r for g in gens]
-    _multiply_rows(rows, phases, substitutions, n)
-    images = tuple(MajoranaString(n, b, ph) for b, ph in zip(rows, phases))
-    return StabilizerCode(n, images, code.name)
 
 
 def _hermitian_product(abits: int, aphase: int, bbits: int, bphase: int) -> tuple[int, int]:

@@ -35,7 +35,6 @@ from braidsynth.synth import (
     SynthesisInvariantError,
     SynthesisResult,
     TotalParityObstruction,
-    apply_substitutions,
     destabilizers,
     logical_representatives,
     synthesize_ancilla_free,
@@ -75,18 +74,21 @@ def decoded_ok(code: StabilizerCode, result: SynthesisResult) -> bool:
     return True
 
 
-def recomputed_sign_flips(result: SynthesisResult) -> tuple[int, ...]:
-    """Re-derive logical_sign_flips from the correction gates alone."""
+def check_phase_correction(result: SynthesisResult) -> None:
+    """The correction gates are braid2s that move no bit, and the logical
+    representatives, signs included, are each logical mode folded alone
+    through the encoder."""
     lo, hi = result.correction_span
-    log_start = result.target.pivot_base + 2 * result.target.r
-    flips = []
-    for m in range(log_start, result.total_modes):
-        img = MajoranaString.single_mode(result.total_modes, m)
-        img = conjugate_circuit(Circuit(result.total_modes, result.decoder.gates[lo:hi]), img)
+    n, log_start = result.total_modes, result.target.pivot_base + 2 * result.target.r
+    correction = Circuit(n, result.decoder.gates[lo:hi])
+    assert all(g.kind == "braid2" for g in correction.gates)
+    for m in range(n):
+        img = conjugate_circuit(correction, MajoranaString.single_mode(n, m))
         assert img.bits == 1 << m  # doubled braids never move bits
-        if img.phase_r == 2:
-            flips.append((m - log_start) // 2)
-    return tuple(flips)
+    if log_start < n:
+        encoder = invert(result.decoder)
+        logical = [per_mode_encoder_image(result, encoder, m) for m in range(log_start, n)]
+        assert logical_representatives(result) == list(zip(logical[::2], logical[1::2]))
 
 
 def split_substitutions(result: SynthesisResult) -> tuple[tuple, tuple]:
@@ -263,6 +265,56 @@ def test_ancilla_rescues_the_lone_minus_i_generator():
     code = StabilizerCode(4, gens(4, ((0, 1), 3), ((2, 3), 1)))
     result = synthesize_with_ancilla(code)
     assert decoded_ok(code, result)
+
+
+@pytest.mark.parametrize(
+    "code, free_gates, ancilla_gates, reps",
+    [
+        (
+            StabilizerCode(8, gens(8, ((0, 1), 3))),
+            ["B2 +(0,2)"] * 2,
+            ["B2 +(2,4)"] * 2,
+            [("-1 c2", "+1 c3"), ("+1 c4", "+1 c5"), ("+1 c6", "+1 c7")],
+        ),
+        (
+            StabilizerCode(6, gens(6, ((0, 1), 3), ((2, 3), 1))),
+            ["B2 +(0,4)"] * 2,
+            ["B2 +(2,6)"] * 2,
+            [("-1 c4", "+1 c5")],
+        ),
+        (
+            StabilizerCode(4, gens(4, ((0, 1), 3), ((2, 3), 3))),
+            ["B2 +(0,2)"] * 2,
+            ["B2 +(0,2)"] * 2 + ["B2 +(0,4)"] * 2,
+            None,
+        ),
+    ],
+    ids=["one-generator", "one-of-two", "full-rank"],
+)
+def test_each_correction_is_a_doubled_braid2_to_one_free_mode(
+    code, free_gates, ancilla_gates, reps
+):
+    """A generator left at -i by a column that emitted no gate gets one
+    doubled braid2 from its pivot to the first logical mode, or to mode 0
+    when the ancilla variant has none; ancilla-free with none, the pivot of
+    the next -i generator takes its place.  The representatives carry the
+    braids' signs: the logical mode a braid holds flips, its partner in the
+    pair does not."""
+    for synth, want in (
+        (synthesize_ancilla_free, free_gates),
+        (synthesize_with_ancilla, ancilla_gates),
+    ):
+        result = synth(code)
+        assert result.correction_span == (0, len(want))
+        assert [str(g) for g in result.decoder.gates] == want
+        assert str(result.ancilla_image) == ("+i c0 c1" if result.ancilla_modes else "None")
+        if reps is None:
+            with pytest.raises(ValueError, match="^code has no encoded pairs$"):
+                logical_representatives(result)
+        else:
+            assert [(str(x), str(z)) for x, z in logical_representatives(result)] == reps
+        assert decoded_ok(code, result)
+        check_phase_correction(result)
 
 
 def test_last_column_falls_back_to_a_substitution():
@@ -489,7 +541,10 @@ def test_back_substitution_matches_its_definition():
             back, column_starts = split_substitutions(result)
             assert back == want
             assert all(k < i for k, i in back) and all(j < i for i, j in column_starts)
-            assert list(apply_substitutions(code, back).generators) == rows
+            folded = list(code.generators)
+            for k, i in back:
+                folded[k] = multiply(folded[k], folded[i])
+            assert folded == rows
         products += len(want)
     assert products
 
@@ -540,13 +595,6 @@ def test_oracle_verifies_a_back_substituted_document():
     for doc in documents(result):
         lines = list(verify_document(code, doc, oracle=True))
         assert lines[-1] == "oracle check: ok (24 modes, dimension 4096)"
-
-
-def test_apply_substitutions_multiplies_rows():
-    code = StabilizerCode(6, gens(6, ((0, 1), 1), ((2, 3), 1)))
-    out = apply_substitutions(code, ((0, 1),))
-    assert out.generators[0] == multiply(code.generators[0], code.generators[1])
-    assert out.generators[1] == code.generators[1]
 
 
 def test_empty_code_decodes_with_no_gates():
@@ -715,11 +763,10 @@ def test_reported_operators_take_one_replay(monkeypatch):
 
 
 def test_an_image_on_both_ancilla_modes_is_cleared_by_i_c0_c1():
-    """No synthesized decoder moves mode 1 (only doubled braids touch it),
-    so no real image meets the ancilla pair.  A decoder of one
-    braid4(0, 1, 2, 3) fixes i c0 c1 and sends pivot mode 2 back to
-    i c0 c1 c3; times i c0 c1, a +1 operator on the fresh pair, that is c3,
-    user mode 1."""
+    """No synthesized decoder touches mode 1, so no real image meets the
+    ancilla pair.  A decoder of one braid4(0, 1, 2, 3) fixes i c0 c1 and
+    sends pivot mode 2 back to i c0 c1 c3; times i c0 c1, a +1 operator on
+    the fresh pair, that is c3, user mode 1."""
     result = synthesize_with_ancilla(shortest_code())
     result = dataclasses.replace(
         result,
@@ -769,7 +816,7 @@ def test_random_codes_decode_in_both_variants(seed):
     assert (result.ancilla_phase_r is not None) == clean
     if not ptot:
         assert clean and result.ancilla_phase_r in (1, 3)
-    assert recomputed_sign_flips(result) == result.logical_sign_flips
+    check_phase_correction(result)
     check_reported_operators(code, result)
 
     try:
@@ -784,7 +831,7 @@ def test_random_codes_decode_in_both_variants(seed):
     assert free.ancilla_image is None and free.ancilla_phase_r is None
     assert decoded_ok(code, free)
     assert len(free.decoder) <= 3 * r * n
-    assert recomputed_sign_flips(free) == free.logical_sign_flips
+    check_phase_correction(free)
     check_reported_operators(code, free)
 
 
@@ -795,9 +842,10 @@ def shifted(gates, by: int) -> tuple[BraidGate, ...]:
 
 def test_without_the_total_parity_the_ancilla_sweep_is_the_free_one_shifted():
     """Only an all-ones tail sends the sweep to mode 0, and that needs the
-    total parity in the group; so for every other code the ancilla sweep is
-    the ancilla-free one two modes up, with the same substitutions, no gate
-    follows the phase correction and i c0 c1 comes back untouched."""
+    total parity in the group; every other code has a logical mode, which
+    both variants' phase corrections braid to.  So for those codes the whole
+    ancilla decoder is the ancilla-free one two modes up, with the same
+    substitutions and correction span, and i c0 c1 comes back untouched."""
     rng = random.Random(16)
     codes = []
     for seed in range(1000):
@@ -808,9 +856,9 @@ def test_without_the_total_parity_the_ancilla_sweep_is_the_free_one_shifted():
     for code in codes:
         assert not contains_total_parity(code)
         anc, free = synthesize_with_ancilla(code), synthesize_ancilla_free(code)
-        sweep = anc.decoder.gates[: anc.correction_span[0]]
-        assert sweep == shifted(free.decoder.gates[: free.correction_span[0]], 2)
+        assert anc.decoder.gates == shifted(free.decoder.gates, 2)
         assert anc.substitutions == free.substitutions
+        assert anc.correction_span == free.correction_span
         assert anc.correction_span[1] == len(anc.decoder)
         assert str(anc.ancilla_image) == "+i c0 c1" and anc.ancilla_phase_r == 1
 
