@@ -46,12 +46,13 @@ disturbed -- the loop invariant that makes the sweep correct.
 
 The working generators live in one mode-major tableau (see ``majorana``)
 for the whole run, so each emitted gate costs O(|support| log N) big-int
-operations however many generators there are.  Emitting a gate only queues
-it; the tableau catches up on the queued gates, in one ``run``, just before
-it is next read: at the end of each column that emitted a gate, where it
-reads the phase that column's last gate is chosen from (below), and after
-each phase correction.  So a column costs at most one ``run`` call, not
-one per gate, and its column-start substitutions cost none.  The sweep
+operations however many generators there are.  The tableau runs gates at
+two fixed points only: at the end of each column that emitted a gate, all
+of that column's gates in one ``run``, before it reads the phase the
+column's last gate is chosen from (below); and once after the sweep, all
+the phase-correction gates together.  So a column costs at most one
+``run`` call, not one per gate, and its column-start substitutions cost
+none.  The sweep
 names each gate by its support mask, built from the one-bit ints
 (``x & -x``) its pivot logic already computes;
 ``emit`` takes the kind from the mask's weight (2 modes make a ``braid2``,
@@ -64,10 +65,11 @@ of the tableau at the start of its column and written back only by a change
 of generating set.  That read is O(1) when no earlier gate has touched the
 row (the tableau keeps its input rows and a mask of the rows gates have
 changed), and an O(N) scan of the columns when one has; the tableau keeps
-the scan, so the ``toggle_pairs`` that follows reads the row in O(1).  The
-phase correction reads phases from the tableau's bit planes, and the final
-check is ``_ModeTableau.undecoded``, the decoded-form test ``verify`` runs
-too, in O(N).  Internal invariants raise ``SynthesisInvariantError``, so
+the scan, so the ``toggle_pairs`` that follows reads the row in O(1).  A
+column that emits no gate reads its generator's phase from the tableau's
+bit planes at its end, and the final check is ``_ModeTableau.undecoded``,
+the decoded-form test ``verify`` runs too, in O(N): it requires every
+generator at exactly +i.  Internal invariants raise ``SynthesisInvariantError``, so
 they also hold under ``python -O``.
 
 The ancilla variant adjoins a fresh mode pair at indices 0 and 1.  When a
@@ -118,11 +120,17 @@ decoded pair never, so only generator j turns to +i.  A logical f never
 meets the ancilla pair.  With f = 0 the code has no encoded pair (r =
 N/2), so the group holds the total parity, and the image is pinned and
 reported with the sign the braids leave it.  Ancilla-free with k = 0 no
-free mode exists, and f is the pivot of the next generator at -i, which
-that one braid turns to +i too; when none is left,
-``PhaseCorrectionError`` is raised.  The logical-pair representatives
-pick up the braids' signs, and ``logical_representatives`` reads them off
-the whole decoder.
+free mode exists, and the -i generators pair off in column order, f the
+pivot of each pair's second, which that one braid turns to +i too; when
+one is left over, ``PhaseCorrectionError`` is raised.  The -i generators
+are listed at their columns' ends, since nothing later changes a finished
+row's phase: later sweep gates meet every finished pair evenly, so a
+reversed last gate negates none of them either, and a doubled braid2 on
+{p_j, f} flips row j alone, and row k too when f = p_k.  So the correction
+braids are built from that list alone and run through the tableau in one
+batch, and the final decoded-form check sees every phase they set.  The
+logical-pair representatives pick up the braids' signs, and
+``logical_representatives`` reads them off the whole decoder.
 """
 
 from __future__ import annotations
@@ -271,14 +279,15 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
 
     # Every generator lives in one mode-major tableau; the active sweep row
     # is also kept row-major, bits only, because the pivot logic reads its
-    # low bits.  Emitted gates queue in gates[done:] until the tableau is
-    # next read; catch_up runs them in one pass.
+    # low bits.  The tableau runs a column's gates in one pass at the
+    # column's end, and the correction gates in one pass after them.
     gens = work.generators + seed
     rows, phases = [g.bits for g in gens], [g.phase_r for g in gens]
     substitutions = _back_substitute(rows, phases, r)
     tab = _ModeTableau(rows, n_work, phases)
-    row = done = 0
+    row = 0
     gates: list[BraidGate] = []
+    minus: list[int] = []  # the generators left at -i by a column with no gate
 
     def emit(mask: int) -> None:
         nonlocal row
@@ -304,12 +313,6 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
             raise SynthesisInvariantError(f"a gate support of {weight} modes")
         if (mask & row).bit_count() & 1:
             row ^= mask
-
-    def catch_up() -> None:
-        nonlocal done
-        if done < len(gates):
-            tab.run(gates[done:])
-            done = len(gates)
 
     def clear_pairs(i: int, bits: int, phase: int, decoded: int) -> int:
         """Multiply generator i, at bits and phase, by every decoded
@@ -346,6 +349,7 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
     evens = full // 3  # the even modes: the low mode of every aligned pair
     for i in range(r):
         p = pivot_base + 2 * i
+        start = len(gates)
         tail = full ^ ((1 << p) - 1)
         decoded = (1 << p) - (1 << pivot_base)  # the decoded pairs' modes
         row, phase = tab.row(i)
@@ -385,37 +389,39 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
             free_slot, off = ~row & slots, row & ~slots
             emit((free_slot & -free_slot) | (off & -off))
 
-        if done < len(gates):
+        if len(gates) > start:
             # the column's last gate takes the direction that lands the
             # generator at +i (module docstring)
-            catch_up()
+            tab.run(gates[start:])
             if tab.phase(i) == 3:
                 gates[-1] = gates[-1].inverse()
                 tab.reverse_last(gates[-1].modes)
+        elif tab.phase(i) == 3:
+            minus.append(i)
 
     # ---- phase correction: a doubled braid2 from the pivot to one free
-    # mode flips each -i generator left by a column that emitted no gate ----
+    # mode flips each -i generator left by a column that emitted no gate;
+    # no later gate changes a finished row's phase, so minus is final ----
     correction_start = len(gates)
     log_start = pivot_base + 2 * r
     free = log_start if log_start < n_work else 0 if use_ancilla else None
-    for j in range(r):
-        if tab.phase(j) != 3:
-            continue
-        f = free
-        if f is None:
-            partner = next((k for k in range(j + 1, r) if tab.phase(k) == 3), None)
-            if partner is None:
-                raise PhaseCorrectionError(
-                    f"generator {j} is stuck at phase -i: no free modes remain "
-                    "and no second flipped generator exists to pair with"
-                )
-            f = pivot_base + 2 * partner
-        support = 1 << (pivot_base + 2 * j) | 1 << f
+    if free is not None:
+        pairs = [(pivot_base + 2 * j, free) for j in minus]
+    elif len(minus) % 2:
+        raise PhaseCorrectionError(
+            f"generator {minus[-1]} is stuck at phase -i: no free modes remain "
+            "and no second flipped generator exists to pair with"
+        )
+    else:
+        # ancilla-free with k = 0 (pivot base 0): consecutive -i
+        # generators flip each other
+        pairs = [(2 * j, 2 * k) for j, k in zip(minus[::2], minus[1::2])]
+    for p, f in pairs:
+        support = 1 << p | 1 << f
         emit(support)
         emit(support)
-        catch_up()
-        if tab.phase(j) != 1:
-            raise SynthesisInvariantError(f"generator {j} is not at +i after its correction")
+    if pairs:
+        tab.run(gates[correction_start:])
     correction_span = (correction_start, len(gates))
 
     target = DecodedTarget(n_work, pivot_base, r)
@@ -429,7 +435,6 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         # With the total parity in the group, braids fix the all-modes
         # monomial, so the image covers every free mode and no
         # pair-preserving gate can move it: it is reported as it stands.
-        catch_up()
         row, phase = tab.row(r)
         free_mask = 0b11 | (full ^ ((1 << log_start) - 1))
         if row != 0b11 and free_mask & ~row:
@@ -438,7 +443,6 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
             )
         ancilla_image = MajoranaString(n_work, row, phase)
 
-    catch_up()
     if tab.undecoded(pivot_base, r):
         raise SynthesisInvariantError("the generators did not reach the decoded form")
 

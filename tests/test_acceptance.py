@@ -37,6 +37,7 @@ from braidsynth.majorana import (
 )
 from braidsynth.oracle import conjugate_rows
 from braidsynth.synth import (
+    PhaseCorrectionError,
     TotalParityObstruction,
     destabilizers,
     logical_representatives,
@@ -230,6 +231,11 @@ def test_encode_then_decode_is_the_identity(corpus):
 
 
 def test_injected_sign_flips_are_corrected_and_reported():
+    """Generators driven to -i decode in both variants, and the logical
+    representatives carry the signs the decoder gives them.  Random codes
+    get their signs from doubled braids, which the sweep's direction choice
+    mostly absorbs; aligned pairs at random +-i, scrambled by at most three
+    gates, leave columns that emit no gate and so reach the correction."""
     t0 = time.perf_counter()
     rng = random.Random(88)
 
@@ -237,18 +243,19 @@ def test_injected_sign_flips_are_corrected_and_reported():
         """Each logical mode folded alone through the encoder; the doubled
         correction braids move no bit on the way.  These codes hold the
         total parity only with no logical mode, so no image meets the
-        ancilla pair, and dropping its two modes leaves the user register."""
+        ancilla pair, and dropping its modes leaves the user register."""
         lo, hi = result.correction_span
-        n = result.total_modes
+        n, drop = result.total_modes, len(result.ancilla_modes)
         correction = Circuit(n, result.decoder.gates[lo:hi])
         images = []
         for m in range(result.target.pivot_base + 2 * result.target.r, n):
             assert conjugate_circuit(correction, MajoranaString.single_mode(n, m)).bits == 1 << m
             img = conjugate_circuit(result.encoder, MajoranaString.single_mode(n, m))
-            assert not img.bits & 0b11
-            images.append(MajoranaString(n - 2, img.bits >> 2, img.phase_r))
+            assert not img.bits & ((1 << drop) - 1)
+            images.append(MajoranaString(n - drop, img.bits >> drop, img.phase_r))
         return list(zip(images[::2], images[1::2]))
 
+    codes = []
     for trial in range(25):
         n = rng.choice((6, 8, 10))
         r = rng.randint(1, n // 2)
@@ -262,13 +269,36 @@ def test_injected_sign_flips_are_corrected_and_reported():
             )
             flippers += [gate, gate]  # doubled: pure sign action
         flipped = apply_circuit(Circuit(n, tuple(flippers)), code)
-        flipped.validate()
         assert [g.bits for g in flipped.generators] == [g.bits for g in code.generators]
+        codes.append(flipped)
+    for _ in range(40):
+        n = rng.choice((6, 8, 10))
+        pairs = tuple(
+            MajoranaString.from_modes(n, (2 * j, 2 * j + 1), rng.choice((1, 3)))
+            for j in range(rng.randint(1, n // 2))
+        )
+        scramble = random_circuit(n, rng.randint(0, 3), rng)
+        codes.append(apply_circuit(scramble, StabilizerCode(n, pairs)))
 
-        result = synthesize_with_ancilla(flipped)
-        assert decoded_ok(flipped, result)
-        if flipped.n_logical:
-            assert logical_representatives(result) == per_mode_representatives(result)
+    corrected = {synthesize_with_ancilla: 0, synthesize_ancilla_free: 0}
+    for code in codes:
+        code.validate()
+        for synth in corrected:
+            try:
+                result = synth(code)
+            except TotalParityObstruction:
+                assert synth is synthesize_ancilla_free and contains_total_parity(code)
+                continue
+            except PhaseCorrectionError:
+                assert synth is synthesize_ancilla_free and code.n_logical == 0
+                continue
+            assert decoded_ok(code, result)
+            if code.n_logical:
+                assert logical_representatives(result) == per_mode_representatives(result)
+                lo, hi = result.correction_span
+                corrected[synth] += hi > lo
+    # 16 corrected decoders with a logical mode per variant at this seed
+    assert min(corrected.values()) >= 10
     assert time.perf_counter() - t0 < 30
 
 

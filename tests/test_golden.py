@@ -3,6 +3,7 @@ documents (regenerate with scripts/synthesize_builtins.py after an
 intentional algorithm change)."""
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -12,12 +13,20 @@ from braidsynth.codes import (
     CircuitDocument,
     kitaev_chain,
     parse_circuit,
+    random_circuit,
     random_code,
     serialize_circuit,
     serialize_code,
     shortest_code,
 )
-from braidsynth.synth import synthesize_ancilla_free, synthesize_with_ancilla
+from braidsynth.majorana import MajoranaString
+from braidsynth.synth import (
+    PhaseCorrectionError,
+    TotalParityObstruction,
+    synthesize_ancilla_free,
+    synthesize_with_ancilla,
+)
+from braidsynth.tableau import StabilizerCode, apply_circuit
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -145,3 +154,56 @@ def test_synth_pins_the_documents_of_kitaev_1000(tmp_path, argv, digest):
     out = tmp_path / "kitaev1000.circuit"
     assert main(["synth", "--builtin", "kitaev:1000", *argv, "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def forced_sign_codes() -> list[StabilizerCode]:
+    """48 aligned-pair codes at random +-i, scrambled by at most two gates,
+    then 16 random codes with random generators negated."""
+    rng = random.Random(31)
+    codes = []
+    for _ in range(48):
+        n = rng.choice((4, 6, 8))
+        pairs = tuple(
+            MajoranaString.from_modes(n, (2 * j, 2 * j + 1), rng.choice((1, 3)))
+            for j in range(rng.randint(1, n // 2))
+        )
+        scramble = random_circuit(n, rng.randint(0, 2), rng)
+        codes.append(apply_circuit(scramble, StabilizerCode(n, pairs)))
+    for seed in range(16):
+        n = rng.choice((6, 8, 10))
+        negated = tuple(
+            MajoranaString(n, g.bits, (g.phase_r + 2 * rng.randint(0, 1)) % 4)
+            for g in random_code(n, rng.randint(1, n // 2), seed).generators
+        )
+        codes.append(StabilizerCode(n, negated))
+    return codes
+
+
+def test_synth_pins_the_phase_corrections_of_forced_sign_codes():
+    """The pinned documents above end with an empty correction span; this
+    pins the decoder documents, or refusal messages, of both variants on
+    codes with generators forced to -i.  The corpus reaches every
+    correction rule: a braid to the first logical mode, to mode 0 (the
+    ancilla variant with no logical mode), between two -i generators
+    (ancilla-free with none), and the PhaseCorrectionError of a lone one."""
+    texts, seen = [], set()
+    for code in forced_sign_codes():
+        for synth in (synthesize_with_ancilla, synthesize_ancilla_free):
+            try:
+                result = synth(code)
+            except (TotalParityObstruction, PhaseCorrectionError) as exc:
+                texts.append(f"{type(exc).__name__}: {exc}\n")
+                seen.add(type(exc).__name__)
+                continue
+            doc = CircuitDocument(
+                result.decoder, result.ancilla_modes, result.substitutions, "decoder"
+            )
+            texts.append(serialize_circuit(doc))
+            lo, hi = result.correction_span
+            pb, r = result.target.pivot_base, result.target.r
+            for gate in result.decoder.gates[lo:hi]:
+                f = gate.modes[0] if gate.modes[0] < pb else gate.modes[1]
+                seen.add("logical" if f >= pb + 2 * r else "mode 0" if f == 0 else "partner")
+    assert {"logical", "mode 0", "partner", "PhaseCorrectionError"} <= seen
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == "e67dd6825c65f9b7fbee6b3a3ed5df9370a037fd323e954aa5deacfcc61960c3"

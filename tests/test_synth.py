@@ -471,14 +471,14 @@ def test_kitaev_1000_sweep_scans_no_row(monkeypatch):
 
 
 def test_the_sweep_runs_its_tableau_once_per_column(monkeypatch):
-    """Emitted gates queue until the tableau is next read, so a synthesis
-    calls run at most once per column and once per corrected generator,
-    not once per gate: at the end of every column that emitted a gate,
+    """The tableau runs a column's gates in one batch at the column's end,
     where the phase its last gate's direction is chosen from is read, and
-    once after each correction.  No substitution runs anything: the
-    back-substitution's come before any gate, and the sweep's own are
-    column starts (i, j), j < i, that clear decoded pairs.  Every gate runs
-    exactly once."""
+    all correction gates in one last batch, so a synthesis calls run at
+    most once per column plus once, not once per gate.  random_code(400,
+    100, 1) needs no correction and the aligned pairs at -i need two, in
+    both variants.  No substitution runs anything: the back-substitution's
+    come before any gate, and the sweep's own are column starts (i, j),
+    j < i, that clear decoded pairs.  Every gate runs exactly once."""
     batches: list[int] = []
     run = _ModeTableau.run
 
@@ -487,16 +487,19 @@ def test_the_sweep_runs_its_tableau_once_per_column(monkeypatch):
         run(self, gates, inverse)
 
     monkeypatch.setattr(_ModeTableau, "run", counted)
-    code = random_code(400, 100, 1)
-    for synth in (synthesize_with_ancilla, synthesize_ancilla_free):
-        batches.clear()
-        result = synth(code)
-        lo, hi = result.correction_span
-        columns = code.n_stabilizers
-        assert len(batches) <= columns + (hi - lo) // 2 <= 2 * columns
-        assert sum(batches) == len(result.decoder)
-        back, column_starts = split_substitutions(result)
-        assert back and all(j < i for i, j in column_starts)
+    two_at_minus_i = StabilizerCode(8, gens(8, ((0, 1), 3), ((2, 3), 3)))
+    for code, corrections in ((random_code(400, 100, 1), 0), (two_at_minus_i, 2)):
+        for synth in (synthesize_with_ancilla, synthesize_ancilla_free):
+            batches.clear()
+            result = synth(code)
+            lo, hi = result.correction_span
+            assert hi - lo == 2 * corrections
+            assert len(batches) <= code.n_stabilizers + (hi > lo)
+            assert all(batches) and sum(batches) == len(result.decoder)
+            if hi > lo:
+                assert batches[-1] == hi - lo  # all corrections in one last batch
+            back, column_starts = split_substitutions(result)
+            assert (back or code is two_at_minus_i) and all(j < i for i, j in column_starts)
 
 
 def reference_back_substitution(code: StabilizerCode):
