@@ -45,7 +45,6 @@ from .tableau import (
     CodeValidationError,
     DecodedTarget,
     StabilizerCode,
-    contains_total_parity,
     prepend_ancilla_modes,
 )
 
@@ -89,8 +88,12 @@ def verify_document(
     +-i c_0 c_1, or the ancilla pair would keep logical information,
     unless the code contains the total parity: braids fix the all-modes
     monomial, so the decoded generators already pin the row's image, and
-    it is reported as it stands.  No check of the fermionic pairing runs:
-    every braid's bit action preserves it (see ``majorana``).
+    it is reported as it stands.  ``DecodedTarget.pins`` tells the two
+    apart with no GF(2) elimination: the image commutes with every
+    decoded pair, so it holds each pair whole or not at all, and it holds
+    modes 0, 1 and every logical mode exactly when the code holds the
+    total parity.  No check of the fermionic pairing runs: every braid's
+    bit action preserves it (see ``majorana``).
 
     The oracle takes the code's generators, i c_0 c_1 and the recorded
     changes, multiplies the changes out with its own product and folds
@@ -133,7 +136,7 @@ def verify_document(
         image = MajoranaString(n, bits, phase)
         if bits == 0b11:
             yield f"ancilla check: ok (i c0 c1 -> {image}, residual phase_r {phase})"
-        elif contains_total_parity(code):
+        elif target.pins(bits):
             yield (
                 f"ancilla check: ok (i c0 c1 -> {image}, residual phase_r None: "
                 "pinned by the total parity)"

@@ -8,8 +8,11 @@ nested too deeply for the parser, or holding an integer literal too long to
 convert fails as a format error of the document being read.
 
 Code documents hold n_modes, a generators list of {"modes": [...],
-"phase_r": r} entries, and an optional name.  Parsing checks only document
-structure; algebraic admissibility stays with StabilizerCode.validate().
+"phase_r": r} entries, and an optional name.  A key that repeats in any of
+their objects is refused, since the JSON parser would keep its last value
+without a word.  Parsing checks only document structure; algebraic
+admissibility stays with StabilizerCode.validate().  Circuit documents
+are not yet checked for repeated keys (see ``_load_document``).
 
 Circuit documents hold n_modes, ancilla_modes, a gates list, plus two
 optional fields -- role ("encoder" or "decoder", default decoder), and
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import eq, itemgetter, lt, neg
@@ -184,11 +188,16 @@ def random_code(n_modes: int, r: int, seed: int) -> StabilizerCode:
 def _load_document(
     text: str, required: set[str], optional: set[str], where: str, error: type[ValueError]
 ) -> dict[str, Any]:
-    """The top-level object of a format_version 1 document, keys checked."""
+    """The top-level object of a format_version 1 document, keys checked.
+    A code document's objects are built by ``_unique_keys``; a circuit
+    document's are not, since a hook on every gate object slows a large
+    parse (ROADMAP item 24 keeps that open)."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys if error is CodeFormatError else None)
     except RecursionError as exc:
         raise error("not valid JSON: nested too deeply") from exc
+    except error:
+        raise
     except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
         raise error(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -210,6 +219,16 @@ def _require_keys(
     unknown = obj.keys() - required - optional
     if unknown:
         raise error(f"{where} has unknown keys {sorted(unknown)}")
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A code document's object, refused when a key repeats: json keeps a
+    repeated key's last value, which would silently win."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = Counter(k for k, _ in pairs).most_common(1)[0][0]
+        raise CodeFormatError(f"code document has duplicate key {key!r}")
+    return obj
 
 
 def _int(value: Any, message: str, error: type[ValueError]) -> int:

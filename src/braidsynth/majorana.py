@@ -19,18 +19,20 @@ braid circuit can break the pairing, so ``verify`` does not check it.
 Many monomials go through a circuit at once in a mode-major tableau
 (``_ModeTableau``): one int per mode holds a bit for every row that
 contains the mode, and the Z4 phases are two bit planes over the rows.  A
-gate on support a1 < a2 (< a3 < a4) then costs O(|support| log N) big-int
-operations whatever the number of rows: the rows it changes are the XOR of
-the support columns, and the reorder parity of every row is the XOR of the
-columns over [a1, a2) and [a3, a4), read from a Fenwick tree of prefix
-XORs.  The support is taken pair by pair: a pair's two walks down the tree
-(the range query) and its two walks up (the update) each stop where the
-two paths meet, because the shared nodes cancel under XOR, so a pair of
-nearby modes touches only a few nodes.  ``_ModeTableau.run`` is the one
-gate loop; ``run(gates, inverse=True)`` walks the gates backwards with
-each generator phase flipped, which replays the inverse circuit without
-building it.  The tableau is the one gate update shared by every multi-row
-path: ``tableau.apply_circuit`` runs code generators through it,
+gate on support a1 < a2 (< a3 < a4) then costs O(|support| + summed pair
+span) big-int operations whatever the number of rows: the rows it changes
+are the XOR of the support columns, and the reorder parity of every row is
+the XOR of the columns over [a1, a2) and [a3, a4).  Synthesis places its
+braids next to the active pivot, so a synthesized decoder's pairs span
+about 7 modes per gate at every N measured, and each ``kitaev:N`` gate
+spans 2.  A uniformly random gate spans about N/3 modes per pair, so
+replaying random circuits (``codes.random_code``'s scramble, or ``verify``
+of a document with long-range gates) costs more as N grows.
+``_ModeTableau.run`` is the one gate loop; ``run(gates, inverse=True)``
+walks the gates backwards with each generator phase flipped, which
+replays the inverse circuit without building it.  The tableau is the one
+gate update shared by every multi-row path: ``tableau.apply_circuit`` runs
+code generators through it,
 ``verify`` runs a document's generators and the ancilla row through its
 decoder (a parsed document holds the decoder whatever its role), the
 synthesis sweep keeps its working generators in one tableau for the
@@ -54,10 +56,10 @@ both call it, and a run of products by the
 same row j shares that row's prefix parities.  Two changes are written
 into a tableau after it is built, both by synthesis.  Its column start
 clears whole decoded pairs (q, q+1), q even, from one row:
-``toggle_pairs`` writes exactly that, two column XORs and one Fenwick
-node per pair.  Its column end may reverse the gate just run:
-``reverse_last`` negates the rows that gate met oddly, one XOR of the
-support's columns, and changes no bit.  Outside the tableau every
+``toggle_pairs`` writes exactly that, two column XORs per pair.  Its
+column end may reverse the gate just run: ``reverse_last`` negates the
+rows that gate met oddly, one XOR of the support's columns, and changes
+no bit.  Outside the tableau every
 reorder parity follows one rule, ``popcount(u & _below_parity(v)) & 1``:
 ``_multiply_rows`` applies it, and so does ``_reorder_raw``, behind
 ``_multiply_raw`` and ``_conjugate_raw``.
@@ -106,13 +108,11 @@ class _ModeTableau:
 
     cols[m] has bit i set when row i contains mode m; the list is updated in
     place.  The rows' Z4 exponents are two bit planes (p0 the low bit, p1
-    the high bit) and tree is a Fenwick tree of prefix XORs over the
-    columns: tree[k] is the XOR of cols[k - (k & -k) .. k-1].  A gate then
-    costs O(|support| log N) big-int operations, and fewer when its pairs
-    are close: per pair (a1, a2) and (a3, a4), the walks stop where the
-    pair's two Fenwick paths meet.  ``run`` is the one gate loop and keeps
-    the state in locals for the whole sequence.  Applying a gate equals
-    folding every row through ``_conjugate_raw``.
+    the high bit).  A gate costs O(|support| + summed pair span) big-int
+    operations: the reorder parity of a pair (a1, a2), and (a3, a4), is
+    the XOR of the columns between its modes.  ``run`` is the one gate
+    loop and keeps the state in locals for the whole sequence.  Applying
+    a gate equals folding every row through ``_conjugate_raw``.
 
     The tableau also keeps each row as the int it was built from, last
     written as or last scanned as (rows), and dirty, an r-bit mask of the
@@ -126,17 +126,12 @@ class _ModeTableau:
     hands every row back row-major, so no caller transposes.
     """
 
-    __slots__ = ("cols", "tree", "p0", "p1", "rows", "dirty")
+    __slots__ = ("cols", "p0", "p1", "rows", "dirty")
 
     def __init__(self, rows: Iterable[int], n_modes: int, phases: list[int]) -> None:
         self.rows = list(rows)
         self.dirty = self.p0 = self.p1 = 0
-        self.cols = cols = _transpose_raw(self.rows, n_modes)
-        self.tree = tree = [0] + cols
-        for k in range(1, n_modes + 1):
-            up = k + (k & -k)
-            if up <= n_modes:
-                tree[up] ^= tree[k]
+        self.cols = _transpose_raw(self.rows, n_modes)
         for i, ph in enumerate(phases):
             self.p0 |= (ph & 1) << i
             self.p1 |= (ph >> 1 & 1) << i
@@ -148,16 +143,13 @@ class _ModeTableau:
         has the same modes and generator phase ``generator_phase ^ 2``.
 
         A support splits into pairs lo < hi, one for braid2 and two for
-        braid4.  A pair's reorder parity is the XOR of the columns over
-        [lo, hi); its two prefix walks down the tree stop where they meet,
-        since the nodes below cancel.  Its update XORs odd into cols[lo],
-        cols[hi] and the nodes on the upward paths from lo + 1 and hi + 1
-        below the node where the two meet, since every node from there on
-        would be XORed twice; hi's path also stops past n_modes.  Every
-        query of a gate runs before its updates.
+        braid4, and a pair's reorder parity is the XOR of cols[lo:hi].  A
+        gate costs O(|support| + summed pair span) big-int operations:
+        about 7 on synthesized decoders, about N/3 per pair on uniformly
+        random gates.  The parities are read before the gate XORs odd
+        into its support columns.
         """
-        cols, tree = self.cols, self.tree
-        end = len(cols) + 1
+        cols = self.cols
         p0, p1, dirty = self.p0, self.p1, self.dirty
         flip = 2 if inverse else 0
         for gate in reversed(gates) if inverse else gates:
@@ -168,35 +160,20 @@ class _ModeTableau:
             if not odd:
                 continue
             dirty |= odd
-            pairs = (modes,) if len(modes) == 2 else (modes[:2], modes[2:])
             reorder = 0
-            for b, a in pairs:  # a walks down from hi, b from lo
-                while a > b:
-                    reorder ^= tree[a]
-                    a &= a - 1
-                while b > a:
-                    reorder ^= tree[b]
-                    b &= b - 1
+            for c in cols[modes[0] : modes[1]]:
+                reorder ^= c
+            if len(modes) == 4:
+                for c in cols[modes[2] : modes[3]]:
+                    reorder ^= c
             # 2-bit add of 1 + gen_phase + 2 * reorder on the rows in odd.
             step = 1 + (gate.generator_phase ^ flip)
             add0 = odd if step & 1 else 0
             add1 = (odd if step & 2 else 0) ^ (reorder & odd)
             p1 ^= add1 ^ (p0 & add0)
             p0 ^= add0
-            for lo, hi in pairs:
-                cols[lo] ^= odd
-                cols[hi] ^= odd
-                # lo's path stays below hi + 1 until it lands on the first
-                # node that covers both; hi's path stops there or at the end.
-                a, b = lo + 1, hi + 1
-                while a < b:
-                    tree[a] ^= odd
-                    a += a & -a
-                if a > end:
-                    a = end
-                while b < a:
-                    tree[b] ^= odd
-                    b += b & -b
+            for a in modes:
+                cols[a] ^= odd
         self.p0, self.p1, self.dirty = p0, p1, dirty
 
     def phase(self, i: int) -> int:
@@ -229,15 +206,9 @@ class _ModeTableau:
 
     def toggle_pairs(self, i: int, pairs: int, phase: int) -> None:
         """Flip the modes of pairs in row i and set its phase to phase; the
-        row is clean afterwards.
-
-        pairs must lie on whole aligned pairs (q, q+1), q even.  Fenwick
-        node k covers cols[k - (k & -k) .. k-1], and k - (k & -k) is even,
-        so node q + 1 is the one node that covers mode q without q + 1:
-        every other node holds both modes or neither, and the two flips
-        cancel there.  A pair then costs two column XORs and one node.
-        """
-        cols, tree, bit = self.cols, self.tree, 1 << i
+        row is clean afterwards.  pairs must lie on whole aligned pairs
+        (q, q+1), q even, and a pair costs two column XORs."""
+        cols, bit = self.cols, 1 << i
         self.rows[i] = self.row(i)[0] ^ pairs
         while pairs:
             low = pairs & -pairs
@@ -245,7 +216,6 @@ class _ModeTableau:
             q = low.bit_length() - 1
             cols[q] ^= bit
             cols[q + 1] ^= bit
-            tree[q + 1] ^= bit
         self.p0 = self.p0 & ~bit | (phase & 1) << i
         self.p1 = self.p1 & ~bit | (phase >> 1 & 1) << i
 

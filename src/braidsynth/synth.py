@@ -37,7 +37,7 @@ whose pair it still holds (commutation forces whole pairs): a recorded
 substitution, no gate.  Decoded generator j is exactly i^s c_q c_(q+1) at
 that point, so the held pairs multiply to one monomial, and one product by
 it clears their bits.  The row changes on those whole pairs alone, and
-``_ModeTableau.toggle_pairs`` writes them, one Fenwick node per pair.
+``_ModeTableau.toggle_pairs`` writes them, two column XORs per pair.
 Quartic braids then shrink the column's weight from the pivot on by two
 per step, parking on its lowest clear mode there, and one quadratic braid
 per bit still off the pivot pair puts it there.  Every emitted gate has
@@ -45,16 +45,16 @@ even overlap with every finished pair, so decoded generators are never
 disturbed -- the loop invariant that makes the sweep correct.
 
 The working generators live in one mode-major tableau (see ``majorana``)
-for the whole run, so each emitted gate costs O(|support| log N) big-int
-operations however many generators there are.  The tableau runs gates at
-two fixed points only: at the end of each column that emitted a gate, all
-of that column's gates in one ``run``, before it reads the phase the
-column's last gate is chosen from (below); and once after the sweep, all
-the phase-correction gates together.  So a column costs at most one
-``run`` call, not one per gate, and its column-start substitutions cost
-none.  The sweep
-names each gate by its support mask, built from the one-bit ints
-(``x & -x``) its pivot logic already computes;
+for the whole run, so each emitted gate costs O(|support| + summed pair
+span) big-int operations however many generators there are: about 7 at
+every N measured, since the sweep braids next to the active pivot.  The
+tableau runs gates at two fixed points only: at the end of each column
+that emitted a gate, all of that column's gates in one ``run``, before it
+reads the phase the column's last gate is chosen from (below); and once
+after the sweep, all the phase-correction gates together.  So a column
+costs at most one ``run`` call, not one per gate, and its column-start
+substitutions cost none.  The sweep names each gate by its support mask,
+built from the one-bit ints (``x & -x``) its pivot logic already computes;
 ``emit`` takes the kind from the mask's weight (2 modes make a ``braid2``,
 4 a ``braid4``, any other weight is an invariant failure) and peels the
 modes off in ascending order for the ``BraidGate`` constructor, which still
@@ -265,7 +265,7 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         # row r of the tableau: the image of i c_0 c_1, which every gate folds
         seed: tuple[MajoranaString, ...] = (MajoranaString.from_modes(work.n_modes, (0, 1), 1),)
     else:
-        if contains_total_parity(code) and r < code.n_modes // 2:
+        if r < code.n_modes // 2 and contains_total_parity(code):
             raise TotalParityObstruction(
                 "total parity lies in the stabilizer group with r < N/2; "
                 "use the ancilla variant"
@@ -436,8 +436,7 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         # monomial, so the image covers every free mode and no
         # pair-preserving gate can move it: it is reported as it stands.
         row, phase = tab.row(r)
-        free_mask = 0b11 | (full ^ ((1 << log_start) - 1))
-        if row != 0b11 and free_mask & ~row:
+        if row != 0b11 and not target.pins(row):
             raise SynthesisInvariantError(
                 "the ancilla image is neither i c0 c1 nor pinned by the total parity"
             )
@@ -497,9 +496,10 @@ def _encoder_images(
     """Encoder images of decoded-frame monomials, reduced to the user register.
 
     Every monomial is one row of a ``_ModeTableau``, and the decoder runs
-    through it backwards once: one replay for all the rows, O(gates x
-    |support| log N) big-int operations on len(rows)-bit ints, and no
-    encoder circuit is built.  The lists are consumed.
+    through it backwards once: one replay for all the rows, O(|support| +
+    summed pair span), about 7, big-int operations per gate on
+    len(rows)-bit ints, and no encoder circuit is built.  The lists are
+    consumed.
 
     If a row pairs oddly with the ancilla pair's decoder image (possible
     only for total-parity codes, where data-local operators of the needed

@@ -20,9 +20,11 @@ the mode pair (pivot_base + 2j, pivot_base + 2j + 1) with phase +i.
 ``apply_circuit`` puts the generators in one mode-major tableau of
 ``majorana``, replays the circuit on all of them at once, in one
 ``_ModeTableau.run``, instead of one conjugation per generator, and reads
-the images back with ``_ModeTableau.read``: each gate costs at most
-O(|support| log N) big-int operations on r-bit ints, since each pair of
-its support walks the Fenwick tree only until the pair's two paths meet.
+the images back with ``_ModeTableau.read``: each gate costs
+O(|support| + summed pair span) big-int operations on r-bit ints, since a
+pair's reorder parity is the XOR of the columns between its modes.  That
+is about 7 per gate on a synthesized decoder, and about N/3 per pair on
+the uniformly random gates of ``codes.random_code``'s scramble.
 """
 
 from __future__ import annotations
@@ -129,6 +131,13 @@ class DecodedTarget:
 
     def generators(self) -> tuple[MajoranaString, ...]:
         return tuple(self.generator(j) for j in range(self.r))
+
+    def pins(self, bits: int) -> bool:
+        """True iff bits, on this target's register, hold modes 0, 1 and
+        every logical mode: the shape the total parity pins the ancilla
+        image to."""
+        log_start = self.pivot_base + 2 * self.r
+        return bits & 0b11 == 0b11 and bits >> log_start == (1 << self.n_modes - log_start) - 1
 
 
 def apply_circuit(circuit: Circuit, code: StabilizerCode) -> StabilizerCode:

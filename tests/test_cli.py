@@ -161,6 +161,36 @@ def test_invalid_inputs_exit_1(capsys, tmp_path):
     assert "odd weight" in err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (
+            '{"format_version": 1, "n_modes": 4, '
+            '"generators": [{"modes": [0, 1, 2, 3], "phase_r": 0}], "generators": []}',
+            "generators",
+        ),
+        (
+            '{"format_version": 1, "n_modes": 4, '
+            '"generators": [{"modes": [0, 1, 2, 3], "phase_r": 0, "modes": [0, 1]}]}',
+            "modes",
+        ),
+    ],
+    ids=["generators", "modes"],
+)
+@pytest.mark.parametrize("command", ["synth", "verify"])
+def test_a_code_document_with_a_duplicate_key_exits_1(capsys, tmp_path, text, key, command):
+    """A repeated key is refused, not settled by its last value: the
+    duplicate generators list would leave a code with no generators."""
+    code_file = tmp_path / "dup.code"
+    code_file.write_text(text)
+    circuit = tmp_path / "parity4.circuit"
+    assert run(capsys, "synth", str(SAMPLES / "parity4.code"), "-o", str(circuit))[0] == 0
+    argv = [command, str(code_file)] + ([str(circuit)] if command == "verify" else [])
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err == f"invalid input: code document has duplicate key '{key}'\n"
+
+
 def test_invalid_code_is_rejected_before_the_obstruction_check(capsys, tmp_path):
     # the total parity with a non-Hermitian phase: invalid (exit 1) wins over
     # the ancilla-free obstruction (exit 2)
@@ -482,16 +512,27 @@ def test_total_parity_code_reports_its_pinned_ancilla_image(capsys, tmp_path):
 
 
 def test_a_returned_ancilla_pair_skips_the_total_parity_test(monkeypatch, capsys, tmp_path):
-    enc = tmp_path / "shortest.circuit"
-    run(capsys, "synth", "--builtin", "shortest", "-o", str(enc))
+    """verify runs no GF(2) elimination for the ancilla check: the pinned
+    image's shape, modes 0, 1 and every logical mode, decides it, both for
+    a returned ancilla pair and for a total-parity code's pinned image."""
+    shortest, parity4 = tmp_path / "shortest.circuit", tmp_path / "parity4.circuit"
+    code = str(SAMPLES / "parity4.code")
+    assert run(capsys, "synth", "--builtin", "shortest", "-o", str(shortest))[0] == 0
+    assert run(capsys, "synth", code, "-o", str(parity4))[0] == 0
 
-    def refuse(code):
-        raise AssertionError("contains_total_parity ran")
+    def refuse(rows):
+        raise AssertionError("a GF(2) elimination ran")
 
-    monkeypatch.setattr(braidsynth.cli, "contains_total_parity", refuse)
-    rc, out, _ = run(capsys, "verify", "--builtin", "shortest", str(enc))
+    monkeypatch.setattr(braidsynth.tableau, "_eliminate", refuse)
+    rc, out, _ = run(capsys, "verify", "--builtin", "shortest", str(shortest))
     assert rc == 0
     assert "ancilla check: ok (i c0 c1 -> +i c0 c1, residual phase_r 1)" in out
+    rc, out, _ = run(capsys, "verify", code, str(parity4))
+    assert rc == 0
+    assert (
+        "ancilla check: ok (i c0 c1 -> +1 c0 c1 c4 c5, residual phase_r None: "
+        "pinned by the total parity)" in out
+    )
 
 
 def test_oracle_refuses_large_registers(monkeypatch, capsys, tmp_path):

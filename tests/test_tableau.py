@@ -206,27 +206,14 @@ def sparse_rows_and_gates(n, rng):
     return bits, gates
 
 
-def fenwick(cols):
-    """The Fenwick tree of cols by its definition: node k is the XOR of
-    cols[k - (k & -k) .. k-1], node 0 is 0."""
-    tree = [0]
-    for k in range(1, len(cols) + 1):
-        node = 0
-        for c in cols[k - (k & -k) : k]:
-            node ^= c
-        tree.append(node)
-    return tree
-
-
 def run_rows_against_the_fold(n, bits, gates, rng):
     """Apply the gates, and after each a write of a few random whole
     aligned pairs to one random row, to a tableau and to a row-major list
     folded through _conjugate_raw and _multiply_raw.  Every row must agree
-    after every gate and every write, and the tree must be the Fenwick tree
-    of the columns.  The pairs are (q, q+1), q = pivot_base + 2j, as at
-    synthesis's column start, for pivot bases 0 and 2; the write lands
-    before the rows are read, so the written row may be dirty.  Returns the
-    dirty states the reads saw."""
+    after every gate and every write.  The pairs are (q, q+1), q =
+    pivot_base + 2j, as at synthesis's column start, for pivot bases 0 and
+    2; the write lands before the rows are read, so the written row may be
+    dirty.  Returns the dirty states the reads saw."""
     seen: set[int] = set()
     for pivot_base in (0, 2):
         lows = range(pivot_base, n - 1, 2)
@@ -236,7 +223,6 @@ def run_rows_against_the_fold(n, bits, gates, rng):
         check_every_row(tab, rows, phases, seen)
         for gate in gates:
             tab.run((gate,))
-            assert tab.tree == fenwick(tab.cols)
             for i, (b, ph) in enumerate(zip(rows, phases)):
                 rows[i], phases[i] = _conjugate_raw(gate.support_mask, gate.generator_phase, b, ph)
             assert tab.read() == (rows, phases)  # the rows the gate changed are dirty
@@ -244,7 +230,6 @@ def run_rows_against_the_fold(n, bits, gates, rng):
             pairs = sum(3 << q for q in rng.sample(lows, min(len(lows), rng.randint(0, 3))))
             rows[i], phases[i] = _multiply_raw(rows[i], phases[i], pairs, rng.randrange(4))
             tab.toggle_pairs(i, pairs, phases[i])
-            assert tab.tree == fenwick(tab.cols)
             assert not tab.dirty >> i & 1 and tab.rows[i] == rows[i]
             check_every_row(tab, rows, phases, seen)
         assert tab.cols == _transpose_raw(rows, n)
@@ -267,7 +252,7 @@ def test_mode_tableau_rows_follow_the_row_major_fold(n):
 def test_reversing_the_last_gate_equals_running_its_inverse(n):
     """A gate followed by reverse_last on its modes leaves the tableau as
     running the gate's inverse does, gate after gate: the same columns,
-    tree, dirty rows and phases."""
+    dirty rows and phases."""
     rng = random.Random(3000 + n)
     bits = [rng.getrandbits(n) for _ in range(2 * n)]
     phases = [rng.randrange(4) for _ in bits]
@@ -276,7 +261,7 @@ def test_reversing_the_last_gate_equals_running_its_inverse(n):
         reversed_.run((gate,))
         reversed_.reverse_last(gate.modes)
         inverse.run((gate.inverse(),))
-        for slot in ("cols", "tree", "dirty", "p0", "p1"):
+        for slot in ("cols", "dirty", "p0", "p1"):
             assert getattr(reversed_, slot) == getattr(inverse, slot), slot
     assert reversed_.read() == inverse.read()
 
