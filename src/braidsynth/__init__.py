@@ -48,7 +48,6 @@ from .tableau import (
     StabilizerCode,
     apply_circuit,
     contains_total_parity,
-    prepend_ancilla_modes,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +66,6 @@ __all__ = [
     "DecodedTarget",
     "apply_circuit",
     "contains_total_parity",
-    "prepend_ancilla_modes",
     "MAX_REGISTER_MODES",
     "CodeFormatError",
     "kitaev_chain",

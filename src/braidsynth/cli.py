@@ -41,12 +41,7 @@ from .synth import (
     synthesize_ancilla_free,
     synthesize_with_ancilla,
 )
-from .tableau import (
-    CodeValidationError,
-    DecodedTarget,
-    StabilizerCode,
-    prepend_ancilla_modes,
-)
+from .tableau import CodeValidationError, StabilizerCode, _working_rows
 
 __all__ = [
     "VerificationFailure",
@@ -76,8 +71,11 @@ def verify_document(
     document's circuit is the decoder whatever its role (``codes`` reads
     the order a file lists the gates in), so it always runs forward.
 
-    The recorded changes of generating set (i, j) are multiplied out
-    first, in order, on the code's own rows, by the kernel synthesis uses
+    The rows are packed ints, the register synthesis starts from
+    (``tableau._working_rows``): the code's generators, shifted past the
+    ancilla pair when the document has one, and then i c_0 c_1.  The
+    recorded changes of generating set (i, j) are multiplied out first,
+    in order, on those rows, by the kernel synthesis uses
     (``majorana._multiply_rows``).  Conjugation is an algebra
     automorphism, so replaying these rows equals folding the changes on
     the replayed images.  One replay then serves the first two checks:
@@ -96,8 +94,10 @@ def verify_document(
     bit action preserves it (see ``majorana``).
 
     The oracle takes the code's generators, i c_0 c_1 and the recorded
-    changes, multiplies the changes out with its own product and folds
-    the rows through the decoder in the Majorana algebra, each gate
+    changes; its ``MajoranaString`` rows are built only when it runs,
+    from copies of the ints taken before the changes.  It multiplies the
+    changes out with its own product and folds the rows through the
+    decoder in the Majorana algebra, each gate
     expanded into its four products (``oracle.conjugate_rows``).  It
     compares each row with what the checks above accepted: generator j
     with its decoded pair, i c_0 c_1 with the reported image.  It uses
@@ -105,26 +105,21 @@ def verify_document(
     ``majorana``, so it re-derives both checks.  A fold of more than
     ``oracle.MAX_WORK`` rows x gates x modes is refused before it starts.
     """
-    working = prepend_ancilla_modes(code) if doc.ancilla_modes else code
-    n = working.n_modes
+    target, bits, phases = _working_rows(code, bool(doc.ancilla_modes))
+    n, r = target.n_modes, target.r
     if doc.circuit.n_modes != n:
         raise CircuitFormatError(
             f"circuit acts on {doc.circuit.n_modes} modes, expected {n} for this code"
         )
-    r = code.n_stabilizers
     if max(map(max, doc.substitutions), default=-1) >= r:
         i, j = next(s for s in doc.substitutions if max(s) >= r)
         raise CircuitFormatError(f"substitution [{i}, {j}] is out of range for {r} generators")
-    target = DecodedTarget(n, 2 if doc.ancilla_modes else 0, r)
 
-    rows = list(working.generators)
-    if doc.ancilla_modes:
-        rows.append(MajoranaString(n, 0b11, 1))  # i c_0 c_1, row r
-    bits, phases = [m.bits for m in rows], [m.phase_r for m in rows]
+    unfolded = bits[:], phases[:]  # the oracle's rows, before the changes
     _multiply_rows(bits, phases, doc.substitutions, n)
     tab = _ModeTableau(bits, n, phases)
     tab.run(doc.circuit.gates)
-    off = tab.undecoded(target.pivot_base, target.r)
+    off = tab.undecoded(target.pivot_base, r)
     if off:
         j = (off & -off).bit_length() - 1
         arrived = MajoranaString(n, *tab.row(j))
@@ -132,7 +127,7 @@ def verify_document(
     yield "decoded-form check: ok"
 
     if doc.ancilla_modes:
-        bits, phase = tab.row(target.r)
+        bits, phase = tab.row(r)
         image = MajoranaString(n, bits, phase)
         if bits == 0b11:
             yield f"ancilla check: ok (i c0 c1 -> {image}, residual phase_r {phase})"
@@ -149,6 +144,7 @@ def verify_document(
     if not oracle:
         yield "oracle check: skipped (pass --oracle to run)"
         return
+    rows = [MajoranaString(n, b, ph) for b, ph in zip(*unfolded)]
     work = len(rows) * len(doc.circuit) * n
     if work > MAX_WORK:
         raise VerificationFailure(
@@ -163,7 +159,7 @@ def verify_document(
     wanted = [*target.generators(), image] if doc.ancilla_modes else target.generators()
     for j, (got, want) in enumerate(zip(folded, wanted)):
         if got != want:
-            row = f"generator {j}" if j < target.r else "i c0 c1"
+            row = f"generator {j}" if j < r else "i c0 c1"
             raise VerificationFailure("oracle", f"operator conjugation of {row} disagrees")
     # the dimension in decimal up to 64 modes; beyond, as a power, since the
     # decimal grows without bound and past the interpreter's int-to-str limit

@@ -93,6 +93,7 @@ class CircuitDocument:
     parse_circuit refuses: each substitution is a pair (i, j) of distinct
     nonnegative ints, and a bool is not an int.  That check is the one
     whole-list check of a substitutions list, parsed or built in memory.
+    Substitutions given as any other iterable are stored as a tuple first.
     """
 
     circuit: Circuit
@@ -101,6 +102,8 @@ class CircuitDocument:
     role: str
 
     def __post_init__(self) -> None:
+        if type(self.substitutions) is not tuple:
+            object.__setattr__(self, "substitutions", tuple(self.substitutions))
         if self.role not in ("encoder", "decoder") or self.ancilla_modes not in ((), (0, 1)):
             raise ValueError("role must be 'encoder' or 'decoder', and ancilla_modes () or (0, 1)")
         if not _valid_substitutions(self.substitutions):

@@ -307,11 +307,16 @@ class MajoranaString:
 
     @classmethod
     def from_modes(cls, n_modes: int, modes: Iterable[int], phase_r: int = 0) -> MajoranaString:
-        bits = 0
-        for m in modes:
+        """``i^phase_r`` times the product of modes in ascending order.  The
+        modes name a set, listed in any order, so ``(3, 1)`` gives
+        ``+1 c1 c3``; a mode listed twice raises ValueError."""
+        bits = count = 0
+        for count, m in enumerate(modes, 1):
             if not 0 <= m < n_modes:
                 raise ValueError(f"mode {m} out of range for {n_modes} modes")
             bits |= 1 << m
+        if bits.bit_count() != count:
+            raise ValueError("modes must be distinct")
         return cls(n_modes, bits, phase_r)
 
     @property
@@ -363,7 +368,10 @@ class BraidGate:
 
     def __init__(self, kind: GateKind, modes: tuple[int, ...], direction: int = 1) -> None:
         """One chained comparison passes a valid gate; anything else goes
-        through _check, which raises the message of the first failed check."""
+        through _check, which raises the message of the first failed check.
+        Modes given as any other iterable are stored as a tuple."""
+        if type(modes) is not tuple:
+            modes = tuple(modes)
         _set_kind(self, kind)
         _set_modes(self, modes)
         _set_direction(self, direction)
@@ -419,12 +427,15 @@ _set_phase = BraidGate.generator_phase.__set__  # type: ignore[attr-defined]
 
 @dataclass(frozen=True, slots=True)
 class Circuit:
-    """An ordered braid-gate sequence on a fixed register of modes."""
+    """An ordered braid-gate sequence on a fixed register of modes; gates
+    given as any other iterable are stored as a tuple."""
 
     n_modes: int
     gates: tuple[BraidGate, ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.gates) is not tuple:
+            object.__setattr__(self, "gates", tuple(self.gates))
         if self.n_modes < 0:
             raise ValueError("n_modes must be nonnegative")
         for g in self.gates:

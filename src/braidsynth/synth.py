@@ -148,12 +148,7 @@ from .majorana import (
     _multiply_rows,
     invert,
 )
-from .tableau import (
-    DecodedTarget,
-    StabilizerCode,
-    contains_total_parity,
-    prepend_ancilla_modes,
-)
+from .tableau import DecodedTarget, StabilizerCode, _working_rows, contains_total_parity
 
 __all__ = [
     "TotalParityObstruction",
@@ -220,12 +215,13 @@ class SynthesisResult:
     encoded pairs left over), the image is i^s c_0 c_1 with the residual
     sign s that ancilla_phase_r reads (reported, not corrected); else it
     cannot be reduced, ancilla_phase_r is None, and the full monomial is
-    reported.  total_modes and ancilla_phase_r are read off decoder and
-    ancilla_image, not stored, so ``dataclasses.replace`` keeps them in step.
+    reported.  total_modes, ancilla_modes and ancilla_phase_r are read off
+    decoder, target (its pivot base is 2 with the ancilla pair, 0 without)
+    and ancilla_image, not stored, so ``dataclasses.replace`` keeps them in
+    step.
     """
 
     decoder: Circuit
-    ancilla_modes: tuple[int, ...]
     target: DecodedTarget
     substitutions: tuple[tuple[int, int], ...]
     ancilla_image: MajoranaString | None
@@ -234,6 +230,10 @@ class SynthesisResult:
     @property
     def total_modes(self) -> int:
         return self.decoder.n_modes
+
+    @property
+    def ancilla_modes(self) -> tuple[int, ...]:
+        return (0, 1) if self.target.pivot_base else ()
 
     @property
     def ancilla_phase_r(self) -> int | None:
@@ -257,32 +257,19 @@ def synthesize_ancilla_free(code: StabilizerCode) -> SynthesisResult:
 
 def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
     code.validate()
-    r = code.n_stabilizers
-    if use_ancilla:
-        work = prepend_ancilla_modes(code)
-        pivot_base = 2
-        ancilla_modes: tuple[int, ...] = (0, 1)
-        # row r of the tableau: the image of i c_0 c_1, which every gate folds
-        seed: tuple[MajoranaString, ...] = (MajoranaString.from_modes(work.n_modes, (0, 1), 1),)
-    else:
-        if r < code.n_modes // 2 and contains_total_parity(code):
-            raise TotalParityObstruction(
-                "total parity lies in the stabilizer group with r < N/2; "
-                "use the ancilla variant"
-            )
-        work = code
-        pivot_base = 0
-        ancilla_modes = ()
-        seed = ()
-    n_work = work.n_modes
-    full = (1 << n_work) - 1
-
-    # Every generator lives in one mode-major tableau; the active sweep row
-    # is also kept row-major, bits only, because the pivot logic reads its
-    # low bits.  The tableau runs a column's gates in one pass at the
+    if not use_ancilla and code.n_stabilizers < code.n_modes // 2 and contains_total_parity(code):
+        raise TotalParityObstruction(
+            "total parity lies in the stabilizer group with r < N/2; use the ancilla variant"
+        )
+    # The working rows: the generators shifted up by the pivot base and,
+    # with the ancilla pair, row r, the image of i c_0 c_1, which every gate
+    # folds.  Every row lives in one mode-major tableau; the active sweep
+    # row is also kept row-major, bits only, because the pivot logic reads
+    # its low bits.  The tableau runs a column's gates in one pass at the
     # column's end, and the correction gates in one pass after them.
-    gens = work.generators + seed
-    rows, phases = [g.bits for g in gens], [g.phase_r for g in gens]
+    target, rows, phases = _working_rows(code, use_ancilla)
+    pivot_base, r, n_work = target.pivot_base, target.r, target.n_modes
+    full = (1 << n_work) - 1
     substitutions = _back_substitute(rows, phases, r)
     tab = _ModeTableau(rows, n_work, phases)
     row = 0
@@ -424,8 +411,6 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         tab.run(gates[correction_start:])
     correction_span = (correction_start, len(gates))
 
-    target = DecodedTarget(n_work, pivot_base, r)
-
     ancilla_image: MajoranaString | None = None
     if use_ancilla:
         # ---- the ancilla image, row r: i c_0 c_1 or pinned ----
@@ -447,7 +432,6 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
 
     return SynthesisResult(
         decoder=Circuit(n_work, tuple(gates)),
-        ancilla_modes=ancilla_modes,
         target=target,
         substitutions=tuple(substitutions),
         ancilla_image=ancilla_image,
@@ -511,8 +495,8 @@ def _encoder_images(
     where the ancilla pair is freshly prepared -- to clear them before
     dropping the two slots.
     """
-    n = result.total_modes
-    if result.ancilla_modes:
+    n, shift = result.total_modes, result.target.pivot_base
+    if shift:
         if result.ancilla_image is None:
             raise SynthesisInvariantError("an ancilla result carries no ancilla image")
         image = result.ancilla_image.bits
@@ -522,7 +506,7 @@ def _encoder_images(
     tab = _ModeTableau(rows, n, phases)
     tab.run(result.decoder.gates, inverse=True)
     images = zip(*tab.read())
-    if not result.ancilla_modes:
+    if not shift:
         return [MajoranaString(n, bits, phase) for bits, phase in images]
     out = []
     for bits, phase in images:
@@ -530,7 +514,7 @@ def _encoder_images(
             if bits & 0b11 != 0b11:
                 raise SynthesisInvariantError("an encoder image meets the ancilla pair in one mode")
             bits, phase = _multiply_raw(bits, phase, 0b11, 1)
-        out.append(MajoranaString(n - 2, bits >> 2, phase))
+        out.append(MajoranaString(n - shift, bits >> shift, phase))
     return out
 
 

@@ -25,6 +25,10 @@ O(|support| + summed pair span) big-int operations on r-bit ints, since a
 pair's reorder parity is the XOR of the columns between its modes.  That
 is about 7 per gate on a synthesized decoder, and about N/3 per pair on
 the uniformly random gates of ``codes.random_code``'s scramble.
+
+Synthesis and ``verify`` start from one register, which ``_working_rows``
+builds: the target and the generators as packed ints, shifted up by the
+pivot base, 0, or 2 with the ancilla pair, whose i c_0 c_1 is then row r.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ __all__ = [
     "DecodedTarget",
     "apply_circuit",
     "contains_total_parity",
-    "prepend_ancilla_modes",
 ]
 
 
@@ -59,13 +62,16 @@ class CodeValidationError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class StabilizerCode:
-    """An N-mode code given by its stabilizer generators."""
+    """An N-mode code given by its stabilizer generators; generators given
+    as any other iterable are stored as a tuple."""
 
     n_modes: int
     generators: tuple[MajoranaString, ...]
     name: str | None = None
 
     def __post_init__(self) -> None:
+        if type(self.generators) is not tuple:
+            object.__setattr__(self, "generators", tuple(self.generators))
         if self.n_modes < 2 or self.n_modes % 2:
             raise ValueError("n_modes must be even and at least 2")
         for g in self.generators:
@@ -157,8 +163,15 @@ def contains_total_parity(code: StabilizerCode) -> bool:
     return _residue(pivots, (1 << code.n_modes) - 1) == 0
 
 
-def prepend_ancilla_modes(code: StabilizerCode) -> StabilizerCode:
-    """Shift the code up by one fresh mode pair at indices 0 and 1."""
-    n = code.n_modes + 2
-    gens = tuple(MajoranaString(n, g.bits << 2, g.phase_r) for g in code.generators)
-    return StabilizerCode(n, gens, code.name)
+def _working_rows(code: StabilizerCode, ancilla: bool) -> tuple[DecodedTarget, list[int], list[int]]:
+    """The register synthesis and ``verify`` start from: the target, and
+    the generators' bits shifted up by its pivot base with their phases,
+    as fresh lists.  With the ancilla pair (modes 0 and 1, pivot base 2)
+    i c_0 c_1 follows as row r."""
+    base = 2 if ancilla else 0
+    gens = code.generators
+    bits, phases = [g.bits << base for g in gens], [g.phase_r for g in gens]
+    if ancilla:
+        bits.append(0b11)
+        phases.append(1)
+    return DecodedTarget(code.n_modes + base, base, len(gens)), bits, phases

@@ -25,6 +25,7 @@ from braidsynth.codes import (
 )
 from braidsynth.majorana import BraidGate, Circuit, MajoranaString, invert
 from braidsynth.synth import synthesize_with_ancilla
+from braidsynth.tableau import StabilizerCode
 
 
 def test_kitaev_chain_structure():
@@ -393,6 +394,29 @@ def test_circuit_document_refuses_substitutions_no_file_may_hold(subs, message):
     text = json.dumps({**header, "substitutions": [list(s) for s in subs]})
     with pytest.raises(CircuitFormatError, match=message):
         parse_circuit(text)
+
+
+def test_records_built_from_lists_store_tuples():
+    """A frozen record given a list stores a tuple, so it equals and hashes
+    like the record built from tuples, and what it hands on is a tuple."""
+    gate = BraidGate("braid2", [0, 1])
+    m = MajoranaString(4, 0b11, 1)
+    pairs = [
+        (gate, BraidGate("braid2", (0, 1))),
+        (gate.inverse(), BraidGate("braid2", (0, 1), -1)),
+        (Circuit(4, [gate]), Circuit(4, (gate,))),
+        (StabilizerCode(4, [m]), StabilizerCode(4, (m,))),
+        (
+            CircuitDocument(Circuit(4, ()), (), [(0, 1)], "decoder"),
+            CircuitDocument(Circuit(4, ()), (), ((0, 1),), "decoder"),
+        ),
+    ]
+    for built, want in pairs:
+        assert built == want and hash(built) == hash(want), want
+    assert type(gate.inverse().modes) is tuple
+    assert type(invert(Circuit(4, [gate])).gates) is tuple
+    with pytest.raises(ValueError, match="distinct nonnegative ints"):
+        CircuitDocument(Circuit(4, ()), (), [[0, 1]], "decoder")
 
 
 def test_a_negative_substitution_index_never_reaches_verify():

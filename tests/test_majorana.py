@@ -150,6 +150,17 @@ def test_majorana_string_rejects_bad_values():
         MajoranaString(4, 0, 4)
 
 
+def test_from_modes_names_a_set():
+    """The modes are a set in any order, and the monomial is their product
+    in ascending order; a repeated mode is refused, not cancelled."""
+    assert str(MajoranaString.from_modes(4, (3, 1))) == "+1 c1 c3"
+    assert MajoranaString.from_modes(4, iter([2, 0]), 1) == MajoranaString(4, 0b101, 1)
+    assert MajoranaString.from_modes(4, ()) == MajoranaString(4)
+    for modes in ((1, 1), (0, 2, 0), [3, 3, 3]):
+        with pytest.raises(ValueError, match="modes must be distinct"):
+            MajoranaString.from_modes(4, modes)
+
+
 # ---- properties ----
 
 

@@ -235,10 +235,17 @@ def test_full_stabilizer_rank_can_still_reset_cleanly():
 
 
 def test_derived_fields_follow_a_replaced_result():
-    """total_modes and ancilla_phase_r are read off the decoder and the
-    ancilla image, so ``dataclasses.replace`` cannot leave them stale."""
+    """total_modes, ancilla_modes and ancilla_phase_r are read off the
+    decoder, the target and the ancilla image, so ``dataclasses.replace``
+    cannot leave them stale."""
     result = synthesize_with_ancilla(shortest_code())
     assert (result.total_modes, result.ancilla_phase_r) == (14, 1)
+    for r in (result, synthesize_ancilla_free(shortest_code())):
+        assert r.ancilla_modes == ((0, 1) if r.target.pivot_base else ())
+    assert "ancilla_modes" not in {f.name for f in dataclasses.fields(result)}
+    moved = dataclasses.replace(result, target=DecodedTarget(14, 0, 5))
+    assert moved.ancilla_modes == ()
+    assert dataclasses.replace(moved, target=result.target).ancilla_modes == (0, 1)
     assert dataclasses.replace(result, ancilla_image=None).ancilla_phase_r is None
     flipped = MajoranaString.from_modes(14, (0, 1), 3)
     assert dataclasses.replace(result, ancilla_image=flipped).ancilla_phase_r == 3

@@ -20,8 +20,8 @@ from braidsynth.tableau import (
     DecodedTarget,
     StabilizerCode,
     apply_circuit,
+    _working_rows,
     contains_total_parity,
-    prepend_ancilla_modes,
 )
 
 import random
@@ -116,12 +116,24 @@ def test_full_rank_codes_always_contain_total_parity(seed):
     assert contains_total_parity(code)
 
 
-def test_prepend_ancilla_modes():
-    code = StabilizerCode(4, (gen(4, (0, 3), 1),), name="x")
-    shifted = prepend_ancilla_modes(code)
-    assert shifted.n_modes == 6
-    assert shifted.name == "x"
-    assert shifted.generators[0] == gen(6, (2, 5), 1)
+@pytest.mark.parametrize("ancilla", [False, True])
+def test_working_rows_shift_the_generators_past_the_ancilla_pair(ancilla):
+    """Both variants start from these rows: the generators shifted up by
+    the pivot base, and with the ancilla pair i c0 c1 as row r, in lists
+    the caller may consume without touching the code."""
+    code = shortest_code()
+    target, bits, phases = _working_rows(code, ancilla)
+    base = 2 if ancilla else 0
+    assert target == DecodedTarget(12 + base, base, 5)
+    gens = code.generators
+    assert bits[:5] == [g.bits << base for g in gens]
+    assert phases[:5] == [g.phase_r for g in gens]
+    assert (bits[5:], phases[5:]) == (([0b11], [1]) if ancilla else ([], []))
+    again = _working_rows(code, ancilla)
+    assert again == (target, bits, phases)
+    assert again[1] is not bits and again[2] is not phases
+    bits[0] = phases[0] = 0
+    assert code.generators == gens and _working_rows(code, ancilla) == again
 
 
 @given(st.integers(min_value=0, max_value=300))
