@@ -17,14 +17,16 @@ of ``StabilizerCode.validate``: with ``_mat_vec`` it forms the Gram matrix
 of r generators with W set bits in W big-int XORs when that is cheaper
 than the r(r-1)/2 pairwise popcounts, and loops over pairs when it is not.
 
-``_eliminate`` and ``_residue`` are the one GF(2) elimination routine:
-the dependency check of ``validate`` and ``tableau.contains_total_parity``
-both reduce against their pivots.
+``_eliminate`` is the one GF(2) elimination routine: it yields each
+column's residue against the columns before it, 0 exactly when the column
+lies in their span.  ``validate`` stops at the first zero residue, and
+``tableau.contains_total_parity`` reads the residue of the all-ones
+column it appends.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = ["symplectic_pairing"]
 
@@ -81,12 +83,6 @@ def _transpose_raw(vectors: Sequence[int], length: int) -> list[int]:
     return out
 
 
-def _lowest_bit(x: int) -> int:
-    if x <= 0:
-        raise ValueError("no set bit")
-    return (x & -x).bit_length() - 1
-
-
 def _first_odd_overlap(vectors: Sequence[int], length: int) -> tuple[int, int] | None:
     """The first pair (j, k), j < k in lexicographic order, with |v_j & v_k| odd.
 
@@ -106,7 +102,7 @@ def _first_odd_overlap(vectors: Sequence[int], length: int) -> tuple[int, int] |
         for j, v in enumerate(vectors):
             above = _mat_vec(cols, v) >> (j + 1)
             if above:
-                return j, j + 1 + _lowest_bit(above)
+                return j, j + 1 + (above & -above).bit_length() - 1
         return None
     for j, u in enumerate(vectors):
         for k in range(j + 1, r):
@@ -157,22 +153,18 @@ def symplectic_pairing(u: int, v: int) -> int:
     return (u.bit_count() * v.bit_count() + (u & v).bit_count()) & 1
 
 
-def _eliminate(columns: Iterable[int]) -> dict[int, int]:
-    """Column elimination; pivots are the lowest set row of each survivor."""
+def _eliminate(columns: Iterable[int]) -> Iterator[int]:
+    """Yield each column reduced by the pivots of the columns before it
+    until its lowest set row has no pivot: 0 exactly when the column lies
+    in their span.  A nonzero residue becomes the pivot of its lowest set
+    row."""
     pivots: dict[int, int] = {}
     for v in columns:
-        v = _residue(pivots, v)
-        if v:
-            pivots[_lowest_bit(v)] = v
-    return pivots
-
-
-def _residue(pivots: dict[int, int], v: int) -> int:
-    """v reduced by the pivots until its lowest set row has no pivot, or 0."""
-    cur = v
-    while cur:
-        seen = pivots.get((cur & -cur).bit_length() - 1)
-        if seen is None:
-            break
-        cur ^= seen
-    return cur
+        while v:
+            low = (v & -v).bit_length() - 1
+            seen = pivots.get(low)
+            if seen is None:
+                pivots[low] = v
+                break
+            v ^= seen
+        yield v

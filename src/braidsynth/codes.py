@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import eq, itemgetter, lt, neg
@@ -225,11 +224,13 @@ def _require_keys(
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    """A code document's object, refused when a key repeats: json keeps a
-    repeated key's last value, which would silently win."""
+    """A code document's object, refused when a key repeats, naming the
+    key whose repeat comes first: json keeps a repeated key's last value,
+    which would silently win."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        key = Counter(k for k, _ in pairs).most_common(1)[0][0]
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
         raise CodeFormatError(f"code document has duplicate key {key!r}")
     return obj
 

@@ -138,7 +138,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import lt
 
-from .bitlinalg import _lowest_bit, symplectic_pairing
+from .bitlinalg import symplectic_pairing
 from .majorana import (
     BraidGate,
     Circuit,
@@ -318,7 +318,7 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         lows = held & evens
         half = lows ^ (held >> 1 & evens)
         if half:
-            q = _lowest_bit(half)
+            q = (half & -half).bit_length() - 1
             raise SynthesisInvariantError(
                 f"generator {i} meets decoded pair {q}, {q + 1} in one mode only"
             )
@@ -348,11 +348,13 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
             # parks (module docstring)
             raise SynthesisInvariantError(f"generator {i} holds mode 0 at its column start")
 
-        while (row & tail).bit_count() > 2:
-            # the tail's three lowest set bits, as one-bit ints
-            t = row & tail
-            b1 = t & -t
-            t ^= b1
+        # the row lies in the tail from here on: the decoded pairs are
+        # cleared, mode 0 is checked, no gate holds mode 1, and a park's
+        # second gate takes mode 0 back out
+        while row.bit_count() > 2:
+            # the row's three lowest set bits, as one-bit ints
+            b1 = row & -row
+            t = row ^ b1
             b2 = t & -t
             t ^= b2
             three = b1 | b2 | (t & -t)
@@ -366,7 +368,7 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
             else:
                 # unreachable after the back-substitution (module docstring)
                 raise SynthesisInvariantError(
-                    f"generator {i} has an all-ones tail of {(row & tail).bit_count()} modes"
+                    f"generator {i} has an all-ones tail of {row.bit_count()} modes"
                 )
 
         # the row now lies on at most two tail modes; one quadratic braid

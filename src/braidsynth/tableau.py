@@ -8,11 +8,12 @@ offending generator indices so callers can surface precise diagnostics.
 
 With W the total weight of the generators, validation costs r popcounts
 for the weight and phase checks, min(W, r(r-1)/2) big-int operations for
-the commutation check, and one GF(2) elimination for independence.  The
-commutation check (``bitlinalg._first_odd_overlap``) forms the Gram matrix
-from the mode-major columns when W < r(r-1)/2 and pairs generators one by
-one otherwise; both routes report the lexicographically first
-anticommuting pair.
+the commutation check, and one GF(2) elimination for independence
+(``bitlinalg._eliminate``), which stops at the first generator whose
+residue is 0.  The commutation check (``bitlinalg._first_odd_overlap``)
+forms the Gram matrix from the mode-major columns when W < r(r-1)/2 and
+pairs generators one by one otherwise; both routes report the
+lexicographically first anticommuting pair.
 
 The synthesis target is the decoded form in which generator j acts only on
 the mode pair (pivot_base + 2j, pivot_base + 2j + 1) with phase +i.
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitlinalg import _eliminate, _first_odd_overlap, _lowest_bit, _residue
+from .bitlinalg import _eliminate, _first_odd_overlap
 from .majorana import Circuit, MajoranaString, _ModeTableau
 
 __all__ = [
@@ -110,14 +111,11 @@ class StabilizerCode:
             raise CodeValidationError(
                 "anticommuting", (j, k), f"generators {j} and {k} anticommute"
             )
-        pivots: dict[int, int] = {}
-        for j, g in enumerate(gens):
-            v = _residue(pivots, g.bits)
+        for j, v in enumerate(_eliminate(g.bits for g in gens)):
             if not v:
                 raise CodeValidationError(
                     "dependent", (j,), f"generator {j} is a product of earlier generators"
                 )
-            pivots[_lowest_bit(v)] = v
         # r > N/2 fails above: even overlaps span a self-orthogonal code, dim <= N/2.
 
 
@@ -159,8 +157,8 @@ def apply_circuit(circuit: Circuit, code: StabilizerCode) -> StabilizerCode:
 
 def contains_total_parity(code: StabilizerCode) -> bool:
     """True iff the all-modes product lies in the GF(2) span of the bits."""
-    pivots = _eliminate(g.bits for g in code.generators)
-    return _residue(pivots, (1 << code.n_modes) - 1) == 0
+    *_, last = _eliminate([*(g.bits for g in code.generators), (1 << code.n_modes) - 1])
+    return last == 0
 
 
 def _working_rows(code: StabilizerCode, ancilla: bool) -> tuple[DecodedTarget, list[int], list[int]]:

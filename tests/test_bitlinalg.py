@@ -128,16 +128,26 @@ def test_reorder_swap_identity(u, v):
     assert lhs == (w(u) * w(v) + w(u & v)) % 2
 
 
+def rank(columns) -> int:
+    """The rank is the number of nonzero residues the one elimination
+    routine yields."""
+    return sum(1 for v in _eliminate(columns) if v)
+
+
 def test_rank_small_cases():
-    """The rank is the number of pivots the one elimination routine keeps."""
-    assert len(_eliminate([0b001, 0b010, 0b011])) == 2
-    assert len(_eliminate(1 << j for j in range(5))) == 5
-    assert len(_eliminate([])) == 0
+    assert list(_eliminate([0b001, 0b010, 0b011])) == [0b001, 0b010, 0]
+    assert rank([0b001, 0b010, 0b011]) == 2
+    assert rank(1 << j for j in range(5)) == 5
+    assert rank([]) == 0
 
 
 @given(st.lists(st.integers(min_value=0, max_value=255), max_size=10))
 def test_rank_matches_naive(cols):
-    assert len(_eliminate(cols)) == naive_rank(cols, 8)
+    """The rank matches, and residue k is 0 exactly when column k lies in
+    the span of columns 0..k-1, dependent columns included."""
+    assert rank(cols) == naive_rank(cols, 8)
+    for k, v in enumerate(_eliminate(cols)):
+        assert (v == 0) == (naive_rank(cols[: k + 1], 8) == naive_rank(cols[:k], 8))
 
 
 def test_matrix_transpose_and_matmul():

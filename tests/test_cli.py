@@ -174,8 +174,13 @@ def test_invalid_inputs_exit_1(capsys, tmp_path):
             '"generators": [{"modes": [0, 1, 2, 3], "phase_r": 0, "modes": [0, 1]}]}',
             "modes",
         ),
+        (
+            '{"format_version": 1, "n_modes": 4, "generators": [{"modes": [0, 1, 2, 3], '
+            '"modes": [0, 1, 2, 3], "phase_r": 0, "phase_r": 0, "phase_r": 0}]}',
+            "modes",
+        ),
     ],
-    ids=["generators", "modes"],
+    ids=["generators", "modes", "first-repeat"],
 )
 @pytest.mark.parametrize("command", ["synth", "verify"])
 def test_a_code_document_with_a_duplicate_key_exits_1(capsys, tmp_path, text, key, command):
@@ -512,27 +517,41 @@ def test_total_parity_code_reports_its_pinned_ancilla_image(capsys, tmp_path):
 
 
 def test_a_returned_ancilla_pair_skips_the_total_parity_test(monkeypatch, capsys, tmp_path):
-    """verify runs no GF(2) elimination for the ancilla check: the pinned
-    image's shape, modes 0, 1 and every logical mode, decides it, both for
-    a returned ancilla pair and for a total-parity code's pinned image."""
+    """verify runs one GF(2) elimination, validate's, and none for the
+    ancilla check: the pinned image's shape, modes 0, 1 and every logical
+    mode, decides it, both for a returned ancilla pair and for a
+    total-parity code's pinned image.  Synthesis with the ancilla runs
+    validate's alone; ancilla-free with r < N/2 it runs the total-parity
+    test's too."""
     shortest, parity4 = tmp_path / "shortest.circuit", tmp_path / "parity4.circuit"
     code = str(SAMPLES / "parity4.code")
     assert run(capsys, "synth", "--builtin", "shortest", "-o", str(shortest))[0] == 0
+    eliminations = []
+    eliminate = braidsynth.tableau._eliminate
+
+    def count(columns):
+        eliminations.append(None)
+        return eliminate(columns)
+
+    monkeypatch.setattr(braidsynth.tableau, "_eliminate", count)
     assert run(capsys, "synth", code, "-o", str(parity4))[0] == 0
-
-    def refuse(rows):
-        raise AssertionError("a GF(2) elimination ran")
-
-    monkeypatch.setattr(braidsynth.tableau, "_eliminate", refuse)
+    assert len(eliminations) == 1
+    eliminations.clear()
     rc, out, _ = run(capsys, "verify", "--builtin", "shortest", str(shortest))
     assert rc == 0
     assert "ancilla check: ok (i c0 c1 -> +i c0 c1, residual phase_r 1)" in out
+    assert len(eliminations) == 1
+    eliminations.clear()
     rc, out, _ = run(capsys, "verify", code, str(parity4))
     assert rc == 0
     assert (
         "ancilla check: ok (i c0 c1 -> +1 c0 c1 c4 c5, residual phase_r None: "
         "pinned by the total parity)" in out
     )
+    assert len(eliminations) == 1
+    eliminations.clear()
+    assert run(capsys, "synth", code, "--ancilla-free")[0] == 2
+    assert len(eliminations) == 2
 
 
 def test_oracle_refuses_large_registers(monkeypatch, capsys, tmp_path):

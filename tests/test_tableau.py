@@ -116,6 +116,27 @@ def test_full_rank_codes_always_contain_total_parity(seed):
     assert contains_total_parity(code)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 9999), st.data())
+def test_contains_total_parity_on_dependent_generators(pairs, seed, data):
+    """The residue of the appended all-ones column decides the span also
+    for a generator list validate refuses as dependent: a valid code with
+    the product of some of its generators (the identity when none) put in
+    at a random place."""
+    n = 2 * pairs
+    gens = list(random_code(n, data.draw(st.integers(0, pairs)), seed).generators)
+    product = 0
+    for j in data.draw(st.sets(st.integers(0, len(gens) - 1)) if gens else st.just(set())):
+        product ^= gens[j].bits
+    gens.insert(data.draw(st.integers(0, len(gens))), hermitian(n, product))
+    code = StabilizerCode(n, tuple(gens))
+    with pytest.raises(CodeValidationError) as exc:
+        code.validate()
+    assert exc.value.kind == "dependent"
+    bits = [g.bits for g in gens]
+    assert contains_total_parity(code) == (rank(bits + [(1 << n) - 1]) == rank(bits))
+
+
 @pytest.mark.parametrize("ancilla", [False, True])
 def test_working_rows_shift_the_generators_past_the_ancilla_pair(ancilla):
     """Both variants start from these rows: the generators shifted up by
