@@ -17,6 +17,8 @@ then the total.
 import argparse
 import ast
 import io
+import os
+import sys
 import tokenize
 from pathlib import Path
 
@@ -59,4 +61,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): point stdout at
+        # devnull so the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -6,85 +6,26 @@ synthesizer reduces any valid code to aligned mode pairs with +i phases,
 either on two extra ancilla modes or ancilla-free where possible, and every
 step can be cross-checked against an exact operator oracle that re-derives
 each conjugation in the Majorana algebra.
+
+Each module's ``__all__`` is its public API, and the package re-exports
+those of ``bitlinalg``, ``majorana``, ``tableau``, ``codes`` and ``synth``,
+so a public name is declared once, in the module that owns it.
 """
 
-from .bitlinalg import symplectic_pairing
-from .codes import (
-    MAX_REGISTER_MODES,
-    CircuitDocument,
-    CircuitFormatError,
-    CodeFormatError,
-    kitaev_chain,
-    parse_circuit,
-    parse_code,
-    random_circuit,
-    random_code,
-    serialize_circuit,
-    serialize_code,
-    shortest_code,
-)
-from .majorana import (
-    BraidGate,
-    Circuit,
-    MajoranaString,
-    conjugate_circuit,
-    gate_counts,
-    invert,
-    multiply,
-)
-from .synth import (
-    PhaseCorrectionError,
-    SynthesisInvariantError,
-    SynthesisResult,
-    TotalParityObstruction,
-    destabilizers,
-    logical_representatives,
-    synthesize_ancilla_free,
-    synthesize_with_ancilla,
-)
-from .tableau import (
-    CodeValidationError,
-    DecodedTarget,
-    StabilizerCode,
-    apply_circuit,
-    contains_total_parity,
-)
+from . import bitlinalg, codes, majorana, synth, tableau
+from .bitlinalg import *  # noqa: F403
+from .codes import *  # noqa: F403
+from .majorana import *  # noqa: F403
+from .synth import *  # noqa: F403
+from .tableau import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "symplectic_pairing",
-    "MajoranaString",
-    "BraidGate",
-    "Circuit",
-    "multiply",
-    "conjugate_circuit",
-    "invert",
-    "gate_counts",
-    "CodeValidationError",
-    "StabilizerCode",
-    "DecodedTarget",
-    "apply_circuit",
-    "contains_total_parity",
-    "MAX_REGISTER_MODES",
-    "CodeFormatError",
-    "kitaev_chain",
-    "shortest_code",
-    "random_circuit",
-    "random_code",
-    "parse_code",
-    "serialize_code",
-    "CircuitFormatError",
-    "CircuitDocument",
-    "parse_circuit",
-    "serialize_circuit",
-    "TotalParityObstruction",
-    "PhaseCorrectionError",
-    "SynthesisInvariantError",
-    "SynthesisResult",
-    "synthesize_with_ancilla",
-    "synthesize_ancilla_free",
-    "destabilizers",
-    "logical_representatives",
+    *bitlinalg.__all__,
+    *majorana.__all__,
+    *tableau.__all__,
+    *codes.__all__,
+    *synth.__all__,
     "__version__",
 ]

@@ -280,21 +280,23 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     Both roles hold ``result.decoder``; ``serialize_circuit`` writes an
     encoder document's gates in reverse order with each direction negated,
-    so no encoder circuit is built.
+    so no encoder circuit is built.  The document is built and serialized
+    only when ``-o`` asks for it to be written.
     """
     code = _load_code(args)  # synthesis validates it
     result = (synthesize_ancilla_free if args.ancilla_free else synthesize_with_ancilla)(code)
     role = "decoder" if args.decoder else "encoder"
-    doc = CircuitDocument(result.decoder, result.ancilla_modes, result.substitutions, role)
-    out = sys.stdout
-    if args.output is None:
+    out, dest = sys.stdout, args.output
+    if dest is None:
         dest = "not written (pass -o to write)"
-    elif args.output == "-":
-        sys.stdout.write(serialize_circuit(doc))
-        dest, out = "stdout", sys.stderr  # keep stdout one JSON document
     else:
-        Path(args.output).write_text(serialize_circuit(doc))
-        dest = args.output
+        doc = CircuitDocument(result.decoder, result.ancilla_modes, result.substitutions, role)
+        text = serialize_circuit(doc)
+        if dest == "-":
+            sys.stdout.write(text)
+            dest, out = "stdout", sys.stderr  # keep stdout one JSON document
+        else:
+            Path(dest).write_text(text)
     _report_synth(code, result, role, dest, out)
     return 0
 

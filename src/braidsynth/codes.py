@@ -181,10 +181,9 @@ def random_code(n_modes: int, r: int, seed: int) -> StabilizerCode:
     if not 0 <= r <= n_modes // 2:
         raise ValueError("r must lie in 0..n_modes/2")
     rng = random.Random(seed)
-    decoded = StabilizerCode(n_modes, DecodedTarget(n_modes, 0, r).generators())
-    scramble = random_circuit(n_modes, 4 * n_modes, rng)
-    code = apply_circuit(scramble, decoded)
-    return StabilizerCode(code.n_modes, code.generators, name=f"random-{n_modes}-{r}-{seed}")
+    name = f"random-{n_modes}-{r}-{seed}"
+    decoded = StabilizerCode(n_modes, DecodedTarget(n_modes, 0, r).generators(), name=name)
+    return apply_circuit(random_circuit(n_modes, 4 * n_modes, rng), decoded)
 
 
 def _load_document(

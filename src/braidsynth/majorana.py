@@ -43,7 +43,8 @@ backwards.  The tableau keeps the rows it was built from and a mask of the
 rows gates have changed since, so a row no gate has touched reads back in
 O(1); a changed (dirty) row still costs an O(N) scan of the columns,
 whose result is kept until a gate changes the row again.  ``read`` hands
-every row back at once, in one transpose of the columns, and
+every row back at once, in one transpose of the columns and one of the
+phase planes, and
 ``undecoded`` compares every row with the decoded form in one pass over
 them; no other module reads the tableau's columns.  That predicate is
 the one decoded-form test: synthesis ends on it and ``verify`` checks it.
@@ -122,19 +123,18 @@ class _ModeTableau:
     the gates: ``toggle_pairs``, which flips whole aligned pairs of one
     row, and ``reverse_last``, which turns the last gate run into its
     reverse and changes only phases.  The tableau is the one owner of the
-    mode-major layout: it builds its columns from the rows, and ``read``
-    hands every row back row-major, so no caller transposes.
+    mode-major layout: it builds its columns from the rows and its phase
+    planes from the phases, both with ``_transpose_raw``, and ``read``
+    hands both back row-major through it, so no caller transposes.
     """
 
     __slots__ = ("cols", "p0", "p1", "rows", "dirty")
 
     def __init__(self, rows: Iterable[int], n_modes: int, phases: list[int]) -> None:
         self.rows = list(rows)
-        self.dirty = self.p0 = self.p1 = 0
+        self.dirty = 0
         self.cols = _transpose_raw(self.rows, n_modes)
-        for i, ph in enumerate(phases):
-            self.p0 |= (ph & 1) << i
-            self.p1 |= (ph >> 1 & 1) << i
+        self.p0, self.p1 = _transpose_raw(phases, 2)
 
     def run(self, gates: Sequence[BraidGate], inverse: bool = False) -> None:
         """Conjugate every row through the gates, in order; with inverse,
@@ -181,9 +181,10 @@ class _ModeTableau:
 
     def read(self) -> tuple[list[int], list[int]]:
         """Every row's packed bits and phase exponent, as two fresh lists:
-        one transpose of the columns, whatever rows are dirty."""
+        one transpose of the columns and one of the phase planes, whatever
+        rows are dirty."""
         n_rows = len(self.rows)
-        return _transpose_raw(self.cols, n_rows), [self.phase(i) for i in range(n_rows)]
+        return _transpose_raw(self.cols, n_rows), _transpose_raw((self.p0, self.p1), n_rows)
 
     def row(self, i: int) -> tuple[int, int]:
         """Row i's packed bits and phase exponent: O(1) while the row is

@@ -106,8 +106,10 @@ phase.  If it reads -i, the last gate is reversed in the decoder, and
 ``_ModeTableau.reverse_last`` negates every row that gate met oddly: a
 reversed gate's generator phase is 2 more, so that is the state running
 the reversed gate would have left, and no gate runs twice.  ``emit`` does
-no phase work per gate, and a column costs one phase read and, when its
-last gate is reversed, one XOR of that gate's columns.
+no phase work per gate, and no parity test either: every gate it folds
+meets the active row oddly, so it adds the gate's support to the row
+outright.  A column costs one phase read and, when its last gate is
+reversed, one XOR of that gate's columns.
 
 A generator whose column emits no gate (it is on its own pair once the
 column start has cleared the decoded ones) keeps the phase it has there,
@@ -298,8 +300,9 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
             gates.append(BraidGate("braid4", modes))
         else:
             raise SynthesisInvariantError(f"a gate support of {weight} modes")
-        if (mask & row).bit_count() & 1:
-            row ^= mask
+        # every sweep gate meets the row oddly (module docstring), so its
+        # support is added outright; the doubled correction braids cancel
+        row ^= mask
 
     def clear_pairs(i: int, bits: int, phase: int, decoded: int) -> int:
         """Multiply generator i, at bits and phase, by every decoded

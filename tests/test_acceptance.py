@@ -351,3 +351,24 @@ def test_readme_library_example_runs_as_documented():
     for expr, value in stated.items():
         assert comments[expr].startswith(value)
         assert repr(eval(expr, ns)) == value
+
+
+def test_package_reexports_each_module_public_api_once():
+    """``braidsynth`` publishes exactly the union of its modules' ``__all__``
+    plus ``__version__``, each name bound to the owning module's object,
+    and no name is owned by two modules (a wildcard import would shadow
+    one silently)."""
+    import braidsynth
+    from braidsynth import bitlinalg, codes, majorana, synth, tableau
+
+    modules = (bitlinalg, majorana, tableau, codes, synth)
+    names = [n for m in modules for n in m.__all__]
+    assert len(names) == len(set(names))
+    for m in modules:
+        for n in m.__all__:
+            assert getattr(braidsynth, n) is getattr(m, n), (m.__name__, n)
+    assert sorted(braidsynth.__all__) == sorted([*names, "__version__"])
+    ns: dict = {}
+    exec("from braidsynth import *", ns)
+    del ns["__builtins__"]
+    assert sorted(ns) == sorted(braidsynth.__all__)
