@@ -33,14 +33,17 @@ and parse_circuit check the cap before they build anything, so an
 oversized request fails at once with a one-line error instead of running
 out of memory.
 
-A valid list (a gates list, a substitutions list, or a generator's modes)
-is accepted by a few whole-list passes of built-ins (itemgetter, type,
-min, max) with no Python code per item; a substitutions list's passes
-are ``CircuitDocument``'s own check, so they run once per document.
-Only a list that fails them goes through the checks one item at a time,
-which are the only code that builds a message.  So every message, and
-which check reports when several fail, is the same whichever path a
-document takes.
+A generator's modes are checked by whole-list passes of built-ins
+(type, min, max) alone, one pass per message and in message order:
+integers, then range, then strictly ascending, so the first that fails
+reports.  A gates list or a substitutions list is accepted by a few
+whole-list passes too (itemgetter, type), with no Python code per item;
+a substitutions list's passes are ``CircuitDocument``'s own check, so
+they run once per document.  Those two keep a per-item pass, run only
+on a list that fails the whole-list ones, because their messages name a
+gate's position or the entry at fault; it is the only code that builds
+such a message, so every message, and which check reports when several
+fail, is the same whichever path a document takes.
 """
 
 from __future__ import annotations
@@ -265,22 +268,14 @@ def parse_code(text: str) -> StabilizerCode:
         if not isinstance(entry, dict):
             raise err(f"{where} must be an object")
         _require_keys(entry, {"modes", "phase_r"}, set(), where, err)
-        not_ints = f"{where}: modes must be a list of integers"
         modes = entry["modes"]
-        if not isinstance(modes, list):
-            raise err(not_ints)
-        # Whole-list passes accept valid modes; only a list that fails them
-        # goes through the checks one by one, which raise the message.
-        if not (
-            set(map(type, modes)) <= {int}
-            and (not modes or 0 <= min(modes) and max(modes) < n_modes)
-            and all(map(lt, modes, islice(modes, 1, None)))
-        ):
-            modes = [_int(m, not_ints, err) for m in modes]
-            if any(m < 0 or m >= n_modes for m in modes):
-                raise err(f"{where}: mode out of range 0..{n_modes - 1}")
-            if any(a >= b for a, b in zip(modes, modes[1:])):
-                raise err(f"{where}: modes must be strictly ascending")
+        # Three whole-list passes in message order: type, range, ascending.
+        if not isinstance(modes, list) or not set(map(type, modes)) <= {int}:
+            raise err(f"{where}: modes must be a list of integers")
+        if modes and (min(modes) < 0 or max(modes) >= n_modes):
+            raise err(f"{where}: mode out of range 0..{n_modes - 1}")
+        if not all(map(lt, modes, islice(modes, 1, None))):
+            raise err(f"{where}: modes must be strictly ascending")
         bad_phase = f"{where}: phase_r must be an integer in 0..3"
         phase_r = _int(entry["phase_r"], bad_phase, err)
         if not 0 <= phase_r <= 3:

@@ -57,7 +57,7 @@ both call it, and a run of products by the
 same row j shares that row's prefix parities.  Two changes are written
 into a tableau after it is built, both by synthesis.  Its column start
 clears whole decoded pairs (q, q+1), q even, from one row:
-``toggle_pairs`` writes exactly that, two column XORs per pair.  Its
+``toggle_pairs`` writes exactly that, one column XOR per mode.  Its
 column end may reverse the gate just run: ``reverse_last`` negates the
 rows that gate met oddly, one XOR of the support's columns, and changes
 no bit.  Outside the tableau every
@@ -208,15 +208,11 @@ class _ModeTableau:
     def toggle_pairs(self, i: int, pairs: int, phase: int) -> None:
         """Flip the modes of pairs in row i and set its phase to phase; the
         row is clean afterwards.  pairs must lie on whole aligned pairs
-        (q, q+1), q even, and a pair costs two column XORs."""
+        (q, q+1), q even, and each of their modes costs one column XOR."""
         cols, bit = self.cols, 1 << i
         self.rows[i] = self.row(i)[0] ^ pairs
-        while pairs:
-            low = pairs & -pairs
-            pairs ^= low | low << 1
-            q = low.bit_length() - 1
-            cols[q] ^= bit
-            cols[q + 1] ^= bit
+        for m in _bit_positions(pairs):
+            cols[m] ^= bit
         self.p0 = self.p0 & ~bit | (phase & 1) << i
         self.p1 = self.p1 & ~bit | (phase >> 1 & 1) << i
 

@@ -37,7 +37,7 @@ whose pair it still holds (commutation forces whole pairs): a recorded
 substitution, no gate.  Decoded generator j is exactly i^s c_q c_(q+1) at
 that point, so the held pairs multiply to one monomial, and one product by
 it clears their bits.  The row changes on those whole pairs alone, and
-``_ModeTableau.toggle_pairs`` writes them, two column XORs per pair.
+``_ModeTableau.toggle_pairs`` writes them, one column XOR per mode.
 Quartic braids then shrink the column's weight from the pivot on by two
 per step, parking on its lowest clear mode there, and one quadratic braid
 per bit still off the pivot pair puts it there.  Every emitted gate has
@@ -140,7 +140,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import lt
 
-from .bitlinalg import symplectic_pairing
+from .bitlinalg import _bit_positions, symplectic_pairing
 from .majorana import (
     BraidGate,
     Circuit,
@@ -326,10 +326,8 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
                 f"generator {i} meets decoded pair {q}, {q + 1} in one mode only"
             )
         s = 0
-        while lows:
-            low = lows & -lows
-            lows ^= low
-            j = (low.bit_length() - 1 - pivot_base) >> 1
+        for q in _bit_positions(lows):
+            j = (q - pivot_base) >> 1
             s += tab.phase(j)
             substitutions.append((i, j))
         bits, phase = _multiply_raw(bits, phase, held, s)

@@ -150,6 +150,14 @@ def test_parse_rejects_malformed_generators():
     reject(head + '{"modes": [0, 0], "phase_r": 1}]}', "ascending")
     reject(head + '{"modes": [0, 1], "phase_r": 4}]}', "0..3")
     reject(head + '{"modes": [0, 1], "phase_r": true}]}', "0..3")
+    # the checks run in message order, type then range then ascending, so
+    # the first a list fails reports whatever else it fails
+    for modes in ("3", "null", "[[0], 1]", "[0, 1.0]", '[0, "x", 9]'):
+        reject(head + '{"modes": %s, "phase_r": 1}]}' % modes, "integers")
+    for modes in ("[9, 0]", "[-1, 0]", "[0, 0, 9]"):
+        reject(head + '{"modes": %s, "phase_r": 1}]}' % modes, "range")
+    empty = parse_code(head + '{"modes": [], "phase_r": 0}]}')
+    assert empty.generators == (MajoranaString.from_modes(4, (), 0),)
 
 
 def test_parse_accepts_a_plain_document():
