@@ -8,9 +8,9 @@ from ``serialize_circuit`` and ``parse_circuit``, and pass
 folds the ancilla pair's image from the document itself, and that image and
 its residual phase are the ones the synthesizer reports, and the operator
 oracle re-derives both checks (it refuses a fold of more than
-``oracle.MAX_WORK`` rows x gates x modes, which a full-rank random code
-reaches at about 130 modes, so keep --max-modes below that); gate count
-within the linear bound, reported operators pair correctly, the recorded
+``oracle.MAX_WORK`` units of ``oracle.fold_work``, which a full-rank
+random code reaches at about 900 modes, so keep --max-modes below that);
+gate count within the linear bound, reported operators pair correctly, the recorded
 substitutions are the back-substitution's (k, i), k < i, leaving no
 generator k < i on generator i's top mode, followed by column starts
 (i, j), j < i, and the ancilla-free obstruction raised exactly when it

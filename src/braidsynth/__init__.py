@@ -5,7 +5,7 @@ phases; circuits are sequences of quadratic and quartic braid gates.  The
 synthesizer reduces any valid code to aligned mode pairs with +i phases,
 either on two extra ancilla modes or ancilla-free where possible, and every
 step can be cross-checked against an exact operator oracle that re-derives
-each conjugation in the Majorana algebra.
+each conjugation on Jordan-Wigner Pauli strings.
 
 Each module's ``__all__`` is its public API, and the package re-exports
 those of ``bitlinalg``, ``majorana``, ``tableau``, ``codes`` and ``synth``,

@@ -33,7 +33,7 @@ from .majorana import (
     gate_counts,
     invert,
 )
-from .oracle import MAX_WORK, NonMonomialError, conjugate_rows
+from .oracle import MAX_WORK, NonMonomialError, conjugate_rows, fold_work
 from .synth import (
     PhaseCorrectionError,
     SynthesisResult,
@@ -95,15 +95,17 @@ def verify_document(
 
     The oracle takes the code's generators, i c_0 c_1 and the recorded
     changes; its ``MajoranaString`` rows are built only when it runs,
-    from copies of the ints taken before the changes.  It multiplies the
-    changes out with its own product and folds the rows through the
-    decoder in the Majorana algebra, each gate
-    expanded into its four products (``oracle.conjugate_rows``).  It
+    from copies of the ints taken before the changes.  It maps the rows to
+    Jordan-Wigner Pauli strings, multiplies the changes out with its own
+    product and folds the strings through the decoder, each gate sending
+    the rows that anticommute with its generator V to i V times the row
+    (``oracle.conjugate_rows``).  It
     compares each row with what the checks above accepted: generator j
     with its decoded pair, i c_0 c_1 with the reported image.  It uses
     neither the tableau, the row-product kernel nor the bit rule of
     ``majorana``, so it re-derives both checks.  A fold of more than
-    ``oracle.MAX_WORK`` rows x gates x modes is refused before it starts.
+    ``oracle.MAX_WORK`` units of ``oracle.fold_work`` is refused before
+    it starts.
     """
     target, bits, phases = _working_rows(code, bool(doc.ancilla_modes))
     n, r = target.n_modes, target.r
@@ -145,12 +147,12 @@ def verify_document(
         yield "oracle check: skipped (pass --oracle to run)"
         return
     rows = [MajoranaString(n, b, ph) for b, ph in zip(*unfolded)]
-    work = len(rows) * len(doc.circuit) * n
+    work = fold_work(len(rows), len(doc.circuit), n)
     if work > MAX_WORK:
         raise VerificationFailure(
             "oracle",
-            f"needs at most {MAX_WORK} rows x gates x modes, got {work} "
-            f"({len(rows)} x {len(doc.circuit)} x {n})",
+            f"needs at most {MAX_WORK} units of (rows + 16) x gates x (1 + modes / 1000), "
+            f"got {work} ({len(rows)} rows, {len(doc.circuit)} gates, {n} modes)",
         )
     try:
         folded = conjugate_rows(doc.circuit, rows, doc.substitutions)

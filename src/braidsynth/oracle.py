@@ -1,95 +1,115 @@
-"""Operator oracle: braid conjugation re-derived in the Majorana algebra.
+"""Operator oracle: braid conjugation re-derived on Jordan-Wigner Pauli strings.
 
-A monomial ``i^e c_{a1}...c_{ak}`` is held as its sorted mode tuple and its
-Z4 exponent e.  Two monomials multiply by the anticommutation relations:
-each mode of the right factor moves left past every larger mode of the left
-one, a sign per swap, and a mode that meets itself cancels (``c_a c_a = 1``).
-So the product's modes are the symmetric difference of the two tuples, and
-its exponent gains 2 per swap; ``bisect`` counts the swaps and merges the
-shorter tuple into the longer.
+The Jordan-Wigner map sends mode 2q to Z_{<q} X_q and mode 2q+1 to
+Z_{<q} Y_q on a chain of qubits, with Y = i X Z.  A monomial then becomes
+a Pauli string ``i^e X^x Z^z``, X before Z on each qubit, held as one int
+and e: qubit q's X bit sits at bit 2q and its Z bit at bit 2q + 1, where
+its two modes sit.  Two strings multiply by the phase rule of stabilizer
+tableaux (Aaronson and Gottesman, quant-ph/0406196): moving Z^z1 past
+X^x2 costs a sign per qubit that holds both, so
 
-A braid unitary is ``(1 + i V)/sqrt(2)`` with V the gate generator, so a
-conjugation ``U M U^dagger`` expands to ``(M + i V M - i M V + V M V)/2``.
-``conjugate_rows`` folds a list of monomials through a circuit, expanding
-each gate literally into those four products: their coefficients are summed
-per mode tuple as Gaussian integers, and exactly one monomial must be left,
-with coefficient twice a unit, or the fold raises NonMonomialError.
-``verify --oracle`` hands it the code's generators, i c_0 c_1 and the
-document's changes of generating set; ``conjugate_rows`` multiplies the
-changes out with ``_product`` before the fold, and ``verify`` compares the
-folded rows with their targets.  Everything is integer arithmetic and every
-comparison is ``==``; neither the bit-pairing rule of ``majorana``, its
-row-product kernel nor its tableau is used (only its types are imported),
-so the oracle re-derives the symbolic checks independently.  It is exact at
-any register size.  A gate costs O(w) per row of weight w, so ``verify``
-refuses a fold of more than MAX_WORK rows x gates x modes before it starts.
+    (x1, z1, e1)(x2, z2, e2) = (x1 ^ x2, z1 ^ z2, e1 + e2 + 2|z1 & x2|).
+
+A braid unitary is ``(1 + i V)/sqrt(2)`` with V the gate generator, and
+it is unitary because V V = +1.  Conjugation then fixes a string P that
+commutes with V and sends one that anticommutes, |x & vz| + |z & vx| odd,
+to ``i V P``.  ``conjugate_rows`` maps its monomials to strings,
+multiplies the recorded changes of generating set out with ``_product``,
+folds the strings through the circuit and maps them back; a generator
+with V V = -1 makes no unitary, and the fold raises NonMonomialError for
+it.  ``verify --oracle`` hands it the code's generators, i c_0 c_1 and the
+document's changes, and compares the folded rows with their targets.
+
+Both maps are whole-int operations, with no loop over the modes: qubit
+q's X is the parity of modes 2q and 2q + 1, and its Z the parity of the
+modes from 2q + 1 up, a suffix XOR built in O(log N) shift steps.
+Everything is integer arithmetic and every comparison is ``==``; neither
+the bit-pairing rule of ``majorana``, its row-product kernel nor its
+tableau is used (only its types are imported), so the oracle re-derives
+the symbolic checks independently.  It is exact at any register size.  A
+gate costs one AND and popcount per row, and a product per row that
+anticommutes with it, on ints of N bits; ``verify`` refuses a fold of
+more than MAX_WORK units of ``fold_work`` before it starts.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from .majorana import BraidGate, Circuit, MajoranaString
 
-__all__ = ["MAX_WORK", "NonMonomialError", "conjugate_rows"]
+__all__ = ["MAX_WORK", "NonMonomialError", "conjugate_rows", "fold_work"]
 
-# rows x gates x modes of the largest fold ``verify --oracle`` runs: about
-# 85 ns per unit on random rows (CPython 3.11 on one core of an x86 VM), so
-# about a second
-MAX_WORK = 10**7
+# Units of ``fold_work`` in the largest fold ``verify --oracle`` runs.  A
+# unit took 30-200 ns on every shape measured (CPython 3.11, one core of an
+# x86 VM): 6 rows through 100k gates on 10 modes, 1-256 random dense rows
+# on 10-8,000 modes, the ancilla decoder of random_code(800, 200, 1) and
+# kitaev:1000's.  So a fold at the cap takes at most about 4 s.
+MAX_WORK = 2 * 10**7
 
-Monomial = tuple[tuple[int, ...], int]  # sorted modes, Z4 exponent
-
-# i^e as a Gaussian integer (re, im), and the exponent e of each 2 i^e
-_UNIT = ((1, 0), (0, 1), (-1, 0), (0, -1))
-_TWICE_UNIT = {(2 * re, 2 * im): e for e, (re, im) in enumerate(_UNIT)}
+Pauli = tuple[int, int]  # X on qubit q at bit 2q, Z at bit 2q + 1; exponent e
 
 
 class NonMonomialError(ValueError):
     """A conjugated monomial is not a unit multiple of one monomial."""
 
 
-def _product(a: Monomial, b: Monomial) -> Monomial:
-    """The monomial a b.  Each mode of b moves left past the larger modes
-    of a, so the swaps are the pairs of x in a and y in b with y < x,
-    counted from the shorter factor; a mode both hold meets itself and
-    cancels.  The shorter factor's modes are merged into the longer's."""
-    (amodes, ae), (bmodes, be) = a, b
-    if len(amodes) <= len(bmodes):
-        swaps = sum(bisect_left(bmodes, x) for x in amodes)
-        modes, short = list(bmodes), amodes
-    else:
-        swaps = sum(len(amodes) - bisect_right(amodes, y) for y in bmodes)
-        modes, short = list(amodes), bmodes
-    for x in short:
-        k = bisect_left(modes, x)
-        if k < len(modes) and modes[k] == x:
-            del modes[k]
-        else:
-            modes.insert(k, x)
-    return tuple(modes), (ae + be + 2 * swaps) & 3
+def fold_work(n_rows: int, n_gates: int, n_modes: int) -> int:
+    """The cost of a fold in units of about 0.1 us: a gate costs as much as
+    16 rows to set up, and an int operation costs one step more per 1,000
+    modes of width."""
+    return (n_rows + 16) * n_gates * (1000 + n_modes) // 1000
 
 
-def _collapse(terms: Sequence[Monomial]) -> Monomial:
-    """Half the formal sum of the terms, which must be one monomial: exactly
-    one mode tuple keeps a nonzero coefficient, and it is twice a unit."""
-    total: dict[tuple[int, ...], tuple[int, int]] = {}
-    for modes, e in terms:
-        re, im = total.get(modes, (0, 0))
-        dre, dim = _UNIT[e & 3]
-        total[modes] = (re + dre, im + dim)
-    left = [(modes, c) for modes, c in total.items() if c != (0, 0)]
-    if len(left) != 1:
-        raise NonMonomialError(f"{len(left)} terms left")
-    modes, (re, im) = left[0]
-    if (re, im) not in _TWICE_UNIT:
-        raise NonMonomialError(f"the coefficient ({re}{im:+d}i)/2 is not a unit")
-    return modes, _TWICE_UNIT[re, im]
+def _x_bits(n_modes: int) -> int:
+    """Bit 2q of every qubit q of the register: where the X bits sit."""
+    return ((1 << (n_modes + (n_modes & 1))) - 1) // 3
 
 
-def _generator(gate: BraidGate) -> Monomial:
-    return gate.modes, gate.generator_phase
+def _suffix_parity(v: int) -> int:
+    """Bit k is the parity of v's bits from k up."""
+    step, top = 1, v.bit_length()
+    while step < top:
+        v ^= v >> step
+        step <<= 1
+    return v
+
+
+def _pauli(bits: int, phase: int, xs: int) -> Pauli:
+    """The string of ``i^phase`` times the modes of bits in ascending order.
+    Qubit q's X is the parity of modes 2q and 2q + 1, and its Z the parity
+    of the modes from 2q + 1 up; each odd mode adds the i of Y = i X Z.  In
+    ascending order the Z collected so far never meets the next mode's X,
+    so no sign arises."""
+    zs = xs << 1
+    return (bits ^ bits >> 1) & xs | _suffix_parity(bits) & zs, (phase + (bits & zs).bit_count()) & 3
+
+
+def _monomial(string: Pauli, xs: int) -> tuple[int, int]:
+    """(bits, phase) of the monomial whose string is p, ``_pauli`` undone:
+    the parity of the modes from 2q up is that of the X bits from qubit q
+    up, the parity from 2q + 1 up is qubit q's Z, and a mode is the
+    difference of the parities at it and above it."""
+    (p, e), zs = string, xs << 1
+    above = _suffix_parity(p & xs) & xs | p & zs
+    bits = above ^ above >> 1
+    return bits, (e - (bits & zs).bit_count()) & 3
+
+
+def _product(a: Pauli, b: Pauli, xs: int) -> Pauli:
+    """The string a b: a's Z moves past b's X, a sign per qubit holding both."""
+    (p1, e1), (p2, e2) = a, b
+    return p1 ^ p2, (e1 + e2 + 2 * (p1 >> 1 & p2 & xs).bit_count()) & 3
+
+
+def _swapped(p: int, xs: int) -> int:
+    """p with each qubit's X and Z bits swapped: a string anticommutes with
+    p when its bits meet these an odd number of times, |x & z'| + |z & x'|."""
+    return p >> 1 & xs | (p & xs) << 1
+
+
+def _generator(gate: BraidGate) -> tuple[int, int]:
+    return gate.support_mask, gate.generator_phase
 
 
 def conjugate_rows(
@@ -101,16 +121,22 @@ def conjugate_rows(
     unitary (later gates applied last).  Each (i, j) of products, in
     order, first sets row i to the product row i times row j, with this
     module's own ``_product``."""
-    folded = [(m.modes, m.phase_r) for m in rows]
+    n = circuit.n_modes
+    xs = _x_bits(n)
+    folded = [_pauli(m.bits, m.phase_r, xs) for m in rows]
     for i, j in products:
-        folded[i] = _product(folded[i], folded[j])
+        folded[i] = _product(folded[i], folded[j], xs)
     for j, g in enumerate(circuit.gates):
-        v = _generator(g)
-        for i, m in enumerate(folded):
-            vm, mv = _product(v, m), _product(m, v)
-            terms = (m, (vm[0], vm[1] + 1), (mv[0], mv[1] + 3), _product(v, mv))
-            try:
-                folded[i] = _collapse(terms)
-            except NonMonomialError as exc:
-                raise NonMonomialError(f"gate {j} ({g}): image {i} is not a monomial: {exc}") from None
-    return [MajoranaString.from_modes(circuit.n_modes, modes, e) for modes, e in folded]
+        v = _pauli(*_generator(g), xs)
+        swapped = _swapped(v[0], xs)
+        if folded and _product(v, v, xs)[1]:
+            # V V = -1, so (1 + iV)/sqrt(2) is not unitary: its four-term
+            # conjugation leaves a row that anticommutes with V two terms
+            # and any other none
+            left = (folded[0][0] & swapped).bit_count() % 2 * 2
+            raise NonMonomialError(f"gate {j} ({g}): image 0 is not a monomial: {left} terms left")
+        iv = v[0], v[1] + 1
+        for i, p in enumerate(folded):
+            if (p[0] & swapped).bit_count() & 1:
+                folded[i] = _product(iv, p, xs)
+    return [MajoranaString(n, *_monomial(p, xs)) for p in folded]

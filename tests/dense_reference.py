@@ -1,12 +1,13 @@
 """Dense complex128 matrices of Majorana modes, monomials and braid gates.
 
-These are the reference that ``braidsynth.oracle``'s products and
-four-term conjugation in the Majorana algebra are tested against: a
-monomial's matrix is built on the qubit chain (mode ``2j`` -> Z..Z X I..I,
-mode ``2j+1`` -> Z..Z Y I..I with j leading Z factors) from the Pauli
-matrices and ``np.kron``, a construction independent of the oracle's.  A
-matrix on N modes has 2^N entries, so keep N small: one mode matrix on 26
-modes takes 1 GiB.
+These are the reference that ``braidsynth.oracle``'s Jordan-Wigner Pauli
+strings, their products and its conjugation fold, and the tuple fold of
+``tuple_oracle``, are tested against: a monomial's matrix is built on the
+qubit chain (mode ``2j`` -> Z..Z X I..I, mode ``2j+1`` -> Z..Z Y I..I with
+j leading Z factors) as a product of mode matrices, each built from the
+Pauli matrices and ``np.kron``, and a Pauli string's matrix is built qubit
+by qubit from its bits.  A matrix on N modes has 2^N entries, so keep N
+small: one mode matrix on 26 modes takes 1 GiB.
 """
 
 from functools import lru_cache
@@ -43,6 +44,20 @@ def dense_monomial(m: MajoranaString) -> np.ndarray:
     out = (1j**m.phase_r) * np.eye(dim, dtype=np.complex128)
     for k in m.modes:
         out = out @ dense_majorana(m.n_modes, k)
+    return out
+
+
+def dense_pauli(n_modes: int, p: int, e: int) -> np.ndarray:
+    """Matrix of ``i^e X^x Z^z`` on n_modes/2 qubits, X before Z on each
+    qubit: qubit q's X bit is bit 2q of p and its Z bit is bit 2q + 1."""
+    out = (1j**e) * np.ones((1, 1), dtype=np.complex128)
+    for q in range(n_modes // 2):
+        factor = _I2
+        if p >> 2 * q & 1:
+            factor = factor @ _X
+        if p >> 2 * q + 1 & 1:
+            factor = factor @ _Z
+        out = np.kron(out, factor)
     return out
 
 

@@ -556,9 +556,9 @@ def test_a_returned_ancilla_pair_skips_the_total_parity_test(monkeypatch, capsys
 
 def test_oracle_refuses_large_registers(monkeypatch, capsys, tmp_path):
     """The oracle has no mode cap: a 28-mode document verifies.  It refuses
-    by work instead, rows x gates x modes above MAX_WORK, before the fold
-    starts: kitaev:200's encoder folds 200 rows through 199 gates on 402
-    modes."""
+    by work instead, ``oracle.fold_work`` above MAX_WORK, before the fold
+    starts: kitaev:2500's encoder folds 2,500 rows through 2,499 gates on
+    5,002 modes."""
     code_file = tmp_path / "wide.code"
     code_file.write_text(serialize_code(random_code(28, 2, seed=1)))
     circ = tmp_path / "wide.circuit"
@@ -568,22 +568,34 @@ def test_oracle_refuses_large_registers(monkeypatch, capsys, tmp_path):
     assert (rc, err) == (0, "")
     assert out == "decoded-form check: ok\noracle check: ok (28 modes, dimension 16384)\n"
 
-    enc = tmp_path / "kitaev200.circuit"
-    assert run(capsys, "synth", "--builtin", "kitaev:200", "-o", str(enc))[0] == 0
-    work = 200 * 199 * 402
-    assert work > oracle.MAX_WORK
+    enc = tmp_path / "kitaev2500.circuit"
+    assert run(capsys, "synth", "--builtin", "kitaev:2500", "-o", str(enc))[0] == 0
+    work = (2500 + 16) * 2499 * 6002 // 1000
+    assert work == oracle.fold_work(2500, 2499, 5002) > oracle.MAX_WORK
 
     def refuse(circuit, rows):
         raise AssertionError("the oracle's fold ran")
 
     monkeypatch.setattr(braidsynth.cli, "conjugate_rows", refuse)
-    rc, out, err = run(capsys, "verify", "--builtin", "kitaev:200", str(enc), "--oracle")
+    rc, out, err = run(capsys, "verify", "--builtin", "kitaev:2500", str(enc), "--oracle")
     assert rc == 4
     assert out.splitlines()[-1].startswith("ancilla check: ok")
     assert err == (
-        f"verification failed: oracle: needs at most {oracle.MAX_WORK} "
-        f"rows x gates x modes, got {work} (200 x 199 x 402)\n"
+        f"verification failed: oracle: needs at most {oracle.MAX_WORK} units of "
+        f"(rows + 16) x gates x (1 + modes / 1000), got {work} (2500 rows, 2499 gates, 5002 modes)\n"
     )
+
+
+def test_oracle_verifies_a_402_mode_ancilla_encoder(capsys, tmp_path):
+    """random_code(400, 100, 1)'s ancilla encoder, 101 rows through about
+    6,000 gates, is far below the cap and folds in a fraction of a second."""
+    code_file = tmp_path / "n400.code"
+    code_file.write_text(serialize_code(random_code(400, 100, seed=1)))
+    enc = tmp_path / "n400.circuit"
+    assert run(capsys, "synth", str(code_file), "-o", str(enc))[0] == 0
+    rc, out, err = run(capsys, "verify", str(code_file), str(enc), "--oracle")
+    assert (rc, err) == (0, "")
+    assert out.endswith("oracle check: ok (402 modes, dimension 2^201)\n")
 
 
 def test_oracle_verifies_a_26_mode_register(capsys, tmp_path):

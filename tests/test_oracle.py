@@ -1,19 +1,24 @@
-"""The operator oracle: its product and four-term conjugation fold in the
-Majorana algebra, which `verify --oracle` runs, checked against the literal
-dense matrices of tests/dense_reference.py and the symbolic fold.
+"""The operator oracle: its Jordan-Wigner Pauli strings, their product and
+the conjugation fold that `verify --oracle` runs, checked against the
+literal dense matrices of tests/dense_reference.py, the symbolic fold, and
+the four-term tuple fold of tests/tuple_oracle.py, which `verify --oracle`
+ran before and whose own product and collapse are checked here too.
 
-The fold's checks raise without assert, so these tests also run under
+The folds' checks raise without assert, so these tests also run under
 python -O, where the pytest.raises cases still show them firing.
 """
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tuple_oracle
 from braidsynth import cli, majorana, oracle, synth
 from braidsynth.codes import (
     CircuitDocument,
@@ -30,9 +35,21 @@ from braidsynth.majorana import (
     conjugate_circuit,
     multiply,
 )
-from braidsynth.oracle import NonMonomialError, _collapse, _generator, _product, conjugate_rows
-from braidsynth.synth import synthesize_with_ancilla
-from dense_reference import conjugate_dense, dense_gate, dense_majorana, dense_monomial
+from braidsynth.oracle import NonMonomialError, _generator, conjugate_rows
+from braidsynth.synth import (
+    TotalParityObstruction,
+    synthesize_ancilla_free,
+    synthesize_with_ancilla,
+)
+from braidsynth.tableau import _working_rows
+from dense_reference import (
+    conjugate_dense,
+    dense_gate,
+    dense_majorana,
+    dense_monomial,
+    dense_pauli,
+)
+from tuple_oracle import _collapse, _product
 
 N = 6
 DIM = 2 ** (N // 2)
@@ -65,11 +82,25 @@ def test_mode_matrix_cache_is_write_protected():
 
 def test_the_oracle_module_holds_no_complex_matrix():
     """The oracle is integer arithmetic throughout: it imports no numpy, and
-    its unit tables hold ints only.  The dense complex references it is
-    tested against live in tests/dense_reference.py."""
+    from the package only the types, so no reorder rule, row kernel,
+    ``bitlinalg`` or tableau.  The dense complex references it is tested
+    against live in tests/dense_reference.py."""
     assert not any(getattr(v, "__name__", "") == "numpy" for v in vars(oracle).values())
-    tables = [*oracle._UNIT, *oracle._TWICE_UNIT, tuple(oracle._TWICE_UNIT.values())]
-    assert all(type(x) is int for table in tables for x in table)
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    assert not any(isinstance(node, ast.Import) for node in ast.walk(tree))
+    imported = {
+        (node.level, node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported == {
+        (0, "__future__", "annotations"),
+        (0, "typing", "Sequence"),
+        (1, "majorana", "BraidGate"),
+        (1, "majorana", "Circuit"),
+        (1, "majorana", "MajoranaString"),
+    }
 
 
 @given(
@@ -106,7 +137,7 @@ def as_string(n, monomial):
     st.integers(min_value=0, max_value=3),
 )
 def test_product_matches_dense_products(abits, ar, bbits, br):
-    """The oracle's merge of two mode tuples is the matrix product, with
+    """The tuple fold's merge of two mode tuples is the matrix product, with
     either factor the shorter one."""
     a = MajoranaString(N, abits, ar)
     b = MajoranaString(N, bbits, br)
@@ -116,7 +147,7 @@ def test_product_matches_dense_products(abits, ar, bbits, br):
 
 def test_gate_generator_squares_to_identity():
     for gate in (BraidGate("braid2", (1, 4)), BraidGate("braid4", (0, 2, 3, 5), -1)):
-        v = dense_monomial(as_string(N, _generator(gate)))
+        v = dense_monomial(MajoranaString(N, *_generator(gate)))
         assert np.array_equal(v @ v, np.eye(DIM))
         assert np.array_equal(v, v.conj().T)
 
@@ -145,7 +176,7 @@ def random_monomial(n, rng):
 
 
 def test_single_gate_conjugation_matches_conjugate_dense():
-    """The four-term expansion agrees with the dense product for every gate
+    """The Pauli fold agrees with the dense product for every gate
     of a six-mode register, both directions, on a stack of monomials."""
     rng = random.Random(8)
     stack = [MajoranaString.single_mode(N, k) for k in range(N)]
@@ -186,10 +217,86 @@ def test_conjugate_modes_matches_the_symbolic_images():
     assert conjugate_rows(random_circuit(N, 5, rng), []) == []
 
 
-def wrong_by(flip):
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_mode_strings_are_the_dense_modes(n):
+    """Each mode's Jordan-Wigner string is its dense matrix exactly, and
+    every monomial's string maps back to the monomial."""
+    xs = oracle._x_bits(n)
+    for k in range(n):
+        assert np.array_equal(dense_pauli(n, *oracle._pauli(1 << k, 0, xs)), dense_majorana(n, k))
+    for bits, phase in itertools.product(range(1 << n), range(4)):
+        p = oracle._pauli(bits, phase, xs)
+        assert oracle._monomial(p, xs) == (bits, phase)
+        if n <= N:
+            assert np.array_equal(dense_pauli(n, *p), dense_monomial(MajoranaString(n, bits, phase)))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_pauli_product_and_anticommutation_match_dense_matrices(n):
+    """Every pair of strings on one and two qubits, every phase: the product
+    rule gives the matrix product, and the swapped-bits test says exactly
+    when the two anticommute."""
+    xs = oracle._x_bits(n)
+    strings = list(itertools.product(range(1 << n), range(4)))
+    for a, b in itertools.product(strings, repeat=2):
+        da, db = dense_pauli(n, *a), dense_pauli(n, *b)
+        assert np.array_equal(dense_pauli(n, *oracle._product(a, b, xs)), da @ db)
+        anticommutes = (a[0] & oracle._swapped(b[0], xs)).bit_count() & 1
+        assert np.array_equal(db @ da, -da @ db if anticommutes else da @ db)
+
+
+def test_pauli_fold_agrees_with_the_tuple_fold_on_random_circuits():
+    """Random rows, random products and random circuits on 2-16 modes."""
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randrange(2, 17, 2)
+        circuit = random_circuit(n, rng.randrange(3 * n), rng)
+        rows = [random_monomial(n, rng) for _ in range(rng.randrange(6))]
+        products = [
+            (rng.randrange(len(rows)), rng.randrange(len(rows)))
+            for _ in range(rng.randrange(4) if rows else 0)
+        ]
+        assert conjugate_rows(circuit, rows, products) == tuple_oracle.conjugate_rows(
+            circuit, rows, products
+        )
+
+
+@pytest.mark.parametrize("n_modes", [4, 8, 16, 24, 32])
+def test_pauli_fold_agrees_with_the_tuple_fold_on_synthesized_decoders(n_modes):
+    """The decoders of random codes in both variants, with the rows and
+    changes ``verify`` hands the oracle, as synthesized and with one gate's
+    direction reversed, which moves the phase of every row it meets oddly."""
+    rng = random.Random(n_modes)
+    reversals_seen = 0
+    for seed in range(4):
+        code = random_code(n_modes, rng.randrange(1, n_modes // 2 + 1), seed)
+        for ancilla, synthesize in ((True, synthesize_with_ancilla), (False, synthesize_ancilla_free)):
+            try:
+                result = synthesize(code)
+            except TotalParityObstruction:
+                continue
+            target, bits, phases = _working_rows(code, ancilla)
+            rows = [MajoranaString(target.n_modes, b, ph) for b, ph in zip(bits, phases)]
+            gates = result.decoder.gates
+            k = rng.randrange(len(gates))
+            reversed_one = Circuit(target.n_modes, gates[:k] + (gates[k].inverse(),) + gates[k + 1 :])
+            folds = [
+                conjugate_rows(circuit, rows, result.substitutions)
+                for circuit in (result.decoder, reversed_one)
+            ]
+            for circuit, fold in zip((result.decoder, reversed_one), folds):
+                assert fold == tuple_oracle.conjugate_rows(circuit, rows, result.substitutions)
+            assert folds[0][: target.r] == list(target.generators())
+            reversals_seen += folds[0] != folds[1]
+    assert reversals_seen
+
+
+def wrong_by(flip, generator=_generator):
+    """A stand-in for a fold's ``_generator`` that adds flip to the phase."""
+
     def wrong_generator(gate):
-        modes, e = _generator(gate)
-        return modes, (e + flip) & 3
+        support, e = generator(gate)
+        return support, (e + flip) & 3
 
     return wrong_generator
 
@@ -198,7 +305,29 @@ def wrong_by(flip):
 def test_wrong_generator_phase_is_not_a_monomial(monkeypatch, flip):
     """A generator with the wrong phase squares to -1, which makes
     (1 + iV)/sqrt(2) non-unitary: an anticommuting mode's image keeps two
-    terms and a commuting one's none.  The fold raises either way."""
+    terms and a commuting one's none.  The tuple fold raises either way."""
+    monkeypatch.setattr(tuple_oracle, "_generator", wrong_by(flip, tuple_oracle._generator))
+    gate = BraidGate("braid4", (0, 1, 2, 4))
+    circuit = Circuit(N, (BraidGate("braid2", (1, 5)), gate))
+    modes = [MajoranaString.single_mode(N, k) for k in range(N)]
+    with pytest.raises(
+        NonMonomialError, match=r"^gate 0 \(B2 \+\(1,5\)\): image 0 is not a monomial: 0 terms left$"
+    ):
+        tuple_oracle.conjugate_rows(circuit, modes)
+    with pytest.raises(
+        NonMonomialError, match=r"^gate 0 \(B4 \+\(0,1,2,4\)\): image 0 is not a monomial: 2 terms left$"
+    ):
+        tuple_oracle.conjugate_rows(Circuit(N, (gate,)), modes)
+    # mode 3 is outside the support and commutes with the generator
+    with pytest.raises(NonMonomialError, match=r"image 0 is not a monomial: 0 terms left$"):
+        tuple_oracle.conjugate_rows(Circuit(N, (gate,)), modes[3:])
+
+
+@pytest.mark.parametrize("flip", [1, 3])
+def test_pauli_fold_refuses_a_wrong_generator_phase(monkeypatch, flip):
+    """The Pauli fold checks V V = +1 at every gate and reports a wrong
+    phase as the four-term fold does: with the terms the image of row 0
+    would keep.  With no rows there is no image to report."""
     monkeypatch.setattr(oracle, "_generator", wrong_by(flip))
     gate = BraidGate("braid4", (0, 1, 2, 4))
     circuit = Circuit(N, (BraidGate("braid2", (1, 5)), gate))
@@ -211,9 +340,13 @@ def test_wrong_generator_phase_is_not_a_monomial(monkeypatch, flip):
         NonMonomialError, match=r"^gate 0 \(B4 \+\(0,1,2,4\)\): image 0 is not a monomial: 2 terms left$"
     ):
         conjugate_rows(Circuit(N, (gate,)), modes)
-    # mode 3 is outside the support and commutes with the generator
     with pytest.raises(NonMonomialError, match=r"image 0 is not a monomial: 0 terms left$"):
         conjugate_rows(Circuit(N, (gate,)), modes[3:])
+    # a wrong phase on the second gate only: the first gate runs as it should
+    monkeypatch.setattr(oracle, "_generator", lambda g: wrong_by(flip)(g) if g is gate else _generator(g))
+    with pytest.raises(NonMonomialError, match=r"^gate 1 \(B4 \+\(0,1,2,4\)\): image 0 is not a monomial: "):
+        conjugate_rows(circuit, modes)
+    assert conjugate_rows(circuit, []) == []
 
 
 def test_non_unit_entry_is_reported():
