@@ -33,7 +33,7 @@ from .majorana import (
     gate_counts,
     invert,
 )
-from .oracle import MAX_WORK, NonMonomialError, conjugate_rows, fold_work
+from .oracle import NonMonomialError, conjugate_rows, fold_refusal
 from .synth import (
     PhaseCorrectionError,
     SynthesisResult,
@@ -105,7 +105,7 @@ def verify_document(
     neither the tableau, the row-product kernel nor the bit rule of
     ``majorana``, so it re-derives both checks.  A fold of more than
     ``oracle.MAX_WORK`` units of ``oracle.fold_work`` is refused before
-    it starts.
+    it starts, with ``oracle.fold_refusal``'s message.
     """
     target, bits, phases = _working_rows(code, bool(doc.ancilla_modes))
     n, r = target.n_modes, target.r
@@ -147,13 +147,9 @@ def verify_document(
         yield "oracle check: skipped (pass --oracle to run)"
         return
     rows = [MajoranaString(n, b, ph) for b, ph in zip(*unfolded)]
-    work = fold_work(len(rows), len(doc.circuit), n)
-    if work > MAX_WORK:
-        raise VerificationFailure(
-            "oracle",
-            f"needs at most {MAX_WORK} units of (rows + 16) x gates x (1 + modes / 1000), "
-            f"got {work} ({len(rows)} rows, {len(doc.circuit)} gates, {n} modes)",
-        )
+    refusal = fold_refusal(len(rows), len(doc.circuit), n)
+    if refusal:
+        raise VerificationFailure("oracle", refusal)
     try:
         folded = conjugate_rows(doc.circuit, rows, doc.substitutions)
     except NonMonomialError as exc:

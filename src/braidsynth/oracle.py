@@ -29,7 +29,8 @@ tableau is used (only its types are imported), so the oracle re-derives
 the symbolic checks independently.  It is exact at any register size.  A
 gate costs one AND and popcount per row, and a product per row that
 anticommutes with it, on ints of N bits; ``verify`` refuses a fold of
-more than MAX_WORK units of ``fold_work`` before it starts.
+more than MAX_WORK units of ``fold_work`` before it starts, with the
+message ``fold_refusal`` gives.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Sequence
 
 from .majorana import BraidGate, Circuit, MajoranaString
 
-__all__ = ["MAX_WORK", "NonMonomialError", "conjugate_rows", "fold_work"]
+__all__ = ["MAX_WORK", "NonMonomialError", "conjugate_rows", "fold_refusal", "fold_work"]
 
 # Units of ``fold_work`` in the largest fold ``verify --oracle`` runs.  A
 # unit took 30-200 ns on every shape measured (CPython 3.11, one core of an
@@ -59,6 +60,18 @@ def fold_work(n_rows: int, n_gates: int, n_modes: int) -> int:
     16 rows to set up, and an int operation costs one step more per 1,000
     modes of width."""
     return (n_rows + 16) * n_gates * (1000 + n_modes) // 1000
+
+
+def fold_refusal(n_rows: int, n_gates: int, n_modes: int) -> str | None:
+    """Why ``verify --oracle`` refuses a fold of this size, or None when its
+    ``fold_work`` is at most MAX_WORK."""
+    work = fold_work(n_rows, n_gates, n_modes)
+    if work <= MAX_WORK:
+        return None
+    return (
+        f"needs at most {MAX_WORK} units of (rows + 16) x gates x (1 + modes / 1000), "
+        f"got {work} ({n_rows} rows, {n_gates} gates, {n_modes} modes)"
+    )
 
 
 def _x_bits(n_modes: int) -> int:

@@ -1,8 +1,9 @@
 """The operator oracle: its Jordan-Wigner Pauli strings, their product and
 the conjugation fold that `verify --oracle` runs, checked against the
-literal dense matrices of tests/dense_reference.py, the symbolic fold, and
-the four-term tuple fold of tests/tuple_oracle.py, which `verify --oracle`
-ran before and whose own product and collapse are checked here too.
+exact Gaussian-integer matrices of tests/dense_reference.py, the symbolic
+fold, and the four-term tuple fold of tests/tuple_oracle.py, which
+`verify --oracle` ran before and whose own product and collapse are
+checked here too.  Every comparison is ``==``: no tolerance, no sqrt(2).
 
 The folds' checks raise without assert, so these tests also run under
 python -O, where the pytest.raises cases still show them firing.
@@ -13,7 +14,6 @@ import itertools
 import random
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,13 +48,14 @@ from dense_reference import (
     dense_majorana,
     dense_monomial,
     dense_pauli,
+    identity,
 )
 from tuple_oracle import _collapse, _product
 
 N = 6
 DIM = 2 ** (N // 2)
-# The dense references are checked up to 16 modes: a dense mode matrix on
-# N modes has 2^N entries.
+# The dense references are checked up to 16 modes: a mode matrix on N modes
+# has 2^(N/2) rows.
 DENSE_MAX_MODES = 16
 
 
@@ -64,27 +65,28 @@ def test_mode_matrices_anticommute():
         for b in range(N):
             ca, cb = dense_majorana(N, a), dense_majorana(N, b)
             anti = ca @ cb + cb @ ca
-            want = 2 * np.eye(DIM) if a == b else np.zeros((DIM, DIM))
-            assert np.array_equal(anti, want)
+            assert anti == (2 if a == b else 0) * identity(DIM)
 
 
 def test_mode_matrices_are_hermitian_involutions():
     for k in range(N):
         c = dense_majorana(N, k)
-        assert np.array_equal(c, c.conj().T)
-        assert np.array_equal(c @ c, np.eye(DIM))
+        assert c == c.dagger()
+        assert c @ c == identity(DIM)
 
 
 def test_mode_matrix_cache_is_write_protected():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         dense_majorana(N, 0)[0, 0] = 5
+    with pytest.raises(AttributeError):
+        dense_majorana(N, 0).rows = ()
 
 
 def test_the_oracle_module_holds_no_complex_matrix():
     """The oracle is integer arithmetic throughout: it imports no numpy, and
     from the package only the types, so no reorder rule, row kernel,
-    ``bitlinalg`` or tableau.  The dense complex references it is tested
-    against live in tests/dense_reference.py."""
+    ``bitlinalg`` or tableau.  The exact matrices it is tested against live
+    in tests/dense_reference.py."""
     assert not any(getattr(v, "__name__", "") == "numpy" for v in vars(oracle).values())
     tree = ast.parse(Path(oracle.__file__).read_text())
     assert not any(isinstance(node, ast.Import) for node in ast.walk(tree))
@@ -103,6 +105,27 @@ def test_the_oracle_module_holds_no_complex_matrix():
     }
 
 
+def imported_roots(source):
+    """The top-level packages a module's source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return {name.partition(".")[0] for name in names}
+
+
+def test_no_test_imports_numpy():
+    """The tests need only pytest and hypothesis: no module under tests/,
+    the exact references included, imports numpy."""
+    assert imported_roots("import numpy.linalg as la\nfrom numpy import eye\n") == {"numpy"}
+    paths = sorted(Path(__file__).parent.glob("*.py"))
+    assert Path(__file__) in paths
+    for path in paths:
+        assert "numpy" not in imported_roots(path.read_text()), path.name
+
+
 @given(
     st.integers(min_value=0, max_value=(1 << N) - 1),
     st.integers(min_value=0, max_value=3),
@@ -116,9 +139,7 @@ def test_dense_monomial_is_a_homomorphism(abits, ar, bbits, br):
     """
     a = MajoranaString(N, abits, ar)
     b = MajoranaString(N, bbits, br)
-    assert np.array_equal(
-        dense_monomial(a) @ dense_monomial(b), dense_monomial(multiply(a, b))
-    )
+    assert dense_monomial(a) @ dense_monomial(b) == dense_monomial(multiply(a, b))
 
 
 def as_monomial(m):
@@ -142,33 +163,57 @@ def test_product_matches_dense_products(abits, ar, bbits, br):
     a = MajoranaString(N, abits, ar)
     b = MajoranaString(N, bbits, br)
     ab = as_string(N, _product(as_monomial(a), as_monomial(b)))
-    assert np.array_equal(dense_monomial(a) @ dense_monomial(b), dense_monomial(ab))
+    assert dense_monomial(a) @ dense_monomial(b) == dense_monomial(ab)
 
 
 def test_gate_generator_squares_to_identity():
     for gate in (BraidGate("braid2", (1, 4)), BraidGate("braid4", (0, 2, 3, 5), -1)):
         v = dense_monomial(MajoranaString(N, *_generator(gate)))
-        assert np.array_equal(v @ v, np.eye(DIM))
-        assert np.array_equal(v, v.conj().T)
+        assert v @ v == identity(DIM)
+        assert v == v.dagger()
 
 
 def test_dense_gate_is_unitary():
+    """W = I + iV is sqrt(2) times the gate's unitary: W W^dagger = 2I."""
     g = BraidGate("braid4", (0, 1, 2, 4))
-    u = dense_gate(g, N)
-    assert np.allclose(u @ u.conj().T, np.eye(DIM), atol=1e-12)
+    w = dense_gate(g, N)
+    assert w @ w.dagger() == 2 * identity(DIM)
 
 
 def test_conjugate_dense_agrees_with_explicit_unitary():
+    """W M W^dagger = 2 U M U^dagger, with W = I + iV = sqrt(2) U."""
     g = BraidGate("braid2", (2, 3), -1)
     m = dense_majorana(N, 2)
-    u = dense_gate(g, N)
-    assert np.allclose(conjugate_dense(g, m, N), u @ m @ u.conj().T, atol=1e-12)
+    w = dense_gate(g, N)
+    assert w @ m @ w.dagger() == 2 * conjugate_dense(g, m, N)
 
 
 def test_gate_and_inverse_cancel():
     g = BraidGate("braid4", (1, 2, 4, 5))
     m = dense_monomial(MajoranaString.from_modes(N, (0, 1, 2), 1))
-    assert np.array_equal(conjugate_dense(g.inverse(), conjugate_dense(g, m, N), N), m)
+    assert conjugate_dense(g.inverse(), conjugate_dense(g, m, N), N) == m
+
+
+def test_the_exact_reference_tells_a_wrong_image_apart():
+    """``==`` on the exact matrices is no vacuous pass: the true image of a
+    mode under a gate it anticommutes with differs from the same image with
+    its phase flipped by 2, and from the two-term sum M + iV'M that the
+    generator V' = iV, with V' V' = -1, leaves in place of the image."""
+    g = BraidGate("braid4", (0, 1, 2, 4))
+    m = MajoranaString.single_mode(N, 0)
+    (image,) = conjugate_rows(Circuit(N, (g,)), [m])
+    want = conjugate_dense(g, dense_monomial(m), N)
+    assert image != m
+    assert dense_monomial(image) == want
+    flipped = dense_monomial(MajoranaString(N, image.bits, image.phase_r ^ 2))
+    assert flipped == -want != want
+    i = dense_monomial(MajoranaString(N, 0, 1))
+    wrong = dense_monomial(MajoranaString.from_modes(N, g.modes, g.generator_phase + 1 & 3))
+    assert wrong @ wrong == -identity(DIM)
+    two_terms = dense_monomial(m) + i @ wrong @ dense_monomial(m)
+    assert two_terms != want
+    assert {len(row) for row in want.rows} == {1}
+    assert {len(row) for row in two_terms.rows} == {2}
 
 
 def random_monomial(n, rng):
@@ -187,9 +232,7 @@ def test_single_gate_conjugation_matches_conjugate_dense():
             for direction in (1, -1):
                 g = BraidGate(kind, modes, direction)
                 for m, image in zip(stack, conjugate_rows(Circuit(N, (g,)), stack)):
-                    assert np.array_equal(
-                        dense_monomial(image), conjugate_dense(g, dense_monomial(m), N)
-                    )
+                    assert dense_monomial(image) == conjugate_dense(g, dense_monomial(m), N)
 
 
 def test_random_gates_match_conjugate_dense_at_every_register_size():
@@ -198,9 +241,7 @@ def test_random_gates_match_conjugate_dense_at_every_register_size():
         stack = [random_monomial(n, rng) for _ in range(4)]
         for g in random_circuit(n, 8 if n < 14 else 3, rng).gates:
             for m, image in zip(stack, conjugate_rows(Circuit(n, (g,)), stack)):
-                assert np.array_equal(
-                    dense_monomial(image), conjugate_dense(g, dense_monomial(m), n)
-                )
+                assert dense_monomial(image) == conjugate_dense(g, dense_monomial(m), n)
 
 
 def test_conjugate_modes_matches_the_symbolic_images():
@@ -223,12 +264,12 @@ def test_mode_strings_are_the_dense_modes(n):
     every monomial's string maps back to the monomial."""
     xs = oracle._x_bits(n)
     for k in range(n):
-        assert np.array_equal(dense_pauli(n, *oracle._pauli(1 << k, 0, xs)), dense_majorana(n, k))
+        assert dense_pauli(n, *oracle._pauli(1 << k, 0, xs)) == dense_majorana(n, k)
     for bits, phase in itertools.product(range(1 << n), range(4)):
         p = oracle._pauli(bits, phase, xs)
         assert oracle._monomial(p, xs) == (bits, phase)
         if n <= N:
-            assert np.array_equal(dense_pauli(n, *p), dense_monomial(MajoranaString(n, bits, phase)))
+            assert dense_pauli(n, *p) == dense_monomial(MajoranaString(n, bits, phase))
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -240,9 +281,9 @@ def test_pauli_product_and_anticommutation_match_dense_matrices(n):
     strings = list(itertools.product(range(1 << n), range(4)))
     for a, b in itertools.product(strings, repeat=2):
         da, db = dense_pauli(n, *a), dense_pauli(n, *b)
-        assert np.array_equal(dense_pauli(n, *oracle._product(a, b, xs)), da @ db)
+        assert dense_pauli(n, *oracle._product(a, b, xs)) == da @ db
         anticommutes = (a[0] & oracle._swapped(b[0], xs)).bit_count() & 1
-        assert np.array_equal(db @ da, -da @ db if anticommutes else da @ db)
+        assert db @ da == (-da @ db if anticommutes else da @ db)
 
 
 def test_pauli_fold_agrees_with_the_tuple_fold_on_random_circuits():
