@@ -36,14 +36,15 @@ out of memory.
 A generator's modes are checked by whole-list passes of built-ins
 (type, min, max) alone, one pass per message and in message order:
 integers, then range, then strictly ascending, so the first that fails
-reports.  A gates list or a substitutions list is accepted by a few
-whole-list passes too (itemgetter, type), with no Python code per item;
-a substitutions list's passes are ``CircuitDocument``'s own check, so
-they run once per document.  Those two keep a per-item pass, run only
-on a list that fails the whole-list ones, because their messages name a
-gate's position or the entry at fault; it is the only code that builds
-such a message, so every message, and which check reports when several
-fail, is the same whichever path a document takes.
+reports.  A gates list is checked the same way, by one checker
+(``_decoder``) whose whole-list passes state each gate rule once.
+parse_circuit calls it on the whole list, and only if that fails, on one
+gate at a time in file order, so the message names the first gate at
+fault by its position; every message, and which check reports when
+several fail, is the same on either call.  A substitutions list's
+whole-list passes are ``CircuitDocument``'s own check, so they run once
+per document; only a list that fails them goes through a per-entry loop,
+which alone writes the message naming the entry at fault.
 """
 
 from __future__ import annotations
@@ -92,10 +93,11 @@ class CircuitDocument:
     lists the decoder's gates reversed, each direction negated).  A role
     ancilla_modes or substitutions that no file may hold raises
     ValueError, so serialize_circuit never writes a document that
-    parse_circuit refuses: each substitution is a pair (i, j) of distinct
-    nonnegative ints, and a bool is not an int.  That check is the one
-    whole-list check of a substitutions list, parsed or built in memory.
-    Substitutions given as any other iterable are stored as a tuple first.
+    parse_circuit refuses: ancilla_modes is () or (0, 1), each
+    substitution is a pair (i, j) of distinct nonnegative ints, and a
+    bool is not an int in either.  That check is the one whole-list check
+    of a substitutions list, parsed or built in memory.  Substitutions
+    given as any other iterable are stored as a tuple first.
     """
 
     circuit: Circuit
@@ -106,7 +108,11 @@ class CircuitDocument:
     def __post_init__(self) -> None:
         if type(self.substitutions) is not tuple:
             object.__setattr__(self, "substitutions", tuple(self.substitutions))
-        if self.role not in ("encoder", "decoder") or self.ancilla_modes not in ((), (0, 1)):
+        if (
+            self.role not in ("encoder", "decoder")
+            or self.ancilla_modes not in ((), (0, 1))
+            or not set(map(type, self.ancilla_modes)) <= {int}
+        ):
             raise ValueError("role must be 'encoder' or 'decoder', and ancilla_modes () or (0, 1)")
         if not _valid_substitutions(self.substitutions):
             raise ValueError("substitutions must be pairs (i, j) of distinct nonnegative ints")
@@ -299,22 +305,24 @@ def serialize_code(code: StabilizerCode) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _gates_at_once(entries: list[Any], encoder: bool) -> tuple[BraidGate, ...] | None:
-    """The decoder gates of a valid gates list, empty or not, checked in
-    whole-list passes with no Python code per gate; None if any check
-    fails, and then the per-gate loop of parse_circuit finds the first
-    fault and its message.  An encoder's entries are taken in reverse
-    order, and their directions negated on the way into the one
-    constructor pass.
+def _decoder(entries: list[Any], n_modes: int, encoder: bool) -> Circuit:
+    """The decoder circuit of a gates list, or ValueError with the message
+    of the first check that fails, less the ``gate {g}`` that parse_circuit
+    puts in front.  The checks are whole-list passes with no Python code
+    per gate, in the order that one gate's messages take: object and keys,
+    kind, modes a list of integers, direction an integer, the BraidGate
+    constructor, and last the register range, which ``Circuit`` checks
+    before anything sized by the modes is built.  An encoder's entries are
+    taken in reverse order, and their directions negated on the way into
+    the one constructor pass.
 
     itemgetter fails (TypeError, KeyError) on an entry that is not an
-    object or lacks a key, and a length of 3 leaves no other key.  Each
-    field gets its own pass: one itemgetter of all three would keep a
-    3-tuple per gate alive, and those extra container objects set off
-    enough garbage-collector passes to cost more than the gates' own
-    checks.  type() is exact, so a bool is not an int here either.  The
-    register range is not checked here: ``Circuit`` refuses a gate past
-    it, and no gate builds anything sized by its modes before that.
+    object or lacks a key, and a length of 3 leaves no other key; only if
+    either fails does a loop look for the entry at fault.  Each field gets
+    its own pass: one itemgetter of all three would keep a 3-tuple per
+    gate alive, and those extra container objects set off enough
+    garbage-collector passes to cost more than the gates' own checks.
+    type() is exact, so a bool is not an int here either.
     """
     if encoder:
         entries = entries[::-1]
@@ -322,23 +330,31 @@ def _gates_at_once(entries: list[Any], encoder: bool) -> tuple[BraidGate, ...] |
         kinds = list(map(itemgetter("kind"), entries))
         mode_lists = list(map(itemgetter("modes"), entries))
         directions = list(map(itemgetter("direction"), entries))
+        shaped = set(map(len, entries)) <= {3}
     except (TypeError, KeyError):
-        return None
-    if not (
-        set(map(len, entries)) <= {3}
-        and set(map(type, kinds)) <= {str}
-        and set(map(type, mode_lists)) <= {list}
-        and set(map(type, chain.from_iterable(mode_lists))) <= {int}
-        and set(map(type, directions)) <= {int}
-    ):
-        return None
-    supports = tuple(map(tuple, mode_lists))
+        shaped = False
+    if not shaped:
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise ValueError(" must be an object")
+            _require_keys(entry, {"kind", "modes", "direction"}, set(), "", ValueError)
+    if not (set(map(type, kinds)) <= {str} and {"braid2", "braid4"}.issuperset(kinds)):
+        raise ValueError(": kind must be 'braid2' or 'braid4'")
+    if not set(map(type, mode_lists)) <= {list}:
+        raise ValueError(": modes must be a list")
+    if not set(map(type, chain.from_iterable(mode_lists))) <= {int}:
+        raise ValueError(" mode must be an integer")
+    if not set(map(type, directions)) <= {int}:
+        raise ValueError(" direction must be an integer")
     signs = map(neg, directions) if encoder else directions
     try:
-        gates = tuple(map(BraidGate, kinds, supports, signs))
-    except ValueError:
-        return None
-    return gates
+        gates = tuple(map(BraidGate, kinds, mode_lists, signs))
+    except ValueError as exc:
+        raise ValueError(f": {exc}") from exc
+    try:
+        return Circuit(n_modes, gates)
+    except ValueError as exc:
+        raise ValueError(f": mode out of range 0..{n_modes - 1}") from exc
 
 
 def parse_circuit(text: str) -> CircuitDocument:
@@ -370,17 +386,16 @@ def parse_circuit(text: str) -> CircuitDocument:
     if not isinstance(entries, list):
         raise err("substitutions must be a list")
     gates = doc["gates"]
-    valid = _gates_at_once(gates, role == "encoder") if isinstance(gates, list) else None
-    if valid is not None:
+    if isinstance(gates, list):
         try:
-            return CircuitDocument(Circuit(n_modes, valid), ancilla, tuple(map(tuple, entries)), role)
+            decoder = _decoder(gates, n_modes, role == "encoder")
+            return CircuitDocument(decoder, ancilla, tuple(map(tuple, entries)), role)
         except (TypeError, ValueError):
-            # Circuit refused a gate past the register, or CircuitDocument a
-            # substitution: the loop below names the first fault
+            # a gate is at fault, or CircuitDocument refused a substitution:
+            # the loops below name the first fault
             pass
-    # Only a document with a fault gets here: the checks run one item at a
-    # time, substitutions and then gates, each in file order, to raise the
-    # first.
+    # Only a document with a fault gets here: substitutions and then gates,
+    # each in file order, are checked one at a time to raise the first.
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != 2:
             raise err("substitutions entries must be [i, j] pairs")
@@ -392,26 +407,11 @@ def parse_circuit(text: str) -> CircuitDocument:
     if not isinstance(gates, list):
         raise err("gates must be a list")
     for g, entry in enumerate(gates):
-        if not isinstance(entry, dict):
-            raise err(f"gate {g} must be an object")
-        _require_keys(entry, {"kind", "modes", "direction"}, set(), f"gate {g}", err)
-        kind = entry["kind"]
-        if kind not in ("braid2", "braid4"):
-            raise err(f"gate {g}: kind must be 'braid2' or 'braid4'")
-        modes = entry["modes"]
-        if not isinstance(modes, list):
-            raise err(f"gate {g}: modes must be a list")
-        for m in modes:
-            _int(m, f"gate {g} mode must be an integer", err)
-        direction = _int(entry["direction"], f"gate {g} direction must be an integer", err)
         try:
-            BraidGate(kind, modes, direction)
+            _decoder([entry], n_modes, False)
         except ValueError as exc:
-            raise err(f"gate {g}: {exc}") from exc
-        # Only after this check is anything sized by the modes built.
-        if modes[-1] >= n_modes:
-            raise err(f"gate {g}: mode out of range 0..{n_modes - 1}")
-    raise AssertionError("the fast path refused a document with no fault")
+            raise err(f"gate {g}{exc}") from exc
+    raise AssertionError("the whole-list check refused a document with no fault")
 
 
 # One gate object of each kind exactly as json.dumps(indent=2) lays it out

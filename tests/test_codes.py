@@ -191,6 +191,7 @@ def test_parse_circuit_gate_messages():
     cases = [
         ([gate(), [0, 1]], "gate 1 must be an object"),
         ([{"kind": "braid2", "modes": [0, 1]}], "gate 0 is missing ['direction']"),
+        ([{"kind": "braid2", "modes": [0, 1], "x": 1}], "gate 0 is missing ['direction']"),
         ([{**gate(), "x": 0}], "gate 0 has unknown keys ['x']"),
         ([gate(kind="braid3")], "gate 0: kind must be 'braid2' or 'braid4'"),
         ([gate(kind=["braid2"])], "gate 0: kind must be 'braid2' or 'braid4'"),
@@ -362,7 +363,8 @@ def test_parsed_encoder_document_holds_the_decoder(monkeypatch):
 @pytest.mark.parametrize(
     "role, ancilla",
     [("Encoder", ()), ("inverse", ()), ("", ()), (None, ()),
-     ("decoder", (0,)), ("encoder", (1, 0)), ("decoder", (0, 1, 2)), ("decoder", [0, 1])],
+     ("decoder", (0,)), ("encoder", (1, 0)), ("decoder", (0, 1, 2)), ("decoder", [0, 1]),
+     ("decoder", (False, True)), ("encoder", (0, True))],
 )
 def test_circuit_document_refuses_what_parse_circuit_refuses(role, ancilla):
     """A role or ancilla_modes that no circuit file may hold is refused when

@@ -57,6 +57,7 @@ RAW = [
     "NaN",
 ]
 DUPLICATE = "@duplicate@"
+RENAMED = "@renamed@"
 VALUES = st.one_of(
     st.sampled_from([f"@raw{i}@" for i in range(len(RAW))]),
     st.sampled_from([True, False, None, "x", "", 1.5, [], {}, [0, 1], [[0, 1]], {"modes": [0]}]),
@@ -76,7 +77,9 @@ def paths(obj, prefix=()):
 
 
 def mutate(obj, path, op, value):
-    """The document with one key dropped, duplicated or replaced, as text."""
+    """The document with one key dropped, duplicated, renamed or replaced,
+    as text.  A key renamed to a sibling's name repeats that key in the
+    text, where the parser keeps its last value or refuses the repeat."""
     if not path:
         doc = value
     else:
@@ -89,11 +92,17 @@ def mutate(obj, path, op, value):
             del parent[last]
         elif op == "duplicate" and isinstance(last, str):
             parent[DUPLICATE] = value  # encoded after the original, so it wins
+        elif op == "rename" and isinstance(last, str):
+            renamed = {(RENAMED if key == last else key): v for key, v in parent.items()}
+            parent.clear()
+            parent.update(renamed)  # the new name keeps the old key's place
         else:
             parent[last] = value
     text = json.dumps(doc)
     if op == "duplicate" and path and isinstance(path[-1], str):
         text = text.replace(json.dumps(DUPLICATE), json.dumps(path[-1]))
+    if op == "rename":
+        text = text.replace(json.dumps(RENAMED), json.dumps(value))
     for i, raw in enumerate(RAW):
         text = text.replace(json.dumps(f"@raw{i}@"), raw)
     return text
@@ -112,8 +121,13 @@ def test_near_valid_documents_fail_only_as_documented(tmp_path, data):
     # top-level fields are drawn as often as all the nested ones together
     every = list(paths(target))
     path = data.draw(st.sampled_from([p for p in every if len(p) == 1]) | st.sampled_from(every))
-    op = data.draw(st.sampled_from(["drop", "duplicate", "replace"]))
-    text = mutate(target, path, op, data.draw(VALUES))
+    op = data.draw(st.sampled_from(["drop", "duplicate", "replace", "rename"]))
+    if op == "rename" and path and isinstance(path[-1], str):
+        siblings = [p[-1] for p in every if p[:-1] == path[:-1] and len(p) == len(path)]
+        value = data.draw(st.sampled_from(["x", *(key for key in siblings if key != path[-1])]))
+    else:
+        value = data.draw(VALUES)
+    text = mutate(target, path, op, value)
 
     parse, error = (parse_code, CodeFormatError) if which == "code" else (
         parse_circuit, CircuitFormatError
