@@ -38,9 +38,14 @@ substitution, no gate.  Decoded generator j is exactly i^s c_q c_(q+1) at
 that point, so the held pairs multiply to one monomial, and one product by
 it clears their bits.  The row changes on those whole pairs alone, and
 ``_ModeTableau.toggle_pairs`` writes them, one column XOR per mode.
-Quartic braids then shrink the column's weight from the pivot on by two
-per step, parking on its lowest clear mode there, and one quadratic braid
-per bit still off the pivot pair puts it there.  Every emitted gate has
+Quartic braids then shrink the row, which lies in the tail (the modes
+from the pivot p on), by two modes per step, and one quadratic braid per
+bit still off the column's slots p and p + 1 puts it on a clear slot.  A
+shrink braid holds the three lowest set modes of row ^ keep and the
+lowest clear tail mode.  keep is the row's lowest set slot when the row
+has four modes and holds a slot, or six modes and both slots, and 0
+otherwise: keeping the slot there is what makes every column emit the
+fewest gates its row needs (below).  Every emitted gate has
 even overlap with every finished pair, so decoded generators are never
 disturbed -- the loop invariant that makes the sweep correct.
 
@@ -110,6 +115,24 @@ no phase work per gate, and no parity test either: every gate it folds
 meets the active row oddly, so it adds the gate's support to the row
 outright.  A column costs one phase read and, when its last gate is
 reversed, one XOR of that gate's columns.
+
+Each column whose tail has a clear mode emits the fewest gates its row
+needs.  Only a braid that meets the row oddly changes it: a braid2 keeps
+the row's weight w and a braid4 moves it by two.  With s of the row's
+modes on the slots, a column so needs 2 - s braid2s at w = 2, (w - 2)/2
+braid4s at w >= 6, and at w = 4 one braid4 when s = 1 and two gates
+otherwise (a single braid4 would hold both off-slot modes and no slot
+when s = 2, meeting the row evenly, or six modes when s = 0).  The sweep
+meets each bound.  A shrink step takes three set modes out, so a clear
+tail mode stays.  Each step from w >= 8 leaves w >= 6, whatever s.  A
+step from w = 6 leaves w = 4 and s = 1: with s <= 1 the set slot, if
+any, is among the three lowest set modes and the lowest clear tail mode
+is a slot; with s = 2 slot p is kept.  At w = 4 and s = 1 the kept slot
+and the clear slot land the row on its pair in one braid4; with s = 2
+the braid4 keeps slot p and leaves w = 2, s = 1, and with s = 0 it
+brings slot p in and leaves the same.  An all-ones tail of more than two
+modes parks instead (keep is 0 there), which only the ancilla variant
+meets.
 
 A generator whose column emits no gate (it is on its own pair once the
 column start has cleared the decoded ones) keeps the phase it has there,
@@ -352,14 +375,21 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
         # the row lies in the tail from here on: the decoded pairs are
         # cleared, mode 0 is checked, no gate holds mode 1, and a park's
         # second gate takes mode 0 back out
-        while row.bit_count() > 2:
-            # the row's three lowest set bits, as one-bit ints
-            b1 = row & -row
-            t = row ^ b1
+        slots = 0b11 << p
+        while (w := row.bit_count()) > 2:
+            clear = ~row & tail
+            # keep the lowest set slot where that reaches the column's
+            # minimum gate count (module docstring)
+            on = row & slots
+            s = on.bit_count()
+            keep = on & -on if clear and (w == 4 and s or w == 6 and s == 2) else 0
+            # the three lowest set bits of row ^ keep, as one-bit ints
+            t = row ^ keep
+            b1 = t & -t
+            t ^= b1
             b2 = t & -t
             t ^= b2
             three = b1 | b2 | (t & -t)
-            clear = ~row & tail
             if clear:
                 emit((clear & -clear) | three)
             elif use_ancilla:
@@ -374,7 +404,6 @@ def _run(code: StabilizerCode, use_ancilla: bool) -> SynthesisResult:
 
         # the row now lies on at most two tail modes; one quadratic braid
         # per bit off the slots p, p+1 puts it on a clear slot
-        slots = 0b11 << p
         while row & ~slots:
             free_slot, off = ~row & slots, row & ~slots
             emit((free_slot & -free_slot) | (off & -off))

@@ -329,7 +329,7 @@ def test_readme_library_example_runs_as_documented():
     ns: dict = {}
     exec(compile(block, "README.md", "exec"), ns)
     result, doc = ns["result"], ns["doc"]
-    assert gate_counts(result.decoder) == {"braid2": 7, "braid4": 3}
+    assert gate_counts(result.decoder) == {"braid2": 6, "braid4": 3}
     assert result.total_modes == 14
     assert str(result.ancilla_image) == "+i c0 c1"
     # the bytes `synth --builtin shortest -o` writes, the encoder golden
@@ -337,7 +337,7 @@ def test_readme_library_example_runs_as_documented():
     assert serialize_circuit(doc).encode() == golden.read_bytes()
     # each stated value is the comment on the line that computes it
     stated = {
-        "gate_counts(result.decoder)": "{'braid2': 7, 'braid4': 3}",
+        "gate_counts(result.decoder)": "{'braid2': 6, 'braid4': 3}",
         "result.total_modes": "14",
         "str(result.ancilla_image)": "'+i c0 c1'",
     }

@@ -135,8 +135,8 @@ def test_shortest_code_with_ancilla():
     result = synthesize_with_ancilla(code)
     assert result.total_modes == 14
     assert result.ancilla_modes == (0, 1)
-    assert gate_counts(result.decoder) == {"braid2": 7, "braid4": 3}
-    assert len(result.substitutions) == 7
+    assert gate_counts(result.decoder) == {"braid2": 6, "braid4": 3}
+    assert len(result.substitutions) == 4
     assert decoded_ok(code, result)
     # the ancilla pair comes back to (0, 1), up to a reported sign
     assert result.ancilla_image is not None
@@ -148,15 +148,17 @@ def test_shortest_code_with_ancilla():
 
 
 def test_ancilla_shrink_takes_one_gate_on_a_clear_tail_mode():
-    """Each shrink step is one braid4 on the lowest clear tail mode, each
-    back-substitution product and each decoded pair a column holds one
-    recorded substitution and no gate, which these counts pin; the ancilla
-    pair is never touched, so no gate follows the phase correction."""
+    """Each shrink step is one braid4 on the lowest clear tail mode, and a
+    four-mode row that keeps a set slot lands on its pair in that braid4, so
+    no column of this code needs a braid2.  Each back-substitution product
+    and each decoded pair a column holds is one recorded substitution and
+    no gate, which these counts pin; the ancilla pair is never touched, so
+    no gate follows the phase correction."""
     code = random_code(100, 25, seed=1)
     result = synthesize_with_ancilla(code)
-    assert gate_counts(result.decoder) == {"braid2": 25, "braid4": 400}
+    assert gate_counts(result.decoder) == {"braid2": 0, "braid4": 400}
     back, column_starts = split_substitutions(result)
-    assert (len(back), len(column_starts)) == (153, 131)
+    assert (len(back), len(column_starts)) == (153, 143)
     assert len(result.decoder) - result.correction_span[1] == 0
     assert decoded_ok(code, result)
     assert result.ancilla_image == folded_ancilla_image(result)
@@ -884,7 +886,8 @@ def test_kitaev_chain_takes_one_quadratic_braid_per_generator(n):
 # ancilla, then ancilla-free), or the name of the refusal it raised;
 # recorded when the synthesis began to back-substitute the generators on
 # their top modes, and re-recorded where they moved when each column's
-# last braid began to take the direction that lands its generator at +i.
+# last braid began to take the direction that lands its generator at +i,
+# and when the shrink began to keep a set slot.
 # The goldens reach no mode-0 parking; these codes reach the parking step,
 # the back-substitution and the column-start substitution.  Two were pinned
 # for the borrow, which the back-substitution made unreachable;
@@ -893,51 +896,51 @@ def test_kitaev_chain_takes_one_quadratic_braid_per_generator(n):
 PINNED_DECODERS = [
     pytest.param(
         lambda: random_code(40, 10, 1),
-        "634361cf2dd6b671c3852cad94717a4c31babd959447b88d6f1edcdc9588780c",
-        "1e7397234e83b18aaecdc10b4b8752200c8f29efe2bad89ca1ba514a81e81a1c",
+        "44d69c26c9cc73ba6b8fcf7f9b188d912a176898eefb13d9e07a8fae874035b2",
+        "0911663cffc13c1385154a1e0e874915a24c940f5fb55b3ce30dcbb1b7f2d04f",
         id="random-40-10-1",
     ),
     pytest.param(
         lambda: random_code(40, 10, 2),
-        "9bacb62a747ac67348159b714e0468c0b159ca48d344ae0ad7d23e38032be86b",
-        "818bb4e842e3a5b4a0a266514fadec9fa3efdd6612d7afa4d83762629793d621",
+        "81c78f8080636849f7bcc39f5109a33769abef8b4e70af80bab4ccfc5ed3d090",
+        "0c8180ec41d754f286d2bfd43d58f780ab880414f183a2ab631cc96ff0d9fa72",
         id="random-40-10-2",
     ),
     pytest.param(
         lambda: random_code(40, 10, 3),
-        "15779272466fd036c2fbf14c261302e778fbf1ed2b9da9d3c24aa0f5e7845a99",
-        "ef1c35277bbacb1dba49f7598a4098dd4025f9271837adb6b936768d9618fd40",
+        "3ccf811bbeaa72ec597d36cae10e79b402f468f34f0bcd29f156b843aa0ec1bf",
+        "6e65c088ea047ccf9a3e193b70d23d5395c9904d8868c5c5d61dfab13437e9aa",
         id="random-40-10-3",
     ),
     pytest.param(
         lambda: random_code(40, 10, 4),
-        "bf047c4a7cbb7e441ffcc96da9713f6b2bcf86e57f653a397db06cfb6e7c30c6",
-        "e91cd1dfe21fbd5c3aa70df0f13855ed76a61f461d845da413fef2a4b0296d44",
+        "124250ece37cc2c4a6a9682f71ee6202fde0516ca800337dc2aafe3257217c4c",
+        "8066a158df2f5c0377b02f96f62504561fcb0ab7399144c95f13b8bb090104aa",
         id="random-40-10-4",
     ),
     pytest.param(
         lambda: random_code(40, 10, 5),
-        "1f526ec7f184f6ef98a14373265d51d8e43dcedafa693ce4448d494794954623",
-        "12fef492aaf23dbf7fadb4b3fdaf54ee69fc6cec70e5de67e6facb4059f0f286",
+        "438a426634e8521c7f0b64cac06ce4b677d9f9c7772a78806f5b539da84db9d0",
+        "de2328685e2aa473bcd0ed5c97de9e1057b8f0b3a5f4c1dc5981651d2c8d23bf",
         id="random-40-10-5",
     ),
     pytest.param(  # its last column parks on mode 0; obstructed without
         lambda: scrambled_total_parity_code(20, 7, 2),
-        "430f66e6a4851ef80d2917b43f893640de35bc319540299a89419dd35cf7fe7f",
+        "a3b68bebdb2e7a57ec30cf5a6d09e78307da124479bba91ca742b4b6061af136",
         "TotalParityObstruction",
         id="total-parity-20-7-2",
     ),
     pytest.param(
         lambda: scrambled_total_parity_code(16, 8, 4),
-        "57d341b0522fbcf780a8cce8e6a8687ba2eb666e39d84e9128efb62bcb733ea1",
-        "dcbb19f9998788ab450f385e47e94b24c6e12d4950d38c181564852a84ca7b7c",
+        "2135ae87e9209d33753f263e4baaac069a556b6f2cc68d574de352391fb01a7d",
+        "803e53b039e89f1c8ed06c820d4637f833f5102f54d34250b3b53475e249b45d",
         id="total-parity-16-8-4",
     ),
     pytest.param(  # its last column parks on mode 0 (before the
         # back-substitution an earlier column parked, and parity steps moved
         # mode 0 off); obstructed without
         lambda: mixed_total_parity_code(16, 6, 3),
-        "969847db7ff6c1512fb66fcf557bf1f1308ab72ca1151520d6832fb88c7d899a",
+        "24c37bc47c4a773758e2b213b6307371f66f364b559aae2f1e4a603052871219",
         "TotalParityObstruction",
         id="mixed-total-parity-16-6-3",
     ),
@@ -964,8 +967,8 @@ PINNED_DECODERS = [
     pytest.param(  # five back-substitution products and three column starts;
         # before, its free shrink borrowed the lowest of several holders
         lambda: mixed_total_parity_code(8, 4, 8),
-        "d3d52dc7c7913793d8f50055ef34c5b387812289a736c68557527ca6564ada14",
-        "a20e7cdf0518efe6e0779ca4fa52eba6e83fb75d8326c452943d96e9c5d1e756",
+        "0a51182bf56e8c14c0ffd247ba08a65ca0ae4864504941b7da80e1b311fcc010",
+        "fe6a360cd280dedc01f7b7b1e5aa76e87c54b7201f10bd9595acab3d83581a24",
         id="mixed-total-parity-8-4-8",
     ),
 ]
@@ -986,3 +989,85 @@ def test_sweep_gate_sequences_are_pinned(make, with_ancilla, ancilla_free):
         # no borrow: after the back-substitution, only column starts
         assert all(j < i for i, j in split_substitutions(result)[1])
     assert got == [with_ancilla, ancilla_free]
+
+
+def sweep_columns(code: StabilizerCode, result: SynthesisResult) -> list[tuple[int, int, int]]:
+    """(row at its column start, pivot, gates the column emitted) for every
+    sweep column, read off the result alone.
+
+    The substitutions are products of generators, and a braid acts on the
+    bits linearly (a row it meets oddly gains its support), so multiplying
+    them all out first leaves each row as it stands once its column start
+    has run.  Replaying the sweep gates in order, a column ends when its row
+    reaches its pair: every gate of the column changes that row, and the
+    sweep stops there."""
+    pb, r = result.target.pivot_base, result.target.r
+    rows = [g.bits << pb for g in code.generators]
+    for i, j in result.substitutions:
+        rows[i] ^= rows[j]
+    sweep = iter(result.decoder.gates[: result.correction_span[0]])
+    columns = []
+    for i in range(r):
+        p = pb + 2 * i
+        start, count = rows[i], 0
+        while rows[i] != 0b11 << p:
+            mask = next(sweep).support_mask
+            rows = [row ^ mask if (row & mask).bit_count() % 2 else row for row in rows]
+            count += 1
+        columns.append((start, p, count))
+    assert next(sweep, None) is None
+    return columns
+
+
+def fewest_column_gates(row: int, p: int) -> int:
+    """The fewest braids that take a row lying in the tail (modes p up) onto
+    its pair p, p+1, when the tail has a clear mode.  Only a braid meeting
+    the row oddly changes it: a braid2 keeps its weight w, a braid4 moves it
+    by two.  With s of the row's modes on the pair, w = 2 needs 2 - s
+    braid2s; w = 4 needs one braid4 when s = 1, and two gates otherwise (one
+    braid4 would need both off-pair modes and no slot when s = 2, an even
+    overlap, or six modes when s = 0); w >= 6 needs (w - 2) / 2 braid4s."""
+    w, s = row.bit_count(), (row >> p & 0b11).bit_count()
+    if w == 2:
+        return 2 - s
+    if w == 4:
+        return 1 if s == 1 else 2
+    return (w - 2) // 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_every_sweep_column_emits_the_fewest_gates_its_row_needs(seed):
+    rng = random.Random(seed)
+    n = rng.choice([4, 6, 8, 10, 12, 14])
+    make = rng.choice([random_code, lightly_scrambled_code, mixed_total_parity_code])
+    # a mixed total-parity code multiplies pairs of its generators
+    code = make(n, rng.randint(1 + (make is mixed_total_parity_code), n // 2), seed)
+    for result in synthesis_outcomes(code):
+        if isinstance(result, tuple):  # a refusal
+            continue
+        full = (1 << result.total_modes) - 1
+        for row, p, count in sweep_columns(code, result):
+            assert row >> p << p == row  # the row lies in the tail
+            if row >> p != full >> p:  # a clear tail mode
+                assert count == fewest_column_gates(row, p), (bin(row), p)
+
+
+@pytest.mark.parametrize(
+    "n, generator, gates",
+    [
+        (6, ((1, 2, 3, 4), 0), [("braid4", (0, 2, 3, 4))]),
+        (6, ((0, 1, 2, 3), 0), [("braid4", (1, 2, 3, 4)), ("braid2", (1, 4))]),
+        (8, ((0, 1, 2, 3, 4, 5), 1), [("braid4", (1, 2, 3, 6)), ("braid4", (1, 4, 5, 6))]),
+    ],
+    ids=["w4-one-slot", "w4-both-slots", "w6-both-slots"],
+)
+def test_the_shrink_keeps_a_set_slot_where_that_saves_a_gate(n, generator, gates):
+    """One Hermitian generator, ancilla-free: a four-mode row holding one
+    slot lands on its pair in one braid4; one holding both slots takes a
+    braid4 and a braid2; a six-mode row holding both slots takes two
+    braid4s, the first of which keeps slot 0."""
+    code = StabilizerCode(n, gens(n, generator))
+    result = synthesize_ancilla_free(code)
+    assert [(g.kind, g.modes) for g in result.decoder.gates] == gates
+    assert decoded_ok(code, result)
